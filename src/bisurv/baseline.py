@@ -38,6 +38,7 @@ __all__ = [
     "Pareto",
     "CustomHazard",
     "HazardIntegrator",
+    "PiecewiseLinearHazard",
 ]
 
 
@@ -258,20 +259,38 @@ class Pareto(BaselineModel):
         return x / t
 
 
-class HazardIntegrator:
-    """Cumulative hazard of an arbitrary nonnegative hazard function.
+def _elementwise(fn, x):
+    """Apply a scalar map to a scalar, or to each element of an array."""
+    if _is_scalar(x):
+        return fn(float(x))
+    arr = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in arr.ravel()], dtype=float).reshape(arr.shape)
 
-    Integrates with adaptive quadrature (absolute tolerance ``epsabs``),
-    memoized on a monotone knot ladder at ``x_L + step * 2**k``.  The ladder
-    is append-only and each rung's value is chained over fixed subintervals,
-    so ``cumulative`` is a pure function of its argument: results never
-    depend on evaluation order.  That keeps repeated and concurrent use
-    bitwise-reproducible (ties sampled through the inverse stay exact).
-    The ladder is lock-protected; instances may be shared across threads.
+
+class HazardIntegrator:
+    """Cumulative hazard of a user-supplied nonnegative hazard callable.
+
+    Hazard tables do not come here; :class:`PiecewiseLinearHazard`
+    integrates them exactly.  A callable is integrated with adaptive
+    quadrature (absolute tolerance ``epsabs``), memoized on a monotone knot
+    ladder at ``x_L + step * 2**k``.  The ladder is append-only and each
+    rung's value is chained over fixed subintervals, so ``cumulative`` is a
+    pure function of its argument: results never depend on evaluation order.
+    That keeps repeated and concurrent use bitwise-reproducible (ties
+    sampled through the inverse stay exact).  The ladder is lock-protected;
+    instances may be shared across threads.
+
+    A quadrature that reports trouble (a warning from ``quad``) and whose
+    error estimate exceeds ``max(epsabs, 1.49e-8 * |integral|)`` raises
+    :class:`~bisurv.errors.NumericError` instead of returning the value.
+    ``cumulative``, ``inverse`` and ``hazard`` accept scalars or arrays and
+    evaluate arrays one element at a time.
     """
 
     _FIRST_STEP = 0.0625
     _MAX_RUNGS = 140  # ladder tops out near x_L + 2**137
+    #: relative error budget, scipy's default ``epsrel`` for ``quad``
+    _EPSREL = 1.49e-8
 
     def __init__(self, hazard_fn, x_L: float = 0.0, *, epsabs: float = 1e-10,
                  name: str = "hazard"):
@@ -283,19 +302,34 @@ class HazardIntegrator:
         self._rung_x: list[float] = []  # x_L + step * 2**k
         self._rung_r: list[float] = []
 
-    def hazard(self, x: float) -> float:
+    def hazard(self, x):
+        return _elementwise(self._hazard_at, x)
+
+    def cumulative(self, x):
+        return _elementwise(self._cumulative_at, x)
+
+    def inverse(self, r):
+        return _elementwise(self._inverse_at, r)
+
+    def _hazard_at(self, x: float) -> float:
         v = float(self._fn(x))
         if math.isnan(v) or v < 0.0:
             raise ModelError(f"{self.name} returned a negative or NaN value {v} at x={x}")
         return v
 
     def _quad(self, a: float, b: float) -> float:
-        # full_output suppresses roundoff warnings on near-zero tails;
-        # the absolute tolerance governs accuracy either way
-        inc = quad(self.hazard, a, b, epsabs=self.epsabs, limit=200,
-                   full_output=1)[0]
+        # full_output keeps quad from printing its warning; a fourth element
+        # in the result is that warning, judged against the error budget
+        out = quad(self._hazard_at, a, b, epsabs=self.epsabs, limit=200, full_output=1)
+        inc, abserr = out[0], out[1]
         if inc < 0.0:
             raise ModelError(f"{self.name} integrated to a negative value on [{a}, {b}]")
+        if len(out) > 3 and abserr > max(self.epsabs, self._EPSREL * abs(inc)):
+            raise NumericError(
+                f"{self.name}: quadrature on [{a}, {b}] missed its error budget "
+                f"(estimate {abserr:.3g}): {out[3].splitlines()[0]}",
+                samples=[inc, abserr],
+            )
         return inc
 
     def _ensure_rung(self, k: int) -> None:
@@ -307,11 +341,12 @@ class HazardIntegrator:
                 x = self.x_L + self._FIRST_STEP * 2.0**j
                 prev_x = self._rung_x[-1] if self._rung_x else self.x_L
                 prev_r = self._rung_r[-1] if self._rung_r else 0.0
+                # integrate before appending: a failed rung leaves no trace
+                r = prev_r + self._quad(prev_x, x)
                 self._rung_x.append(x)
-                self._rung_r.append(prev_r + self._quad(prev_x, x))
+                self._rung_r.append(r)
 
-    def cumulative(self, x: float) -> float:
-        x = float(x)
+    def _cumulative_at(self, x: float) -> float:
         if not math.isfinite(x):
             raise DomainError(f"x must be finite, got {x}")
         if x <= self.x_L:
@@ -330,9 +365,8 @@ class HazardIntegrator:
             return rung_r
         return rung_r + self._quad(rung_x, x)
 
-    def inverse(self, r: float) -> float:
+    def _inverse_at(self, r: float) -> float:
         """Solve cumulative(x) = r by ladder bracketing plus Brent's method."""
-        r = float(r)
         if r <= 0.0:
             return self.x_L
         if not math.isfinite(r):
@@ -349,53 +383,117 @@ class HazardIntegrator:
             i = bisect.bisect_left(self._rung_r, r)
             lo = self.x_L if i == 0 else self._rung_x[i - 1]
             hi = self._rung_x[i]
-        root = brentq(lambda x: self.cumulative(x) - r, lo, hi,
+        root = brentq(lambda x: self._cumulative_at(x) - r, lo, hi,
                       xtol=1e-14, rtol=1e-14, maxiter=200)
         return float(root)
 
 
-class CustomHazard(BaselineModel):
-    """Baseline defined by a user-supplied hazard function.
+class PiecewiseLinearHazard:
+    """Hazard interpolated linearly through a table and held flat past its ends.
 
-    The cumulative hazard is obtained by adaptive quadrature with a memoized
+    The cumulative hazard of a piecewise-linear hazard is piecewise
+    quadratic, so both maps are exact to rounding and evaluate whole arrays
+    at once.  The knots are re-anchored at ``x_L``, which may lie left of
+    the table (the first row's hazard then extends down to it), at its first
+    row (the default) or inside it.  On the segment that starts at knot
+    ``x_j``, with hazard ``h_j``, slope ``a_j`` and ``R_j`` the sum of the
+    trapezoids below it,
+
+        R(x)      = R_j + d (h_j + a_j d / 2),                 d = x - x_j
+        R^{-1}(r) = x_j + 2 dr / (h_j + sqrt(h_j^2 + 2 a_j dr)),  dr = r - R_j
+
+    the latter being the root of the quadratic that does not cancel.  When
+    the last row is 0 the total hazard is bounded, and a target beyond it
+    raises :class:`~bisurv.errors.NumericError`.
+    """
+
+    def __init__(self, xs, hazards, x_L: float | None = None):
+        xs = np.asarray(xs, dtype=float)
+        hs = np.asarray(hazards, dtype=float)
+        if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
+            raise ModelError("hazard table needs two equal-length columns with >= 2 rows")
+        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0):
+            raise ModelError("hazard table x values must be strictly increasing")
+        if np.any(~np.isfinite(hs)) or np.any(hs < 0):
+            raise ModelError("hazard table values must be finite and nonnegative")
+        self.x_L = float(xs[0]) if x_L is None else float(x_L)
+        self._xs, self._hs = xs, hs
+        inside = xs > self.x_L
+        knots = np.concatenate(([self.x_L], xs[inside]))
+        h = np.concatenate(([np.interp(self.x_L, xs, hs)], hs[inside]))
+        dx = np.diff(knots)
+        self._knots, self._h = knots, h
+        self._slope = np.append(np.diff(h) / dx, 0.0)  # the flat right tail
+        self._R = np.concatenate(([0.0], np.cumsum(0.5 * (h[:-1] + h[1:]) * dx)))
+        # each segment's right end; clamping to it keeps both maps monotone
+        # across knots despite rounding
+        self._knots_next = np.append(knots[1:], math.inf)
+        self._R_next = np.append(self._R[1:], math.inf)
+
+    def hazard(self, x):
+        h = np.interp(x, self._xs, self._hs)
+        if np.isnan(h).any():  # np.interp passes NaN through
+            raise DomainError(f"x must not be NaN, got {x!r}")
+        return _ret(h, x)
+
+    def cumulative(self, x):
+        _check_finite(x, "x")
+        xa = np.maximum(np.asarray(x, dtype=float), self.x_L)
+        j = np.searchsorted(self._knots, xa, side="right") - 1
+        d = xa - self._knots[j]
+        r = self._R[j] + d * (self._h[j] + 0.5 * self._slope[j] * d)
+        return _ret(np.minimum(r, self._R_next[j]), x)
+
+    def inverse(self, r):
+        ra = np.maximum(np.asarray(r, dtype=float), 0.0)
+        _check_finite(ra, "target cumulative hazard")
+        if self._h[-1] == 0.0 and np.any(ra > self._R[-1]):
+            raise NumericError(
+                f"target cumulative hazard exceeds the table's total hazard {self._R[-1]}"
+            )
+        j = np.maximum(np.searchsorted(self._R, ra, side="left") - 1, 0)
+        dr = ra - self._R[j]
+        b, a = self._h[j], self._slope[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = 2.0 * dr / (b + np.sqrt(np.maximum(b * b + 2.0 * a * dr, 0.0)))
+        x = np.minimum(self._knots[j] + d, self._knots_next[j])
+        return _ret(np.where(ra > 0.0, x, self.x_L), r)
+
+
+class CustomHazard(BaselineModel):
+    """Baseline defined by a hazard function or a hazard table.
+
+    A callable hazard is integrated by adaptive quadrature with a memoized
     knot cache and inverted by bracketed root finding; see
-    :class:`HazardIntegrator`.  Hazard values must be nonnegative; negative
-    values raise :class:`~bisurv.errors.ModelError`.
+    :class:`HazardIntegrator`.  A table (:meth:`from_table`) is integrated
+    and inverted exactly; see :class:`PiecewiseLinearHazard`.  Hazard values
+    must be nonnegative; negative values raise
+    :class:`~bisurv.errors.ModelError`.
     """
 
     family = "custom"
 
     def __init__(self, hazard_fn, x_L: float = 0.0):
         self.x_L = float(x_L)
-        self._integrator = HazardIntegrator(hazard_fn, self.x_L,
-                                            name="custom baseline hazard")
+        self._maps = HazardIntegrator(hazard_fn, self.x_L,
+                                      name="custom baseline hazard")
 
     @classmethod
     def from_table(cls, xs, hazards, x_L: float | None = None) -> "CustomHazard":
-        """Piecewise-linear hazard through (x, hazard) pairs, ends held flat."""
-        xs = np.asarray(xs, dtype=float)
-        hs = np.asarray(hazards, dtype=float)
-        if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
-            raise ModelError("hazard table needs two equal-length columns with >= 2 rows")
-        if np.any(np.diff(xs) <= 0):
-            raise ModelError("hazard table x values must be strictly increasing")
-        if np.any(~np.isfinite(hs)) or np.any(hs < 0):
-            raise ModelError("hazard table values must be finite and nonnegative")
-        left = float(xs[0]) if x_L is None else float(x_L)
-        return cls(lambda x: np.interp(x, xs, hs), x_L=left)
+        """Piecewise-linear hazard through (x, hazard) pairs, ends held flat.
 
-    @staticmethod
-    def _map(fn, x):
-        if _is_scalar(x):
-            return fn(float(x))
-        arr = np.asarray(x, dtype=float)
-        return np.array([fn(v) for v in arr.ravel()]).reshape(arr.shape)
+        ``x_L`` defaults to the first row.
+        """
+        table = PiecewiseLinearHazard(xs, hazards, x_L)
+        model = cls(table.hazard, table.x_L)
+        model._maps = table
+        return model
 
     def cumulative_hazard(self, x):
-        return self._map(self._integrator.cumulative, x)
+        return self._maps.cumulative(x)
 
     def inverse_cumulative_hazard(self, r):
-        return self._map(self._integrator.inverse, r)
+        return self._maps.inverse(r)
 
     def hazard(self, x):
-        return self._map(self._integrator.hazard, x)
+        return self._maps.hazard(x)

@@ -6,8 +6,9 @@ Three kinds are provided:
   survival function, ``S(x) = S0(x)**delta``.
 * ``LinearFailureRate`` -- hazard ``1 + 2*a*x`` on ``x > 0``, i.e.
   ``S(x) = exp(-(x + a*x**2))``.
-* ``FromHazard`` -- survival reconstructed from an arbitrary hazard
-  function by quadrature, ``S(x) = exp(-int_{x_L}^{x} r(u) du)``.
+* ``FromHazard`` -- survival reconstructed from a hazard,
+  ``S(x) = exp(-int_{x_L}^{x} r(u) du)``: exactly for a piecewise-linear
+  table, by quadrature for an arbitrary function.
 
 ``limit_hazard_ratio`` evaluates the one-sided limit of
 ``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
@@ -25,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .baseline import BaselineModel, HazardIntegrator, _is_scalar, _ret
+from .baseline import BaselineModel, HazardIntegrator, PiecewiseLinearHazard, _ret
 from .errors import DomainError, ModelError, NumericError
 
 __all__ = [
@@ -133,36 +134,33 @@ class LinearFailureRate(MarginalModel):
 
 
 class FromHazard(MarginalModel):
-    """Marginal defined by a hazard function handle.
+    """Marginal defined by a hazard function or a hazard table.
 
-    The cumulative hazard is integrated adaptively with a memoized knot
-    cache.  Negative hazard values raise :class:`~bisurv.errors.ModelError`.
+    A callable hazard is integrated adaptively with a memoized knot cache
+    (:class:`~bisurv.baseline.HazardIntegrator`); a table
+    (:meth:`from_table`) is integrated exactly
+    (:class:`~bisurv.baseline.PiecewiseLinearHazard`).  Negative hazard
+    values raise :class:`~bisurv.errors.ModelError`.
     """
 
     kind = "from_hazard"
 
     def __init__(self, hazard_fn, x_L: float = 0.0):
         self.x_L = float(x_L)
-        self._integrator = HazardIntegrator(hazard_fn, self.x_L, name="marginal hazard")
+        self._maps = HazardIntegrator(hazard_fn, self.x_L, name="marginal hazard")
 
     @classmethod
     def from_table(cls, xs, hazards, x_L: float | None = None) -> "FromHazard":
         """Piecewise-linear hazard table, ends held flat beyond the range.
 
+        ``x_L`` defaults to the first row; a config passes the baseline's.
         Warns when the implied density does not decay over the table tail,
         since such a table cannot describe a proper distribution.
         """
-        xs = np.asarray(xs, dtype=float)
-        hs = np.asarray(hazards, dtype=float)
-        if xs.ndim != 1 or xs.shape != hs.shape or xs.size < 2:
-            raise ModelError("hazard table needs two equal-length columns with >= 2 rows")
-        if np.any(np.diff(xs) <= 0):
-            raise ModelError("hazard table x values must be strictly increasing")
-        if np.any(~np.isfinite(hs)) or np.any(hs < 0):
-            raise ModelError("hazard table values must be finite and nonnegative")
-        left = float(xs[0]) if x_L is None else float(x_L)
-        model = cls(lambda x: np.interp(x, xs, hs), x_L=left)
-        tail = xs[-3:]
+        table = PiecewiseLinearHazard(xs, hazards, x_L)
+        model = cls(table.hazard, table.x_L)
+        model._maps = table
+        tail = np.asarray(xs, dtype=float)[-3:]
         dens = [model.density(float(v)) for v in tail]
         if len(dens) >= 2 and dens[-1] >= dens[0] and dens[-1] > 0:
             warnings.warn(
@@ -173,18 +171,11 @@ class FromHazard(MarginalModel):
             )
         return model
 
-    @staticmethod
-    def _map(fn, x):
-        if _is_scalar(x):
-            return fn(float(x))
-        arr = np.asarray(x, dtype=float)
-        return np.array([fn(v) for v in arr.ravel()]).reshape(arr.shape)
-
     def cumulative_hazard(self, x):
-        return self._map(self._integrator.cumulative, x)
+        return self._maps.cumulative(x)
 
     def hazard(self, x):
-        return self._map(self._integrator.hazard, x)
+        return self._maps.hazard(x)
 
 
 # ---------------------------------------------------------------------------

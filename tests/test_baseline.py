@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bisurv import CustomHazard, DomainError, Exponential, ModelError, Pareto, Weibull
+from bisurv import CustomHazard, DomainError, Exponential, ModelError, NumericError, Pareto, Weibull
 from oracles import trapezoid_cumulative_hazard
 
 FAMILIES = {
@@ -196,3 +196,20 @@ def test_custom_hazard_evaluation_is_pure():
     inv = custom.inverse_cumulative_hazard(9.87)
     custom.cumulative_hazard(123.0)
     assert custom.inverse_cumulative_hazard(9.87) == inv
+
+
+def test_quadrature_error_budget_overrun_raises():
+    # 1 + sin(1e4 x) oscillates ~1600 times per rung of the knot ladder, too
+    # often for 200 subdivisions: quad warns and its error estimate exceeds
+    # both the absolute and the relative budget
+    custom = CustomHazard(lambda x: 1.0 + math.sin(1e4 * x))
+    with pytest.raises(NumericError) as excinfo:
+        custom.cumulative_hazard(5.0)
+    integral, abserr = excinfo.value.samples
+    assert abserr > max(1e-10, 1.49e-8 * abs(integral))
+    # the failed rung is not cached: the next query fails the same way
+    with pytest.raises(NumericError):
+        custom.cumulative_hazard(5.0)
+    # a short interval resolves the oscillation within budget
+    assert custom.cumulative_hazard(0.01) == pytest.approx(
+        0.01 + (1.0 - math.cos(100.0)) / 1e4, abs=1e-10)
