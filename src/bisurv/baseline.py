@@ -311,6 +311,10 @@ class HazardIntegrator:
     def inverse(self, r):
         return _elementwise(self._inverse_at, r)
 
+    def derivative(self, x):
+        """A callable has no analytic hazard derivative: always None."""
+        return None
+
     def _hazard_at(self, x: float) -> float:
         v = float(self._fn(x))
         if math.isnan(v) or v < 0.0:
@@ -436,10 +440,18 @@ class PiecewiseLinearHazard:
             raise DomainError(f"x must not be NaN, got {x!r}")
         return _ret(h, x)
 
+    def _segment(self, x):
+        xa = np.maximum(np.asarray(x, dtype=float), self.x_L)
+        return xa, np.searchsorted(self._knots, xa, side="right") - 1
+
+    def derivative(self, x):
+        """Right derivative of the hazard: the slope of x's segment, 0 on the flat ends."""
+        _check_finite(x, "x")
+        return _ret(self._slope[self._segment(x)[1]], x)
+
     def cumulative(self, x):
         _check_finite(x, "x")
-        xa = np.maximum(np.asarray(x, dtype=float), self.x_L)
-        j = np.searchsorted(self._knots, xa, side="right") - 1
+        xa, j = self._segment(x)
         d = xa - self._knots[j]
         r = self._R[j] + d * (self._h[j] + 0.5 * self._slope[j] * d)
         return _ret(np.minimum(r, self._R_next[j]), x)
@@ -497,3 +509,6 @@ class CustomHazard(BaselineModel):
 
     def hazard(self, x):
         return self._maps.hazard(x)
+
+    def hazard_derivative(self, x):
+        return self._maps.derivative(x)

@@ -15,10 +15,20 @@ Two model classes share one evaluation surface:
   ``d_i = theta_i + theta3``; always a valid distribution, with diagonal
   (tie) mass ``theta3 / theta``.
 
-Both decompose into an absolutely continuous part with weight ``alpha`` and
-a diagonal singular part with weight ``1 - alpha``, where
-``alpha = 2 - (u1 + u2)/theta`` and ``u_i`` is the diagonal limit of
-``marginal_i.hazard / baseline.hazard``.
+Both are evaluated by one pair of wedge kernels
+(:class:`~bisurv.marginals.WedgeKernel`), built once per model.  Off the
+diagonal the model depends on the data only through ``w = R0(min)`` and
+``s = R0(max) - R0(min)``: on the wedge of marginal ``i`` (``i = 1`` where
+``x1 >= x2``), with ``Q_i(s) = R_i(R0^{-1}(s))``,
+
+    ln S(x1, x2)  = -(Q_i(s) + theta * w)
+    f_ac(x1, x2)  = r0(x1) * r0(x2) * h_i(s) * exp(-theta * w) / alpha
+    h_i(s)        = (theta Q_i' + Q_i'' - Q_i'^2) * exp(-Q_i(s))
+
+so the absolutely continuous density is closed-form for every model.  The
+mixture weight is ``alpha = 2 - (u1 + u2)/theta`` with ``u_i = Q_i'(0+)``,
+the diagonal limit of ``marginal_i.hazard / baseline.hazard``; the diagonal
+singular part carries ``1 - alpha``.
 
 All survival evaluation happens in cumulative-hazard (log-survival)
 coordinates; raw survival factors are never multiplied.
@@ -39,23 +49,16 @@ from .errors import (
     ModelError,
     UndefinedComponentError,
 )
-from .marginals import MarginalModel, ProportionalHazard, limit_hazard_ratio
+from .marginals import MarginalModel, ProportionalHazard, WedgeKernel
 
 __all__ = [
     "Decomposition",
     "GeneralBivariateModel",
     "PHBivariateModel",
-    "mixed_survival_difference",
 ]
 
 #: mixture weights within this distance of {0, 1} are treated as exact
 _WEIGHT_EPS = 1e-12
-
-#: relative step for mixed central differences: eps**(1/4)
-_FD_STEP = float(np.finfo(float).eps) ** 0.25
-
-#: negative density values no larger than this times the stencil scale are noise
-_DENSITY_NOISE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,31 +93,6 @@ def _nan_check(*values) -> None:
             raise DomainError(f"coordinates must not be NaN, got {v!r}")
 
 
-def mixed_survival_difference(survival_fn, x1: float, x2: float, x_L: float):
-    """Mixed central second difference of a bivariate survival function.
-
-    Steps are ``eps**(1/4)`` relative per axis, shrunk so the 2x2 stencil
-    never straddles the diagonal (where the survival surface has a crease)
-    nor the support boundary.  Returns ``(value, scale)`` where ``scale`` is
-    the magnitude against which cancellation noise should be judged.
-    """
-    if x1 == x2:
-        raise DomainError("mixed difference undefined on the diagonal")
-    if x1 <= x_L or x2 <= x_L:
-        raise DomainError("mixed difference requires interior points")
-    gap = abs(x1 - x2)
-    h1 = min(_FD_STEP * max(1.0, abs(x1)), gap / 4.0, (x1 - x_L) / 2.0)
-    h2 = min(_FD_STEP * max(1.0, abs(x2)), gap / 4.0, (x2 - x_L) / 2.0)
-    s_pp = survival_fn(x1 + h1, x2 + h2)
-    s_pm = survival_fn(x1 + h1, x2 - h2)
-    s_mp = survival_fn(x1 - h1, x2 + h2)
-    s_mm = survival_fn(x1 - h1, x2 - h2)
-    denom = 4.0 * h1 * h2
-    value = (s_pp - s_pm - s_mp + s_mm) / denom
-    scale = max(abs(s_pp), abs(s_pm), abs(s_mp), abs(s_mm)) / denom
-    return value, scale
-
-
 class _BivariateBase:
     """Evaluation surface shared by the general and PH models."""
 
@@ -122,6 +100,8 @@ class _BivariateBase:
     marginal1: MarginalModel
     marginal2: MarginalModel
     theta: float
+    #: ``(WedgeKernel(marginal1, baseline), WedgeKernel(marginal2, baseline))``
+    kernels: tuple[WedgeKernel, WedgeKernel]
 
     def log_survival(self, x1, x2):
         raise NotImplementedError
@@ -129,6 +109,17 @@ class _BivariateBase:
     def survival(self, x1, x2):
         """Joint survival P(X1 > x1, X2 > x2); accepts scalars or arrays."""
         return _ret(np.exp(self.log_survival(x1, x2)), x1, x2)
+
+    def _wedge(self, x1, x2):
+        """``(upper, s, w)`` for arrays at or above ``x_L``; ``upper`` is ``x1 >= x2``."""
+        r1 = np.asarray(self.baseline.cumulative_hazard(x1), dtype=float)
+        r2 = np.asarray(self.baseline.cumulative_hazard(x2), dtype=float)
+        return np.asarray(x1) >= np.asarray(x2), np.abs(r1 - r2), np.minimum(r1, r2)
+
+    def _per_wedge(self, method: str, upper, s, *args):
+        """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere."""
+        k1, k2 = self.kernels
+        return np.where(upper, getattr(k1, method)(s, *args), getattr(k2, method)(s, *args))
 
     # -- decomposition ---------------------------------------------------------
 
@@ -182,7 +173,7 @@ class _BivariateBase:
 
     # -- density ---------------------------------------------------------------
 
-    def ac_density(self, x1: float, x2: float) -> float:
+    def ac_density(self, x1, x2):
         raise NotImplementedError
 
     def _alpha_for_density(self) -> float:
@@ -193,16 +184,6 @@ class _BivariateBase:
                 "is undefined"
             )
         return dec.alpha
-
-    def _screen_density(self, value: float, scale: float, x1: float, x2: float) -> float:
-        if value >= 0.0:
-            return value
-        if abs(value) <= _DENSITY_NOISE * scale:
-            return 0.0
-        raise InvalidModelError(
-            f"absolutely continuous density is negative at ({x1}, {x2})",
-            witness=(x1, x2), value=value,
-        )
 
 
 class GeneralBivariateModel(_BivariateBase):
@@ -225,42 +206,29 @@ class GeneralBivariateModel(_BivariateBase):
                     f"marginal {i} left endpoint {m.x_L} differs from "
                     f"baseline left endpoint {baseline.x_L}"
                 )
+        self.kernels = (WedgeKernel(marginal1, baseline), WedgeKernel(marginal2, baseline))
 
     def log_survival(self, x1, x2):
+        """``-(Q_i(s) + theta * w)`` on the wedge of marginal ``i``; scalars or arrays."""
         _nan_check(x1, x2)
-        xl = self.baseline.x_L
+        base = self.baseline
+        xl = base.x_L
         if _is_scalar(x1) and _is_scalar(x2):
             if math.isinf(x1) or math.isinf(x2):
                 return -math.inf
-            lo, hi = (float(x2), float(x1)) if x1 >= x2 else (float(x1), float(x2))
-            lo, hi = max(lo, xl), max(hi, xl)
-            marg = self.marginal1 if x1 >= x2 else self.marginal2
-            d = self.baseline.difference(hi, lo)
-            return -(float(marg.cumulative_hazard(d))
-                     + self.theta * float(self.baseline.cumulative_hazard(lo)))
+            r1 = float(base.cumulative_hazard(max(float(x1), xl)))
+            r2 = float(base.cumulative_hazard(max(float(x2), xl)))
+            kernel = self.kernels[0 if x1 >= x2 else 1]
+            return -(float(kernel.q(abs(r1 - r2))) + self.theta * min(r1, r2))
         x1a = np.maximum(np.asarray(x1, dtype=float), xl)
         x2a = np.maximum(np.asarray(x2, dtype=float), xl)
         inf_mask = np.isinf(x1a) | np.isinf(x2a)
-        x1f = np.where(inf_mask, xl, x1a)
-        x2f = np.where(inf_mask, xl, x2a)
-        hi = np.maximum(x1f, x2f)
-        lo = np.minimum(x1f, x2f)
-        d = np.asarray(self.baseline.difference(hi, lo), dtype=float)
-        rm = np.where(x1f >= x2f,
-                      np.asarray(self.marginal1.cumulative_hazard(d), dtype=float),
-                      np.asarray(self.marginal2.cumulative_hazard(d), dtype=float))
-        out = -(rm + self.theta * np.asarray(self.baseline.cumulative_hazard(lo),
-                                             dtype=float))
+        upper, s, w = self._wedge(np.where(inf_mask, xl, x1a), np.where(inf_mask, xl, x2a))
+        out = -(self._per_wedge("q", upper, s) + self.theta * w)
         return np.where(inf_mask, -np.inf, out)
 
     def _compute_decomposition(self) -> Decomposition:
-        us = []
-        for m in (self.marginal1, self.marginal2):
-            if isinstance(m, ProportionalHazard) and m.baseline == self.baseline:
-                us.append(m.delta)
-            else:
-                us.append(limit_hazard_ratio(m, self.baseline))
-        u1, u2 = us
+        u1, u2 = (k.u for k in self.kernels)
         if math.isinf(u1) or math.isinf(u2):
             raise DecompositionError(
                 "diagonal hazard-ratio limit diverges; no mixture decomposition",
@@ -269,20 +237,40 @@ class GeneralBivariateModel(_BivariateBase):
         alpha = 2.0 - (u1 + u2) / self.theta
         return Decomposition(alpha=alpha, u1=u1, u2=u2, singular_mass=1.0 - alpha)
 
-    def ac_density(self, x1: float, x2: float) -> float:
-        """Absolutely continuous density off the diagonal.
+    def ac_density(self, x1, x2):
+        """Closed-form absolutely continuous density off the diagonal.
 
-        Evaluated as the mixed second difference of the survival function
-        divided by the mixture weight.  Negative values beyond stencil noise
-        raise :class:`~bisurv.errors.InvalidModelError`.
+        ``r0(x1) * r0(x2) * h_i(s) * exp(-theta * w) / alpha`` on the wedge
+        of marginal ``i``, with ``h_i`` the kernel's wedge density; scalars
+        or arrays, finite and at or above ``x_L``.  A negative value (beyond
+        the rounding noise of its terms) raises
+        :class:`~bisurv.errors.InvalidModelError` carrying the first such
+        point as its witness.
         """
-        if x1 == x2:
+        x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                       np.asarray(x2, dtype=float))
+        if np.any(x1a == x2a):
             raise DomainError("density undefined on the diagonal")
+        xl = self.baseline.x_L
+        if not (np.all(np.isfinite(x1a) & np.isfinite(x2a))
+                and np.all(np.minimum(x1a, x2a) >= xl)):
+            raise DomainError(f"coordinates must be finite and >= {xl}")
         alpha = self._alpha_for_density()
-        mixed, scale = mixed_survival_difference(
-            self.survival, float(x1), float(x2), self.baseline.x_L
-        )
-        return self._screen_density(mixed / alpha, scale / alpha, x1, x2)
+        upper, s, w = self._wedge(x1a, x2a)
+        h = self._per_wedge("density", upper, s, self.theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = (np.asarray(self.baseline.hazard(x1a), dtype=float)
+                   * np.asarray(self.baseline.hazard(x2a), dtype=float)
+                   * h * np.exp(-self.theta * w) / alpha)
+        negative = np.flatnonzero(val < 0.0)
+        if negative.size:
+            i = negative[0]
+            raise InvalidModelError(
+                f"absolutely continuous density is negative at "
+                f"({x1a.flat[i]}, {x2a.flat[i]})",
+                witness=(float(x1a.flat[i]), float(x2a.flat[i])), value=float(val.flat[i]),
+            )
+        return _ret(val, x1, x2)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GeneralBivariateModel(baseline={self.baseline!r}, "
@@ -295,7 +283,9 @@ class PHBivariateModel(_BivariateBase):
 
     Equivalent exponents: ``delta_i = theta_i + theta3`` and
     ``theta = theta1 + theta2 + theta3``, so ``delta_i < theta`` and
-    ``theta <= delta1 + delta2 <= 2*theta`` hold by construction.
+    ``theta <= delta1 + delta2 <= 2*theta`` hold by construction.  It is
+    evaluated like the general model, with the exact kernels
+    ``Q_i = delta_i * s``.
     """
 
     def __init__(self, baseline: BaselineModel, theta1: float, theta2: float,
@@ -312,6 +302,8 @@ class PHBivariateModel(_BivariateBase):
         self.delta2 = self.theta2 + self.theta3
         self.marginal1 = ProportionalHazard(baseline, self.delta1)
         self.marginal2 = ProportionalHazard(baseline, self.delta2)
+        self.kernels = (WedgeKernel(self.marginal1, baseline),
+                        WedgeKernel(self.marginal2, baseline))
 
     @classmethod
     def from_deltas(cls, baseline: BaselineModel, delta1: float, delta2: float,
@@ -334,56 +326,15 @@ class PHBivariateModel(_BivariateBase):
             )
         return cls(baseline, theta - delta2, theta - delta1, delta1 + delta2 - theta)
 
-    def log_survival(self, x1, x2):
-        _nan_check(x1, x2)
-        xl = self.baseline.x_L
-        r0 = self.baseline.cumulative_hazard
-        if _is_scalar(x1) and _is_scalar(x2):
-            if math.isinf(x1) or math.isinf(x2):
-                return -math.inf
-            x1c, x2c = max(float(x1), xl), max(float(x2), xl)
-            if x1c >= x2c:
-                e1, e2 = self.delta1, self.theta - self.delta1
-            else:
-                e1, e2 = self.theta - self.delta2, self.delta2
-            return -(e1 * float(r0(x1c)) + e2 * float(r0(x2c)))
-        x1a = np.maximum(np.asarray(x1, dtype=float), xl)
-        x2a = np.maximum(np.asarray(x2, dtype=float), xl)
-        inf_mask = np.isinf(x1a) | np.isinf(x2a)
-        x1f = np.where(inf_mask, xl, x1a)
-        x2f = np.where(inf_mask, xl, x2a)
-        upper = x1f >= x2f
-        e1 = np.where(upper, self.delta1, self.theta - self.delta2)
-        e2 = np.where(upper, self.theta - self.delta1, self.delta2)
-        out = -(e1 * np.asarray(r0(x1f), dtype=float)
-                + e2 * np.asarray(r0(x2f), dtype=float))
-        return np.where(inf_mask, -np.inf, out)
+    # the general evaluators, bound here as well because bench/tracing.py
+    # wraps each class's own log_survival and ac_density
+    log_survival = GeneralBivariateModel.log_survival
+    ac_density = GeneralBivariateModel.ac_density
 
     def _compute_decomposition(self) -> Decomposition:
         alpha = (self.theta1 + self.theta2) / self.theta
         return Decomposition(alpha=alpha, u1=self.delta1, u2=self.delta2,
                              singular_mass=self.theta3 / self.theta)
-
-    def ac_density(self, x1, x2):
-        """Closed-form absolutely continuous density off the diagonal.
-
-        On the wedge ``x1 > x2`` this is
-        ``K * d1 * (theta - d1) * r0(x1) * r0(x2) * survival(x1, x2)`` with
-        ``K = theta / (2*theta - d1 - d2)``; symmetric on the other wedge.
-        """
-        if np.any(np.asarray(x1) == np.asarray(x2)):
-            raise DomainError("density undefined on the diagonal")
-        _nan_check(x1, x2)
-        k = self.theta / (self.theta1 + self.theta2)
-        upper = np.asarray(x1) > np.asarray(x2)
-        dw = np.where(upper, self.delta1, self.delta2)
-        coeff = k * dw * (self.theta - dw)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = (coeff
-                   * np.asarray(self.baseline.hazard(x1), dtype=float)
-                   * np.asarray(self.baseline.hazard(x2), dtype=float)
-                   * np.exp(self.log_survival(x1, x2)))
-        return _ret(val, x1, x2)
 
     def as_general(self) -> GeneralBivariateModel:
         """The same distribution expressed through the general construction."""

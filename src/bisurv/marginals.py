@@ -10,8 +10,14 @@ Three kinds are provided:
   ``S(x) = exp(-int_{x_L}^{x} r(u) du)``: exactly for a piecewise-linear
   table, by quadrature for an arbitrary function.
 
-``limit_hazard_ratio`` evaluates the one-sided limit of
-``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
+``WedgeKernel`` puts a marginal over a baseline into the wedge coordinate
+``s = R0(max) - R0(min)`` of the bivariate models:
+``Q(s) = R_marginal(R0^{-1}(s))`` with its derivatives ``Q'`` and ``Q''``.
+Every bivariate quantity off the diagonal -- survival, density, validity
+conditions, the sampler's wedge density -- is built from these.
+
+``limit_hazard_ratio`` evaluates the one-sided limit ``u = Q'(0+)``, i.e.
+of ``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
 endpoint.  This is the diagonal weight that the mixture decomposition of the
 bivariate models is built from; both individual hazards may vanish or blow
 up at the endpoint, so the limit is taken by sampling at geometrically
@@ -34,6 +40,7 @@ __all__ = [
     "ProportionalHazard",
     "LinearFailureRate",
     "FromHazard",
+    "WedgeKernel",
     "limit_hazard_ratio",
 ]
 
@@ -177,6 +184,92 @@ class FromHazard(MarginalModel):
     def hazard(self, x):
         return self._maps.hazard(x)
 
+    def hazard_derivative(self, x):
+        return self._maps.derivative(x)
+
+
+# ---------------------------------------------------------------------------
+# Wedge kernel
+# ---------------------------------------------------------------------------
+
+#: relative step of the central difference of Q' (when Q'' has no analytic
+#: form): eps**(1/3) balances truncation against rounding
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+#: a negative density factor within this fraction of its terms is rounding noise
+_DENSITY_NOISE = 1e-9
+
+
+class WedgeKernel:
+    """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
+
+    With ``d = R0^{-1}(s)``, ``Q'(s) = r_m(d) / r0(d)`` and
+    ``Q''(s) = (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3``.  A marginal that
+    is proportional-hazards over this very baseline is recognised here and
+    nowhere else: then ``Q = delta * s`` exactly, ``Q' = u = delta`` and
+    ``Q'' = 0``.  Otherwise ``Q''`` comes from the analytic hazard
+    derivatives when both exist, and from a central difference of ``Q'`` in
+    ``s`` when not.  All methods take arrays of ``s >= 0`` and return arrays.
+    """
+
+    def __init__(self, marginal: MarginalModel, baseline: BaselineModel):
+        self.marginal = marginal
+        self.baseline = baseline
+        self.delta = (marginal.delta if isinstance(marginal, ProportionalHazard)
+                      and marginal.baseline == baseline else None)
+
+    def _at(self, s):
+        return np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
+
+    def q(self, s):
+        if self.delta is not None:
+            return self.delta * np.asarray(s, dtype=float)
+        return np.asarray(self.marginal.cumulative_hazard(self._at(s)), dtype=float)
+
+    def q_prime(self, s):
+        return self.slopes(s, second=False)[0]
+
+    def slopes(self, s, second: bool = True):
+        """``(Q', Q'')``; ``Q''`` is None when ``second`` is False."""
+        s = np.asarray(s, dtype=float)
+        if self.delta is not None:
+            return np.full_like(s, self.delta), np.zeros_like(s)
+        d = self._at(s)
+        r = np.asarray(self.marginal.hazard(d), dtype=float)
+        r0 = np.asarray(self.baseline.hazard(d), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q1 = r / r0
+            if not second:
+                return q1, None
+            rp = self.marginal.hazard_derivative(d)
+            r0p = self.baseline.hazard_derivative(d)
+            if rp is not None and r0p is not None:
+                return q1, (np.asarray(rp, dtype=float) * r0
+                            - r * np.asarray(r0p, dtype=float)) / r0**3
+            h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
+            return q1, (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
+
+    def density(self, s, theta: float):
+        """Wedge density ``h(s) = (theta Q' + Q'' - Q'^2) exp(-Q)``.
+
+        Its total mass is ``theta - u``.  A negative factor no larger than
+        ``1e-9`` times the size of its terms is rounding noise (mostly of a
+        difference-quotient ``Q''``) and reads as 0.
+        """
+        q1, q2 = self.slopes(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = theta * q1 + q2 - q1 * q1
+            noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)
+            a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
+            return a * np.exp(-self.q(s))
+
+    @property
+    def u(self) -> float:
+        """``Q'(0+)``: exactly ``delta`` for PH, else :func:`limit_hazard_ratio`."""
+        if self.delta is not None:
+            return self.delta
+        return limit_hazard_ratio(self.marginal, self.baseline)
+
 
 # ---------------------------------------------------------------------------
 # Diagonal hazard-ratio limit
@@ -269,7 +362,8 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel, *,
                        rtol: float = 1e-7, atol: float = 1e-9) -> float:
     """Limit of ``marginal.hazard / baseline.hazard`` at the left endpoint.
 
-    Samples the ratio at ``y_k = R0^{-1}(eps0 * 2**-k)`` and accelerates the
+    Samples the ratio ``Q'(s_k)`` at ``s_k = eps0 * 2**-k``, i.e. at
+    ``y_k = R0^{-1}(s_k)``, and accelerates the
     sequence (Richardson tableau with an Aitken fallback).  Returns
     ``math.inf`` when the sequence grows without bound (divergence flag);
     raises :class:`~bisurv.errors.NumericError` carrying the sampled values
@@ -279,11 +373,6 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel, *,
         raise DomainError(
             f"marginal left endpoint {marginal.x_L} differs from baseline {baseline.x_L}"
         )
-    eps = eps0 * 0.5 ** np.arange(levels)
-    ys = np.asarray(baseline.inverse_cumulative_hazard(eps), dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        num = np.array([float(marginal.hazard(y)) for y in ys])
-        den = np.array([float(baseline.hazard(y)) for y in ys])
-        ratios = num / den
+    ratios = WedgeKernel(marginal, baseline).q_prime(eps0 * 0.5 ** np.arange(levels))
     return _sequence_limit(ratios, rtol=rtol, atol=atol,
                            what="hazard ratio near the left endpoint")

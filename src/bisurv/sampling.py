@@ -117,57 +117,18 @@ def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_s_density(model, marginal):
+def _wedge_s_density(kernel, theta: float):
     """Unnormalized density of s = R0(max) - R0(min) on one wedge.
 
     In these coordinates the wedge density factorizes as
-    ``h(s) * exp(-theta * w)`` with
-    ``h(s) = -d/ds [(theta - Q'(s)) * exp(-Q(s))]`` and
-    ``Q(s) = R_marginal(R0^{-1}(s))``; total mass of ``h`` is
-    ``theta - u_i``.  Uses analytic hazard derivatives when available,
-    otherwise a central difference of the tail-mass function.
+    ``h(s) * exp(-theta * w)``, where ``h`` is the kernel's wedge density
+    ``(theta Q' + Q'' - Q'^2) exp(-Q)`` with ``Q(s) = R_marginal(R0^{-1}(s))``;
+    total mass of ``h`` is ``theta - u_i``.  Non-finite and negative values
+    read as 0.
     """
-    base = model.baseline
-    theta = model.theta
-
-    def q_val(s):
-        d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
-        return np.asarray(marginal.cumulative_hazard(d), dtype=float)
-
-    def q_prime(s):
-        d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.asarray(marginal.hazard(d), dtype=float)
-                    / np.asarray(base.hazard(d), dtype=float))
-
-    def q_second(s):
-        d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
-        rp = marginal.hazard_derivative(d)
-        r0p = base.hazard_derivative(d)
-        if rp is None or r0p is None:
-            return None
-        r = np.asarray(marginal.hazard(d), dtype=float)
-        r0 = np.asarray(base.hazard(d), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.asarray(rp, dtype=float) * r0
-                    - r * np.asarray(r0p, dtype=float)) / r0**3
 
     def h(s):
-        s = np.asarray(s, dtype=float)
-        qp = q_prime(s)
-        qs = q_second(s)
-        if qs is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = (theta * qp + qs - qp**2) * np.exp(-q_val(s))
-        else:
-            delta = 1e-6 * np.maximum(1.0, s)
-            lo = np.maximum(s - delta, s * 1e-12)
-            hi = s + delta
-
-            def tail(v):
-                return (theta - q_prime(v)) * np.exp(-q_val(v))
-
-            val = -(tail(hi) - tail(lo)) / (hi - lo)
+        val = kernel.density(np.asarray(s, dtype=float), theta)
         return np.where(np.isfinite(val), np.maximum(val, 0.0), 0.0)
 
     return h
@@ -286,10 +247,10 @@ def sample_general(model: GeneralBivariateModel | PHBivariateModel, n: int,
         n_lower = int(np.sum(lower))
         if n_lower:
             s[lower] = _rejection_sample_s(
-                gen_ac, _wedge_s_density(model, model.marginal1), grid, n_lower)
+                gen_ac, _wedge_s_density(model.kernels[0], theta), grid, n_lower)
         if k - n_lower:
             s[~lower] = _rejection_sample_s(
-                gen_ac, _wedge_s_density(model, model.marginal2), grid, k - n_lower)
+                gen_ac, _wedge_s_density(model.kernels[1], theta), grid, k - n_lower)
         lo = np.asarray(base.inverse_cumulative_hazard(w), dtype=float)
         hi = np.asarray(base.inverse_cumulative_hazard(w + s), dtype=float)
         ac1 = np.where(lower, hi, lo)

@@ -6,8 +6,9 @@ distribution; this module implements every falsifiable condition:
 * ``check_marginal_conditions`` -- can these marginals sit inside a valid
   bivariate model?  Condition (i) bounds the mixture weight through the
   diagonal hazard-ratio limits (``theta <= u1 + u2 <= 2*theta``); condition
-  (ii) bounds the cross log-derivative of the wedge survival factor by
-  ``theta * r0``.  A diagonal-constancy probe guards the limit itself.
+  (ii) bounds the cross log-derivative of the wedge survival factor,
+  ``r0(lo) * (Q' - Q''/Q')``, by ``theta * r0(lo)``.  A diagonal-constancy
+  probe guards the limit itself.
 
 * ``check_hazard_rate_conditions`` -- the same question asked of two hazard
   *functions* rather than fitted marginals: a nonnegativity/ratio bound (i),
@@ -26,6 +27,13 @@ distribution; this module implements every falsifiable condition:
   off the diagonal, the differential form of the stability identity, and
   survival reconstruction by integrating the gradient along an axis path.
 
+The marginal and hazard-rate conditions off the diagonal are functions of
+the wedge coordinate ``s = R0(hi) - R0(lo)`` alone, through the kernels
+``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
+(which also owns the one finite-difference fallback, for ``Q''`` of hazards
+without an analytic derivative); ``r0`` factors only scale them.  The grid
+pairs ``(hi, lo)`` are kept as witnesses.
+
 Grid checks falsify; they never prove.  A ``Valid`` verdict means "no
 violation found on grid" and the reports say so.
 """
@@ -41,13 +49,7 @@ from scipy.integrate import quad
 from .baseline import BaselineModel, _is_scalar
 from .bivariate import GeneralBivariateModel, PHBivariateModel
 from .errors import DomainError, ModelError, NumericError
-from .marginals import (
-    FromHazard,
-    MarginalModel,
-    ProportionalHazard,
-    _sequence_limit,
-    limit_hazard_ratio,
-)
+from .marginals import FromHazard, MarginalModel, WedgeKernel, _sequence_limit
 
 __all__ = [
     "GridSpec",
@@ -81,7 +83,8 @@ _DIVERGENCE_PROBES = (8.0, 16.0, 32.0, 64.0, 128.0)
 #: relative spread allowed between diagonal-limit anchors
 _CONSTANCY_RTOL = 1e-4
 
-_FD_STEP = float(np.finfo(float).eps) ** 0.25
+#: step-halving levels of each anchored diagonal limit
+_ANCHOR_LEVELS = 8
 
 
 def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
@@ -258,46 +261,53 @@ def _combine_verdict(conditions: list[ConditionResult]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_limit(marginal: MarginalModel, baseline: BaselineModel) -> float:
-    if isinstance(marginal, ProportionalHazard) and marginal.baseline == baseline:
-        return marginal.delta
-    return limit_hazard_ratio(marginal, baseline)
+def _wedge_s(base: BaselineModel, hi, lo) -> np.ndarray:
+    """Wedge coordinate ``s = R0(hi) - R0(lo)`` of pairs with ``hi >= lo``."""
+    return np.maximum(np.asarray(base.cumulative_hazard(hi), dtype=float)
+                      - np.asarray(base.cumulative_hazard(lo), dtype=float), 0.0)
 
 
-def _anchored_limit(marginal: MarginalModel, baseline: BaselineModel,
-                    anchor: float, levels: int = 8) -> float:
-    """Diagonal limit approached from a specific diagonal point.
+def _diagonal_limits(kernels) -> tuple[list[float | None], list[str]]:
+    """``u_i = Q_i'(0+)`` per kernel; None (with a note) when a limit fails."""
+    us: list[float | None] = []
+    notes = []
+    for k in kernels:
+        try:
+            us.append(k.u)
+        except NumericError as exc:
+            us.append(None)
+            notes.append(str(exc))
+    return us, notes
 
-    Offsets are taken in raw coordinates so the pre-limit samples genuinely
-    depend on the anchor for non-exponential baselines; all anchors must
-    agree for the decomposition to be meaningful.
+
+def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> ConditionResult:
+    """Diagonal limits re-taken from every grid anchor must agree with ``u``.
+
+    From anchor ``a`` the samples are ``Q'(s) exp(-Q(s))``, i.e.
+    ``f(d)/r0(d)``, at ``s = R0(a + h) - R0(a)`` for raw offsets ``h``
+    halving from ``0.05 * max(1, |a|)``, so the pre-limit samples genuinely
+    depend on the anchor for non-exponential baselines.
     """
-    h0 = 0.05 * max(1.0, abs(anchor))
-    samples = []
-    with np.errstate(divide="ignore", over="ignore"):
-        for j in range(levels):
-            h = h0 * 0.5**j
-            d = baseline.difference(anchor + h, anchor)
-            samples.append(float(marginal.density(d)) / float(baseline.hazard(d)))
-    return _sequence_limit(samples, what=f"diagonal limit anchored at {anchor:g}")
-
-
-def _constancy_condition(model, grid: GridSpec, us: list[float | None]) -> ConditionResult:
     cid, label = "u-constancy", "diagonal-limit constancy"
     if any(u is None or math.isinf(u) for u in us):
         return ConditionResult(cid, label, None,
                                note="skipped: diagonal limits unavailable")
-    anchors = grid.axis_points(model.baseline)
+    base = kernels[0].baseline
+    anchors = grid.axis_points(base)
+    offsets = (0.05 * np.maximum(1.0, np.abs(anchors))[:, None]
+               * 0.5 ** np.arange(_ANCHOR_LEVELS))
+    s = _wedge_s(base, anchors[:, None] + offsets, anchors[:, None])
     worst = 0.0
     worst_anchor = None
-    for idx, (marg, u) in enumerate(((model.marginal1, us[0]),
-                                     (model.marginal2, us[1])), start=1):
-        if isinstance(marg, ProportionalHazard) and marg.baseline == model.baseline:
-            continue  # ratio is constant by construction
+    for idx, (kernel, u) in enumerate(zip(kernels, us), start=1):
+        if kernel.delta is not None:
+            continue  # Q' = delta exactly
+        with np.errstate(over="ignore"):
+            samples = kernel.q_prime(s) * np.exp(-kernel.q(s))
         scale = max(abs(u), 1e-12)
-        for a in anchors:
+        for a, row in zip(anchors, samples):
             try:
-                val = _anchored_limit(marg, model.baseline, float(a))
+                val = _sequence_limit(row, what=f"diagonal limit anchored at {a:g}")
             except NumericError:
                 return ConditionResult(
                     cid, label, None, witness=(float(a), float(a)),
@@ -333,51 +343,8 @@ def _weight_bounds_condition(cid: str, theta: float, us: list[float | None],
 
 
 # ---------------------------------------------------------------------------
-# Condition (ii): cross log-derivative bound for marginal models
+# Grid conditions
 # ---------------------------------------------------------------------------
-
-
-def _cross_log_derivative(marg: MarginalModel, base: BaselineModel,
-                          hi: np.ndarray, lo: np.ndarray):
-    """d/d(lo) of ln(-d/d(hi) S_marg(hi (-) lo)), vectorized when analytic.
-
-    Returns an array aligned with (hi, lo), with NaN for points that had to
-    be skipped (finite-difference stencil leaving the domain).
-    """
-    d = np.asarray(base.difference(hi, lo), dtype=float)
-    r0_lo = np.asarray(base.hazard(lo), dtype=float)
-    if isinstance(marg, ProportionalHazard) and marg.baseline == base:
-        return marg.delta * r0_lo
-    r0_d = np.asarray(base.hazard(d), dtype=float)
-    rd = np.asarray(marg.hazard(d), dtype=float)
-    rdp = marg.hazard_derivative(d)
-    r0dp = base.hazard_derivative(d)
-    if rdp is not None and r0dp is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (r0_lo / r0_d) * (
-                rd - np.asarray(rdp, dtype=float) / rd
-                + np.asarray(r0dp, dtype=float) / r0_d
-            )
-
-    # finite-difference fallback on ln( f(d) * r0(hi) / r0(d) ) in lo
-    def ln_g(hi_v: float, lo_v: float) -> float:
-        dv = base.difference(hi_v, lo_v)
-        fd = float(marg.density(dv))
-        if fd <= 0.0:
-            return math.nan
-        return math.log(fd) + math.log(float(base.hazard(hi_v))) \
-            - math.log(float(base.hazard(dv)))
-
-    out = np.full_like(np.asarray(hi, dtype=float), math.nan)
-    for i, (hv, lv) in enumerate(zip(np.atleast_1d(hi), np.atleast_1d(lo))):
-        h = min(_FD_STEP * max(1.0, abs(lv)), (hv - lv) / 4.0, (lv - base.x_L) / 2.0)
-        if h <= 0.0:
-            continue
-        gp, gm = ln_g(hv, lv + h), ln_g(hv, lv - h)
-        if math.isnan(gp) or math.isnan(gm):
-            continue
-        out[i] = (gp - gm) / (2.0 * h)
-    return out
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, witnesses,
@@ -423,38 +390,35 @@ def check_marginal_conditions(model: GeneralBivariateModel | PHBivariateModel,
 
     Condition (i): ``theta <= u1 + u2 <= 2*theta`` for the diagonal
     hazard-ratio limits.  Condition (ii): at every off-diagonal grid point
-    the cross log-derivative of the wedge survival factor must not exceed
-    ``theta * r0``.  The diagonal limits are additionally probed at several
-    anchors; disagreement makes the report Inconclusive.
+    the cross log-derivative of the wedge survival factor,
+    ``r0(lo) * (Q' - Q''/Q')``, must not exceed ``theta * r0(lo)``.  The
+    diagonal limits are additionally probed at several anchors;
+    disagreement makes the report Inconclusive.
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     base = model.baseline
     theta = model.theta
 
-    us: list[float | None] = []
-    limit_notes = []
-    for m in (model.marginal1, model.marginal2):
-        try:
-            us.append(_diagonal_limit(m, base))
-        except NumericError as exc:
-            us.append(None)
-            limit_notes.append(str(exc))
-
+    us, limit_notes = _diagonal_limits(model.kernels)
     cond_i = _weight_bounds_condition("i", theta, us, floor=floor)
     if limit_notes:
         cond_i.note = "; ".join(limit_notes)
 
     hi, lo = grid.wedge_pairs(base)
-    rhs = theta * np.asarray(base.hazard(lo), dtype=float)
-    lhs1 = _cross_log_derivative(model.marginal1, base, hi, lo)
-    lhs2 = _cross_log_derivative(model.marginal2, base, hi, lo)
+    s = _wedge_s(base, hi, lo)
+    r0_lo = np.asarray(base.hazard(lo), dtype=float)
+    lhs = []
+    for kernel in model.kernels:
+        q1, q2 = kernel.slopes(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs.append(r0_lo * (q1 - q2 / q1))
     cond_ii = _grid_bound_condition(
         "ii", "cross-derivative-bound",
-        [lhs1, lhs2], rhs, [(hi, lo), (lo, hi)], floor=floor,
+        lhs, theta * r0_lo, [(hi, lo), (lo, hi)], floor=floor,
     )
 
-    cond_const = _constancy_condition(model, grid, us)
+    cond_const = _constancy_condition(model.kernels, grid, us)
 
     conditions = [cond_i, cond_ii, cond_const]
     alpha = None
@@ -483,57 +447,6 @@ def _as_marginal(handle, baseline: BaselineModel) -> MarginalModel:
     raise ModelError(f"expected a MarginalModel or callable hazard, got {handle!r}")
 
 
-def _gradient_amplitude(marg: MarginalModel, base: BaselineModel,
-                        hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """r_i(d) * r0(hi) / r0(d) -- the off-diagonal gradient component."""
-    d = np.asarray(base.difference(hi, lo), dtype=float)
-    if isinstance(marg, ProportionalHazard) and marg.baseline == base:
-        return marg.delta * np.asarray(base.hazard(hi), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (np.asarray(marg.hazard(d), dtype=float)
-                * np.asarray(base.hazard(hi), dtype=float)
-                / np.asarray(base.hazard(d), dtype=float))
-
-
-def _density_sign_terms(marg: MarginalModel, base: BaselineModel,
-                        hi: np.ndarray, lo: np.ndarray):
-    """LHS of the joint-density nonnegativity condition, plus its scale."""
-    d = np.asarray(base.difference(hi, lo), dtype=float)
-    r0_hi = np.asarray(base.hazard(hi), dtype=float)
-    r0_lo = np.asarray(base.hazard(lo), dtype=float)
-    r0_d = np.asarray(base.hazard(d), dtype=float)
-    rd = np.asarray(marg.hazard(d), dtype=float)
-
-    if isinstance(marg, ProportionalHazard) and marg.baseline == base:
-        g = marg.delta * r0_hi
-        dg = np.zeros_like(g)
-        return g, -marg.delta * r0_lo, dg
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = rd * r0_hi / r0_d
-        ddx_lo = -rd * r0_lo / r0_d  # r_i(d) * d d/d(lo)
-    rdp = marg.hazard_derivative(d)
-    r0dp = base.hazard_derivative(d)
-    if rdp is not None and r0dp is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dg = -(r0_hi * r0_lo
-                   * (np.asarray(rdp, dtype=float) * r0_d
-                      - rd * np.asarray(r0dp, dtype=float))
-                   / r0_d**3)
-        return g, ddx_lo, dg
-
-    dg = np.full_like(g, math.nan)
-    for i, (hv, lv) in enumerate(zip(np.atleast_1d(hi), np.atleast_1d(lo))):
-        h = min(_FD_STEP * max(1.0, abs(lv)), (hv - lv) / 4.0, (lv - base.x_L) / 2.0)
-        if h <= 0.0:
-            continue
-        gp = _gradient_amplitude(marg, base, np.asarray([hv]), np.asarray([lv + h]))[0]
-        gm = _gradient_amplitude(marg, base, np.asarray([hv]), np.asarray([lv - h]))[0]
-        if math.isfinite(gp) and math.isfinite(gm):
-            dg[i] = (gp - gm) / (2.0 * h)
-    return g, ddx_lo, dg
-
-
 def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
                                  grid: GridSpec | None = None,
                                  tol: float | None = None) -> ValidationReport:
@@ -549,32 +462,25 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
         raise ModelError(f"theta must be positive, got {theta}")
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    margs = [_as_marginal(r1, baseline), _as_marginal(r2, baseline)]
+    kernels = [WedgeKernel(_as_marginal(r, baseline), baseline) for r in (r1, r2)]
     hi, lo = grid.wedge_pairs(baseline)
+    s = _wedge_s(baseline, hi, lo)
+    r0_hi = np.asarray(baseline.hazard(hi), dtype=float)
     r0_lo = np.asarray(baseline.hazard(lo), dtype=float)
     rhs = theta * r0_lo
+    slopes = [k.slopes(s) for k in kernels]
 
-    # (i) 0 <= r_i(d) * r0(lo)/r0(d) <= theta * r0(lo)
-    d = np.asarray(baseline.difference(hi, lo), dtype=float)
-    lhs = []
-    for m in margs:
-        if isinstance(m, ProportionalHazard) and m.baseline == baseline:
-            lhs.append(m.delta * r0_lo)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lhs.append(np.asarray(m.hazard(d), dtype=float) * r0_lo
-                           / np.asarray(baseline.hazard(d), dtype=float))
-    cond_i = _grid_bound_condition("i", "gradient-nonnegativity-bound",
-                                   lhs, rhs, [(hi, lo), (lo, hi)],
-                                   lower_zero=True, floor=floor)
+    # (i) 0 <= Q' * r0(lo) <= theta * r0(lo)
+    with np.errstate(invalid="ignore"):
+        lhs = [q1 * r0_lo for q1, _ in slopes]
+    cond_i = _grid_bound_condition("i", "gradient-nonnegativity-bound", lhs, rhs,
+                                   [(hi, lo), (lo, hi)], lower_zero=True, floor=floor)
 
-    # (ii) divergence heuristic
-    probes = np.asarray(baseline.inverse_cumulative_hazard(
-        np.asarray(_DIVERGENCE_PROBES)), dtype=float)
+    # (ii) divergence heuristic on Q at far cumulative-hazard levels
     cond_ii_pass: bool | None = True
     worst_tail = math.inf
-    for m in margs:
-        ri = np.asarray([float(m.cumulative_hazard(x)) for x in probes])
+    for k in kernels:
+        ri = k.q(np.asarray(_DIVERGENCE_PROBES))
         growing = bool(np.all(np.diff(ri) > 0))
         worst_tail = min(worst_tail, float(ri[-1]))
         if not (growing and ri[-1] > _DIVERGENCE_TARGET):
@@ -588,14 +494,13 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     )
 
     # (iii) implied joint density nonnegative:
-    #       G * (theta*r0(lo) + r_i(d) dd/dlo) - dG/dlo >= 0
+    #       r0(hi) * r0(lo) * (theta Q' + Q'' - Q'^2) >= 0
     terms = []
-    for m in margs:
-        g, ddx_lo, dg = _density_sign_terms(m, baseline, hi, lo)
+    for q1, q2 in slopes:
         with np.errstate(invalid="ignore", over="ignore"):
-            value = g * (rhs + ddx_lo) - dg
-        # margins are normalized by the term scale so one tolerance fits all
-        scale = np.abs(g * rhs) + np.abs(dg) + 1.0
+            value = r0_hi * r0_lo * (theta * q1 + q2 - q1 * q1)
+            # margins are normalized by the term scale so one tolerance fits all
+            scale = np.abs(theta * q1 * r0_hi * r0_lo) + np.abs(r0_hi * r0_lo * q2) + 1.0
         terms.append(np.where(np.isfinite(value), value / scale, math.nan))
     zeros = np.zeros_like(rhs)
     cond_iii = _grid_bound_condition("iii", "density-nonnegativity",
@@ -603,14 +508,7 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
                                      [(hi, lo), (lo, hi)], floor=floor)
 
     # (iv) mixture-weight bounds on the diagonal limits
-    vs: list[float | None] = []
-    notes = []
-    for m in margs:
-        try:
-            vs.append(_diagonal_limit(m, baseline))
-        except NumericError as exc:
-            vs.append(None)
-            notes.append(str(exc))
+    vs, notes = _diagonal_limits(kernels)
     cond_iv = _weight_bounds_condition("iv", theta, vs, names=("v1", "v2"),
                                        floor=floor)
     if notes:
@@ -737,27 +635,23 @@ def _gradient_components(model, x1, x2):
     theta = model.theta
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
-    hi = np.maximum(x1a, x2a)
-    lo = np.minimum(x1a, x2a)
-    d = np.asarray(base.difference(hi, lo), dtype=float)
+    s = _wedge_s(base, np.maximum(x1a, x2a), np.minimum(x1a, x2a))
+    q1, q2 = (k.q_prime(s) for k in model.kernels)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r0_1 = np.asarray(base.hazard(x1a), dtype=float)
         r0_2 = np.asarray(base.hazard(x2a), dtype=float)
-        r0_d = np.asarray(base.hazard(d), dtype=float)
-        h1 = np.asarray(model.marginal1.hazard(d), dtype=float)
-        h2 = np.asarray(model.marginal2.hazard(d), dtype=float)
         upper = x1a > x2a
-        g1 = np.where(upper, h1 * r0_1 / r0_d, theta * r0_1 - h2 * r0_1 / r0_d)
-        g2 = np.where(upper, theta * r0_2 - h1 * r0_2 / r0_d, h2 * r0_2 / r0_d)
+        g1 = np.where(upper, q1 * r0_1, theta * r0_1 - q2 * r0_1)
+        g2 = np.where(upper, theta * r0_2 - q1 * r0_2, q2 * r0_2)
     return g1, g2
 
 
 def hazard_gradient(model, x1, x2):
     """Closed-form hazard gradient (-d ln S/dx1, -d ln S/dx2) off the diagonal.
 
-    For the larger coordinate the component is
-    ``r_i(d) * r0(x_i)/r0(d)`` with ``d`` the wedge difference; for the
-    smaller it is ``theta * r0(x_i) - r_other(d) * r0(x_i)/r0(d)``.  Raises
+    For the larger coordinate the component is ``Q_i'(s) * r0(x_i)``, with
+    ``Q_i'(s) = r_i(d)/r0(d)`` at the wedge difference ``d``; for the
+    smaller it is ``theta * r0(x_i) - Q_other'(s) * r0(x_i)``.  Raises
     on diagonal input, where the singular mass makes the gradient undefined.
     """
     if np.any(np.asarray(x1) == np.asarray(x2)):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bisurv import (
     DecompositionError,
     DomainError,
     Exponential,
+    FromHazard,
     GeneralBivariateModel,
     InvalidModelError,
     LinearFailureRate,
@@ -71,7 +74,7 @@ def test_general_fd_density_matches_ph_closed_form():
     mo = PHBivariateModel(E, 1.0, 1.0, 1.0)
     gen = mo.as_general()
     for x1, x2 in ((2.0, 1.0), (0.7, 1.9), (3.0, 0.4)):
-        assert gen.ac_density(x1, x2) == pytest.approx(mo.ac_density(x1, x2), rel=1e-5)
+        assert gen.ac_density(x1, x2) == pytest.approx(mo.ac_density(x1, x2), rel=1e-12)
 
 
 def test_negative_density_raises_invalid_model():
@@ -226,3 +229,56 @@ def test_fd_density_noise_is_clamped_not_raised():
     gen = PHBivariateModel(E, 1.0, 1.0, 1.0).as_general()
     for x1, x2 in ((35.0, 1.0), (1.0, 33.0), (40.0, 38.0)):
         assert gen.ac_density(x1, x2) >= 0.0
+
+
+# -- closed-form density: property tests ---------------------------------------
+
+_positive = st.floats(0.1, 3.0)
+_r0 = st.floats(0.05, 3.0)
+
+
+def _wedge_point(base, w, s, upper):
+    """Off-diagonal point with R0(min) = w and R0(max) - R0(min) = s."""
+    lo = float(base.inverse_cumulative_hazard(w))
+    hi = float(base.inverse_cumulative_hazard(w + s))
+    return (hi, lo) if upper else (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from([E, W2, PAR]), thetas=st.tuples(_positive, _positive, _positive),
+       w=_r0, s=_r0, upper=st.booleans())
+def test_ph_density_property_against_mixed_difference(base, thetas, w, s, upper):
+    model = PHBivariateModel(base, *thetas)
+    x1, x2 = _wedge_point(base, w, s, upper)
+    dens = model.ac_density(x1, x2)
+    fd = mixed_fd(model.survival, x1, x2)
+    assert model.decompose().alpha * dens == pytest.approx(fd, rel=1e-4)
+    assert model.as_general().ac_density(x1, x2) == pytest.approx(dens, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=st.sampled_from([E, W2, PAR]), thetas=st.tuples(_positive, _positive, _positive),
+       c=st.floats(0.0, 0.5), w=_r0, s=_r0, upper=st.booleans())
+def test_callable_marginal_density_property(base, thetas, c, w, s, upper):
+    # marginal 1 is a bare hazard callable with Q(s) = d1 (s + c (1 - e^{-s})):
+    # its kernel takes Q from quadrature and Q'' from the one
+    # finite-difference fallback, which here has to match -d1 c e^{-s}
+    ph = PHBivariateModel(base, *thetas)
+    d1, theta = ph.delta1, ph.theta
+    # valid with room: theta Q' + Q'' - Q'^2 > 0 (its minimum over s is at
+    # s = 0 or s -> inf) and alpha = 2 - (d1 (1 + c) + d2) / theta > 0
+    assume(min(ph.theta2, (1.0 + c) * (ph.theta2 - d1 * c) - c) > 0.05)
+    assume(2.0 - (d1 * (1.0 + c) + ph.delta2) / theta > 0.05)
+
+    def hazard(x):
+        return d1 * float(base.hazard(x)) * (1.0 + c * math.exp(-float(base.cumulative_hazard(x))))
+
+    model = GeneralBivariateModel(base, FromHazard(hazard, x_L=base.x_L), ph.marginal2, theta)
+    kernel = model.kernels[0]
+    assert kernel.delta is None and model.kernels[1].delta == ph.delta2
+    q1, q2 = kernel.slopes(np.array([s]))
+    assert q1[0] == pytest.approx(d1 * (1.0 + c * math.exp(-s)), rel=1e-12)
+    assert q2[0] == pytest.approx(-d1 * c * math.exp(-s), rel=1e-6, abs=1e-9)
+    x1, x2 = _wedge_point(base, w, s, upper)
+    fd = mixed_fd(model.survival, x1, x2)
+    assert model.decompose().alpha * model.ac_density(x1, x2) == pytest.approx(fd, rel=1e-4)

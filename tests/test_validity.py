@@ -22,6 +22,7 @@ from bisurv import (
     hazard_gradient,
     reconstruct_survival_from_gradient,
 )
+from bisurv.marginals import WedgeKernel
 from bisurv.validity import INCONCLUSIVE, INVALID, VALID, lfr_exponential_cross_bound
 from oracles import fd_log_gradient
 
@@ -325,42 +326,48 @@ def test_tolerance_override_loosens_two_increasing():
     assert check_two_increasing(model, grid, tol=1e-3).verdict == VALID
 
 
+def _cross_statistic(kernel, hi, lo):
+    """Condition (ii)'s left side ``r0(lo) (Q' - Q''/Q')`` at the pairs (hi, lo)."""
+    base = kernel.baseline
+    q1, q2 = kernel.slopes(base.cumulative_hazard(hi) - base.cumulative_hazard(lo))
+    return base.hazard(lo) * (q1 - q2 / q1)
+
+
 def test_cross_derivative_analytic_agrees_with_fd_fallback():
     # same hazard expressed twice: once with analytic derivatives (LFR),
     # once as a bare handle that forces the finite-difference fallback
     from bisurv import FromHazard
-    from bisurv.validity import _cross_log_derivative
     a = 1.5
-    lfr = LinearFailureRate(a)
-    handle = FromHazard(lambda x: 1.0 + 2.0 * a * x)
+    lfr = WedgeKernel(LinearFailureRate(a), E)
+    handle = WedgeKernel(FromHazard(lambda x: 1.0 + 2.0 * a * x), E)
     hi = np.array([1.0, 2.5, 5.0, 7.0])
     lo = np.array([0.3, 1.0, 3.0, 0.5])
-    analytic = _cross_log_derivative(lfr, E, hi, lo)
-    fallback = _cross_log_derivative(handle, E, hi, lo)
+    analytic = _cross_statistic(lfr, hi, lo)
+    fallback = _cross_statistic(handle, hi, lo)
     np.testing.assert_allclose(fallback, analytic, rtol=1e-5)
     # sanity: at (5, 3) the exact statistic is 1 + 2ad - 2a/(1+2ad), d = 2
     exact = 1.0 + 2.0 * a * 2.0 - 2.0 * a / (1.0 + 2.0 * a * 2.0)
-    point = _cross_log_derivative(lfr, E, np.array([5.0]), np.array([3.0]))
+    point = _cross_statistic(lfr, np.array([5.0]), np.array([3.0]))
     assert point[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_ph_shortcut_agrees_with_fd_fallback_over_weibull():
     from bisurv import FromHazard
-    from bisurv.validity import _cross_log_derivative, _density_sign_terms
     base = W2
     delta = 1.7
-    ph = ProportionalHazard(base, delta)
-    handle = FromHazard(lambda x: delta * 2.0 * x)
+    ph = WedgeKernel(ProportionalHazard(base, delta), base)
+    handle = WedgeKernel(FromHazard(lambda x: delta * 2.0 * x), base)
+    assert ph.delta == delta and handle.delta is None
     hi = np.array([1.5, 2.5, 3.5])
     lo = np.array([0.5, 1.2, 2.0])
-    np.testing.assert_allclose(
-        _cross_log_derivative(handle, base, hi, lo),
-        _cross_log_derivative(ph, base, hi, lo), rtol=1e-5)
-    g_a, dd_a, dg_a = _density_sign_terms(ph, base, hi, lo)
-    g_f, dd_f, dg_f = _density_sign_terms(handle, base, hi, lo)
-    np.testing.assert_allclose(g_f, g_a, rtol=1e-8)
-    np.testing.assert_allclose(dd_f, dd_a, rtol=1e-8)
-    np.testing.assert_allclose(dg_f, dg_a, atol=1e-5)
+    np.testing.assert_allclose(_cross_statistic(handle, hi, lo),
+                               _cross_statistic(ph, hi, lo), rtol=1e-5)
+    s = base.cumulative_hazard(hi) - base.cumulative_hazard(lo)
+    q1_a, q2_a = ph.slopes(s)
+    q1_f, q2_f = handle.slopes(s)
+    np.testing.assert_allclose(q1_f, q1_a, rtol=1e-8)
+    np.testing.assert_allclose(q2_f, q2_a, atol=1e-5)
+    np.testing.assert_allclose(handle.q(s), ph.q(s), rtol=1e-8)
 
 
 def test_reconstruction_and_gradient_on_valid_non_ph_model():
