@@ -16,6 +16,9 @@ that would underflow long before the hazard coordinates do.
 The left endpoint ``x_L`` is 0 for the exponential, Weibull and custom
 families and 1 for the Pareto family (support ``x > 1``), so the Pareto
 identity element is 1 rather than 0.
+
+``HazardModel`` is the base that baselines share with the marginals of
+:mod:`bisurv.marginals`: survival and density derived from the hazard maps.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from scipy.optimize import brentq
 from .errors import DomainError, ModelError, NumericError
 
 __all__ = [
+    "HazardModel",
     "BaselineModel",
     "Exponential",
     "Weibull",
@@ -58,24 +62,17 @@ def _check_finite(x, name: str) -> None:
         raise DomainError(f"{name} must be finite, got {x!r}")
 
 
-class BaselineModel:
-    """Common behaviour for all baseline families.
+class HazardModel:
+    """A univariate law on ``(x_L, inf)`` given by its hazard.
 
-    Subclasses provide the coordinate maps ``cumulative_hazard``,
-    ``inverse_cumulative_hazard`` and ``hazard``; closed-form families also
-    override ``_combine`` / ``_difference`` so no root finding is involved.
-    All maps accept scalars or numpy arrays.
+    Subclasses provide ``cumulative_hazard`` and ``hazard`` (scalars or
+    arrays); ``survival`` and ``density`` follow from them.  Both baselines
+    and marginals are hazard models.
     """
 
-    family: str = "abstract"
     x_L: float = 0.0
 
-    # -- primitive coordinate maps (overridden per family) -------------------
-
     def cumulative_hazard(self, x):
-        raise NotImplementedError
-
-    def inverse_cumulative_hazard(self, r):
         raise NotImplementedError
 
     def hazard(self, x):
@@ -84,8 +81,6 @@ class BaselineModel:
     def hazard_derivative(self, x):
         """Derivative of the hazard, or None when no analytic form exists."""
         return None
-
-    # -- derived quantities ---------------------------------------------------
 
     def survival(self, x):
         """Survival probability; 1 at or below the left endpoint."""
@@ -106,6 +101,24 @@ class BaselineModel:
                 0.0,
             )
         return _ret(val, x)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}()"
+
+
+class BaselineModel(HazardModel):
+    """Common behaviour for all baseline families.
+
+    Subclasses provide the coordinate maps ``cumulative_hazard``,
+    ``inverse_cumulative_hazard`` and ``hazard``; closed-form families also
+    override ``_combine`` / ``_difference`` so no root finding is involved.
+    All maps accept scalars or numpy arrays.
+    """
+
+    family: str = "abstract"
+
+    def inverse_cumulative_hazard(self, r):
+        raise NotImplementedError
 
     def inverse_survival(self, s):
         """Unique x with survival(x) = s, for s in (0, 1]."""
@@ -157,9 +170,6 @@ class BaselineModel:
 
     def spec_string(self) -> str:
         return self.family
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
 
 
 @dataclass(frozen=True, repr=False)

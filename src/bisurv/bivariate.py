@@ -1,21 +1,19 @@
 """Bivariate survival models with a singular component on the diagonal.
 
-Two model classes share one evaluation surface:
+One model class, ``GeneralBivariateModel``, is built from a baseline, two
+marginal models and an exponent ``theta``.  On the wedge ``x1 >= x2`` the
+survival function is ``S1(x1 (-) x2) * S0(x2)**theta`` (symmetric on the
+other wedge), where ``(-)`` is the baseline semigroup difference.  Nothing
+guarantees such a model is a true distribution; the ``validity`` module
+provides the checks, and the counter-examples live there too.
 
-* ``GeneralBivariateModel`` -- built from a baseline, two marginal models
-  and an exponent ``theta``.  On the wedge ``x1 >= x2`` the survival
-  function is ``S1(x1 (-) x2) * S0(x2)**theta`` (symmetric on the other
-  wedge), where ``(-)`` is the baseline semigroup difference.  Nothing
-  guarantees such a model is a true distribution; the ``validity`` module
-  provides the checks, and the counter-examples live there too.
+``PHBivariateModel`` is its proportional-hazards special case: a
+constructor from positive ``(theta1, theta2, theta3)`` whose marginals are
+``S0**d_i`` with ``d_i = theta_i + theta3``, so its survival is
+``S0(x1)**d1 * S0(x2)**(theta-d1)`` for ``x1 >= x2``.  It is always a valid
+distribution, with diagonal (tie) mass exactly ``theta3 / theta``.
 
-* ``PHBivariateModel`` -- the proportional-hazards subclass parameterized
-  by positive ``(theta1, theta2, theta3)``.  Its survival is
-  ``S0(x1)**d1 * S0(x2)**(theta-d1)`` for ``x1 >= x2`` with
-  ``d_i = theta_i + theta3``; always a valid distribution, with diagonal
-  (tie) mass ``theta3 / theta``.
-
-Both are evaluated by one pair of wedge kernels
+Every model is evaluated by one pair of wedge kernels
 (:class:`~bisurv.marginals.WedgeKernel`), built once per model.  Off the
 diagonal the model depends on the data only through ``w = R0(min)`` and
 ``s = R0(max) - R0(min)``: on the wedge of marginal ``i`` (``i = 1`` where
@@ -94,7 +92,12 @@ def _nan_check(*values) -> None:
 
 
 class _BivariateBase:
-    """Evaluation surface shared by the general and PH models."""
+    """Survival, the cached decomposition, the singular part and rectangle
+    probabilities, derived from ``log_survival`` and ``_compute_decomposition``.
+
+    Kept apart from :class:`GeneralBivariateModel` so that ``decompose`` has
+    one owner, which ``bench/tracing.py`` wraps.
+    """
 
     baseline: BaselineModel
     marginal1: MarginalModel
@@ -102,9 +105,6 @@ class _BivariateBase:
     theta: float
     #: ``(WedgeKernel(marginal1, baseline), WedgeKernel(marginal2, baseline))``
     kernels: tuple[WedgeKernel, WedgeKernel]
-
-    def log_survival(self, x1, x2):
-        raise NotImplementedError
 
     def survival(self, x1, x2):
         """Joint survival P(X1 > x1, X2 > x2); accepts scalars or arrays."""
@@ -122,9 +122,6 @@ class _BivariateBase:
         return np.where(upper, getattr(k1, method)(s, *args), getattr(k2, method)(s, *args))
 
     # -- decomposition ---------------------------------------------------------
-
-    def _compute_decomposition(self) -> Decomposition:
-        raise NotImplementedError
 
     def decompose(self) -> Decomposition:
         """Mixture weight and diagonal limits; cached after the first call.
@@ -172,9 +169,6 @@ class _BivariateBase:
                 - self.survival(a1, b2) + self.survival(b1, b2))
 
     # -- density ---------------------------------------------------------------
-
-    def ac_density(self, x1, x2):
-        raise NotImplementedError
 
     def _alpha_for_density(self) -> float:
         dec = self.decompose()
@@ -278,14 +272,14 @@ class GeneralBivariateModel(_BivariateBase):
                 f"theta={self.theta})")
 
 
-class PHBivariateModel(_BivariateBase):
+class PHBivariateModel(GeneralBivariateModel):
     """Proportional-hazards bivariate model with positive (theta1, theta2, theta3).
 
-    Equivalent exponents: ``delta_i = theta_i + theta3`` and
-    ``theta = theta1 + theta2 + theta3``, so ``delta_i < theta`` and
-    ``theta <= delta1 + delta2 <= 2*theta`` hold by construction.  It is
-    evaluated like the general model, with the exact kernels
-    ``Q_i = delta_i * s``.
+    The general model with marginals ``ProportionalHazard(baseline, delta_i)``,
+    ``delta_i = theta_i + theta3``, and ``theta = theta1 + theta2 + theta3``,
+    so ``delta_i < theta`` and ``theta <= delta1 + delta2 <= 2*theta`` hold
+    by construction.  Its kernels are the exact ``Q_i = delta_i * s``, and
+    its decomposition is taken from the thetas directly.
     """
 
     def __init__(self, baseline: BaselineModel, theta1: float, theta2: float,
@@ -293,17 +287,14 @@ class PHBivariateModel(_BivariateBase):
         for name, v in (("theta1", theta1), ("theta2", theta2), ("theta3", theta3)):
             if not (np.isfinite(v) and v > 0):
                 raise ModelError(f"{name} must be a positive real, got {v}")
-        self.baseline = baseline
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
         self.theta3 = float(theta3)
-        self.theta = self.theta1 + self.theta2 + self.theta3
         self.delta1 = self.theta1 + self.theta3
         self.delta2 = self.theta2 + self.theta3
-        self.marginal1 = ProportionalHazard(baseline, self.delta1)
-        self.marginal2 = ProportionalHazard(baseline, self.delta2)
-        self.kernels = (WedgeKernel(self.marginal1, baseline),
-                        WedgeKernel(self.marginal2, baseline))
+        super().__init__(baseline, ProportionalHazard(baseline, self.delta1),
+                         ProportionalHazard(baseline, self.delta2),
+                         self.theta1 + self.theta2 + self.theta3)
 
     @classmethod
     def from_deltas(cls, baseline: BaselineModel, delta1: float, delta2: float,
@@ -326,8 +317,8 @@ class PHBivariateModel(_BivariateBase):
             )
         return cls(baseline, theta - delta2, theta - delta1, delta1 + delta2 - theta)
 
-    # the general evaluators, bound here as well because bench/tracing.py
-    # wraps each class's own log_survival and ac_density
+    # inherited, and bound here as well because bench/tracing.py wraps each
+    # class's own log_survival and ac_density
     log_survival = GeneralBivariateModel.log_survival
     ac_density = GeneralBivariateModel.ac_density
 

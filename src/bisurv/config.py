@@ -42,11 +42,16 @@ __all__ = [
 ]
 
 
-def _parse_positive(text: str, what: str) -> float:
+def _number(value, what: str, cast=float):
+    """``cast(value)``; a value that does not convert raises ConfigError."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a number, got {text!r}") from exc
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _parse_positive(text: str, what: str) -> float:
+    value = _number(text, what)
     if not (np.isfinite(value) and value > 0):
         raise ConfigError(f"{what} must be positive, got {value}")
     return value
@@ -130,15 +135,15 @@ def parse_marginal(spec: str, baseline: BaselineModel,
 class ModelConfig:
     """A parsed model configuration plus grid and tolerance overrides."""
 
-    model: GeneralBivariateModel | PHBivariateModel
+    model: GeneralBivariateModel
     grid: GridSpec
     tol: float | None = None
 
 
 def _build_grid(raw: dict | None, knots_override: int | None) -> GridSpec:
-    raw = dict(raw or {})
-    if not isinstance(raw, dict):
+    if not isinstance(raw, (dict, type(None))):
         raise ConfigError("'grid' must be an object")
+    raw = dict(raw or {})
     if knots_override is not None:
         raw["knots"] = knots_override
     allowed = {"knots", "r0_min", "r0_max", "wedge_margin",
@@ -148,13 +153,13 @@ def _build_grid(raw: dict | None, knots_override: int | None) -> GridSpec:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     try:
         return GridSpec.default(
-            knots=int(raw.get("knots", 16)),
-            r0_min=float(raw.get("r0_min", 0.05)),
-            r0_max=float(raw.get("r0_max", 8.0)),
-            wedge_margin=float(raw.get("wedge_margin", 0.02)),
-            t_knots=int(raw.get("t_knots", 8)),
-            t_min=float(raw.get("t_min", 0.1)),
-            t_max=float(raw.get("t_max", 4.0)),
+            knots=_number(raw.get("knots", 16), "knots", int),
+            r0_min=_number(raw.get("r0_min", 0.05), "r0_min"),
+            r0_max=_number(raw.get("r0_max", 8.0), "r0_max"),
+            wedge_margin=_number(raw.get("wedge_margin", 0.02), "wedge_margin"),
+            t_knots=_number(raw.get("t_knots", 8), "t_knots", int),
+            t_min=_number(raw.get("t_min", 0.1), "t_min"),
+            t_max=_number(raw.get("t_max", 4.0), "t_max"),
         )
     except BisurvError as exc:
         raise ConfigError(f"bad grid settings: {exc}") from exc
@@ -189,7 +194,7 @@ def load_model_config(path, *, theta_override: float | None = None,
             t = raw["theta123"]
             if not (isinstance(t, (list, tuple)) and len(t) == 3):
                 raise ConfigError(f"{path}: 'theta123' must be a list of three reals")
-            t = [float(v) for v in t]
+            t = [_number(v, f"{path}: 'theta123' entry") for v in t]
             if theta_override is not None:
                 raise ConfigError(
                     f"{path}: --theta override applies to the 'marginals' form only")
@@ -203,7 +208,8 @@ def load_model_config(path, *, theta_override: float | None = None,
                 raise ConfigError(f"{path}: 'theta' required with 'marginals'")
             m1 = parse_marginal(str(margs[0]), baseline, base_dir)
             m2 = parse_marginal(str(margs[1]), baseline, base_dir)
-            model = GeneralBivariateModel(baseline, m1, m2, float(theta))
+            model = GeneralBivariateModel(baseline, m1, m2,
+                                          _number(theta, f"{path}: 'theta'"))
     except ConfigError:
         raise
     except BisurvError as exc:
@@ -212,7 +218,7 @@ def load_model_config(path, *, theta_override: float | None = None,
     grid = _build_grid(raw.get("grid"), grid_knots_override)
     tol = tol_override if tol_override is not None else raw.get("tol")
     if tol is not None:
-        tol = float(tol)
+        tol = _number(tol, f"{path}: 'tol'")
         if not (np.isfinite(tol) and tol > 0):
             raise ConfigError(f"{path}: 'tol' must be positive")
     return ModelConfig(model=model, grid=grid, tol=tol)

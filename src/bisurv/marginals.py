@@ -27,12 +27,19 @@ resulting sequence.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
 
-from .baseline import BaselineModel, HazardIntegrator, PiecewiseLinearHazard, _ret
+from .baseline import (
+    BaselineModel,
+    HazardIntegrator,
+    HazardModel,
+    PiecewiseLinearHazard,
+    _ret,
+)
 from .errors import DomainError, ModelError, NumericError
 
 __all__ = [
@@ -45,46 +52,13 @@ __all__ = [
 ]
 
 
-class MarginalModel:
+class MarginalModel(HazardModel):
     """Base class for univariate marginals with left endpoint ``x_L``."""
 
     kind: str = "abstract"
-    x_L: float = 0.0
-
-    def cumulative_hazard(self, x):
-        raise NotImplementedError
-
-    def hazard(self, x):
-        raise NotImplementedError
-
-    def hazard_derivative(self, x):
-        """Derivative of the hazard, or None when no analytic form exists."""
-        return None
-
-    def survival(self, x):
-        if not np.all(np.isfinite(x)):
-            raise DomainError(f"x must be finite, got {x!r}")
-        xc = np.maximum(x, self.x_L)
-        return _ret(np.exp(-self.cumulative_hazard(xc)), x)
-
-    def density(self, x):
-        if not np.all(np.isfinite(x)):
-            raise DomainError(f"x must be finite, got {x!r}")
-        interior = np.asarray(x, dtype=float) > self.x_L
-        if not np.any(interior):
-            return _ret(np.zeros_like(np.asarray(x, dtype=float)), x)
-        xi = np.maximum(np.asarray(x, dtype=float), np.nextafter(self.x_L, math.inf))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = np.where(interior,
-                           self.hazard(xi) * np.exp(-self.cumulative_hazard(xi)),
-                           0.0)
-        return _ret(val, x)
 
     def spec_string(self) -> str:
         return self.kind
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
 
 
 class ProportionalHazard(MarginalModel):
@@ -263,9 +237,13 @@ class WedgeKernel:
             a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
             return a * np.exp(-self.q(s))
 
-    @property
+    @functools.cached_property
     def u(self) -> float:
-        """``Q'(0+)``: exactly ``delta`` for PH, else :func:`limit_hazard_ratio`."""
+        """``Q'(0+)``: exactly ``delta`` for PH, else :func:`limit_hazard_ratio`.
+
+        Taken once per kernel: the decomposition, the validity checks and
+        the sampler all read it from the model's kernels.
+        """
         if self.delta is not None:
             return self.delta
         return limit_hazard_ratio(self.marginal, self.baseline)

@@ -200,8 +200,8 @@ def _rejection_sample_s(gen: np.random.Generator, h_fn, grid: GridSpec,
     return out / (1.0 - out)  # s = v / (1 - v)
 
 
-def sample_general(model: GeneralBivariateModel | PHBivariateModel, n: int,
-                   seed: int, grid: GridSpec | None = None) -> SampleBatch:
+def sample_general(model: GeneralBivariateModel, n: int, seed: int,
+                   grid: GridSpec | None = None) -> SampleBatch:
     """Mixture sampler for any valid model of this class.
 
     Re-verifies that the mixture weight lies in [0, 1] (raising

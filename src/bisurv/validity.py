@@ -47,7 +47,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .baseline import BaselineModel, _is_scalar
-from .bivariate import GeneralBivariateModel, PHBivariateModel
+from .bivariate import GeneralBivariateModel
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel, _sequence_limit
 
@@ -108,12 +108,17 @@ class GridSpec:
 
     def __post_init__(self):
         knots = tuple(float(k) for k in self.r0_knots)
-        if len(knots) < 1 or any(k <= 0 for k in knots):
-            raise DomainError("grid knots must be positive cumulative-hazard values")
+        t_knots = tuple(float(t) for t in self.t_r0_knots)
+        if len(knots) < 1 or not all(math.isfinite(k) and k > 0 for k in knots):
+            raise DomainError("grid knots must be finite, positive cumulative-hazard values")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise DomainError("grid knots must be strictly increasing")
+        if not all(math.isfinite(t) for t in t_knots):
+            raise DomainError("grid shift knots must be finite")
+        if not (math.isfinite(self.wedge_margin) and self.wedge_margin >= 0):
+            raise DomainError(f"wedge_margin must be finite and >= 0, got {self.wedge_margin}")
         object.__setattr__(self, "r0_knots", knots)
-        object.__setattr__(self, "t_r0_knots", tuple(float(t) for t in self.t_r0_knots))
+        object.__setattr__(self, "t_r0_knots", t_knots)
 
     @classmethod
     def default(cls, *, knots: int = 16, r0_min: float = 0.05, r0_max: float = 8.0,
@@ -127,11 +132,12 @@ class GridSpec:
         """
         if knots < 8:
             raise DomainError("default grids need at least 8 knots per axis")
-        return cls(
-            r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
-            wedge_margin=wedge_margin,
-            t_r0_knots=tuple(np.geomspace(t_min, t_max, t_knots)),
-        )
+        with np.errstate(invalid="ignore"):  # non-finite bounds: __post_init__ raises
+            return cls(
+                r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
+                wedge_margin=wedge_margin,
+                t_r0_knots=tuple(np.geomspace(t_min, t_max, t_knots)),
+            )
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -150,14 +156,10 @@ class GridSpec:
     def wedge_pairs(self, baseline: BaselineModel) -> tuple[np.ndarray, np.ndarray]:
         """All ordered knot pairs (hi, lo) clear of the diagonal margin."""
         knots = np.asarray(self.r0_knots)
+        j, k = np.tril_indices(len(knots), -1)
+        keep = knots[j] - knots[k] >= self.wedge_margin
         xs = self.axis_points(baseline)
-        his, los = [], []
-        for j in range(len(knots)):
-            for k in range(j):
-                if knots[j] - knots[k] >= self.wedge_margin:
-                    his.append(xs[j])
-                    los.append(xs[k])
-        return np.asarray(his), np.asarray(los)
+        return xs[j[keep]], xs[k[keep]]
 
     def describe(self) -> dict:
         return {
@@ -383,7 +385,7 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, witnesses,
                            margin=worst, note=note)
 
 
-def check_marginal_conditions(model: GeneralBivariateModel | PHBivariateModel,
+def check_marginal_conditions(model: GeneralBivariateModel,
                               grid: GridSpec | None = None,
                               tol: float | None = None) -> ValidationReport:
     """Do the model's marginals qualify for a valid bivariate distribution?
@@ -437,14 +439,19 @@ def check_marginal_conditions(model: GeneralBivariateModel | PHBivariateModel,
 # ---------------------------------------------------------------------------
 
 
-def _as_marginal(handle, baseline: BaselineModel) -> MarginalModel:
+def _as_kernel(handle, baseline: BaselineModel) -> WedgeKernel:
+    if isinstance(handle, WedgeKernel):
+        if handle.baseline != baseline:
+            raise ModelError("wedge kernel handle is over a different baseline")
+        return handle
     if isinstance(handle, MarginalModel):
         if handle.x_L != baseline.x_L:
             raise ModelError("hazard handle left endpoint differs from baseline")
-        return handle
+        return WedgeKernel(handle, baseline)
     if callable(handle):
-        return FromHazard(handle, x_L=baseline.x_L)
-    raise ModelError(f"expected a MarginalModel or callable hazard, got {handle!r}")
+        return WedgeKernel(FromHazard(handle, x_L=baseline.x_L), baseline)
+    raise ModelError(
+        f"expected a WedgeKernel, MarginalModel or callable hazard, got {handle!r}")
 
 
 def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
@@ -452,7 +459,10 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
                                  tol: float | None = None) -> ValidationReport:
     """Do two hazard functions qualify as marginal hazards of a valid model?
 
-    ``r1``/``r2`` may be callables or :class:`MarginalModel` instances.
+    ``r1``/``r2`` may be callables, :class:`MarginalModel` instances or
+    :class:`~bisurv.marginals.WedgeKernel` instances over ``baseline``; a
+    kernel brings its already-taken diagonal limit ``u`` along, so
+    ``combined_validation`` passes the model's own kernels.
     Condition (ii) (total hazard diverges) is decided by an explicit
     heuristic -- cumulative hazard exceeding 30 with monotone growth over
     probe points far in the tail -- and is reported as such; a hazard that
@@ -462,7 +472,7 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
         raise ModelError(f"theta must be positive, got {theta}")
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    kernels = [WedgeKernel(_as_marginal(r, baseline), baseline) for r in (r1, r2)]
+    kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
     hi, lo = grid.wedge_pairs(baseline)
     s = _wedge_s(baseline, hi, lo)
     r0_hi = np.asarray(baseline.hazard(hi), dtype=float)
@@ -589,6 +599,32 @@ def check_two_increasing(model, grid: GridSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _worst_over_shifts(model, grid: GridSpec, t_knots, x1, x2, residual,
+                       *, relative: bool) -> ResidualReport:
+    """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the shift knots.
+
+    ``t_knots`` are raw shift points, by default the grid's; the witness is
+    the unshifted pair and the shift of the first largest residual.
+    """
+    base = model.baseline
+    ts = (np.asarray(t_knots, dtype=float) if t_knots is not None
+          else grid.t_points(base))
+    worst = -1.0
+    witness = (float(x1[0]), float(x2[0]), float(ts[0]) if len(ts) else base.x_L)
+    total = 0
+    for t in ts:
+        t = float(t)
+        res = residual(t, np.asarray(base.combine(x1, t), dtype=float),
+                       np.asarray(base.combine(x2, t), dtype=float))
+        total += res.size
+        i = int(np.argmax(res))
+        if res[i] > worst:
+            worst = float(res[i])
+            witness = (float(x1[i]), float(x2[i]), t)
+    return ResidualReport(max_residual=max(worst, 0.0), witness=witness,
+                          n_points=total, relative=relative)
+
+
 def check_functional_equation(model, grid: GridSpec | None = None,
                               t_knots=None) -> ResidualReport:
     """Max log-space residual of S(x1 (+) t, x2 (+) t) = S(x1,x2) * S(t,t).
@@ -601,28 +637,15 @@ def check_functional_equation(model, grid: GridSpec | None = None,
     grid = grid or GridSpec.default()
     base = model.baseline
     xs = grid.axis_points(base)
-    ts = (np.asarray(t_knots, dtype=float) if t_knots is not None
-          else grid.t_points(base))
     x1 = np.repeat(xs, len(xs))
     x2 = np.tile(xs, len(xs))
     log_s = np.asarray(model.log_survival(x1, x2), dtype=float)
-    worst = -1.0
-    witness = (float(x1[0]), float(x2[0]), float(ts[0]) if len(ts) else base.x_L)
-    total = 0
-    for t in ts:
-        t = float(t)
-        y1 = np.asarray(base.combine(x1, t), dtype=float)
-        y2 = np.asarray(base.combine(x2, t), dtype=float)
+
+    def residual(t, y1, y2):
         shift = model.theta * float(base.cumulative_hazard(t))
-        res = np.abs(np.asarray(model.log_survival(y1, y2), dtype=float)
-                     - log_s + shift)
-        total += res.size
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst = float(res[i])
-            witness = (float(x1[i]), float(x2[i]), t)
-    return ResidualReport(max_residual=max(worst, 0.0), witness=witness,
-                          n_points=total, relative=False)
+        return np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
+
+    return _worst_over_shifts(model, grid, t_knots, x1, x2, residual, relative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -674,32 +697,19 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None,
     """
     grid = grid or GridSpec.default()
     base = model.baseline
-    hi, lo = grid.wedge_pairs(base)
-    x1 = np.concatenate([hi, lo])
-    x2 = np.concatenate([lo, hi])
-    ts = (np.asarray(t_knots, dtype=float) if t_knots is not None
-          else grid.t_points(base))
-    worst = -1.0
-    witness = (float(x1[0]), float(x2[0]), float(ts[0]) if len(ts) else base.x_L)
-    total = 0
     theta = model.theta
-    for t in ts:
-        t = float(t)
-        y1 = np.asarray(base.combine(x1, t), dtype=float)
-        y2 = np.asarray(base.combine(x2, t), dtype=float)
+    hi, lo = grid.wedge_pairs(base)
+
+    def residual(t, y1, y2):
         g1, g2 = _gradient_components(model, y1, y2)
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
             lhs = (g1 * r0t / np.asarray(base.hazard(y1), dtype=float)
                    + g2 * r0t / np.asarray(base.hazard(y2), dtype=float))
-        res = np.abs(lhs - theta * r0t) / (theta * r0t)
-        total += res.size
-        i = int(np.argmax(res))
-        if res[i] > worst:
-            worst = float(res[i])
-            witness = (float(x1[i]), float(x2[i]), t)
-    return ResidualReport(max_residual=max(worst, 0.0), witness=witness,
-                          n_points=total, relative=True)
+        return np.abs(lhs - theta * r0t) / (theta * r0t)
+
+    return _worst_over_shifts(model, grid, t_knots, np.concatenate([hi, lo]),
+                              np.concatenate([lo, hi]), residual, relative=True)
 
 
 def reconstruct_survival_from_gradient(model, x1: float, x2: float,
@@ -751,15 +761,15 @@ def combined_validation(model, grid: GridSpec | None = None,
     """All checks on one model, merged into a single report.
 
     Runs the marginal conditions, the hazard-rate conditions on the model's
-    own marginal hazards, and the two-increasing grid scan; condition ids
-    are prefixed by the check they came from.
+    own wedge kernels (so each diagonal limit is taken once), and the
+    two-increasing grid scan; condition ids are prefixed by the check they
+    came from.
     """
     grid = grid or GridSpec.default()
     reports = [
         ("marginal", check_marginal_conditions(model, grid, tol)),
-        ("hazard", check_hazard_rate_conditions(model.marginal1, model.marginal2,
-                                                model.baseline, model.theta,
-                                                grid, tol)),
+        ("hazard", check_hazard_rate_conditions(*model.kernels, model.baseline,
+                                                model.theta, grid, tol)),
         ("", check_two_increasing(model, grid, tol)),
     ]
     conditions: list[ConditionResult] = []

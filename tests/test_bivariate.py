@@ -19,6 +19,7 @@ from bisurv import (
     ProportionalHazard,
     UndefinedComponentError,
     Weibull,
+    hazard_gradient,
 )
 from oracles import mixed_fd, wedge_ac_mass
 
@@ -189,6 +190,25 @@ def test_ph_equals_general_with_ph_marginals(base):
         x2 = float(base.inverse_cumulative_hazard(r2))
         assert gen.survival(x1, x2) == pytest.approx(model.survival(x1, x2),
                                                      rel=1e-10)
+
+
+@pytest.mark.parametrize("base", [E, W2, PAR], ids=lambda b: b.spec_string())
+def test_ph_model_is_the_general_model(base):
+    model = PHBivariateModel(base, 1.1, 0.4, 0.8)
+    gen = model.as_general()
+    assert isinstance(model, GeneralBivariateModel)
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.02, 7.0, size=(2, 200))
+    x1, x2 = (np.asarray(base.inverse_cumulative_hazard(v)) for v in r)
+    assert np.array_equal(model.log_survival(x1, x2), gen.log_survival(x1, x2))
+    # the density divides by alpha, which PH takes exactly as
+    # (theta1 + theta2)/theta and the general model as 2 - (d1 + d2)/theta
+    alphas = model.decompose().alpha, gen.decompose().alpha
+    assert alphas[0] == pytest.approx(alphas[1], rel=1e-15, abs=0)
+    np.testing.assert_allclose(model.ac_density(x1, x2), gen.ac_density(x1, x2),
+                               rtol=1e-15, atol=0)
+    for a, b in zip(hazard_gradient(model, x1, x2), hazard_gradient(gen, x1, x2)):
+        assert np.array_equal(a, b)
 
 
 def test_from_deltas_parameterization():

@@ -207,6 +207,28 @@ def test_malformed_configs(capsys, tmp_path):
     badtheta.write_text('{"baseline": "exponential", "theta123": [1, 1, -1]}')
     assert run(capsys, "eval", "--config", str(badtheta), "1", "2")[0] == 2
 
+    # values of the wrong type or form are configuration errors (exit 2),
+    # not tracebacks (exit 1 is the counterexample-failure code)
+    mo = '"baseline": "exponential", "theta123": [1, 1, 1]'
+    lfr = '"baseline": "exponential", "marginals": ["lfr:1", "lfr:1"]'
+    for i, body in enumerate([
+            mo + ', "grid": "x"',
+            mo + ', "grid": 5',
+            mo + ', "grid": {"knots": "abc"}',
+            mo + ', "grid": {"knots": null}',
+            mo + ', "grid": {"r0_max": [1]}',
+            mo + ', "tol": "abc"',
+            lfr + ', "theta": "abc"',
+            '"baseline": "exponential", "theta123": ["a", 1, 1]',
+            mo + ', "grid": {"wedge_margin": NaN}',
+            mo + ', "grid": {"r0_min": NaN}',
+            mo + ', "grid": {"t_max": Infinity}']):
+        cfg = tmp_path / f"malformed{i}.json"
+        cfg.write_text("{" + body + "}")
+        code, out, err = run(capsys, "validate", "--config", str(cfg))
+        assert (code, out) == (2, ""), body
+        assert err.startswith("error: "), body
+
 
 def test_custom_baseline_config(capsys, tmp_path):
     table = tmp_path / "base.csv"

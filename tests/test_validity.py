@@ -9,6 +9,7 @@ from bisurv import (
     GeneralBivariateModel,
     GridSpec,
     LinearFailureRate,
+    ModelError,
     Pareto,
     PHBivariateModel,
     ProportionalHazard,
@@ -52,8 +53,27 @@ def test_default_grid_shape():
         GridSpec.default(knots=4)
     with pytest.raises(DomainError):
         GridSpec(r0_knots=(2.0, 1.0))
-    with pytest.raises(DomainError):
-        GridSpec(r0_knots=(-1.0, 1.0))
+    # negative or non-finite input; a NaN margin would skip every pair and make the
+    # checks report "all 0 grid points skipped"
+    for kwargs in ({"r0_knots": (-1.0, 1.0)}, {"r0_knots": (math.nan, 1.0)},
+                   {"r0_knots": (1.0, math.inf)},
+                   {"r0_knots": (1.0, 2.0), "wedge_margin": math.nan},
+                   {"r0_knots": (1.0, 2.0), "wedge_margin": math.inf},
+                   {"r0_knots": (1.0, 2.0), "wedge_margin": -0.5},
+                   {"r0_knots": (1.0, 2.0), "t_r0_knots": (0.5, math.nan)}):
+        with pytest.raises(DomainError):
+            GridSpec(**kwargs)
+
+
+def test_wedge_pairs_keep_the_double_loop_order():
+    grid = GridSpec(r0_knots=(0.1, 0.11, 0.5, 0.52, 2.0, 6.0), wedge_margin=0.05)
+    xs = grid.axis_points(W2)
+    knots = grid.r0_knots
+    expected = [(xs[j], xs[k]) for j in range(len(knots)) for k in range(j)
+                if knots[j] - knots[k] >= grid.wedge_margin]
+    hi, lo = grid.wedge_pairs(W2)
+    assert list(zip(hi.tolist(), lo.tolist())) == expected
+    assert len(expected) == 13  # two of the 15 pairs lie within the margin
 
 
 # -- marginal qualification conditions ---------------------------------------
@@ -294,6 +314,37 @@ def test_combined_validation_merging():
                    "two-increasing"]
     assert rep.verdict == VALID
     assert combined_validation(lfr_exp_model()).verdict == INVALID
+
+
+def test_combined_validation_takes_each_diagonal_limit_once(monkeypatch):
+    from bisurv import marginals
+    calls = []
+    original = marginals.limit_hazard_ratio
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(marginals, "limit_hazard_ratio", counting)
+    model = lfr_exp_model(0.2, 2.0)
+    rep = combined_validation(model)
+    assert len(calls) == 2  # one per marginal, shared by both checks
+    dec = model.decompose()
+    assert len(calls) == 2  # the decomposition reads the same kernels
+    assert (rep.diagnostics["u1"], rep.diagnostics["v2"]) == (dec.u1, dec.u2)
+
+    combined_validation(MOW)
+    MOW.decompose()
+    assert len(calls) == 2  # PH kernels know u = delta exactly
+
+
+def test_hazard_rate_conditions_accept_wedge_kernels():
+    m = LinearFailureRate(0.4)
+    by_marginal = check_hazard_rate_conditions(m, m, E, 2.5)
+    by_kernel = check_hazard_rate_conditions(WedgeKernel(m, E), WedgeKernel(m, E), E, 2.5)
+    assert by_kernel.to_json_dict() == by_marginal.to_json_dict()
+    with pytest.raises(ModelError):
+        check_hazard_rate_conditions(WedgeKernel(m, E), m, W2, 2.5)
 
 
 def test_report_serialization_round_trip():
