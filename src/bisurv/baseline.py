@@ -110,9 +110,11 @@ class BaselineModel(HazardModel):
     """Common behaviour for all baseline families.
 
     Subclasses provide the coordinate maps ``cumulative_hazard``,
-    ``inverse_cumulative_hazard`` and ``hazard``; closed-form families also
-    override ``_combine`` / ``_difference`` so no root finding is involved.
-    All maps accept scalars or numpy arrays.
+    ``inverse_cumulative_hazard`` and ``hazard``, which accept scalars or
+    numpy arrays.  ``combine`` / ``difference`` are
+    ``R0^{-1}(R0(x) +/- R0(t))`` through those maps; a family overrides
+    ``_combine`` / ``_difference`` only where a direct form rounds better
+    (Pareto's ``x*t`` and ``x/t``).
     """
 
     family: str = "abstract"
@@ -191,12 +193,6 @@ class Exponential(BaselineModel):
     def hazard_derivative(self, x):
         return _ret(np.zeros_like(np.asarray(x, dtype=float)), x)
 
-    def _combine(self, x, t):
-        return x + t
-
-    def _difference(self, x, t):
-        return x - t
-
 
 @dataclass(frozen=True, repr=False)
 class Weibull(BaselineModel):
@@ -226,16 +222,6 @@ class Weibull(BaselineModel):
         a = self.alpha
         with np.errstate(divide="ignore", over="ignore"):
             return _ret(a * (a - 1.0) * np.power(np.asarray(x, dtype=float), a - 2.0), x)
-
-    def _combine(self, x, t):
-        a = self.alpha
-        with np.errstate(over="ignore"):
-            return np.power(np.power(x, a) + np.power(t, a), 1.0 / a)
-
-    def _difference(self, x, t):
-        a = self.alpha
-        with np.errstate(over="ignore"):
-            return np.power(np.maximum(np.power(x, a) - np.power(t, a), 0.0), 1.0 / a)
 
     def spec_string(self) -> str:
         return f"weibull:{self.alpha:g}"
@@ -282,7 +268,7 @@ class HazardIntegrator:
 
     Hazard tables do not come here; :class:`PiecewiseLinearHazard`
     integrates them exactly.  A callable is integrated with adaptive
-    quadrature (absolute tolerance ``epsabs``), memoized on a monotone knot
+    quadrature (absolute tolerance ``1e-10``), memoized on a monotone knot
     ladder at ``x_L + step * 2**k``.  The ladder is append-only and each
     rung's value is chained over fixed subintervals, so ``cumulative`` is a
     pure function of its argument: results never depend on evaluation order.
@@ -291,7 +277,7 @@ class HazardIntegrator:
     instances may be shared across threads.
 
     A quadrature that reports trouble (a warning from ``quad``) and whose
-    error estimate exceeds ``max(epsabs, 1.49e-8 * |integral|)`` raises
+    error estimate exceeds ``max(1e-10, 1.49e-8 * |integral|)`` raises
     :class:`~bisurv.errors.NumericError` instead of returning the value.
     ``cumulative``, ``inverse`` and ``hazard`` accept scalars or arrays and
     evaluate arrays one element at a time.
@@ -299,14 +285,14 @@ class HazardIntegrator:
 
     _FIRST_STEP = 0.0625
     _MAX_RUNGS = 140  # ladder tops out near x_L + 2**137
+    #: absolute error budget of every quadrature
+    _EPSABS = 1e-10
     #: relative error budget, scipy's default ``epsrel`` for ``quad``
     _EPSREL = 1.49e-8
 
-    def __init__(self, hazard_fn, x_L: float = 0.0, *, epsabs: float = 1e-10,
-                 name: str = "hazard"):
+    def __init__(self, hazard_fn, x_L: float = 0.0, *, name: str = "hazard"):
         self._fn = hazard_fn
         self.x_L = float(x_L)
-        self.epsabs = float(epsabs)
         self.name = name
         self._lock = threading.RLock()
         self._rung_x: list[float] = []  # x_L + step * 2**k
@@ -334,11 +320,11 @@ class HazardIntegrator:
     def _quad(self, a: float, b: float) -> float:
         # full_output keeps quad from printing its warning; a fourth element
         # in the result is that warning, judged against the error budget
-        out = quad(self._hazard_at, a, b, epsabs=self.epsabs, limit=200, full_output=1)
+        out = quad(self._hazard_at, a, b, epsabs=self._EPSABS, limit=200, full_output=1)
         inc, abserr = out[0], out[1]
         if inc < 0.0:
             raise ModelError(f"{self.name} integrated to a negative value on [{a}, {b}]")
-        if len(out) > 3 and abserr > max(self.epsabs, self._EPSREL * abs(inc)):
+        if len(out) > 3 and abserr > max(self._EPSABS, self._EPSREL * abs(inc)):
             raise NumericError(
                 f"{self.name}: quadrature on [{a}, {b}] missed its error budget "
                 f"(estimate {abserr:.3g}): {out[3].splitlines()[0]}",

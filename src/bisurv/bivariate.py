@@ -85,6 +85,16 @@ def _validate_theta(theta: float) -> float:
     return float(theta)
 
 
+def _wedge(baseline: BaselineModel, x1, x2):
+    """``(upper, s, w)`` of points at or above ``x_L``, the one map into wedge
+    coordinates: ``upper`` is ``x1 >= x2``, ``s = |R0(x1) - R0(x2)|`` and
+    ``w = R0(min)``.  Arguments broadcast like numpy arrays.
+    """
+    r1 = np.asarray(baseline.cumulative_hazard(x1), dtype=float)
+    r2 = np.asarray(baseline.cumulative_hazard(x2), dtype=float)
+    return np.asarray(x1) >= np.asarray(x2), np.abs(r1 - r2), np.minimum(r1, r2)
+
+
 def _nan_check(*values) -> None:
     for v in values:
         if np.any(np.isnan(v)):
@@ -93,7 +103,8 @@ def _nan_check(*values) -> None:
 
 class _BivariateBase:
     """Survival, the cached decomposition, the singular part and rectangle
-    probabilities, derived from ``log_survival`` and ``_compute_decomposition``.
+    probabilities, derived from ``log_survival`` and ``_compute_decomposition``,
+    plus the off-diagonal admission check and the per-wedge kernel pick.
 
     Kept apart from :class:`GeneralBivariateModel` so that ``decompose`` has
     one owner, which ``bench/tracing.py`` wraps.
@@ -110,11 +121,18 @@ class _BivariateBase:
         """Joint survival P(X1 > x1, X2 > x2); accepts scalars or arrays."""
         return _ret(np.exp(self.log_survival(x1, x2)), x1, x2)
 
-    def _wedge(self, x1, x2):
-        """``(upper, s, w)`` for arrays at or above ``x_L``; ``upper`` is ``x1 >= x2``."""
-        r1 = np.asarray(self.baseline.cumulative_hazard(x1), dtype=float)
-        r2 = np.asarray(self.baseline.cumulative_hazard(x2), dtype=float)
-        return np.asarray(x1) >= np.asarray(x2), np.abs(r1 - r2), np.minimum(r1, r2)
+    def _off_diagonal(self, x1, x2, what: str):
+        """``x1, x2`` as broadcast float arrays, admitted only off the diagonal,
+        finite and at or above ``x_L``; :class:`DomainError` otherwise."""
+        x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                       np.asarray(x2, dtype=float))
+        if np.any(x1a == x2a):
+            raise DomainError(f"{what} undefined on the diagonal")
+        xl = self.baseline.x_L
+        if not (np.all(np.isfinite(x1a) & np.isfinite(x2a))
+                and np.all(np.minimum(x1a, x2a) >= xl)):
+            raise DomainError(f"coordinates must be finite and >= {xl}")
+        return x1a, x2a
 
     def _per_wedge(self, method: str, upper, s, *args):
         """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere."""
@@ -168,17 +186,6 @@ class _BivariateBase:
         return (self.survival(a1, a2) - self.survival(b1, a2)
                 - self.survival(a1, b2) + self.survival(b1, b2))
 
-    # -- density ---------------------------------------------------------------
-
-    def _alpha_for_density(self) -> float:
-        dec = self.decompose()
-        if dec.alpha <= _WEIGHT_EPS:
-            raise UndefinedComponentError(
-                "model is purely singular; the absolutely continuous density "
-                "is undefined"
-            )
-        return dec.alpha
-
 
 class GeneralBivariateModel(_BivariateBase):
     """Bivariate model assembled from a baseline, two marginals and theta.
@@ -217,7 +224,7 @@ class GeneralBivariateModel(_BivariateBase):
         x1a = np.maximum(np.asarray(x1, dtype=float), xl)
         x2a = np.maximum(np.asarray(x2, dtype=float), xl)
         inf_mask = np.isinf(x1a) | np.isinf(x2a)
-        upper, s, w = self._wedge(np.where(inf_mask, xl, x1a), np.where(inf_mask, xl, x2a))
+        upper, s, w = _wedge(base, np.where(inf_mask, xl, x1a), np.where(inf_mask, xl, x2a))
         out = -(self._per_wedge("q", upper, s) + self.theta * w)
         return np.where(inf_mask, -np.inf, out)
 
@@ -241,16 +248,12 @@ class GeneralBivariateModel(_BivariateBase):
         :class:`~bisurv.errors.InvalidModelError` carrying the first such
         point as its witness.
         """
-        x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                       np.asarray(x2, dtype=float))
-        if np.any(x1a == x2a):
-            raise DomainError("density undefined on the diagonal")
-        xl = self.baseline.x_L
-        if not (np.all(np.isfinite(x1a) & np.isfinite(x2a))
-                and np.all(np.minimum(x1a, x2a) >= xl)):
-            raise DomainError(f"coordinates must be finite and >= {xl}")
-        alpha = self._alpha_for_density()
-        upper, s, w = self._wedge(x1a, x2a)
+        x1a, x2a = self._off_diagonal(x1, x2, "density")
+        alpha = self.decompose().alpha
+        if alpha <= _WEIGHT_EPS:
+            raise UndefinedComponentError(
+                "model is purely singular; the absolutely continuous density is undefined")
+        upper, s, w = _wedge(self.baseline, x1a, x2a)
         h = self._per_wedge("density", upper, s, self.theta)
         with np.errstate(over="ignore", invalid="ignore"):
             val = (np.asarray(self.baseline.hazard(x1a), dtype=float)

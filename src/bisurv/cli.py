@@ -221,9 +221,8 @@ def cmd_counterexample(args) -> int:
 
     rect = model.rectangle_probability(1.0, 2.0, 3.0, 5.0)
     lhs = lfr_exponential_cross_bound(a, 5.0, 3.0)
-    u1 = limit_hazard_ratio(marg, base)
-    u2 = limit_hazard_ratio(marg, base)
-    usum = u1 + u2
+    u = limit_hazard_ratio(marg, base)  # both marginals are the same LFR law
+    usum = u + u
     fe = check_functional_equation(model)
 
     reproduced = (rect < 0.0 and lhs > theta and usum < theta

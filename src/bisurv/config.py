@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,10 @@ __all__ = [
 ]
 
 
-def _number(value, what: str, cast=float):
-    """``cast(value)``; a value that does not convert raises ConfigError."""
+def _number(value, what: str) -> float:
+    """``float(value)``; a value that does not convert raises ConfigError."""
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
 
@@ -82,6 +83,21 @@ def load_hazard_table(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(hs)
 
 
+def _table_model(kind: str, arg: str, base_dir: Path | None, what: str, build):
+    """``build(xs, hs)`` on the CSV table named by ``kind:<path>``; a model
+    error becomes a :class:`ConfigError` naming the file."""
+    if not arg:
+        raise ConfigError(f"{what} needs a CSV path: {kind}:<path>")
+    path = Path(arg)
+    if not path.is_absolute() and base_dir is not None:
+        path = base_dir / path
+    xs, hs = load_hazard_table(path)
+    try:
+        return build(xs, hs)
+    except BisurvError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def parse_baseline(spec: str, base_dir: Path | None = None) -> BaselineModel:
     """Build a baseline from its grammar string."""
     spec = spec.strip()
@@ -94,16 +110,7 @@ def parse_baseline(spec: str, base_dir: Path | None = None) -> BaselineModel:
     if kind == "weibull":
         return Weibull(alpha=_parse_positive(arg, "weibull shape"))
     if kind == "custom":
-        if not arg:
-            raise ConfigError("custom baseline needs a CSV path: custom:<path>")
-        path = Path(arg)
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
-        xs, hs = load_hazard_table(path)
-        try:
-            return CustomHazard.from_table(xs, hs)
-        except BisurvError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return _table_model(kind, arg, base_dir, "custom baseline", CustomHazard.from_table)
     raise ConfigError(f"unknown baseline spec {spec!r}")
 
 
@@ -118,16 +125,8 @@ def parse_marginal(spec: str, baseline: BaselineModel,
     if kind == "lfr":
         return LinearFailureRate(_parse_positive(arg, "lfr coefficient"))
     if kind == "hazard":
-        if not arg:
-            raise ConfigError("hazard marginal needs a CSV path: hazard:<path>")
-        path = Path(arg)
-        if not path.is_absolute() and base_dir is not None:
-            path = base_dir / path
-        xs, hs = load_hazard_table(path)
-        try:
-            return FromHazard.from_table(xs, hs, x_L=baseline.x_L)
-        except BisurvError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return _table_model(kind, arg, base_dir, "hazard marginal",
+                            partial(FromHazard.from_table, x_L=baseline.x_L))
     raise ConfigError(f"unknown marginal spec {spec!r}")
 
 
@@ -146,21 +145,19 @@ def _build_grid(raw: dict | None, knots_override: int | None) -> GridSpec:
     raw = dict(raw or {})
     if knots_override is not None:
         raw["knots"] = knots_override
-    allowed = {"knots", "r0_min", "r0_max", "wedge_margin",
-               "t_knots", "t_min", "t_max"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"knots", "r0_min", "r0_max", "wedge_margin",
+                          "t_knots", "t_min", "t_max"}
     if unknown:
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    # keys left out take GridSpec.default's values
+    settings = {key: _number(value, key) for key, value in raw.items()}
+    for key in ("knots", "t_knots"):
+        if key in settings:
+            if not settings[key].is_integer():
+                raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
+            settings[key] = int(settings[key])
     try:
-        return GridSpec.default(
-            knots=_number(raw.get("knots", 16), "knots", int),
-            r0_min=_number(raw.get("r0_min", 0.05), "r0_min"),
-            r0_max=_number(raw.get("r0_max", 8.0), "r0_max"),
-            wedge_margin=_number(raw.get("wedge_margin", 0.02), "wedge_margin"),
-            t_knots=_number(raw.get("t_knots", 8), "t_knots", int),
-            t_min=_number(raw.get("t_min", 0.1), "t_min"),
-            t_max=_number(raw.get("t_max", 4.0), "t_max"),
-        )
+        return GridSpec.default(**settings)
     except BisurvError as exc:
         raise ConfigError(f"bad grid settings: {exc}") from exc
 

@@ -256,6 +256,9 @@ class WedgeKernel:
 #: offsets (in cumulative-hazard units) at which the ratio is sampled
 _LIMIT_EPS0 = 1e-3
 _LIMIT_LEVELS = 10
+#: a limit has settled when two accelerated values agree to this tolerance
+_LIMIT_RTOL = 1e-7
+_LIMIT_ATOL = 1e-9
 #: growth beyond which a monotone sequence is declared divergent
 _DIVERGENCE_FACTOR = 50.0
 
@@ -284,8 +287,7 @@ def _aitken(seq: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _sequence_limit(samples, *, rtol: float = 1e-7, atol: float = 1e-9,
-                    what: str = "sequence") -> float:
+def _sequence_limit(samples, *, what: str = "sequence") -> float:
     """Limit of a step-halved sample sequence.
 
     Returns ``math.inf`` when the samples grow without bound (divergence
@@ -317,7 +319,8 @@ def _sequence_limit(samples, *, rtol: float = 1e-7, atol: float = 1e-9,
         if len(diag) < 2:
             return None
         a, b = diag[-2], diag[-1]
-        if np.isfinite(a) and np.isfinite(b) and abs(b - a) <= max(atol, rtol * abs(b)):
+        if (np.isfinite(a) and np.isfinite(b)
+                and abs(b - a) <= max(_LIMIT_ATOL, _LIMIT_RTOL * abs(b))):
             return float(b)
         return None
 
@@ -335,12 +338,10 @@ def _sequence_limit(samples, *, rtol: float = 1e-7, atol: float = 1e-9,
     raise NumericError(f"{what} did not converge", samples=ratios)
 
 
-def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel, *,
-                       eps0: float = _LIMIT_EPS0, levels: int = _LIMIT_LEVELS,
-                       rtol: float = 1e-7, atol: float = 1e-9) -> float:
+def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> float:
     """Limit of ``marginal.hazard / baseline.hazard`` at the left endpoint.
 
-    Samples the ratio ``Q'(s_k)`` at ``s_k = eps0 * 2**-k``, i.e. at
+    Samples the ratio ``Q'(s_k)`` at ``s_k = 1e-3 * 2**-k``, ``k < 10``, i.e. at
     ``y_k = R0^{-1}(s_k)``, and accelerates the
     sequence (Richardson tableau with an Aitken fallback).  Returns
     ``math.inf`` when the sequence grows without bound (divergence flag);
@@ -351,6 +352,6 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel, *,
         raise DomainError(
             f"marginal left endpoint {marginal.x_L} differs from baseline {baseline.x_L}"
         )
-    ratios = WedgeKernel(marginal, baseline).q_prime(eps0 * 0.5 ** np.arange(levels))
-    return _sequence_limit(ratios, rtol=rtol, atol=atol,
-                           what="hazard ratio near the left endpoint")
+    ratios = WedgeKernel(marginal, baseline).q_prime(
+        _LIMIT_EPS0 * 0.5 ** np.arange(_LIMIT_LEVELS))
+    return _sequence_limit(ratios, what="hazard ratio near the left endpoint")

@@ -117,28 +117,16 @@ def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_s_density(kernel, theta: float):
-    """Unnormalized density of s = R0(max) - R0(min) on one wedge.
+def _build_envelope(kernel, theta: float, grid: GridSpec):
+    """Piecewise-constant envelope of the compactified wedge density h~(v).
 
-    In these coordinates the wedge density factorizes as
-    ``h(s) * exp(-theta * w)``, where ``h`` is the kernel's wedge density
-    ``(theta Q' + Q'' - Q'^2) exp(-Q)`` with ``Q(s) = R_marginal(R0^{-1}(s))``;
-    total mass of ``h`` is ``theta - u_i``.  Non-finite and negative values
-    read as 0.
-    """
-
-    def h(s):
-        val = kernel.density(np.asarray(s, dtype=float), theta)
-        return np.where(np.isfinite(val), np.maximum(val, 0.0), 0.0)
-
-    return h
-
-
-def _build_envelope(h_fn, grid: GridSpec):
-    """Piecewise-constant envelope of the compactified density h~(v).
-
-    Cells follow the validation grid knots mapped through v = s/(1+s); each
-    cell height is the inflated maximum of probes inside the cell.
+    On one wedge the density factorizes as ``h(s) * exp(-theta * w)`` in the
+    coordinates ``w = R0(min)``, ``s = R0(max) - R0(min)``, where ``h`` is
+    the kernel's wedge density ``(theta Q' + Q'' - Q'^2) exp(-Q)``, of total
+    mass ``theta - u``.  ``h~(v) = h(s) / (1 - v)**2`` at ``s = v/(1 - v)``;
+    non-finite and negative values read as 0.  Cells follow the validation
+    grid knots mapped through v = s/(1+s); each cell height is the inflated
+    maximum of probes inside the cell.
     """
     knots = np.asarray(grid.r0_knots, dtype=float)
     v_edges = np.concatenate([[0.0], knots / (1.0 + knots), [1.0]])
@@ -147,8 +135,8 @@ def _build_envelope(h_fn, grid: GridSpec):
         v = np.asarray(v, dtype=float)
         s = v / (1.0 - v)
         with np.errstate(over="ignore", invalid="ignore"):
-            val = h_fn(s) / (1.0 - v) ** 2
-        return np.where(np.isfinite(val), val, 0.0)
+            val = kernel.density(s, theta) / (1.0 - v) ** 2
+        return np.where(np.isfinite(val), np.maximum(val, 0.0), 0.0)
 
     heights = []
     for a, b in zip(v_edges[:-1], v_edges[1:]):
@@ -164,11 +152,11 @@ def _build_envelope(h_fn, grid: GridSpec):
     return v_edges, heights, keep, h_tilde
 
 
-def _rejection_sample_s(gen: np.random.Generator, h_fn, grid: GridSpec,
-                        count: int) -> np.ndarray:
+def _rejection_sample_s(gen: np.random.Generator, kernel, theta: float,
+                        grid: GridSpec, count: int) -> np.ndarray:
     if count == 0:
         return np.empty(0)
-    v_edges, heights, keep, h_tilde = _build_envelope(h_fn, grid)
+    v_edges, heights, keep, h_tilde = _build_envelope(kernel, theta, grid)
     if not np.any(keep):
         raise SamplerError("rejection envelope is identically zero")
     idx = np.flatnonzero(keep)
@@ -244,13 +232,9 @@ def sample_general(model: GeneralBivariateModel, n: int, seed: int,
         lower = gen_ac.random(k) < p_lower
         w = gen_ac.exponential(size=k) / theta
         s = np.empty(k)
-        n_lower = int(np.sum(lower))
-        if n_lower:
-            s[lower] = _rejection_sample_s(
-                gen_ac, _wedge_s_density(model.kernels[0], theta), grid, n_lower)
-        if k - n_lower:
-            s[~lower] = _rejection_sample_s(
-                gen_ac, _wedge_s_density(model.kernels[1], theta), grid, k - n_lower)
+        for kernel, on_wedge in zip(model.kernels, (lower, ~lower)):
+            s[on_wedge] = _rejection_sample_s(gen_ac, kernel, theta, grid,
+                                              int(np.sum(on_wedge)))
         lo = np.asarray(base.inverse_cumulative_hazard(w), dtype=float)
         hi = np.asarray(base.inverse_cumulative_hazard(w + s), dtype=float)
         ac1 = np.where(lower, hi, lo)

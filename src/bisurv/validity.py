@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .baseline import BaselineModel, _is_scalar
-from .bivariate import GeneralBivariateModel
+from .baseline import BaselineModel, _ret
+from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel, _sequence_limit
 
@@ -263,14 +263,16 @@ def _combine_verdict(conditions: list[ConditionResult]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_s(base: BaselineModel, hi, lo) -> np.ndarray:
-    """Wedge coordinate ``s = R0(hi) - R0(lo)`` of pairs with ``hi >= lo``."""
-    return np.maximum(np.asarray(base.cumulative_hazard(hi), dtype=float)
-                      - np.asarray(base.cumulative_hazard(lo), dtype=float), 0.0)
+def _weight_condition(cid: str, kernels, theta: float, floor: float,
+                      names=("u1", "u2")):
+    """Mixture-weight bounds ``theta <= u1 + u2 <= 2*theta`` on the kernels'
+    diagonal limits ``u_i = Q_i'(0+)``.
 
-
-def _diagonal_limits(kernels) -> tuple[list[float | None], list[str]]:
-    """``u_i = Q_i'(0+)`` per kernel; None (with a note) when a limit fails."""
+    Returns the condition, the limits (None where a limit failed; its error
+    becomes the note) and the weight ``alpha = 2 - (u1 + u2)/theta``, or None
+    unless both limits are finite.
+    """
+    label = "mixture-weight-bounds"
     us: list[float | None] = []
     notes = []
     for k in kernels:
@@ -279,7 +281,17 @@ def _diagonal_limits(kernels) -> tuple[list[float | None], list[str]]:
         except NumericError as exc:
             us.append(None)
             notes.append(str(exc))
-    return us, notes
+    if notes:
+        return ConditionResult(cid, label, None, note="; ".join(notes)), us, None
+    total = us[0] + us[1]
+    if math.isinf(total):
+        return ConditionResult(cid, label, False, margin=-math.inf,
+                               note=f"{names[0]}+{names[1]} diverges"), us, None
+    margin = min(total - theta, 2.0 * theta - total)
+    tol = float(_ineq_tol(2.0 * theta, floor))
+    note = f"{names[0]}+{names[1]} = {total:.12g}, bounds [{theta:.12g}, {2 * theta:.12g}]"
+    cond = ConditionResult(cid, label, bool(margin >= -tol), margin=float(margin), note=note)
+    return cond, us, 2.0 - total / theta
 
 
 def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> ConditionResult:
@@ -298,7 +310,7 @@ def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> Con
     anchors = grid.axis_points(base)
     offsets = (0.05 * np.maximum(1.0, np.abs(anchors))[:, None]
                * 0.5 ** np.arange(_ANCHOR_LEVELS))
-    s = _wedge_s(base, anchors[:, None] + offsets, anchors[:, None])
+    s = _wedge(base, anchors[:, None] + offsets, anchors[:, None])[1]
     worst = 0.0
     worst_anchor = None
     for idx, (kernel, u) in enumerate(zip(kernels, us), start=1):
@@ -326,39 +338,37 @@ def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> Con
     return ConditionResult(cid, label, True, margin=_CONSTANCY_RTOL - worst)
 
 
-def _weight_bounds_condition(cid: str, theta: float, us: list[float | None],
-                             names=("u1", "u2"),
-                             floor: float = 1e-8) -> ConditionResult:
-    label = "mixture-weight-bounds"
-    if any(u is None for u in us):
-        return ConditionResult(cid, label, None,
-                               note="diagonal hazard-ratio limit did not converge")
-    total = sum(us)
-    if math.isinf(total):
-        return ConditionResult(cid, label, False, margin=-math.inf,
-                               note=f"{names[0]}+{names[1]} diverges")
-    margin = min(total - theta, 2.0 * theta - total)
-    tol = float(_ineq_tol(2.0 * theta, floor))
-    note = f"{names[0]}+{names[1]} = {total:.12g}, bounds [{theta:.12g}, {2 * theta:.12g}]"
-    return ConditionResult(cid, label, bool(margin >= -tol), margin=float(margin),
-                           note=note)
-
-
 # ---------------------------------------------------------------------------
 # Grid conditions
 # ---------------------------------------------------------------------------
 
 
-def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, witnesses,
+def _grid_slopes(kernels, grid: GridSpec):
+    """The off-diagonal grid pairs ``(hi, lo)``, ``r0`` at both ends and
+    ``(Q', Q'')`` of each kernel at the pairs' wedge coordinate ``s``."""
+    base = kernels[0].baseline
+    hi, lo = grid.wedge_pairs(base)
+    s = _wedge(base, hi, lo)[1]
+    r0_hi = np.asarray(base.hazard(hi), dtype=float)
+    r0_lo = np.asarray(base.hazard(lo), dtype=float)
+    return hi, lo, r0_hi, r0_lo, [k.slopes(s) for k in kernels]
+
+
+def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
                           *, lower_zero: bool = False,
                           floor: float = 1e-8) -> ConditionResult:
-    """Check ``lhs <= rhs`` (optionally also ``lhs >= 0``) over grid points."""
+    """Check ``lhs <= rhs`` (optionally also ``lhs >= 0``) over grid points.
+
+    ``lhs_by_marg`` holds one array per marginal over the pairs ``(hi, lo)``;
+    marginal 1 sits on the wedge ``x1 >= x2``, so its witnesses are
+    ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.
+    """
     worst = math.inf
     worst_witness = None
     decided = 0
     skipped = 0
     passed = True
-    for lhs, wit in zip(lhs_by_marg, witnesses):
+    for lhs, wit in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
         lhs = np.asarray(lhs, dtype=float)
         ok = np.isfinite(lhs)
         skipped += int(np.sum(~ok))
@@ -399,33 +409,19 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    base = model.baseline
     theta = model.theta
 
-    us, limit_notes = _diagonal_limits(model.kernels)
-    cond_i = _weight_bounds_condition("i", theta, us, floor=floor)
-    if limit_notes:
-        cond_i.note = "; ".join(limit_notes)
+    cond_i, us, alpha = _weight_condition("i", model.kernels, theta, floor)
 
-    hi, lo = grid.wedge_pairs(base)
-    s = _wedge_s(base, hi, lo)
-    r0_lo = np.asarray(base.hazard(lo), dtype=float)
-    lhs = []
-    for kernel in model.kernels:
-        q1, q2 = kernel.slopes(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lhs.append(r0_lo * (q1 - q2 / q1))
-    cond_ii = _grid_bound_condition(
-        "ii", "cross-derivative-bound",
-        lhs, theta * r0_lo, [(hi, lo), (lo, hi)], floor=floor,
-    )
+    hi, lo, _, r0_lo, slopes = _grid_slopes(model.kernels, grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
+    cond_ii = _grid_bound_condition("ii", "cross-derivative-bound",
+                                    lhs, theta * r0_lo, hi, lo, floor=floor)
 
     cond_const = _constancy_condition(model.kernels, grid, us)
 
     conditions = [cond_i, cond_ii, cond_const]
-    alpha = None
-    if all(u is not None and math.isfinite(u) for u in us):
-        alpha = 2.0 - (us[0] + us[1]) / theta
     diagnostics = {
         "u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
         "grid": grid.describe(),
@@ -468,23 +464,17 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     probe points far in the tail -- and is reported as such; a hazard that
     decays too fast yields Inconclusive, never Valid.
     """
-    if not (np.isfinite(theta) and theta > 0):
-        raise ModelError(f"theta must be positive, got {theta}")
+    theta = _validate_theta(theta)
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    hi, lo = grid.wedge_pairs(baseline)
-    s = _wedge_s(baseline, hi, lo)
-    r0_hi = np.asarray(baseline.hazard(hi), dtype=float)
-    r0_lo = np.asarray(baseline.hazard(lo), dtype=float)
-    rhs = theta * r0_lo
-    slopes = [k.slopes(s) for k in kernels]
+    hi, lo, r0_hi, r0_lo, slopes = _grid_slopes(kernels, grid)
 
     # (i) 0 <= Q' * r0(lo) <= theta * r0(lo)
     with np.errstate(invalid="ignore"):
         lhs = [q1 * r0_lo for q1, _ in slopes]
-    cond_i = _grid_bound_condition("i", "gradient-nonnegativity-bound", lhs, rhs,
-                                   [(hi, lo), (lo, hi)], lower_zero=True, floor=floor)
+    cond_i = _grid_bound_condition("i", "gradient-nonnegativity-bound", lhs,
+                                   theta * r0_lo, hi, lo, lower_zero=True, floor=floor)
 
     # (ii) divergence heuristic on Q at far cumulative-hazard levels
     cond_ii_pass: bool | None = True
@@ -512,23 +502,16 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
             # margins are normalized by the term scale so one tolerance fits all
             scale = np.abs(theta * q1 * r0_hi * r0_lo) + np.abs(r0_hi * r0_lo * q2) + 1.0
         terms.append(np.where(np.isfinite(value), value / scale, math.nan))
-    zeros = np.zeros_like(rhs)
     cond_iii = _grid_bound_condition("iii", "density-nonnegativity",
-                                     [-t for t in terms], zeros,
-                                     [(hi, lo), (lo, hi)], floor=floor)
+                                     [-t for t in terms], np.zeros_like(r0_lo),
+                                     hi, lo, floor=floor)
 
     # (iv) mixture-weight bounds on the diagonal limits
-    vs, notes = _diagonal_limits(kernels)
-    cond_iv = _weight_bounds_condition("iv", theta, vs, names=("v1", "v2"),
-                                       floor=floor)
-    if notes:
-        cond_iv.note = "; ".join(notes)
+    cond_iv, vs, alpha = _weight_condition("iv", kernels, theta, floor, names=("v1", "v2"))
 
     conditions = [cond_i, cond_ii, cond_iii, cond_iv]
     diagnostics = {
-        "v1": vs[0], "v2": vs[1], "theta": theta,
-        "alpha": (2.0 - (vs[0] + vs[1]) / theta
-                  if all(v is not None and math.isfinite(v) for v in vs) else None),
+        "v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
         "grid": grid.describe(),
         "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
                                 f"R0 probes {list(_DIVERGENCE_PROBES)}",
@@ -599,16 +582,11 @@ def check_two_increasing(model, grid: GridSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _worst_over_shifts(model, grid: GridSpec, t_knots, x1, x2, residual,
+def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
                        *, relative: bool) -> ResidualReport:
-    """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the shift knots.
-
-    ``t_knots`` are raw shift points, by default the grid's; the witness is
-    the unshifted pair and the shift of the first largest residual.
-    """
-    base = model.baseline
-    ts = (np.asarray(t_knots, dtype=float) if t_knots is not None
-          else grid.t_points(base))
+    """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the raw shift points
+    ``ts``; the witness is the unshifted pair and the shift of the first
+    largest residual."""
     worst = -1.0
     witness = (float(x1[0]), float(x2[0]), float(ts[0]) if len(ts) else base.x_L)
     total = 0
@@ -645,7 +623,8 @@ def check_functional_equation(model, grid: GridSpec | None = None,
         shift = model.theta * float(base.cumulative_hazard(t))
         return np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
 
-    return _worst_over_shifts(model, grid, t_knots, x1, x2, residual, relative=False)
+    ts = grid.t_points(base) if t_knots is None else np.asarray(t_knots, dtype=float)
+    return _worst_over_shifts(base, ts, x1, x2, residual, relative=False)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +635,13 @@ def check_functional_equation(model, grid: GridSpec | None = None,
 def _gradient_components(model, x1, x2):
     base = model.baseline
     theta = model.theta
-    x1a = np.asarray(x1, dtype=float)
-    x2a = np.asarray(x2, dtype=float)
-    s = _wedge_s(base, np.maximum(x1a, x2a), np.minimum(x1a, x2a))
-    q1, q2 = (k.q_prime(s) for k in model.kernels)
+    upper, s, _ = _wedge(base, x1, x2)
+    q = model._per_wedge("q_prime", upper, s)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r0_1 = np.asarray(base.hazard(x1a), dtype=float)
-        r0_2 = np.asarray(base.hazard(x2a), dtype=float)
-        upper = x1a > x2a
-        g1 = np.where(upper, q1 * r0_1, theta * r0_1 - q2 * r0_1)
-        g2 = np.where(upper, theta * r0_2 - q1 * r0_2, q2 * r0_2)
+        r0_1 = np.asarray(base.hazard(x1), dtype=float)
+        r0_2 = np.asarray(base.hazard(x2), dtype=float)
+        g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
+        g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
     return g1, g2
 
 
@@ -677,19 +653,11 @@ def hazard_gradient(model, x1, x2):
     smaller it is ``theta * r0(x_i) - Q_other'(s) * r0(x_i)``.  Raises
     on diagonal input, where the singular mass makes the gradient undefined.
     """
-    if np.any(np.asarray(x1) == np.asarray(x2)):
-        raise DomainError("hazard gradient undefined on the diagonal")
-    for v in (x1, x2):
-        if np.any(~np.isfinite(v)) or np.any(np.asarray(v) < model.baseline.x_L):
-            raise DomainError(f"coordinates must be finite and >= {model.baseline.x_L}")
-    g1, g2 = _gradient_components(model, x1, x2)
-    if _is_scalar(x1) and _is_scalar(x2):
-        return float(g1), float(g2)
-    return g1, g2
+    g1, g2 = _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
+    return _ret(g1, x1, x2), _ret(g2, x1, x2)
 
 
-def check_hazard_gradient_identity(model, grid: GridSpec | None = None,
-                                   t_knots=None) -> ResidualReport:
+def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> ResidualReport:
     """Differential form of the stability identity, relative residual.
 
     Checks ``sum_i grad_i(x1 (+) t, x2 (+) t) * r0(t)/r0(x_i (+) t)`` against
@@ -708,13 +676,15 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None,
                    + g2 * r0t / np.asarray(base.hazard(y2), dtype=float))
         return np.abs(lhs - theta * r0t) / (theta * r0t)
 
-    return _worst_over_shifts(model, grid, t_knots, np.concatenate([hi, lo]),
+    return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
                               np.concatenate([lo, hi]), residual, relative=True)
 
 
-def reconstruct_survival_from_gradient(model, x1: float, x2: float,
-                                       *, epsabs: float = 1e-10,
-                                       epsrel: float = 1e-10) -> float:
+#: absolute and relative tolerance of each quadrature along the gradient path
+_PATH_QUAD_TOL = 1e-10
+
+
+def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
     """Survival recovered by integrating the hazard gradient along axes.
 
     Integrates the first component along (u, x_L) for u in [x_L, x1], then
@@ -734,7 +704,7 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float,
         nonlocal total, err_budget
         if b <= a:
             return
-        val, err = quad(fn, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)
+        val, err = quad(fn, a, b, epsabs=_PATH_QUAD_TOL, epsrel=_PATH_QUAD_TOL, limit=200)
         total += val
         err_budget += err
 

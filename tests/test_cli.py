@@ -182,6 +182,22 @@ def test_counterexample_json_values(capsys):
     assert payload["reproduced"] is True
 
 
+def test_counterexample_takes_the_diagonal_limit_once(capsys, monkeypatch):
+    from bisurv import cli
+    calls = []
+    original = cli.limit_hazard_ratio
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "limit_hazard_ratio", counting)
+    code, out, _ = run(capsys, "counterexample")
+    assert code == 0
+    assert len(calls) == 1  # both marginals are the same law
+    assert "u1 + u2 = 2 vs theta = 3" in out
+
+
 def test_malformed_configs(capsys, tmp_path):
     both = tmp_path / "both.json"
     both.write_text('{"baseline": "exponential", "theta123": [1,1,1], '
@@ -222,7 +238,10 @@ def test_malformed_configs(capsys, tmp_path):
             '"baseline": "exponential", "theta123": ["a", 1, 1]',
             mo + ', "grid": {"wedge_margin": NaN}',
             mo + ', "grid": {"r0_min": NaN}',
-            mo + ', "grid": {"t_max": Infinity}']):
+            mo + ', "grid": {"t_max": Infinity}',
+            # a fractional knot count is an error, not truncated
+            mo + ', "grid": {"knots": 8.9}',
+            mo + ', "grid": {"t_knots": 2.5}']):
         cfg = tmp_path / f"malformed{i}.json"
         cfg.write_text("{" + body + "}")
         code, out, err = run(capsys, "validate", "--config", str(cfg))

@@ -364,7 +364,7 @@ def test_grid_bound_condition_all_points_skipped_is_inconclusive():
     nanline = np.full(4, math.nan)
     pts = (np.arange(4.0) + 1.0, np.arange(4.0))
     cond = _grid_bound_condition("ii", "cross-derivative-bound",
-                                 [nanline], np.ones(4), [pts])
+                                 [nanline], np.ones(4), *pts)
     assert cond.passed is None
     assert "skipped" in cond.note
 
