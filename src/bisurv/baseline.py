@@ -29,8 +29,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, ModelError, NumericError
 
@@ -318,6 +316,8 @@ class HazardIntegrator:
         return v
 
     def _quad(self, a: float, b: float) -> float:
+        from scipy.integrate import quad  # only callables need scipy
+
         # full_output keeps quad from printing its warning; a fourth element
         # in the result is that warning, judged against the error budget
         out = quad(self._hazard_at, a, b, epsabs=self._EPSABS, limit=200, full_output=1)
@@ -367,6 +367,8 @@ class HazardIntegrator:
 
     def _inverse_at(self, r: float) -> float:
         """Solve cumulative(x) = r by ladder bracketing plus Brent's method."""
+        from scipy.optimize import brentq
+
         if r <= 0.0:
             return self.x_L
         if not math.isfinite(r):

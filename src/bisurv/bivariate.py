@@ -58,6 +58,12 @@ __all__ = [
 #: mixture weights within this distance of {0, 1} are treated as exact
 _WEIGHT_EPS = 1e-12
 
+#: array survival of more than ``2 * _BLOCK`` points runs in blocks of at most
+#: this many: their 64 KiB temporaries are reused from the heap, while each
+#: whole-array temporary of a large input is a fresh memory mapping (glibc's
+#: default for blocks over 128 KiB), faulted in page by page
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -119,7 +125,10 @@ class _BivariateBase:
 
     def survival(self, x1, x2):
         """Joint survival P(X1 > x1, X2 > x2); accepts scalars or arrays."""
-        return _ret(np.exp(self.log_survival(x1, x2)), x1, x2)
+        log_s = self.log_survival(x1, x2)
+        if type(log_s) is np.ndarray:  # a fresh array: exponentiate in place
+            return _ret(np.exp(log_s, out=log_s), x1, x2)
+        return _ret(np.exp(log_s), x1, x2)
 
     def _off_diagonal(self, x1, x2, what: str):
         """``x1, x2`` as broadcast float arrays, admitted only off the diagonal,
@@ -221,12 +230,36 @@ class GeneralBivariateModel(_BivariateBase):
             r2 = float(base.cumulative_hazard(max(float(x2), xl)))
             kernel = self.kernels[0 if x1 >= x2 else 1]
             return -(float(kernel.q(abs(r1 - r2))) + self.theta * min(r1, r2))
-        x1a = np.maximum(np.asarray(x1, dtype=float), xl)
-        x2a = np.maximum(np.asarray(x2, dtype=float), xl)
+        x1a = np.asarray(x1, dtype=float)
+        x2a = np.asarray(x2, dtype=float)
+        if x1a.size * x2a.size > 2 * _BLOCK and np.broadcast(x1a, x2a).size > 2 * _BLOCK:
+            return self._log_survival_blocked(x1a, x2a)
+        return self._log_survival_array(x1a, x2a)
+
+    def _log_survival_array(self, x1, x2):
+        """The array branch of :meth:`log_survival`, on float arrays free of NaN."""
+        xl = self.baseline.x_L
+        x1a = np.maximum(x1, xl)
+        x2a = np.maximum(x2, xl)
         inf_mask = np.isinf(x1a) | np.isinf(x2a)
-        upper, s, w = _wedge(base, np.where(inf_mask, xl, x1a), np.where(inf_mask, xl, x2a))
+        upper, s, w = _wedge(self.baseline, np.where(inf_mask, xl, x1a),
+                             np.where(inf_mask, xl, x2a))
         out = -(self._per_wedge("q", upper, s) + self.theta * w)
         return np.where(inf_mask, -np.inf, out)
+
+    def _log_survival_blocked(self, x1, x2):
+        """:meth:`_log_survival_array` of the broadcast inputs, in near-equal
+        blocks of at most ``_BLOCK`` points written into one output array;
+        every step is elementwise, so the result is bit-identical."""
+        b1, b2 = np.broadcast_arrays(x1, x2)
+        shape = b1.shape
+        b1, b2 = b1.ravel(), b2.ravel()  # views of contiguous inputs, else copies
+        out = np.empty(b1.size)
+        blocks = -(-out.size // _BLOCK)
+        edges = [out.size * b // blocks for b in range(blocks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
+            out[lo:hi] = self._log_survival_array(b1[lo:hi], b2[lo:hi])
+        return out.reshape(shape)
 
     def _compute_decomposition(self) -> Decomposition:
         u1, u2 = (k.u for k in self.kernels)

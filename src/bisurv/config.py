@@ -139,6 +139,13 @@ class ModelConfig:
     tol: float | None = None
 
 
+#: largest ``knots`` or ``t_knots`` a config (or ``--grid-knots``) may ask
+#: for.  The grid checks hold O(knots^2) floats: at 1,024 knots one n x n
+#: float64 array is 8 MiB, and a check keeps about 15 of them alive at once
+#: (~120 MiB); the rectangle scan's time grows as knots^3.
+MAX_KNOTS = 1024
+
+
 def _build_grid(raw: dict | None, knots_override: int | None) -> GridSpec:
     if not isinstance(raw, (dict, type(None))):
         raise ConfigError("'grid' must be an object")
@@ -156,6 +163,8 @@ def _build_grid(raw: dict | None, knots_override: int | None) -> GridSpec:
             if not settings[key].is_integer():
                 raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
             settings[key] = int(settings[key])
+            if settings[key] > MAX_KNOTS:
+                raise ConfigError(f"{key} must be at most {MAX_KNOTS}, got {raw[key]!r}")
     try:
         return GridSpec.default(**settings)
     except BisurvError as exc:

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .baseline import BaselineModel, _ret
 from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
@@ -73,6 +72,20 @@ INCONCLUSIVE = "Inconclusive"
 
 #: two-increasing rectangles may be this negative before counting as violations
 _RECT_TOL = 1e-9
+
+#: largest |survival| the rectangle screen takes; beyond it (or at NaN/inf)
+#: its differences could overflow, so every column pair gets the exact pass
+_SCREEN_MAX = 1e300
+
+#: the rectangle screen's rounding allowance per row and unit of magnitude
+#: (16 eps, about twice the first-order bound), plus an absolute floor (the
+#: smallest normal double) that covers underflow in that product
+_SCREEN_GAP = 16.0 * np.finfo(float).eps
+_SCREEN_FLOOR = np.finfo(float).tiny
+
+#: rectangles the exact pass of the rectangle scan evaluates at once
+#: (2**14 doubles, 128 KiB per temporary)
+_RECT_CHUNK = 1 << 14
 
 #: cumulative hazard a marginal must reach for the divergence heuristic
 _DIVERGENCE_TARGET = 30.0
@@ -538,12 +551,78 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
+    """Smallest ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over ``i < j`` and
+    ``k < l`` of a square matrix (``n >= 2``), as ``(value, i, j, k, l)``.
+
+    The value is bit-identical to that expression evaluated left to right,
+    and ties (and NaN, which counts as smallest) go to the first
+    ``(i, j, k, l)`` in lexicographic order, as ``argmin`` over the full
+    n^4 tensor would give.  Two passes keep memory at O(n^2):
+
+    * the screen reads each rectangle in its separable form ``c_i - c_j``
+      with ``c = s[:, k] - s[:, l]``.  The two forms differ by rounding
+      only, by at most ``8.5 eps`` times the largest corner to first order,
+      so by less than ``delta_i + delta_j`` with
+      ``delta_i = 16 eps max_{l' >= k} |s[i,l']| + tiny``.  Running minima
+      of ``c_i -+ delta_i`` down the rows bound, in O(n^3) total time, every
+      column pair's values from below and the smallest value from above;
+    * the exact pass evaluates the expression above on the whole ``(i, j)``
+      triangle of each column pair whose lower bound does not exceed that
+      upper bound, so every pair that holds the exact minimum is among them.
+      Each such pair costs O(n^2).  Rectangles tied within rounding cost
+      more: where many are exactly equal, as in a block of survival values
+      that underflow to 0, the time grows toward n^4.
+
+    A matrix with values beyond ``_SCREEN_MAX`` in magnitude, or with
+    non-finite ones, skips the screen and gets the exact pass on every pair.
+    """
+    n = s.shape[0]
+    mag = np.abs(s)
+    if mag.max() <= _SCREEN_MAX:
+        # delta_i of every column pair (k, l), as delta[i, k]
+        delta = _SCREEN_GAP * np.maximum.accumulate(mag[:, ::-1], axis=1)[:, ::-1] + _SCREEN_FLOOR
+        low = np.full((n, n), np.inf)  # below every value of the column pair
+        high = np.full((n, n), np.inf)  # its minimum is above the smallest value
+        for k in range(n - 1):
+            c = s[:, k:k + 1] - s[:, k + 1:]
+            down, up = c - delta[:, k:k + 1], c + delta[:, k:k + 1]
+            low[k, k + 1:] = (np.minimum.accumulate(down[:-1], axis=0) - up[1:]).min(axis=0)
+            high[k, k + 1:] = (np.minimum.accumulate(up[:-1], axis=0) - down[1:]).min(axis=0)
+        ks, ls = np.nonzero(low <= high.min())
+    else:
+        ks, ls = np.triu_indices(n, 1)
+    lower = np.tril(np.ones((n, n), dtype=bool))
+    step = max(1, _RECT_CHUNK // (n * n))
+    best = None  # (sort key, value) of the smallest rectangle so far
+    for a in range(0, len(ks), step):
+        k, l = ks[a:a + step], ls[a:a + step]
+        p = s[:, None, k] - s[None, :, k] - s[:, None, l] + s[None, :, l]
+        p[lower] = np.inf
+        i, j, c = np.unravel_index(int(np.argmin(p)), p.shape)
+        v = float(p[i, j, c])
+        key = (not math.isnan(v), 0.0 if math.isnan(v) else v,
+               int(i), int(j), int(k[c]), int(l[c]))
+        if best is None or key < best[0]:
+            best = (key, v)
+    key, value = best
+    if value == math.inf:  # no finite rectangle: the tensor's argmin is its first entry
+        return (value, 0, 0, 0, 0)
+    return (value, *key[2:])
+
+
 def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
     Scans all knot pairs per axis and reports the most negative rectangle,
-    breaking ties by lexicographic point order.
+    breaking ties by lexicographic ``(i, j, k, l)`` knot order.  The scan
+    takes O(n^3) time and O(n^2) memory on ``n`` knots: a screen bounds
+    every column pair's rectangles through their separable form, whose
+    rounding differs from the direct sum by less than
+    ``delta = 16 eps (|S| of both rows)``, and the direct sums are taken only
+    on the pairs that can hold the minimum, so the result is the one the
+    direct sums give everywhere.  See :func:`_min_rectangle`.
     """
     grid = grid or GridSpec.default()
     rect_tol = _RECT_TOL if tol is None else float(tol)
@@ -554,16 +633,8 @@ def check_two_increasing(model, grid: GridSpec | None = None,
                                note="degenerate grid; vacuously satisfied")
         return ValidationReport(VALID, [cond], {"grid": grid.describe()})
     s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
-    # P[i,j,k,l] = P(xs[i] < X1 <= xs[j], xs[k] < X2 <= xs[l])
-    p = (s[:, None, :, None] - s[None, :, :, None]
-         - s[:, None, None, :] + s[None, :, None, :])
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    upper = ii < jj
-    mask = upper[:, :, None, None] & upper[None, None, :, :]
-    p_masked = np.where(mask, p, np.inf)
-    flat = int(np.argmin(p_masked))
-    i, j, k, l = np.unravel_index(flat, p_masked.shape)
-    worst = float(p_masked[i, j, k, l])
+    # P(i,j,k,l) = P(xs[i] < X1 <= xs[j], xs[k] < X2 <= xs[l])
+    worst, i, j, k, l = _min_rectangle(s)
     rect = (float(xs[i]), float(xs[j]), float(xs[k]), float(xs[l]))
     passed = worst >= -rect_tol
     cond = ConditionResult(
@@ -692,6 +763,8 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
     crossing where the gradient jumps.  Must agree with the direct survival
     for any model of this class.
     """
+    from scipy.integrate import quad  # the only use of scipy in this module
+
     base = model.baseline
     xl = base.x_L
     x1, x2 = float(x1), float(x2)

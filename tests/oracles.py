@@ -137,3 +137,23 @@ def exponential_wedge_ac_density(x1: float, x2: float, theta: float, wedges):
     q, dq, d2q = wedges[0 if x1 > x2 else 1](abs(x1 - x2))
     return ((theta * dq + d2q - dq * dq)
             * math.exp(-q - theta * min(x1, x2)) / alpha)
+
+
+def rectangle_scan_tensor(s):
+    """Most negative grid rectangle of a survival matrix, by the full n^4
+    tensor: ``(value, i, j, k, l)`` with ``i < j``, ``k < l`` and
+    ``value = s[i,k] - s[j,k] - s[i,l] + s[j,l]``, the first in flat
+    (lexicographic) order on ties.  The rectangle scan of
+    ``check_two_increasing`` before it became O(n^2) in memory, kept as the
+    reference it must match bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    n = s.shape[0]
+    p = (s[:, None, :, None] - s[None, :, :, None]
+         - s[:, None, None, :] + s[None, :, None, :])
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    upper = ii < jj
+    mask = upper[:, :, None, None] & upper[None, None, :, :]
+    p_masked = np.where(mask, p, np.inf)
+    i, j, k, l = np.unravel_index(int(np.argmin(p_masked)), p_masked.shape)
+    return (float(p_masked[i, j, k, l]), int(i), int(j), int(k), int(l))

@@ -21,6 +21,7 @@ from bisurv import (
     Weibull,
     hazard_gradient,
 )
+from bisurv import bivariate
 from oracles import mixed_fd, wedge_ac_mass
 
 E = Exponential()
@@ -302,3 +303,88 @@ def test_callable_marginal_density_property(base, thetas, c, w, s, upper):
     x1, x2 = _wedge_point(base, w, s, upper)
     fd = mixed_fd(model.survival, x1, x2)
     assert model.decompose().alpha * model.ac_density(x1, x2) == pytest.approx(fd, rel=1e-4)
+
+
+# -- blocked vector survival ----------------------------------------------------
+
+_BLOCK_MODELS = (PHBivariateModel(PAR, 1.0, 0.5, 2.0), lfr_exp_model(),
+                 GeneralBivariateModel(W2, LinearFailureRate(0.2), ProportionalHazard(W2, 1.5), 2.0))
+
+
+def _points(base, rng, shape):
+    """Coordinates off and on the diagonal, with infinities and points below x_L."""
+    x = base.x_L + rng.exponential(1.5, size=shape)
+    flat = x.reshape(-1)
+    flat[::97] = math.inf
+    flat[5::89] = base.x_L - 0.5
+    return x
+
+
+def _blocked_and_whole(monkeypatch, model, x1, x2):
+    blocked = (model.survival(x1, x2), model.log_survival(x1, x2))
+    with monkeypatch.context() as m:
+        m.setattr(bivariate, "_BLOCK", 10**12)
+        whole = (model.survival(x1, x2), model.log_survival(x1, x2))
+    return blocked, whole
+
+
+@pytest.mark.parametrize("size", [2 * bivariate._BLOCK, 2 * bivariate._BLOCK + 1, 200_003])
+def test_blocked_survival_is_bit_identical(monkeypatch, size):
+    rng = np.random.default_rng(size)
+    for model in _BLOCK_MODELS:
+        x1, x2 = _points(model.baseline, rng, size), _points(model.baseline, rng, size)
+        x2[::7] = x1[::7]
+        x1[3::11] = math.inf
+        blocked, whole = _blocked_and_whole(monkeypatch, model, x1, x2)
+        for b, w in zip(blocked, whole):
+            assert b.shape == w.shape == (size,)
+            assert b.tobytes() == w.tobytes()
+
+
+def test_blocked_survival_broadcasts_bit_identically(monkeypatch):
+    rng = np.random.default_rng(7)
+    for model in _BLOCK_MODELS:
+        for n, m in ((150, 130), (1, 20_000), (20_000, 1)):
+            x1 = _points(model.baseline, rng, (n, 1))
+            x2 = _points(model.baseline, rng, (1, m))
+            blocked, whole = _blocked_and_whole(monkeypatch, model, x1, x2)
+            for b, w in zip(blocked, whole):
+                assert b.shape == w.shape == (n, m)
+                assert b.tobytes() == w.tobytes()
+
+
+def test_survival_blocks_are_near_equal_and_bounded(monkeypatch):
+    sizes = []
+    original = GeneralBivariateModel._log_survival_array
+
+    def spy(self, x1, x2):
+        sizes.append(np.broadcast(x1, x2).size)
+        return original(self, x1, x2)
+
+    monkeypatch.setattr(GeneralBivariateModel, "_log_survival_array", spy)
+    block = bivariate._BLOCK
+    model = _BLOCK_MODELS[0]
+    for size, expected in ((2 * block, [2 * block]),
+                           (2 * block + 1, [5461, 5462, 5462]),
+                           (200_003, None)):
+        sizes.clear()
+        model.survival(np.full(size, 2.0), np.ones(size))
+        if expected is not None:
+            assert sizes == expected
+        else:
+            assert sum(sizes) == size and max(sizes) <= block
+            assert max(sizes) - min(sizes) <= 1
+
+
+def test_blocked_survival_nan_message_unchanged(monkeypatch):
+    model = lfr_exp_model()
+    x1 = np.linspace(0.1, 5.0, 200_003)
+    x2 = x1[::-1].copy()
+    x2[150_000] = math.nan
+    messages = []
+    for block in (bivariate._BLOCK, 10**12):
+        monkeypatch.setattr(bivariate, "_BLOCK", block)
+        with pytest.raises(DomainError) as excinfo:
+            model.survival(x1, x2)
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == f"coordinates must not be NaN, got {x2!r}"

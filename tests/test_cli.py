@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bisurv
 from bisurv.cli import main
 
 MO_CONFIG = '{"baseline": "exponential", "theta123": [1, 1, 1]}\n'
@@ -241,12 +246,21 @@ def test_malformed_configs(capsys, tmp_path):
             mo + ', "grid": {"t_max": Infinity}',
             # a fractional knot count is an error, not truncated
             mo + ', "grid": {"knots": 8.9}',
-            mo + ', "grid": {"t_knots": 2.5}']):
+            mo + ', "grid": {"t_knots": 2.5}',
+            # knot counts past the cap are refused before any grid is built
+            mo + ', "grid": {"knots": 100000}',
+            mo + ', "grid": {"t_knots": 100000}']):
         cfg = tmp_path / f"malformed{i}.json"
         cfg.write_text("{" + body + "}")
         code, out, err = run(capsys, "validate", "--config", str(cfg))
         assert (code, out) == (2, ""), body
         assert err.startswith("error: "), body
+
+    cfg = tmp_path / "mo.json"
+    cfg.write_text("{" + mo + "}")
+    code, out, err = run(capsys, "validate", "--config", str(cfg), "--grid-knots", "100000")
+    assert (code, out) == (2, "")
+    assert "at most 1024" in err
 
 
 def test_custom_baseline_config(capsys, tmp_path):
@@ -294,3 +308,15 @@ def test_validate_output_is_byte_stable(capsys, mo_config):
     _, out1, _ = run(capsys, "validate", "--config", mo_config)
     _, out2, _ = run(capsys, "validate", "--config", mo_config)
     assert out1 == out2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only callable hazards and reconstruct_survival_from_gradient need scipy,
+    # and no config can build a callable
+    src = str(Path(bisurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, bisurv, bisurv.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bisurv import (
     DomainError,
@@ -24,8 +28,14 @@ from bisurv import (
     reconstruct_survival_from_gradient,
 )
 from bisurv.marginals import WedgeKernel
-from bisurv.validity import INCONCLUSIVE, INVALID, VALID, lfr_exponential_cross_bound
-from oracles import fd_log_gradient
+from bisurv.validity import (
+    INCONCLUSIVE,
+    INVALID,
+    VALID,
+    _min_rectangle,
+    lfr_exponential_cross_bound,
+)
+from oracles import fd_log_gradient, rectangle_scan_tensor
 
 E = Exponential()
 W2 = Weibull(2.0)
@@ -153,6 +163,64 @@ def test_two_increasing_agrees_with_direct_scan():
         assert (rep.verdict == VALID) == (direct_min >= -1e-9)
         assert rep.diagnostics["min_rectangle_probability"] == pytest.approx(
             direct_min, rel=1e-12, abs=1e-15)
+
+
+@st.composite
+def _survival_matrices(draw):
+    """Square matrices for the rectangle scan: random, heavily tied, decimal
+    (sums of tenths round differently in the screen's separable form, so
+    near-ties split by rounding), all zero, PH-shaped with one entry bumped
+    up, which makes negative rectangles, or random with one NaN, infinite or
+    huge entry (the scan's unscreened path)."""
+    n = draw(st.integers(2, 14))
+    kind = draw(st.sampled_from(["random", "tied", "decimal", "zero", "negative", "nonfinite"]))
+    if kind in ("random", "nonfinite"):
+        s = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+        if kind == "nonfinite":
+            s[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e305]))
+        return s
+    if kind in ("tied", "decimal"):
+        values = [0.0, 0.25, 0.5] if kind == "tied" else [0.1, 0.2, 0.3, 0.4, 0.6, 0.7]
+        return draw(hnp.arrays(np.float64, (n, n), elements=st.sampled_from(values)))
+    if kind == "zero":
+        return np.zeros((n, n))
+    r0 = np.cumsum(draw(hnp.arrays(np.float64, n, elements=st.floats(0.01, 1.0))))
+    d1, d2 = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+    theta = max(d1, d2) + draw(st.floats(0.0, 2.0))
+    hi, lo = np.maximum.outer(r0, r0), np.minimum.outer(r0, r0)
+    s = np.exp(-np.where(r0[:, None] >= r0[None, :], d1, d2) * (hi - lo) - theta * lo)
+    s[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += draw(st.floats(1e-12, 0.1))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_survival_matrices())
+# the exact minimum -0.1 at (0, 1, 0, 1) screens as -0.09999999999999998,
+# above the screened minimum at (1, 2, 1, 2)
+@example(s=np.array([[0.7, 0.6, 0.1], [0.3, 0.1, 0.6], [0.3, 0.2, 0.6]]))
+# the only rectangle is +inf: the tensor's argmin returns its first entry
+@example(s=np.array([[math.inf, 0.0], [0.0, 0.0]]))
+def test_rectangle_scan_matches_tensor_scan_bit_for_bit(s):
+    with np.errstate(invalid="ignore", over="ignore"):
+        value, *witness = _min_rectangle(s)
+        ref_value, *ref_witness = rectangle_scan_tensor(s)
+    assert witness == ref_witness
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+
+
+def test_two_increasing_memory_is_quadratic():
+    # the n^4 rectangle tensor took ~90 MB here; n x n arrays are 18 KiB
+    grid = GridSpec.default(knots=48)
+    for model in (MO, lfr_exp_model()):
+        check_two_increasing(model, grid)
+        tracemalloc.start()
+        try:
+            check_two_increasing(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 # -- functional equation ------------------------------------------------------
