@@ -84,7 +84,8 @@ _SCREEN_GAP = 16.0 * np.finfo(float).eps
 _SCREEN_FLOOR = np.finfo(float).tiny
 
 #: rectangles the exact pass of the rectangle scan evaluates at once
-#: (2**14 doubles, 128 KiB per temporary)
+#: (2**14 doubles, 128 KiB per temporary); a grid whose rectangles all fit
+#: (n <= 13 knots) skips the screen
 _RECT_CHUNK = 1 << 14
 
 #: cumulative hazard a marginal must reach for the divergence heuristic
@@ -574,14 +575,15 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
       more: where many are exactly equal, as in a block of survival values
       that underflow to 0, the time grows toward n^4.
 
-    A matrix with values beyond ``_SCREEN_MAX`` in magnitude, or with
-    non-finite ones, skips the screen and gets the exact pass on every pair.
+    A matrix small enough for one exact pass over every pair (``n <= 13``),
+    or with values beyond ``_SCREEN_MAX`` in magnitude or non-finite ones,
+    skips the screen and gets the exact pass on every pair.
     """
     n = s.shape[0]
-    mag = np.abs(s)
-    if mag.max() <= _SCREEN_MAX:
+    if n * n * (n * (n - 1) // 2) > _RECT_CHUNK and np.abs(s).max() <= _SCREEN_MAX:
         # delta_i of every column pair (k, l), as delta[i, k]
-        delta = _SCREEN_GAP * np.maximum.accumulate(mag[:, ::-1], axis=1)[:, ::-1] + _SCREEN_FLOOR
+        mag = np.maximum.accumulate(np.abs(s[:, ::-1]), axis=1)[:, ::-1]
+        delta = _SCREEN_GAP * mag + _SCREEN_FLOOR
         low = np.full((n, n), np.inf)  # below every value of the column pair
         high = np.full((n, n), np.inf)  # its minimum is above the smallest value
         for k in range(n - 1):
@@ -592,7 +594,7 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
         ks, ls = np.nonzero(low <= high.min())
     else:
         ks, ls = np.triu_indices(n, 1)
-    lower = np.tril(np.ones((n, n), dtype=bool))
+    lower = np.tri(n, dtype=bool)  # i >= j
     step = max(1, _RECT_CHUNK // (n * n))
     best = None  # (sort key, value) of the smallest rectangle so far
     for a in range(0, len(ks), step):
