@@ -232,7 +232,7 @@ class GeneralBivariateModel(_BivariateBase):
             return -(float(kernel.q(abs(r1 - r2))) + self.theta * min(r1, r2))
         x1a = np.asarray(x1, dtype=float)
         x2a = np.asarray(x2, dtype=float)
-        if x1a.size * x2a.size > 2 * _BLOCK and np.broadcast(x1a, x2a).size > 2 * _BLOCK:
+        if (x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size) > 2 * _BLOCK:
             return self._log_survival_blocked(x1a, x2a)
         return self._log_survival_array(x1a, x2a)
 
