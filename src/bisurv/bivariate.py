@@ -144,8 +144,13 @@ class _BivariateBase:
         return x1a, x2a
 
     def _per_wedge(self, method: str, upper, s, *args):
-        """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere."""
+        """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere.
+
+        A single point (0-d ``upper``) runs only its own wedge's kernel.
+        """
         k1, k2 = self.kernels
+        if np.ndim(upper) == 0:
+            return np.asarray(getattr(k1 if upper else k2, method)(s, *args), dtype=float)
         return np.where(upper, getattr(k1, method)(s, *args), getattr(k2, method)(s, *args))
 
     # -- decomposition ---------------------------------------------------------

@@ -157,3 +157,14 @@ def rectangle_scan_tensor(s):
     p_masked = np.where(mask, p, np.inf)
     i, j, k, l = np.unravel_index(int(np.argmin(p_masked)), p_masked.shape)
     return (float(p_masked[i, j, k, l]), int(i), int(j), int(k), int(l))
+
+
+def write_csv_rows(batch, fileobj):
+    """``SampleBatch.write_csv`` as it was before it formatted whole blocks
+    at once: one f-string per row, with Python's ``repr`` of each coordinate
+    and the tie flag.  Kept as the reference the block writer must match
+    byte for byte.
+    """
+    fileobj.write("x1,x2,tied\n")
+    for a, b, t in zip(batch.x1, batch.x2, batch.tied):
+        fileobj.write(f"{float(a)!r},{float(b)!r},{int(t)}\n")

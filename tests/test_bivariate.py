@@ -22,6 +22,7 @@ from bisurv import (
     hazard_gradient,
 )
 from bisurv import bivariate
+from bisurv.marginals import WedgeKernel
 from oracles import mixed_fd, wedge_ac_mass
 
 E = Exponential()
@@ -77,6 +78,26 @@ def test_general_fd_density_matches_ph_closed_form():
     gen = mo.as_general()
     for x1, x2 in ((2.0, 1.0), (0.7, 1.9), (3.0, 0.4)):
         assert gen.ac_density(x1, x2) == pytest.approx(mo.ac_density(x1, x2), rel=1e-12)
+
+
+def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
+    # a valid general model with different kernels on the two wedges
+    model = GeneralBivariateModel(E, LinearFailureRate(0.5), ProportionalHazard(E, 2.0), 3.0)
+    pts = [(2.5, 0.9), (0.4, 1.3), (1.7, 1.2), (0.6, 2.4)]
+    batch = model.ac_density(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+    calls = []
+    density = WedgeKernel.density
+
+    def counted(self, s, theta):
+        calls.append(self)
+        return density(self, s, theta)
+
+    monkeypatch.setattr(WedgeKernel, "density", counted)
+    for (x1, x2), want in zip(pts, batch):
+        calls.clear()
+        got = model.ac_density(x1, x2)
+        assert calls == [model.kernels[0 if x1 > x2 else 1]]
+        assert got == want  # bit for bit
 
 
 def test_negative_density_raises_invalid_model():

@@ -320,3 +320,15 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_csv_tables_unbuilt():
+    # the CSV writer's tables (617 scaling constants, digit words, layouts)
+    # are built by the first batch written, not at import
+    src = str(Path(bisurv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import bisurv, bisurv.cli; print(bisurv.sampling._TABLES is None)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "True"
