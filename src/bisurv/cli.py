@@ -183,20 +183,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n is None or args.n < 1:
-        print("error: --n must be a positive integer", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = _load(args)
-    model = cfg.model
-    try:
-        if isinstance(model, PHBivariateModel):
-            batch = sample_ph(model, args.n, args.seed)
-        else:
-            batch = sample_general(model, args.n, args.seed, cfg.grid)
-    except ModelError as exc:
-        # the mixture weight left [0, 1]: an invalid model, not a usage error
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    model = _load(args).model
+    if isinstance(model, PHBivariateModel):
+        batch = sample_ph(model, args.n, args.seed)
+    else:
+        batch = sample_general(model, args.n, args.seed)
     if args.out:
         batch.to_csv(args.out)
         print(f"wrote {batch.n} pairs ({batch.tie_count} tied) to {args.out}")

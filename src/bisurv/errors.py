@@ -50,4 +50,4 @@ class UndefinedComponentError(BisurvError):
 
 
 class SamplerError(BisurvError):
-    """The rejection sampler could not produce draws at a usable rate."""
+    """A sampler could not produce draws within its stated accuracy."""

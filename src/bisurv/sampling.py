@@ -11,8 +11,12 @@ the closed-form survival in the tests rather than taken on faith.
 any valid model: with probability ``1 - alpha`` a diagonal pair ``(T, T)``
 with ``T = R0^{-1}(E/theta)``, otherwise a wedge draw in the transformed
 coordinates ``w = R0(min)``, ``s = R0(max) - R0(min)``, where ``w`` is an
-exact exponential with rate ``theta`` and ``s`` carries the remaining
-density, sampled by rejection under a piecewise-constant envelope.
+exact exponential with rate ``theta``.  The density of ``s`` is the exact
+derivative ``h = -G'`` of ``G(s) = (theta - Q'(s)) exp(-Q(s))``, so ``s`` is
+drawn by inverting the closed-form CDF ``H(s) = G(0) - G(s)`` (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. 2).  A model whose ``G``
+goes negative or rises is refused.  Both samplers draw at most
+``MAX_PAIRS`` pairs per call.
 
 All randomness comes from counter-based (Philox) generators seeded once,
 with independent sub-streams per mixture branch, so batches are
@@ -36,16 +40,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bivariate import GeneralBivariateModel, PHBivariateModel
-from .errors import DomainError, ModelError, SamplerError
+from .errors import DomainError, InvalidModelError, SamplerError
 from .validity import GridSpec
 
-__all__ = ["SampleBatch", "sample_ph", "sample_general"]
+__all__ = ["MAX_PAIRS", "SampleBatch", "sample_ph", "sample_general"]
 
-#: rejection acceptance rate below which the sampler gives up
-_MIN_ACCEPT_RATE = 1e-3
+#: most pairs one call may draw: the samplers hold a few arrays of n floats
+MAX_PAIRS = 2**22
 
-#: safety factor applied to every envelope cell height
-_ENVELOPE_INFLATION = 1.2
+#: nodes of the wedge-tail table, equally spaced in ``v = s/(1+s)`` over [0, 1]
+_TAIL_NODES = 2049
+#: a rise of ``G`` between neighbouring nodes, relative to ``G``, read as rounding
+_RISE_RTOL = 1e-9
+#: relative residual every wedge draw meets: ``|G(s) - t| <= _TAIL_RTOL * t``
+_TAIL_RTOL = 1e-10
+#: evaluations of ``G`` per draw; bisection alone shrinks a bracket to rounding in fewer
+_MAX_STEPS = 64
 
 
 @dataclass(eq=False)
@@ -324,6 +334,8 @@ def _csv_rows(x1, x2) -> str:
 def _check_sample_args(n: int, seed: int) -> tuple[int, int]:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
+    if n > MAX_PAIRS:
+        raise DomainError(f"sample count must be at most {MAX_PAIRS}, got {n!r}")
     if not isinstance(seed, (int, np.integer)) or not (0 <= int(seed) < 2**64):
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(n), int(seed)
@@ -360,133 +372,129 @@ def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
 
 
 # ---------------------------------------------------------------------------
-# General-model sampler: singular branch + wedge rejection sampler
+# General-model sampler: singular branch + wedge draws by inversion
 # ---------------------------------------------------------------------------
 
 
-def _build_envelope(kernel, theta: float, grid: GridSpec):
-    """Piecewise-constant envelope of the compactified wedge density h~(v).
+def _wedge_tail(kernel, theta: float, s):
+    """``G(s) = (theta - Q'(s)) exp(-Q(s))`` and the wedge density ``h = -G'``."""
+    q1, q2 = kernel.slopes(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-kernel.q(s))
+        return (theta - q1) * e, (theta * q1 + q2 - q1 * q1) * e
 
-    On one wedge the density factorizes as ``h(s) * exp(-theta * w)`` in the
-    coordinates ``w = R0(min)``, ``s = R0(max) - R0(min)``, where ``h`` is
-    the kernel's wedge density ``(theta Q' + Q'' - Q'^2) exp(-Q)``, of total
-    mass ``theta - u``.  ``h~(v) = h(s) / (1 - v)**2`` at ``s = v/(1 - v)``;
-    non-finite and negative values read as 0.  Cells follow the validation
-    grid knots mapped through v = s/(1+s); each cell height is the inflated
-    maximum of probes inside the cell.
+
+def _tail_table(kernel, theta: float):
+    """``(s, G(s))`` on the table: ``G(0) = theta - u``, ``G(inf) = 0``.
+
+    Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
+    is negative (``Q' > theta``) or rises by more than rounding (``h < 0``).
     """
-    knots = np.asarray(grid.r0_knots, dtype=float)
-    v_edges = np.concatenate([[0.0], knots / (1.0 + knots), [1.0]])
-
-    def h_tilde(v):
-        v = np.asarray(v, dtype=float)
-        s = v / (1.0 - v)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = kernel.density(s, theta) / (1.0 - v) ** 2
-        return np.where(np.isfinite(val), np.maximum(val, 0.0), 0.0)
-
-    heights = []
-    for a, b in zip(v_edges[:-1], v_edges[1:]):
-        if b >= 1.0:
-            # open-ended tail cell: probe geometrically toward 1
-            probes = 1.0 - (1.0 - a) * 0.5 ** np.arange(0, 14)
-        else:
-            probes = np.linspace(a, b, 9)
-        probes = np.clip(probes, 1e-12, 1.0 - 1e-12)
-        heights.append(_ENVELOPE_INFLATION * float(np.max(h_tilde(probes))))
-    heights = np.asarray(heights)
-    keep = heights > 0.0
-    return v_edges, heights, keep, h_tilde
+    v = np.linspace(0.0, 1.0, _TAIL_NODES)[:-1]
+    s = np.append(v / (1.0 - v), np.inf)
+    g = np.concatenate([[theta - kernel.u], _wedge_tail(kernel, theta, s[1:-1])[0], [0.0]])
+    rises = g[1:] - g[:-1] > _RISE_RTOL * np.maximum(g[:-1], g[1:])
+    bad = np.flatnonzero(~(g >= 0.0) | np.concatenate([[False], rises]))
+    if bad.size:
+        i = bad[0]
+        if np.isnan(g[i]):
+            raise SamplerError(f"wedge tail G(s) is not a number at s = {s[i]:.6g}")
+        what = "is negative, so Q'(s) > theta" if g[i] < 0.0 else "rises, so h(s) < 0"
+        raise InvalidModelError(
+            f"wedge tail G(s) = (theta - Q'(s)) exp(-Q(s)) {what} at s = {s[i]:.6g} "
+            f"(G = {g[i]:.6g}); the model is not a valid distribution",
+            witness=float(s[i]), value=float(g[i]))
+    # the running minimum keeps the bracket search monotone through rounding
+    return s, np.minimum.accumulate(g)
 
 
-def _rejection_sample_s(gen: np.random.Generator, kernel, theta: float,
-                        grid: GridSpec, count: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0)
-    v_edges, heights, keep, h_tilde = _build_envelope(kernel, theta, grid)
-    if not np.any(keep):
-        raise SamplerError("rejection envelope is identically zero")
-    idx = np.flatnonzero(keep)
-    widths = np.diff(v_edges)[idx]
-    masses = heights[idx] * widths
-    probs = masses / masses.sum()
-    out = np.empty(count)
-    filled = 0
-    proposals = 0
-    while filled < count:
-        batch = max(1024, 2 * (count - filled))
-        cells = gen.choice(len(idx), size=batch, p=probs)
-        u_height = gen.random(batch)
-        u_pos = gen.random(batch)
-        a = v_edges[idx[cells]]
-        b = v_edges[idx[cells] + 1]
-        v = a + u_pos * (b - a)
-        accept = u_height * heights[idx[cells]] <= h_tilde(v)
-        taken = v[accept]
-        take = min(len(taken), count - filled)
-        out[filled:filled + take] = taken[:take]
-        filled += take
-        proposals += batch
-        if proposals >= 10_000 and filled / proposals < _MIN_ACCEPT_RATE:
-            raise SamplerError(
-                f"envelope acceptance rate {filled / proposals:.2e} below "
-                f"{_MIN_ACCEPT_RATE:.0e}; refine the grid"
-            )
-    return out / (1.0 - out)  # s = v / (1 - v)
+def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
+    """Solve ``G(s) = t = G(0) * tail`` for each ``tail`` in (0, 1].
+
+    The start interpolates ``log G`` linearly in ``s`` between the table
+    nodes that bracket ``t``, exact for a PH kernel.  Newton steps on
+    ``log G`` (derivative ``-h / G``) refine it, and bisection in ``v``
+    replaces a step that leaves the bracket.  A draw stops once
+    ``|G(s) - t| <= _TAIL_RTOL * t``; missing that in ``_MAX_STEPS``
+    evaluations raises :class:`~bisurv.errors.SamplerError`.
+    """
+    s_nodes, g_nodes = table
+    t = g_nodes[0] * tail
+    out = np.zeros(t.size)
+    hi = np.searchsorted(-g_nodes, -t)  # the first node with G <= t
+    idx = np.flatnonzero(hi > 0)  # hi == 0 only where t == G(0): s = 0
+    hi, t = hi[idx], t[idx]
+    lo_s, hi_s = s_nodes[hi - 1], s_nodes[hi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.log(g_nodes)
+        frac = (log_g[hi - 1] - np.log(t)) / (log_g[hi - 1] - log_g[hi])
+        s = np.where(frac > 0.0, lo_s + frac * (hi_s - lo_s), lo_s)
+    for _ in range(_MAX_STEPS):
+        g, h = _wedge_tail(kernel, theta, s)
+        done = np.abs(g - t) <= _TAIL_RTOL * t
+        out[idx[done]] = s[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        idx, t, s, g, h = idx[keep], t[keep], s[keep], g[keep], h[keep]
+        above = g > t
+        lo_s = np.where(above, s, lo_s[keep])
+        hi_s = np.where(above, hi_s[keep], s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = s + np.log(g / t) * g / h
+            mid = 0.5 * (lo_s / (1.0 + lo_s) + 1.0 / (1.0 + 1.0 / hi_s))
+            s = np.where((step > lo_s) & (step < hi_s), step, mid / (1.0 - mid))
+    raise SamplerError(
+        f"{idx.size} wedge draws missed the residual bound {_TAIL_RTOL:.0e} "
+        f"after {_MAX_STEPS} Newton steps (first target G = {t[0]:.6g})")
 
 
 def sample_general(model: GeneralBivariateModel, n: int, seed: int,
                    grid: GridSpec | None = None) -> SampleBatch:
     """Mixture sampler for any valid model of this class.
 
-    Re-verifies that the mixture weight lies in [0, 1] (raising
-    :class:`~bisurv.errors.ModelError` otherwise), then draws the diagonal
-    branch by inversion and the absolutely continuous branch by wedge
-    rejection sampling.  Ties from the diagonal branch are bit-exact.
+    Raises :class:`~bisurv.errors.InvalidModelError` unless the mixture
+    weight lies in [0, 1] and each kernel's wedge tail
+    ``G(s) = (theta - Q'(s)) exp(-Q(s))`` is nonnegative and nonincreasing
+    on its table.  The diagonal branch draws ``T = R0^{-1}(E/theta)``, with
+    bit-exact ties; the absolutely continuous branch draws ``w`` as an
+    exponential with rate ``theta`` and ``s`` by inverting the wedge CDF
+    ``H(s) = G(0) - G(s)``.  ``grid`` is accepted for compatibility and does
+    not affect the draw.
     """
     n, seed = _check_sample_args(n, seed)
-    grid = grid or GridSpec.default()
     dec = model.decompose()
     if not dec.weight_in_range:
-        raise ModelError(
+        raise InvalidModelError(
             f"mixture weight alpha = {dec.alpha:.6g} outside [0, 1]; "
-            "the model is not a valid distribution"
-        )
+            "the model is not a valid distribution", value=dec.alpha)
+    theta, base = model.theta, model.baseline
+    tables = [_tail_table(kernel, theta) for kernel in model.kernels]
     alpha = min(max(dec.alpha, 0.0), 1.0)
-    theta = model.theta
-    base = model.baseline
 
-    root = np.random.SeedSequence(seed)
-    pick_seq, diag_seq, ac_seq = root.spawn(3)
+    pick_seq, diag_seq, ac_seq = np.random.SeedSequence(seed).spawn(3)
     singular = _gen(pick_seq).random(n) < (1.0 - alpha)
 
-    x1 = np.empty(n)
-    x2 = np.empty(n)
-
+    x1, x2 = np.empty(n), np.empty(n)
     m = int(np.sum(singular))
     if m:
-        t = np.asarray(base.inverse_cumulative_hazard(
+        x1[singular] = x2[singular] = np.asarray(base.inverse_cumulative_hazard(
             _gen(diag_seq).exponential(size=m) / theta), dtype=float)
-        x1[singular] = t
-        x2[singular] = t
 
     k = n - m
     if k:
         gen_ac = _gen(ac_seq)
         # wedge x1 > x2 carries AC mass (1 - u1/theta); normalize within AC
-        p_lower = (1.0 - dec.u1 / theta) / alpha
-        p_lower = min(max(p_lower, 0.0), 1.0)
+        p_lower = min(max((1.0 - dec.u1 / theta) / alpha, 0.0), 1.0)
         lower = gen_ac.random(k) < p_lower
         w = gen_ac.exponential(size=k) / theta
+        tail = 1.0 - gen_ac.random(k)
         s = np.empty(k)
-        for kernel, on_wedge in zip(model.kernels, (lower, ~lower)):
-            s[on_wedge] = _rejection_sample_s(gen_ac, kernel, theta, grid,
-                                              int(np.sum(on_wedge)))
+        for kernel, table, on_wedge in zip(model.kernels, tables, (lower, ~lower)):
+            s[on_wedge] = _draw_s(kernel, theta, table, tail[on_wedge])
         lo = np.asarray(base.inverse_cumulative_hazard(w), dtype=float)
         hi = np.asarray(base.inverse_cumulative_hazard(w + s), dtype=float)
-        ac1 = np.where(lower, hi, lo)
-        ac2 = np.where(lower, lo, hi)
-        x1[~singular] = ac1
-        x2[~singular] = ac2
+        x1[~singular] = np.where(lower, hi, lo)
+        x2[~singular] = np.where(lower, lo, hi)
 
     return SampleBatch(x1=x1, x2=x2, seed=seed, n=n)

@@ -123,6 +123,17 @@ class LinearHazardTable:
                          for u, v in zip(cuts[:-1], cuts[1:]))
 
 
+def exponential_wedge_tail(table: LinearHazardTable, theta: float, s: float) -> float:
+    """Wedge tail ``G(s) = (theta - Q'(s)) exp(-Q(s))`` over the unit exponential.
+
+    With ``R0(x) = x`` the wedge coordinate of a marginal whose hazard is the
+    table is ``Q(s) = integral of the table over [0, s]`` and ``Q'(s)`` is
+    the table's hazard at ``s``.  ``G`` falls from ``theta - Q'(0)`` to 0,
+    and ``1 - G(s) / G(0)`` is the CDF of ``s`` on that marginal's wedge.
+    """
+    return (theta - table.h(s)) * math.exp(-table.integral(0.0, s))
+
+
 def exponential_wedge_ac_density(x1: float, x2: float, theta: float, wedges):
     """AC density of a general model over the unit exponential baseline.
 

@@ -161,10 +161,20 @@ def test_sample_zero_is_usage_error(capsys, mo_config):
     assert "positive" in err
 
 
-def test_sample_invalid_model_exit(capsys, lfr_config):
+def test_sample_invalid_model_exit(capsys, lfr_config, tmp_path):
     code, _, err = run(capsys, "sample", "--config", lfr_config, "--n", "10")
     assert code == 3
     assert "invalid model" in err
+
+    # mixture weights in range, but Q' = 1 + 2as exceeds theta = 2 past
+    # s = 2.5 and s = 10: the wedge density goes negative
+    for a in ("0.2", "0.05"):
+        cfg = tmp_path / f"lfr{a}.json"
+        cfg.write_text('{"baseline": "exponential", "theta": 2.0, '
+                       f'"marginals": ["lfr:{a}", "lfr:{a}"]}}')
+        code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "10")
+        assert (code, out) == (3, ""), a
+        assert err.startswith("invalid model: "), a
 
 
 def test_counterexample(capsys):
@@ -261,6 +271,11 @@ def test_malformed_configs(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--config", str(cfg), "--grid-knots", "100000")
     assert (code, out) == (2, "")
     assert "at most 1024" in err
+
+    # so is a pair count past the sampler's cap, before anything is drawn
+    code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "1000000000000")
+    assert (code, out) == (2, "")
+    assert f"at most {2**22}" in err
 
 
 def test_custom_baseline_config(capsys, tmp_path):

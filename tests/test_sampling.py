@@ -3,19 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bisurv import (
     DomainError,
     Exponential,
+    FromHazard,
     GeneralBivariateModel,
+    InvalidModelError,
     LinearFailureRate,
-    ModelError,
     PHBivariateModel,
     ProportionalHazard,
     Weibull,
     sample_general,
     sample_ph,
 )
+from bisurv import sampling
+from oracles import LinearHazardTable, exponential_wedge_tail
 
 E = Exponential()
 MO = PHBivariateModel(E, 1.0, 1.0, 1.0)
@@ -104,7 +108,7 @@ def test_purely_singular_model_emits_only_ties():
 def test_invalid_weight_rejected():
     m = LinearFailureRate(1.5)
     model = GeneralBivariateModel(E, m, m, 3.0)
-    with pytest.raises(ModelError):
+    with pytest.raises(InvalidModelError):
         sample_general(model, 100, 1)
 
 
@@ -117,6 +121,10 @@ def test_argument_validation():
         sample_ph(MO, 10, -1)
     with pytest.raises(DomainError):
         sample_ph(MO, 10, 2**64)
+    # refused before anything is allocated
+    for sampler in (sample_ph, sample_general):
+        with pytest.raises(DomainError, match="at most"):
+            sampler(MO, sampling.MAX_PAIRS + 1, 1)
 
 
 def test_csv_output_format():
@@ -180,3 +188,89 @@ def test_rectangle_straddling_diagonal_includes_tie_mass():
     sing = (MO.singular_survival(a) - MO.singular_survival(c)) \
         * MO.decompose().singular_mass
     assert tied_in == pytest.approx(sing, abs=three_se(sing, n))
+
+
+#: marginal hazard 1 + 0.5 e^{-x} tabulated on [0, 10]: over the exponential
+#: baseline with theta = 3 its wedge density is positive, and u = 1.5
+TABLE_X = [10.0 * i / 199 for i in range(200)]
+TABLE_H = [1.0 + 0.5 * math.exp(-x) for x in TABLE_X]
+
+
+def _table_model():
+    marginal = FromHazard.from_table(TABLE_X, TABLE_H)
+    return GeneralBivariateModel(E, marginal, ProportionalHazard(E, 2.0), 3.0)
+
+
+#: the wedge tail oracles of the two kernels of ``_table_model``: the table,
+#: and the PH marginal as a constant hazard of 2
+ORACLES = {"table": (LinearHazardTable(TABLE_X, TABLE_H), 0),
+           "ph": (LinearHazardTable([0.0, 1.0], [2.0, 2.0]), 1)}
+
+
+def _oracle_quantile(table, theta, p):
+    """s with oracle CDF 1 - G(s)/G(0) = p, by bisection."""
+    g0 = exponential_wedge_tail(table, theta, 0.0)
+    lo, hi = 0.0, 1.0
+    while 1.0 - exponential_wedge_tail(table, theta, hi) / g0 < p:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if 1.0 - exponential_wedge_tail(table, theta, mid) / g0 < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kernel", sorted(ORACLES))
+def test_wedge_draws_follow_oracle_cdf(kernel):
+    table, wedge = ORACLES[kernel]
+    g = sample_general(_table_model(), 20000, 4242)
+    # over the exponential baseline s = |x1 - x2|; the table is marginal 1,
+    # so its draws are the pairs with x1 > x2
+    on_wedge = g.x1 > g.x2 if wedge == 0 else g.x2 > g.x1
+    s = np.abs(g.x1 - g.x2)[on_wedge]
+    g0 = exponential_wedge_tail(table, 3.0, 0.0)
+    cdf = np.vectorize(lambda v: 1.0 - exponential_wedge_tail(table, 3.0, v) / g0)
+    assert stats.kstest(s, cdf).pvalue > 1e-3
+    for p in (0.1, 0.5, 0.9):
+        emp = float(np.mean(s <= _oracle_quantile(table, 3.0, p)))
+        assert emp == pytest.approx(p, abs=three_se(p, s.size))
+
+
+@pytest.mark.parametrize("kernel", sorted(ORACLES))
+def test_wedge_draws_meet_residual_bound(kernel):
+    table, wedge = ORACLES[kernel]
+    model = _table_model()
+    k = model.kernels[wedge]
+    tail = np.concatenate([1.0 - np.random.default_rng(77).random(2000),
+                           [1.0, 0.5, 2.0**-53]])
+    s = sampling._draw_s(k, 3.0, sampling._tail_table(k, 3.0), tail)
+    t = exponential_wedge_tail(table, 3.0, 0.0) * tail
+    got = np.array([exponential_wedge_tail(table, 3.0, v) for v in s])
+    # the oracle and the library round differently by ~1e-15 of G
+    assert np.all(np.abs(got - t) <= 1.001 * sampling._TAIL_RTOL * t)
+    assert s[-3] == 0.0
+
+
+@pytest.mark.parametrize("a, root", [(0.2, 2.5), (0.05, 10.0)])
+def test_negative_wedge_tail_refused_at_first_node_past_root(a, root):
+    # lfr:a over the exponential at theta = 2: Q' = 1 + 2as exceeds theta
+    # past s = (theta - 1) / (2a); the witness is the first table node there
+    m = LinearFailureRate(a)
+    model = GeneralBivariateModel(E, m, m, 2.0)
+    with pytest.raises(InvalidModelError, match="Q'") as info:
+        sample_general(model, 100, 1)
+    node_gap = (1.0 + root) ** 2 / (sampling._TAIL_NODES - 1)
+    assert root < info.value.witness <= root + 1.01 * node_gap
+    assert info.value.value < 0.0
+
+
+def test_rising_wedge_tail_refused():
+    # the hazard drops from 1.5 to 0.5 over [1, 1.01]: there Q'' = -100, so
+    # h < 0 although Q' < theta, and G rises
+    marginal = FromHazard.from_table([0.0, 1.0, 1.01, 10.0], [1.5, 1.5, 0.5, 0.5])
+    model = GeneralBivariateModel(E, marginal, ProportionalHazard(E, 2.0), 3.0)
+    with pytest.raises(InvalidModelError, match="rises") as info:
+        sample_general(model, 100, 1)
+    assert 1.0 < info.value.witness < 1.01 + 4.0 / (sampling._TAIL_NODES - 1)
