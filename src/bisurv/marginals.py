@@ -22,7 +22,10 @@ endpoint.  This is the diagonal weight that the mixture decomposition of the
 bivariate models is built from; both individual hazards may vanish or blow
 up at the endpoint, so the limit is taken by sampling at geometrically
 shrinking offsets in cumulative-hazard coordinates and accelerating the
-resulting sequence.
+resulting sequence.  One routine, ``_row_limits``, accelerates every such
+sequence: it takes a 2-D array with one sequence per row and settles all
+rows in one array pass, so the validity checks re-take the limit from every
+grid anchor of a kernel in a single call.
 """
 
 from __future__ import annotations
@@ -208,7 +211,19 @@ class WedgeKernel:
         s = np.asarray(s, dtype=float)
         if self.delta is not None:
             return np.full_like(s, self.delta), np.zeros_like(s)
+        return self._slopes_at(s, self._at(s), second)
+
+    def q_slopes(self, s, second: bool = True):
+        """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
+        s = np.asarray(s, dtype=float)
+        if self.delta is not None:
+            return (self.delta * s,) + self.slopes(s, second)
         d = self._at(s)
+        return (np.asarray(self.marginal.cumulative_hazard(d), dtype=float),
+                *self._slopes_at(s, d, second))
+
+    def _slopes_at(self, s, d, second: bool):
+        """``(Q', Q'')`` at ``s`` with ``d = R0^{-1}(s)`` already found."""
         r = np.asarray(self.marginal.hazard(d), dtype=float)
         r0 = np.asarray(self.baseline.hazard(d), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -230,12 +245,12 @@ class WedgeKernel:
         ``1e-9`` times the size of its terms is rounding noise (mostly of a
         difference-quotient ``Q''``) and reads as 0.
         """
-        q1, q2 = self.slopes(s)
+        q, q1, q2 = self.q_slopes(s)
         with np.errstate(over="ignore", invalid="ignore"):
             a = theta * q1 + q2 - q1 * q1
             noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)
             a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
-            return a * np.exp(-self.q(s))
+            return a * np.exp(-q)
 
     @functools.cached_property
     def u(self) -> float:
@@ -263,87 +278,57 @@ _LIMIT_ATOL = 1e-9
 _DIVERGENCE_FACTOR = 50.0
 
 
-def _richardson(seq: np.ndarray) -> np.ndarray:
-    """Diagonal of the Richardson tableau for step-halved samples."""
-    t = [np.asarray(seq, dtype=float)]
-    for j in range(1, len(seq)):
-        prev = t[-1]
-        fac = 2.0**j
-        t.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
-    return np.array([row[-1] for row in t])
+def _row_limits(rows) -> np.ndarray:
+    """Limit of each row of step-halved samples (samples on the last axis).
 
-
-def _aitken(seq: np.ndarray) -> np.ndarray:
-    """One Aitken delta-squared pass; exact for geometric error terms."""
-    s = np.asarray(seq, dtype=float)
-    d1 = s[1:] - s[:-1]
-    denom = d1[1:] - d1[:-1]
-    out = []
-    for k in range(len(denom)):
-        if denom[k] == 0.0:
-            out.append(s[k + 2])
-        else:
-            out.append(s[k + 2] - d1[k + 1] ** 2 / denom[k])
-    return np.array(out)
-
-
-def _sequence_limit(samples, *, what: str = "sequence") -> float:
-    """Limit of a step-halved sample sequence.
-
-    Returns ``math.inf`` when the samples grow without bound (divergence
-    flag); raises :class:`~bisurv.errors.NumericError` carrying the samples
-    when they oscillate or fail to settle.
+    Each row takes the first rule that applies: a NaN sample leaves it
+    unsettled (NaN); an infinite sample, or a monotone tail whose increments
+    do not shrink, reads ``inf``; samples constant to rounding give the last
+    sample; otherwise the first of the Richardson tableau's diagonal, one
+    Aitken delta-squared pass and a second pass whose last two values agree
+    gives the last of those values.  A row that none settles is NaN.  Every
+    rule is computed for every row, along the last axis, with the same
+    arithmetic per row as a one-sequence-at-a-time loop.
     """
-    ratios = np.asarray(samples, dtype=float)
-    if np.any(np.isnan(ratios)):
-        raise NumericError(f"{what} evaluated to NaN", samples=ratios)
-    if np.any(np.isinf(ratios)):
-        return math.inf
+    r = np.asarray(rows, dtype=float)
 
-    scale = max(1.0, abs(ratios[0]))
-    if np.max(np.abs(ratios - ratios[0])) <= 1e-13 * scale:
-        return float(ratios[-1])
+    def aitken(s):  # exact for geometric error terms
+        d1 = s[..., 1:] - s[..., :-1]
+        denom = d1[..., 1:] - d1[..., :-1]
+        return np.where(denom == 0.0, s[..., 2:], s[..., 2:] - d1[..., 1:] ** 2 / denom)
 
-    # divergence: monotone tail whose increments do not shrink
-    inc = np.diff(ratios)
-    tail = inc[-4:]
-    if np.all(tail > 0) or np.all(tail < 0):
+    with np.errstate(all="ignore"):  # the rules are computed for every row
+        scale = np.maximum(1.0, np.abs(r[..., 0]))
+        tail = np.diff(r)[..., -4:]
         mags = np.abs(tail)
-        if np.all(mags[1:] >= 0.9 * mags[:-1]) and (
-            abs(ratios[-1]) > _DIVERGENCE_FACTOR * scale
-            or mags[-1] > scale
-        ):
-            return math.inf
-
-    def settled(diag: np.ndarray) -> float | None:
-        if len(diag) < 2:
-            return None
-        a, b = diag[-2], diag[-1]
-        if (np.isfinite(a) and np.isfinite(b)
-                and abs(b - a) <= max(_LIMIT_ATOL, _LIMIT_RTOL * abs(b))):
-            return float(b)
-        return None
-
-    val = settled(_richardson(ratios))
-    if val is not None:
-        return val
-    acc = _aitken(ratios)
-    val = settled(acc)
-    if val is not None:
-        return val
-    if len(acc) >= 3:
-        val = settled(_aitken(acc))
-        if val is not None:
-            return val
-    raise NumericError(f"{what} did not converge", samples=ratios)
+        diverges = (((tail > 0).all(-1) | (tail < 0).all(-1))
+                    & (mags[..., 1:] >= 0.9 * mags[..., :-1]).all(-1)
+                    & ((np.abs(r[..., -1]) > _DIVERGENCE_FACTOR * scale)
+                       | (mags[..., -1] > scale)))
+        conds = [np.isnan(r).any(-1), np.isinf(r).any(-1),
+                 np.abs(r - r[..., :1]).max(-1) <= 1e-13 * scale, diverges]
+        values = [np.nan, np.inf, r[..., -1], np.inf]
+        t, diag = r, [r[..., -1]]  # the Richardson tableau, level by level
+        for j in range(1, r.shape[-1]):
+            fac = 2.0**j
+            t = (fac * t[..., 1:] - t[..., :-1]) / (fac - 1.0)
+            diag.append(t[..., -1])
+        acc = aitken(r)
+        for d in (np.stack(diag, -1), acc, aitken(acc)):
+            if d.shape[-1] >= 2:
+                a, b = d[..., -2], d[..., -1]
+                conds.append(np.isfinite(a) & np.isfinite(b) & (
+                    np.abs(b - a) <= np.maximum(_LIMIT_ATOL, _LIMIT_RTOL * np.abs(b))))
+                values.append(b)
+        return np.select(conds, values, default=np.nan)
 
 
 def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> float:
     """Limit of ``marginal.hazard / baseline.hazard`` at the left endpoint.
 
     Samples the ratio ``Q'(s_k)`` at ``s_k = 1e-3 * 2**-k``, ``k < 10``, i.e. at
-    ``y_k = R0^{-1}(s_k)``, and accelerates the
-    sequence (Richardson tableau with an Aitken fallback).  Returns
+    ``y_k = R0^{-1}(s_k)``, and accelerates the sequence as the one row of
+    a :func:`_row_limits` call.  Returns
     ``math.inf`` when the sequence grows without bound (divergence flag);
     raises :class:`~bisurv.errors.NumericError` carrying the sampled values
     when the sequence oscillates or fails to settle.
@@ -354,4 +339,8 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> floa
         )
     ratios = WedgeKernel(marginal, baseline).q_prime(
         _LIMIT_EPS0 * 0.5 ** np.arange(_LIMIT_LEVELS))
-    return _sequence_limit(ratios, what="hazard ratio near the left endpoint")
+    u = float(_row_limits(ratios))
+    if math.isnan(u):
+        what = "evaluated to NaN" if np.isnan(ratios).any() else "did not converge"
+        raise NumericError(f"hazard ratio near the left endpoint {what}", samples=ratios)
+    return u

@@ -378,9 +378,9 @@ def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
 
 def _wedge_tail(kernel, theta: float, s):
     """``G(s) = (theta - Q'(s)) exp(-Q(s))`` and the wedge density ``h = -G'``."""
-    q1, q2 = kernel.slopes(s)
+    q, q1, q2 = kernel.q_slopes(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-kernel.q(s))
+        e = np.exp(-q)
         return (theta - q1) * e, (theta * q1 + q2 - q1 * q1) * e
 
 

@@ -48,7 +48,7 @@ import numpy as np
 from .baseline import BaselineModel, _ret
 from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
 from .errors import DomainError, ModelError, NumericError
-from .marginals import FromHazard, MarginalModel, WedgeKernel, _sequence_limit
+from .marginals import FromHazard, MarginalModel, WedgeKernel, _row_limits
 
 __all__ = [
     "GridSpec",
@@ -146,6 +146,8 @@ class GridSpec:
         """
         if knots < 8:
             raise DomainError("default grids need at least 8 knots per axis")
+        if t_knots < 0:
+            raise DomainError(f"the shift knot count must be >= 0, got {t_knots}")
         with np.errstate(invalid="ignore"):  # non-finite bounds: __post_init__ raises
             return cls(
                 r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
@@ -314,7 +316,10 @@ def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> Con
     From anchor ``a`` the samples are ``Q'(s) exp(-Q(s))``, i.e.
     ``f(d)/r0(d)``, at ``s = R0(a + h) - R0(a)`` for raw offsets ``h``
     halving from ``0.05 * max(1, |a|)``, so the pre-limit samples genuinely
-    depend on the anchor for non-exponential baselines.
+    depend on the anchor for non-exponential baselines.  Each kernel's
+    anchors are the rows of one :func:`~bisurv.marginals._row_limits` call.
+    The first anchor whose limit does not settle is the witness of an
+    undecided probe, else the anchor farthest from ``u``, the first on ties.
     """
     cid, label = "u-constancy", "diagonal-limit constancy"
     if any(u is None or math.isinf(u) for u in us):
@@ -330,20 +335,20 @@ def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> Con
     for idx, (kernel, u) in enumerate(zip(kernels, us), start=1):
         if kernel.delta is not None:
             continue  # Q' = delta exactly
+        q, q1, _ = kernel.q_slopes(s, second=False)
         with np.errstate(over="ignore"):
-            samples = kernel.q_prime(s) * np.exp(-kernel.q(s))
-        scale = max(abs(u), 1e-12)
-        for a, row in zip(anchors, samples):
-            try:
-                val = _sequence_limit(row, what=f"diagonal limit anchored at {a:g}")
-            except NumericError:
-                return ConditionResult(
-                    cid, label, None, witness=(float(a), float(a)),
-                    note=f"anchored limit for marginal {idx} did not converge",
-                )
-            dev = abs(val - u) / scale
-            if dev > worst:
-                worst, worst_anchor = dev, (float(a), float(a))
+            vals = _row_limits(q1 * np.exp(-q))
+        unsettled = np.flatnonzero(np.isnan(vals))
+        if unsettled.size:
+            a = float(anchors[unsettled[0]])
+            return ConditionResult(
+                cid, label, None, witness=(a, a),
+                note=f"anchored limit for marginal {idx} did not converge",
+            )
+        dev = np.abs(vals - u) / max(abs(u), 1e-12)
+        i = int(np.argmax(dev))
+        if dev[i] > worst:
+            worst, worst_anchor = float(dev[i]), (float(anchors[i]),) * 2
     if worst > _CONSTANCY_RTOL:
         return ConditionResult(
             cid, label, None, witness=worst_anchor, margin=_CONSTANCY_RTOL - worst,

@@ -11,6 +11,8 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
+from bisurv.errors import NumericError
+
 
 def mixed_fd(survival_fn, x1: float, x2: float, rel_step: float = 1e-4):
     """Mixed second difference of a bivariate function, plain central stencil.
@@ -179,3 +181,92 @@ def write_csv_rows(batch, fileobj):
     fileobj.write("x1,x2,tied\n")
     for a, b, t in zip(batch.x1, batch.x2, batch.tied):
         fileobj.write(f"{float(a)!r},{float(b)!r},{int(t)}\n")
+
+
+# ---------------------------------------------------------------------------
+# Scalar diagonal limit
+# ---------------------------------------------------------------------------
+# ``marginals._sequence_limit`` with ``_richardson`` and ``_aitken`` as they
+# were when each limit took one sample sequence at a time, kept verbatim as
+# the reference the row-wise limit routine must match bit for bit.
+
+#: a limit has settled when two accelerated values agree to this tolerance
+_LIMIT_RTOL = 1e-7
+_LIMIT_ATOL = 1e-9
+#: growth beyond which a monotone sequence is declared divergent
+_DIVERGENCE_FACTOR = 50.0
+
+
+def _richardson(seq: np.ndarray) -> np.ndarray:
+    """Diagonal of the Richardson tableau for step-halved samples."""
+    t = [np.asarray(seq, dtype=float)]
+    for j in range(1, len(seq)):
+        prev = t[-1]
+        fac = 2.0**j
+        t.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
+    return np.array([row[-1] for row in t])
+
+
+def _aitken(seq: np.ndarray) -> np.ndarray:
+    """One Aitken delta-squared pass; exact for geometric error terms."""
+    s = np.asarray(seq, dtype=float)
+    d1 = s[1:] - s[:-1]
+    denom = d1[1:] - d1[:-1]
+    out = []
+    for k in range(len(denom)):
+        if denom[k] == 0.0:
+            out.append(s[k + 2])
+        else:
+            out.append(s[k + 2] - d1[k + 1] ** 2 / denom[k])
+    return np.array(out)
+
+
+def sequence_limit(samples, *, what: str = "sequence") -> float:
+    """Limit of a step-halved sample sequence.
+
+    Returns ``math.inf`` when the samples grow without bound (divergence
+    flag); raises :class:`~bisurv.errors.NumericError` carrying the samples
+    when they oscillate or fail to settle.
+    """
+    ratios = np.asarray(samples, dtype=float)
+    if np.any(np.isnan(ratios)):
+        raise NumericError(f"{what} evaluated to NaN", samples=ratios)
+    if np.any(np.isinf(ratios)):
+        return math.inf
+
+    scale = max(1.0, abs(ratios[0]))
+    if np.max(np.abs(ratios - ratios[0])) <= 1e-13 * scale:
+        return float(ratios[-1])
+
+    # divergence: monotone tail whose increments do not shrink
+    inc = np.diff(ratios)
+    tail = inc[-4:]
+    if np.all(tail > 0) or np.all(tail < 0):
+        mags = np.abs(tail)
+        if np.all(mags[1:] >= 0.9 * mags[:-1]) and (
+            abs(ratios[-1]) > _DIVERGENCE_FACTOR * scale
+            or mags[-1] > scale
+        ):
+            return math.inf
+
+    def settled(diag: np.ndarray) -> float | None:
+        if len(diag) < 2:
+            return None
+        a, b = diag[-2], diag[-1]
+        if (np.isfinite(a) and np.isfinite(b)
+                and abs(b - a) <= max(_LIMIT_ATOL, _LIMIT_RTOL * abs(b))):
+            return float(b)
+        return None
+
+    val = settled(_richardson(ratios))
+    if val is not None:
+        return val
+    acc = _aitken(ratios)
+    val = settled(acc)
+    if val is not None:
+        return val
+    if len(acc) >= 3:
+        val = settled(_aitken(acc))
+        if val is not None:
+            return val
+    raise NumericError(f"{what} did not converge", samples=ratios)

@@ -257,6 +257,7 @@ def test_malformed_configs(capsys, tmp_path):
             # a fractional knot count is an error, not truncated
             mo + ', "grid": {"knots": 8.9}',
             mo + ', "grid": {"t_knots": 2.5}',
+            mo + ', "grid": {"t_knots": -1}',
             # knot counts past the cap are refused before any grid is built
             mo + ', "grid": {"knots": 100000}',
             mo + ', "grid": {"t_knots": 100000}']):
@@ -265,6 +266,11 @@ def test_malformed_configs(capsys, tmp_path):
         code, out, err = run(capsys, "validate", "--config", str(cfg))
         assert (code, out) == (2, ""), body
         assert err.startswith("error: "), body
+    # check-fe builds the shift knots too
+    cfg = tmp_path / "negative_t.json"
+    cfg.write_text("{" + mo + ', "grid": {"t_knots": -1}}')
+    code, out, err = run(capsys, "check-fe", "--config", str(cfg))
+    assert (code, out) == (2, "") and "shift knot count" in err
 
     cfg = tmp_path / "mo.json"
     cfg.write_text("{" + mo + "}")

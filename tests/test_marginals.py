@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisurv import (
     DomainError,
@@ -15,7 +17,8 @@ from bisurv import (
     Weibull,
     limit_hazard_ratio,
 )
-from oracles import trapezoid_cumulative_hazard
+from bisurv.marginals import _row_limits
+from oracles import sequence_limit, trapezoid_cumulative_hazard
 
 BASELINES = [Exponential(), Weibull(0.5), Weibull(2.0), Pareto()]
 
@@ -84,6 +87,61 @@ def test_limit_ratio_oscillation_raises_with_samples():
         limit_hazard_ratio(osc, base)
     assert excinfo.value.samples is not None
     assert len(excinfo.value.samples) >= 4
+
+
+_FLOATS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _sample_row(draw, n):
+    """``n`` step-halved samples: geometric (one or two terms), oscillating,
+    divergent or constant, optionally with one NaN or infinite sample."""
+    k = np.arange(n)
+    c, d = draw(_FLOATS), draw(_FLOATS)
+    kind = draw(st.sampled_from(["geometric", "oscillating", "divergent", "constant"]))
+    if kind == "geometric":  # one or two geometric error terms
+        row = (c + d * draw(st.floats(-0.95, 0.95)) ** k
+               + draw(_FLOATS) * draw(st.sampled_from([0.0, 0.1, 0.3, -0.6])) ** k)
+    elif kind == "oscillating":  # a sine, or noise around c
+        if draw(st.booleans()):
+            row = c + d * np.sin(draw(st.floats(0.5, 3.0)) * k)
+        else:
+            row = c + np.array(draw(st.lists(_FLOATS, min_size=n, max_size=n)))
+    elif kind == "divergent":
+        row = c + d * draw(st.floats(1.0, 4.0)) ** k + draw(st.floats(0.0, 3.0)) * k**2
+    else:
+        row = np.full(n, c) + np.where(k == draw(st.integers(0, n - 1)),
+                                       draw(st.sampled_from([0.0, 1e-14, -1e-12])) * c, 0.0)
+    if draw(st.booleans()):
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return row
+
+
+@st.composite
+def _sample_rows(draw):
+    n = draw(st.sampled_from([8, 10]))
+    return np.array(draw(st.lists(_sample_row(n), min_size=1, max_size=6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_sample_rows())
+# settled by the second Aitken pass only; erratic; constant; one NaN sample
+@example(rows=np.array([
+    [533.0604043185955, 543.6684959410964, 591.5350016439475, 603.7084680474259,
+     607.4674972628719, 608.5899708177936, 608.9269690540195, 609.0280559899662],
+    [1.3, 0.9, 1.7, 1.2, 0.5, 1.4, 1.1, 0.4],
+    [2.0] * 8,
+    [1.0, 0.5, math.nan, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125]]))
+def test_row_limits_match_the_scalar_limit_bit_for_bit(rows):
+    got = _row_limits(rows)
+    assert got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        try:
+            want = sequence_limit(row)
+        except NumericError:
+            assert math.isnan(value), row
+            continue
+        assert np.float64(value).tobytes() == np.float64(want).tobytes(), row
 
 
 def test_left_endpoint_mismatch_rejected():

@@ -253,6 +253,28 @@ def test_wedge_draws_meet_residual_bound(kernel):
     assert s[-3] == 0.0
 
 
+def test_wedge_tail_inverts_the_baseline_once_per_point(monkeypatch):
+    # on a callable baseline every inverted element is a root solve
+    base = Weibull(2.0)
+    kernel = GeneralBivariateModel(base, LinearFailureRate(0.25), ProportionalHazard(base, 1.2),
+                                   3.0).kernels[0]
+    s = np.linspace(0.01, 6.0, 50)
+    q, (q1, q2) = kernel.q(s), kernel.slopes(s)
+    inverted = []
+    inverse = Weibull.inverse_cumulative_hazard
+
+    def counted(self, v):
+        inverted.append(np.size(v))
+        return inverse(self, v)
+
+    monkeypatch.setattr(Weibull, "inverse_cumulative_hazard", counted)
+    g, h = sampling._wedge_tail(kernel, 3.0, s)
+    assert sum(inverted) == s.size
+    e = np.exp(-q)
+    assert np.array_equal(g, (3.0 - q1) * e)
+    assert np.array_equal(h, (3.0 * q1 + q2 - q1 * q1) * e)
+
+
 @pytest.mark.parametrize("a, root", [(0.2, 2.5), (0.05, 10.0)])
 def test_negative_wedge_tail_refused_at_first_node_past_root(a, root):
     # lfr:a over the exponential at theta = 2: Q' = 1 + 2as exceeds theta

@@ -64,6 +64,8 @@ def test_default_grid_shape():
     with pytest.raises(DomainError):
         GridSpec.default(knots=4)
     with pytest.raises(DomainError):
+        GridSpec.default(t_knots=-1)
+    with pytest.raises(DomainError):
         GridSpec(r0_knots=(2.0, 1.0))
     # negative or non-finite input; a NaN margin would skip every pair and make the
     # checks report "all 0 grid points skipped"
@@ -410,6 +412,78 @@ def test_combined_validation_takes_each_diagonal_limit_once(monkeypatch):
     combined_validation(MOW)
     MOW.decompose()
     assert len(calls) == 2  # PH kernels know u = delta exactly
+
+
+class _AnchorRows:
+    """Stub kernel over the exponential baseline whose anchored samples are
+    given row by row: ``Q = 0`` and ``Q'`` at anchor ``i`` is ``rows[i]``."""
+
+    delta = None
+    baseline = E
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def q_slopes(self, s, second=True):
+        return np.zeros(np.shape(s)), np.broadcast_to(self.rows, np.shape(s)).copy(), None
+
+
+#: 8 step-halved samples that settle on 1.0 (Richardson is exact on them)
+_SETTLES = 1.0 + 0.5 ** np.arange(8)
+#: 8 samples no accelerator settles
+_ERRATIC = 1.0 + np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.4, 0.1, -0.6])
+
+
+def _anchor_rows(n, **overrides):
+    rows = np.tile(_SETTLES, (n, 1))
+    for i, row in overrides.items():
+        rows[int(i[1:])] = row
+    return rows
+
+
+def test_constancy_probe_unsettled_anchor_is_inconclusive():
+    grid = GridSpec.default()
+    anchors = grid.axis_points(E)
+    n = len(anchors)
+    spread = _AnchorRows(_anchor_rows(n, a2=_SETTLES * 1.01))
+    bad = _AnchorRows(_anchor_rows(n, a3=np.full(8, math.nan), a7=_ERRATIC, a9=_ERRATIC))
+    cond = validity._constancy_condition([spread, bad], grid, [1.0, 1.0])
+    # marginal 1 varies, but the first anchor of marginal 2 that does not
+    # settle (a NaN row counts) decides the outcome
+    assert (cond.cid, cond.passed, cond.margin) == ("u-constancy", None, None)
+    assert cond.witness == (float(anchors[3]), float(anchors[3]))
+    assert cond.note == "anchored limit for marginal 2 did not converge"
+    cond = validity._constancy_condition([_AnchorRows(_anchor_rows(n, a9=_ERRATIC)), bad],
+                                         grid, [1.0, 1.0])
+    assert cond.witness == (float(anchors[9]), float(anchors[9]))
+    assert cond.note == "anchored limit for marginal 1 did not converge"
+
+
+def test_constancy_probe_spread_names_the_worst_anchor():
+    grid = GridSpec.default()
+    anchors = grid.axis_points(E)
+    n = len(anchors)
+    first = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 1.5e-4)))
+    second = _AnchorRows(_anchor_rows(n, a6=_SETTLES * (1 - 3e-4), a11=_SETTLES * (1 + 2.5e-4)))
+    cond = validity._constancy_condition([first, second], grid, [1.0, 1.0])
+    assert cond.passed is None
+    assert cond.witness == (float(anchors[6]), float(anchors[6]))
+    assert cond.margin == pytest.approx(1e-4 - 3e-4, rel=1e-6)
+    assert cond.note == "diagonal limits vary across anchors (relative spread 0.0003)"
+    # within the tolerance the probe passes with its slack
+    close = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 5e-5)))
+    cond = validity._constancy_condition([close, close], grid, [1.0, 1.0])
+    assert (cond.passed, cond.witness) == (True, None)
+    assert cond.margin == pytest.approx(1e-4 - 5e-5, rel=1e-6)
+
+
+def test_constancy_probe_skips_unavailable_limits():
+    grid = GridSpec.default()
+    rows = _AnchorRows(_anchor_rows(len(grid.r0_knots)))
+    for us in ([None, 1.0], [1.0, math.inf]):
+        cond = validity._constancy_condition([rows, rows], grid, us)
+        assert (cond.passed, cond.witness, cond.margin) == (None, None, None)
+        assert cond.note == "skipped: diagonal limits unavailable"
 
 
 def test_hazard_rate_conditions_accept_wedge_kernels():
