@@ -137,26 +137,30 @@ class BaselineModel(HazardModel):
                 raise DomainError(f"argument below left endpoint {self.x_L}: {v!r}")
 
     def combine(self, x, t):
-        """Semigroup sum x (+) t, computed in cumulative-hazard space."""
+        """Semigroup sum x (+) t, computed in cumulative-hazard space.
+
+        The identity is exact elementwise: ``x (+) x_L = x`` and
+        ``x_L (+) t = t``.
+        """
         self._check_support(x, t)
-        if _is_scalar(t) and t == self.x_L:
-            return _ret(np.asarray(x, dtype=float) + 0.0, x)
-        if _is_scalar(x) and x == self.x_L:
-            return _ret(np.asarray(t, dtype=float) + 0.0, t)
-        return _ret(self._combine(np.asarray(x, dtype=float),
-                                  np.asarray(t, dtype=float)), x, t)
+        xa, ta = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        out = np.where(ta == self.x_L, xa,
+                       np.where(xa == self.x_L, ta, self._combine(xa, ta)))
+        return _ret(out + 0.0, x, t)
 
     def difference(self, x, t):
-        """Semigroup difference x (-) t; requires x >= t."""
+        """Semigroup difference x (-) t; requires x >= t.
+
+        The identities are exact elementwise: ``x (-) x_L = x`` and
+        ``x (-) x = x_L``.
+        """
         self._check_support(x, t)
-        if np.any(np.asarray(x) < np.asarray(t)):
+        xa, ta = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        if np.any(xa < ta):
             raise DomainError("difference requires x >= t")
-        if _is_scalar(t) and t == self.x_L:
-            return _ret(np.asarray(x, dtype=float) + 0.0, x)
-        if _is_scalar(x) and _is_scalar(t) and x == t:
-            return self.x_L
-        return _ret(self._difference(np.asarray(x, dtype=float),
-                                     np.asarray(t, dtype=float)), x, t)
+        out = np.where(ta == self.x_L, xa,
+                       np.where(xa == ta, self.x_L, self._difference(xa, ta)))
+        return _ret(out + 0.0, x, t)
 
     def _combine(self, x, t):
         return self.inverse_cumulative_hazard(

@@ -16,7 +16,8 @@ distribution; this module implements every falsifiable condition:
   implied joint density (iii), and the mixture-weight bounds (iv).
 
 * ``check_two_increasing`` -- every rectangle spanned by grid knots must
-  carry nonnegative probability.
+  carry nonnegative probability.  One O(n^3) pass ranks the rectangles by
+  their separable sum and reports the winner's inclusion-exclusion sum.
 
 * ``check_functional_equation`` -- residual of the semigroup stability
   identity ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)`` in log space;
@@ -72,21 +73,6 @@ INCONCLUSIVE = "Inconclusive"
 
 #: two-increasing rectangles may be this negative before counting as violations
 _RECT_TOL = 1e-9
-
-#: largest |survival| the rectangle screen takes; beyond it (or at NaN/inf)
-#: its differences could overflow, so every column pair gets the exact pass
-_SCREEN_MAX = 1e300
-
-#: the rectangle screen's rounding allowance per row and unit of magnitude
-#: (16 eps, about twice the first-order bound), plus an absolute floor (the
-#: smallest normal double) that covers underflow in that product
-_SCREEN_GAP = 16.0 * np.finfo(float).eps
-_SCREEN_FLOOR = np.finfo(float).tiny
-
-#: rectangles the exact pass of the rectangle scan evaluates at once
-#: (2**14 doubles, 128 KiB per temporary); a grid whose rectangles all fit
-#: (n <= 13 knots) skips the screen
-_RECT_CHUNK = 1 << 14
 
 #: cumulative hazard a marginal must reach for the divergence heuristic
 _DIVERGENCE_TARGET = 30.0
@@ -558,78 +544,48 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 
 
 def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
-    """Smallest ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over ``i < j`` and
-    ``k < l`` of a square matrix (``n >= 2``), as ``(value, i, j, k, l)``.
+    """Most negative rectangle ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over
+    ``i < j`` and ``k < l`` of a square matrix (``n >= 2``), as
+    ``(value, i, j, k, l)``, in O(n^3) time and O(n^2) memory.
 
-    The value is bit-identical to that expression evaluated left to right,
-    and ties (and NaN, which counts as smallest) go to the first
-    ``(i, j, k, l)`` in lexicographic order, as ``argmin`` over the full
-    n^4 tensor would give.  Two passes keep memory at O(n^2):
-
-    * the screen reads each rectangle in its separable form ``c_i - c_j``
-      with ``c = s[:, k] - s[:, l]``.  The two forms differ by rounding
-      only, by at most ``8.5 eps`` times the largest corner to first order,
-      so by less than ``delta_i + delta_j`` with
-      ``delta_i = 16 eps max_{l' >= k} |s[i,l']| + tiny``.  Running minima
-      of ``c_i -+ delta_i`` down the rows bound, in O(n^3) total time, every
-      column pair's values from below and the smallest value from above;
-    * the exact pass evaluates the expression above on the whole ``(i, j)``
-      triangle of each column pair whose lower bound does not exceed that
-      upper bound, so every pair that holds the exact minimum is among them.
-      Each such pair costs O(n^2).  Rectangles tied within rounding cost
-      more: where many are exactly equal, as in a block of survival values
-      that underflow to 0, the time grows toward n^4.
-
-    A matrix small enough for one exact pass over every pair (``n <= 13``),
-    or with values beyond ``_SCREEN_MAX`` in magnitude or non-finite ones,
-    skips the screen and gets the exact pass on every pair.
+    Rectangles are ranked by their separable sum ``c_i - c_j`` with
+    ``c = s[:, k] - s[:, l]``, which differs from the direct sum by rounding
+    only.  For each column ``k`` a running maximum of ``c`` up the rows gives
+    every row ``i`` its best partner below it, and the smallest key
+    ``(NaN first, value, i, k, l)`` wins.  ``j`` is then the first row below
+    ``i`` with the largest ``c_j``, and the value is the direct sum, left to
+    right, on that rectangle: what ``rectangle_probability`` gives there.
     """
     n = s.shape[0]
-    if n * n * (n * (n - 1) // 2) > _RECT_CHUNK and np.abs(s).max() <= _SCREEN_MAX:
-        # delta_i of every column pair (k, l), as delta[i, k]
-        mag = np.maximum.accumulate(np.abs(s[:, ::-1]), axis=1)[:, ::-1]
-        delta = _SCREEN_GAP * mag + _SCREEN_FLOOR
-        low = np.full((n, n), np.inf)  # below every value of the column pair
-        high = np.full((n, n), np.inf)  # its minimum is above the smallest value
+    best = None
+    with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n - 1):
             c = s[:, k:k + 1] - s[:, k + 1:]
-            down, up = c - delta[:, k:k + 1], c + delta[:, k:k + 1]
-            low[k, k + 1:] = (np.minimum.accumulate(down[:-1], axis=0) - up[1:]).min(axis=0)
-            high[k, k + 1:] = (np.minimum.accumulate(up[:-1], axis=0) - down[1:]).min(axis=0)
-        ks, ls = np.nonzero(low <= high.min())
-    else:
-        ks, ls = np.triu_indices(n, 1)
-    lower = np.tri(n, dtype=bool)  # i >= j
-    step = max(1, _RECT_CHUNK // (n * n))
-    best = None  # (sort key, value) of the smallest rectangle so far
-    for a in range(0, len(ks), step):
-        k, l = ks[a:a + step], ls[a:a + step]
-        p = s[:, None, k] - s[None, :, k] - s[:, None, l] + s[None, :, l]
-        p[lower] = np.inf
-        i, j, c = np.unravel_index(int(np.argmin(p)), p.shape)
-        v = float(p[i, j, c])
-        key = (not math.isnan(v), 0.0 if math.isnan(v) else v,
-               int(i), int(j), int(k[c]), int(l[c]))
-        if best is None or key < best[0]:
-            best = (key, v)
-    key, value = best
-    if value == math.inf:  # no finite rectangle: the tensor's argmin is its first entry
-        return (value, 0, 0, 0, 0)
-    return (value, *key[2:])
+            below = np.maximum.accumulate(c[:0:-1], axis=0)[::-1]  # max over rows > i
+            d = c[:-1] - below
+            i, m = np.unravel_index(int(np.argmin(d)), d.shape)
+            v = float(d[i, m])
+            key = (not math.isnan(v), 0.0 if math.isnan(v) else v, int(i), k, k + 1 + int(m))
+            if best is None or key < best:
+                best = key
+        i, k, l = best[2:]
+        j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
+        value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
+    return (value, i, j, k, l)
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
-    Scans all knot pairs per axis and reports the most negative rectangle,
-    breaking ties by lexicographic ``(i, j, k, l)`` knot order.  The scan
-    takes O(n^3) time and O(n^2) memory on ``n`` knots: a screen bounds
-    every column pair's rectangles through their separable form, whose
-    rounding differs from the direct sum by less than
-    ``delta = 16 eps (|S| of both rows)``, and the direct sums are taken only
-    on the pairs that can hold the minimum, so the result is the one the
-    direct sums give everywhere.  See :func:`_min_rectangle`.
+    Scans all knot pairs per axis in O(n^3) time and O(n^2) memory on ``n``
+    knots and reports the most negative rectangle.  Rectangles are ranked by
+    their separable sum, ``(S_ik - S_il) - (S_jk - S_jl)``, which differs
+    from the inclusion-exclusion sum by rounding only (about one eps times
+    the largest survival value, far inside the tolerance); ties go to the
+    first ``(i, k, l)`` in knot order.  The reported probability is the
+    inclusion-exclusion sum on the winning rectangle.  See
+    :func:`_min_rectangle`.
     """
     grid = grid or GridSpec.default()
     rect_tol = _RECT_TOL if tol is None else float(tol)
@@ -665,8 +621,10 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
     """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the raw shift points
     ``ts``; the witness is the unshifted pair and the shift of the first
     largest residual."""
+    if len(ts) == 0:
+        raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
     worst = -1.0
-    witness = (float(x1[0]), float(x2[0]), float(ts[0]) if len(ts) else base.x_L)
+    witness = (float(x1[0]), float(x2[0]), float(ts[0]))
     total = 0
     for t in ts:
         t = float(t)
@@ -688,7 +646,8 @@ def check_functional_equation(model, grid: GridSpec | None = None,
     Any model built from the wedge construction satisfies this identically;
     the residual measures only arithmetic error, whether or not the model is
     a valid distribution.  ``t_knots`` takes explicit shift points in raw
-    coordinates; by default the grid's shift knots are used.
+    coordinates; by default the grid's shift knots are used.  Without a
+    shift point there is nothing to check: ``DomainError``.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
@@ -739,7 +698,8 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     """Differential form of the stability identity, relative residual.
 
     Checks ``sum_i grad_i(x1 (+) t, x2 (+) t) * r0(t)/r0(x_i (+) t)`` against
-    ``theta * r0(t)`` over off-diagonal grid pairs and shift knots.
+    ``theta * r0(t)`` over off-diagonal grid pairs and shift knots
+    (``DomainError`` without a shift knot).
     """
     grid = grid or GridSpec.default()
     base = model.baseline

@@ -157,8 +157,9 @@ def rectangle_scan_tensor(s):
     tensor: ``(value, i, j, k, l)`` with ``i < j``, ``k < l`` and
     ``value = s[i,k] - s[j,k] - s[i,l] + s[j,l]``, the first in flat
     (lexicographic) order on ties.  The rectangle scan of
-    ``check_two_increasing`` before it became O(n^2) in memory, kept as the
-    reference it must match bit for bit.
+    ``check_two_increasing`` before it became O(n^2) in memory; the scan
+    now ranks by the separable sum, so it must come within rounding of this
+    minimum (see :func:`rectangle_scan_separable` for the bit-exact form).
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
@@ -170,6 +171,40 @@ def rectangle_scan_tensor(s):
     p_masked = np.where(mask, p, np.inf)
     i, j, k, l = np.unravel_index(int(np.argmin(p_masked)), p_masked.shape)
     return (float(p_masked[i, j, k, l]), int(i), int(j), int(k), int(l))
+
+
+def rectangle_scan_separable(s):
+    """The rectangle scan's ranking, by the full n^4 tensor of separable sums
+    ``sep[i,j,k,l] = (s[i,k] - s[i,l]) - (s[j,k] - s[j,l])``.
+
+    Each ``(i, k, l)`` with ``i < n - 1`` and ``k < l`` scores the smallest
+    ``sep`` over ``j > i`` (NaN if any is NaN); the winner is the first such
+    triple in lexicographic order that is NaN, else the first with the
+    smallest score.  ``j`` is the first row below ``i`` whose
+    ``s[j,k] - s[j,l]`` is NaN, else the first with the largest one.
+    Returns ``(s[i,k] - s[j,k] - s[i,l] + s[j,l], i, j, k, l)``.
+
+    The scan scores ``c_i - max_{j > i} c_j``; rounding is monotone, so that
+    is the smallest ``sep`` bit for bit, except where ``c_i`` and some
+    ``c_j`` are both ``-inf``, which needs two non-finite entries in one
+    column: the tensor reads NaN there and the scan ``-inf``.
+    """
+    s = np.asarray(s, dtype=float)
+    n = s.shape[0]
+    c = s[:, :, None] - s[:, None, :]  # c[row, k, l]
+    sep = c[:, None, :, :] - c[None, :, :, :]  # sep[i, j, k, l]
+    rows = np.arange(n)
+    sep = np.where((rows[:, None] < rows[None, :])[:, :, None, None], sep, np.inf)
+    score = sep.min(axis=1)  # score[i, k, l]; np.min propagates NaN
+    ii, kk, ll = np.nonzero(np.broadcast_to(np.triu(np.ones((n, n), bool), 1), (n - 1, n, n)))
+    scores = score[ii, kk, ll]
+    nan = np.flatnonzero(np.isnan(scores))
+    a = int(nan[0]) if nan.size else int(np.argmin(scores))
+    i, k, l = int(ii[a]), int(kk[a]), int(ll[a])
+    col = [float(s[j, k] - s[j, l]) for j in range(i + 1, n)]
+    nan_rows = [r for r, v in enumerate(col) if math.isnan(v)]
+    j = i + 1 + (nan_rows[0] if nan_rows else col.index(max(col)))
+    return (float(s[i, k] - s[j, k] - s[i, l] + s[j, l]), i, j, k, l)
 
 
 def write_csv_rows(batch, fileobj):

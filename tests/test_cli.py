@@ -129,6 +129,33 @@ def test_check_fe(capsys, tmp_path):
     assert residual < 1e-9
 
 
+def test_check_fe_refuses_an_empty_shift_set(capsys, tmp_path):
+    p = tmp_path / "no_shifts.json"
+    p.write_text('{"baseline": "exponential", "theta": 3.0, '
+                 '"marginals": ["lfr:1.5", "lfr:1.5"], "grid": {"t_knots": 0}}')
+    code, out, err = run(capsys, "check-fe", "--config", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: the shift checks need at least one shift point (t_knots >= 1)\n"
+    # validate evaluates no shifts and still decides the model
+    code, out, _ = run(capsys, "validate", "--config", str(p))
+    assert code == 3 and out.startswith("verdict: Invalid")
+
+
+def test_csv_format(capsys, mo_config):
+    # flat name,value rows; nested report parts are left to the JSON form
+    expected = {
+        ("eval", "1", "2"): ("x1,1\nx2,2\nsurvival,0.00673794699909\n"
+                             "ac_density,0.0202138409973\nhazard_gradient,1;2\n"),
+        ("decompose",): ("alpha,0.666666666667\nu1,2\nu2,2\n"
+                         "singular_mass,0.333333333333\nweight_in_range,True\n"),
+        ("validate",): "verdict,Valid\n",
+    }
+    for (command, *points), stdout in expected.items():
+        code, out, err = run(capsys, command, "--format", "csv",
+                             "--config", mo_config, *points)
+        assert (code, out, err) == (0, stdout, ""), command
+
+
 def test_sample_csv(capsys, mo_config, tmp_path):
     out_path = tmp_path / "draws.csv"
     code, out, _ = run(capsys, "sample", "--config", mo_config,

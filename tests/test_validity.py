@@ -1,6 +1,6 @@
 import math
+import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from bisurv import (
     GridSpec,
     LinearFailureRate,
     ModelError,
+    NumericError,
     Pareto,
     PHBivariateModel,
     ProportionalHazard,
@@ -37,7 +38,7 @@ from bisurv.validity import (
     _min_rectangle,
     lfr_exponential_cross_bound,
 )
-from oracles import fd_log_gradient, rectangle_scan_tensor
+from oracles import fd_log_gradient, rectangle_scan_separable, rectangle_scan_tensor
 
 E = Exponential()
 W2 = Weibull(2.0)
@@ -172,11 +173,11 @@ def test_two_increasing_agrees_with_direct_scan():
 @st.composite
 def _survival_matrices(draw):
     """Square matrices for the rectangle scan: random, heavily tied, decimal
-    (sums of tenths round differently in the screen's separable form, so
-    near-ties split by rounding), all zero, PH-shaped with one entry bumped
-    up, which makes negative rectangles, or random with one NaN, infinite or
-    huge entry (the scan's unscreened path)."""
-    n = draw(st.integers(2, 14))
+    (sums of tenths round differently in the separable and the direct form,
+    so near-ties split by rounding), all zero, PH-shaped with one entry
+    bumped up, which makes negative rectangles, or random with one NaN,
+    infinite or huge entry."""
+    n = draw(st.integers(2, 20))
     kind = draw(st.sampled_from(["random", "tied", "decimal", "zero", "negative", "nonfinite"]))
     if kind in ("random", "nonfinite"):
         s = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
@@ -200,21 +201,53 @@ def _survival_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(s=_survival_matrices())
-# the exact minimum -0.1 at (0, 1, 0, 1) screens as -0.09999999999999998,
-# above the screened minimum at (1, 2, 1, 2)
+# the separable minimum -0.09999999999999998 at (1, 2, 1, 2) wins over
+# (0, 1, 0, 1), whose direct sum -0.1 is the tensor's minimum
 @example(s=np.array([[0.7, 0.6, 0.1], [0.3, 0.1, 0.6], [0.3, 0.2, 0.6]]))
-# the only rectangle is +inf: the tensor's argmin returns its first entry
+# the only rectangle is +inf, and it is reported as (0, 1, 0, 1)
 @example(s=np.array([[math.inf, 0.0], [0.0, 0.0]]))
-def test_rectangle_scan_matches_tensor_scan_bit_for_bit(s):
+def test_rectangle_scan_matches_separable_oracle(s):
     with np.errstate(invalid="ignore", over="ignore"):
-        ref_value, *ref_witness = rectangle_scan_tensor(s)
-        # below 14 knots one exact pass takes every pair; a 1-value chunk
-        # makes the scan screen every matrix and merge one pair at a time
-        for chunk in (validity._RECT_CHUNK, 1):
-            with mock.patch.object(validity, "_RECT_CHUNK", chunk):
-                value, *witness = _min_rectangle(s)
-            assert witness == ref_witness
-            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        ref_value, *ref_witness = rectangle_scan_separable(s)
+        value, *witness = _min_rectangle(s)
+        assert witness == ref_witness
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        if np.all(np.isfinite(s)):
+            # ranking by the separable sum moves the minimum by rounding only
+            tensor_value = rectangle_scan_tensor(s)[0]
+            assert abs(value - tensor_value) <= 16 * np.finfo(float).eps * np.abs(s).max()
+
+
+def test_rectangle_scan_examples():
+    assert _min_rectangle(np.array([[0.7, 0.6, 0.1], [0.3, 0.1, 0.6], [0.3, 0.2, 0.6]])) == (
+        -0.09999999999999998, 1, 2, 1, 2)
+    assert _min_rectangle(np.array([[math.inf, 0.0], [0.0, 0.0]])) == (math.inf, 0, 1, 0, 1)
+    # inf - inf inside the scan is NaN, and NaN ranks first, without a warning
+    value, *witness = _min_rectangle(np.array([[math.inf, math.inf], [0.0, 0.0]]))
+    assert math.isnan(value) and witness == [0, 1, 0, 1]
+
+
+def test_rectangle_scan_of_tied_rectangles_is_cubic():
+    # every rectangle ties at 0: re-checking tied column pairs exactly
+    # would cost n^4 here, one pass over the columns takes ~0.04 s
+    start = time.perf_counter()
+    assert _min_rectangle(np.zeros((192, 192))) == (0.0, 0, 1, 0, 1)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("knots", [8, 16, 48])
+@pytest.mark.parametrize("model", [MOP, PHBivariateModel(W2, 0.7, 1.3, 0.4),
+                                   GeneralBivariateModel(E, LinearFailureRate(0.2),
+                                                         LinearFailureRate(0.2), 2.0),
+                                   lfr_exp_model()],
+                         ids=["ph-pareto", "ph-weibull2", "lfr0.2", "lfr1.5"])
+def test_two_increasing_reports_rectangle_probability(model, knots):
+    rep = check_two_increasing(model, GridSpec.default(knots=knots))
+    a1, b1, a2, b2 = rep.diagnostics["rectangle"]
+    assert a1 < b1 and a2 < b2
+    p = model.rectangle_probability(a1, b1, a2, b2)
+    assert np.float64(rep.diagnostics["min_rectangle_probability"]).tobytes() == \
+        np.float64(p).tobytes()
 
 
 def test_two_increasing_memory_is_quadratic():
@@ -244,6 +277,18 @@ def test_functional_equation_residuals():
 def test_functional_equation_identity_shift_is_exact_zero():
     rep = check_functional_equation(MOW, t_knots=[W2.x_L])
     assert rep.max_residual == 0.0
+
+
+def test_shift_checks_refuse_an_empty_shift_set():
+    # with no shift point there is no residual, and no witness to report
+    no_shifts = GridSpec(r0_knots=GridSpec.default().r0_knots, t_r0_knots=())
+    for check in (check_functional_equation, check_hazard_gradient_identity):
+        with pytest.raises(DomainError, match="at least one shift point"):
+            check(lfr_exp_model(), no_shifts)
+    with pytest.raises(DomainError, match="at least one shift point"):
+        check_functional_equation(MO, t_knots=[])
+    # validation evaluates no shifts, so it still runs on that grid
+    assert combined_validation(lfr_exp_model(), no_shifts).verdict == INVALID
 
 
 # -- hazard gradient ----------------------------------------------------------
@@ -475,6 +520,36 @@ def test_constancy_probe_spread_names_the_worst_anchor():
     cond = validity._constancy_condition([close, close], grid, [1.0, 1.0])
     assert (cond.passed, cond.witness) == (True, None)
     assert cond.margin == pytest.approx(1e-4 - 5e-5, rel=1e-6)
+
+
+class _FixedLimit:
+    """Stub kernel whose diagonal limit ``u`` is a value or raises."""
+
+    def __init__(self, u):
+        self._u = u
+
+    @property
+    def u(self):
+        if isinstance(self._u, Exception):
+            raise self._u
+        return self._u
+
+
+def test_weight_condition_undecided_limit_is_inconclusive():
+    err = NumericError("limit did not settle")
+    cond, us, alpha = validity._weight_condition("i", [_FixedLimit(1.0), _FixedLimit(err)],
+                                                 2.0, 1e-8)
+    assert (cond.cid, cond.passed, cond.margin, cond.witness) == ("i", None, None, None)
+    assert cond.note == "limit did not settle"
+    assert (us, alpha) == ([1.0, None], None)
+
+
+def test_weight_condition_divergent_limit_fails():
+    cond, us, alpha = validity._weight_condition(
+        "iv", [_FixedLimit(math.inf), _FixedLimit(1.0)], 2.0, 1e-8, names=("v1", "v2"))
+    assert (cond.cid, cond.passed, cond.margin) == ("iv", False, -math.inf)
+    assert cond.note == "v1+v2 diverges"
+    assert (us, alpha) == ([math.inf, 1.0], None)
 
 
 def test_constancy_probe_skips_unavailable_limits():
