@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .baseline import Exponential
@@ -65,11 +66,24 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _strict_json(value):
+    """``value`` with each non-finite float spelled as the table prints it
+    (``"inf"``, ``"-inf"``, ``"nan"``), which strict JSON parsers accept;
+    ``null`` keeps its meaning of undecided or unavailable."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _emit(args, payload: dict, table_lines: list[str]) -> None:
     """Print as table/json/csv and optionally write JSON to --out."""
     fmt = getattr(args, "format", "table")
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_strict_json(payload), indent=2))
     elif fmt == "csv":
         # flat name,value rows; nested report structures stay in the JSON form
         for key, value in payload.items():
@@ -87,7 +101,7 @@ def _emit(args, payload: dict, table_lines: list[str]) -> None:
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(_strict_json(payload), fh, indent=2)
             fh.write("\n")
 
 

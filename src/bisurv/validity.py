@@ -1,39 +1,29 @@
 """Grid-based validity diagnostics for bivariate models.
 
 A model built by the general construction need not be a probability
-distribution; this module implements every falsifiable condition:
+distribution.  The paper characterises validity through the marginals and
+through the hazard rates; off the diagonal both reduce to facts about the
+kernels ``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
+at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  Each
+fact is built by one function, and the checks are views over those:
 
-* ``check_marginal_conditions`` -- can these marginals sit inside a valid
-  bivariate model?  Condition (i) bounds the mixture weight through the
-  diagonal hazard-ratio limits (``theta <= u1 + u2 <= 2*theta``); condition
-  (ii) bounds the cross log-derivative of the wedge survival factor,
-  ``r0(lo) * (Q' - Q''/Q')``, by ``theta * r0(lo)``.  A diagonal-constancy
-  probe guards the limit itself.
-
-* ``check_hazard_rate_conditions`` -- the same question asked of two hazard
-  *functions* rather than fitted marginals: a nonnegativity/ratio bound (i),
-  a divergence heuristic for the total hazard (ii), nonnegativity of the
-  implied joint density (iii), and the mixture-weight bounds (iv).
-
-* ``check_two_increasing`` -- every rectangle spanned by grid knots must
-  carry nonnegative probability.  One O(n^3) pass ranks the rectangles by
-  their separable sum and reports the winner's inclusion-exclusion sum.
-
-* ``check_functional_equation`` -- residual of the semigroup stability
-  identity ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)`` in log space;
-  every model built here satisfies it to rounding error, valid or not.
-
+* ``combined_validation`` -- the ``validate`` report, each condition once:
+  ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
+  ``marginal-ii`` (density sign ``h >= 0``), ``marginal-u-constancy`` (a
+  probe of the diagonal limits), ``hazard-i`` (``G >= 0``), ``hazard-ii``
+  (divergence of the total hazard) and ``two-increasing`` (the definition).
+* ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
+  two theorems as the paper states them: ``i``, ``ii``, ``u-constancy``;
+  and ``i``, ``ii``, ``iii`` (``h >= 0`` again) and ``iv`` (weight bounds).
+* ``check_two_increasing`` -- one O(n^3) pass ranks the rectangles spanned
+  by grid knots by their separable sum and reports the winner's
+  inclusion-exclusion sum.
+* ``check_functional_equation`` -- residual of the stability identity
+  ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)``; every model built here
+  satisfies it to rounding error, valid or not.
 * ``hazard_gradient`` / ``check_hazard_gradient_identity`` /
-  ``reconstruct_survival_from_gradient`` -- the closed-form hazard gradient
-  off the diagonal, the differential form of the stability identity, and
-  survival reconstruction by integrating the gradient along an axis path.
-
-The marginal and hazard-rate conditions off the diagonal are functions of
-the wedge coordinate ``s = R0(hi) - R0(lo)`` alone, through the kernels
-``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
-(which also owns the one finite-difference fallback, for ``Q''`` of hazards
-without an analytic derivative); ``r0`` factors only scale them.  The grid
-pairs ``(hi, lo)`` are kept as witnesses.
+  ``reconstruct_survival_from_gradient`` -- the closed-form hazard gradient,
+  its form of the identity, and survival recovered by integrating it.
 
 Grid checks falsify; they never prove.  A ``Valid`` verdict means "no
 violation found on grid" and the reports say so.
@@ -219,18 +209,19 @@ class ValidationReport:
         lines = [f"verdict: {self.verdict}"]
         if self.verdict == VALID:
             lines[0] += "  (no violation found on grid)"
-        header = f"{'condition':<34} {'pass':<6} {'margin':>13}  witness"
+        labels = [f"{c.cid}: {c.label}" for c in self.conditions]
+        width = max(map(len, ["condition", *labels]))
+        header = f"{'condition':<{width}} {'pass':<6} {'margin':>13}  witness"
         lines.append(header)
         lines.append("-" * len(header))
-        for c in self.conditions:
+        for c, label in zip(self.conditions, labels):
             status = {True: "yes", False: "NO", None: "?"}[c.passed]
             margin = f"{c.margin:.6g}" if c.margin is not None else "-"
             witness = ("(" + ", ".join(f"{v:.6g}" for v in c.witness) + ")"
                        if c.witness is not None else "-")
-            label = f"{c.cid}: {c.label}"
-            lines.append(f"{label:<34} {status:<6} {margin:>13}  {witness}")
+            lines.append(f"{label:<{width}} {status:<6} {margin:>13}  {witness}")
             if c.note:
-                lines.append(f"{'':<34} {c.note}")
+                lines.append(f"{'':<{width}} {c.note}")
         return "\n".join(lines)
 
 
@@ -296,7 +287,8 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
     return cond, us, 2.0 - total / theta
 
 
-def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> ConditionResult:
+def _constancy_condition(cid: str, kernels, grid: GridSpec,
+                         us: list[float | None]) -> ConditionResult:
     """Diagonal limits re-taken from every grid anchor must agree with ``u``.
 
     From anchor ``a`` the samples are ``Q'(s) exp(-Q(s))``, i.e.
@@ -307,7 +299,7 @@ def _constancy_condition(kernels, grid: GridSpec, us: list[float | None]) -> Con
     The first anchor whose limit does not settle is the witness of an
     undecided probe, else the anchor farthest from ``u``, the first on ties.
     """
-    cid, label = "u-constancy", "diagonal-limit constancy"
+    label = "diagonal-limit constancy"
     if any(u is None or math.isinf(u) for u in us):
         return ConditionResult(cid, label, None,
                                note="skipped: diagonal limits unavailable")
@@ -368,11 +360,8 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
     marginal 1 sits on the wedge ``x1 >= x2``, so its witnesses are
     ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.
     """
-    worst = math.inf
-    worst_witness = None
-    decided = 0
-    skipped = 0
-    passed = True
+    worst, worst_witness, passed = math.inf, None, True
+    decided = skipped = 0
     for lhs, wit in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
         lhs = np.asarray(lhs, dtype=float)
         ok = np.isfinite(lhs)
@@ -383,21 +372,63 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
         margin = rhs[ok] - lhs[ok]
         if lower_zero:
             margin = np.minimum(margin, lhs[ok])
-        tol = _ineq_tol(rhs[ok], floor)
-        bad = margin < -tol
-        if np.any(bad):
-            passed = False
+        passed &= not np.any(margin < -_ineq_tol(rhs[ok], floor))
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
-            pts = (wit[0][ok], wit[1][ok])
-            worst_witness = (float(pts[0][i]), float(pts[1][i]))
+            worst_witness = (float(wit[0][ok][i]), float(wit[1][ok][i]))
     if decided == 0:
         return ConditionResult(cid, label, None,
                                note=f"all {skipped} grid points skipped")
     note = f"{decided} grid points" + (f", {skipped} skipped" if skipped else "")
     return ConditionResult(cid, label, passed, witness=worst_witness,
                            margin=worst, note=note)
+
+
+def _cross_derivative_condition(cid: str, theta: float, pairs, floor: float) -> ConditionResult:
+    """The density sign ``h >= 0`` as a bound on the cross log-derivative of
+    the wedge survival factor: ``r0(lo) * (Q' - Q''/Q') <= theta * r0(lo)``.
+    Points with ``Q' = 0`` give no finite left side and are skipped."""
+    hi, lo, _, r0_lo, slopes = pairs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
+    return _grid_bound_condition(cid, "cross-derivative-bound", lhs, theta * r0_lo,
+                                 hi, lo, floor=floor)
+
+
+def _gradient_condition(cid: str, theta: float, pairs, floor: float) -> ConditionResult:
+    """``G >= 0``: both hazard-gradient components are nonnegative, i.e.
+    ``0 <= Q' * r0(lo) <= theta * r0(lo)``."""
+    hi, lo, _, r0_lo, slopes = pairs
+    with np.errstate(invalid="ignore"):
+        lhs = [q1 * r0_lo for q1, _ in slopes]
+    return _grid_bound_condition(cid, "gradient-nonnegativity-bound", lhs, theta * r0_lo,
+                                 hi, lo, lower_zero=True, floor=floor)
+
+
+def _divergence_condition(cid: str, kernels) -> ConditionResult:
+    """The total hazard diverges: each ``Q`` grows past 30 over far probes.
+    A heuristic, so a hazard that decays too fast is undecided, never passed."""
+    passed: bool | None = True
+    worst_tail = math.inf
+    for k in kernels:
+        ri = k.q(np.asarray(_DIVERGENCE_PROBES))
+        growing = bool(np.all(np.diff(ri) > 0))
+        worst_tail = min(worst_tail, float(ri[-1]))
+        if not (growing and ri[-1] > _DIVERGENCE_TARGET):
+            passed = None
+    return ConditionResult(
+        cid, "total-hazard-divergence", passed,
+        margin=worst_tail - _DIVERGENCE_TARGET,
+        note=("heuristic: cumulative hazard %.4g at the farthest probe, "
+              "target > %g with monotone growth; divergence cannot be proven "
+              "from finite samples" % (worst_tail, _DIVERGENCE_TARGET)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The paper's two theorems, each a view over the row functions above
+# ---------------------------------------------------------------------------
 
 
 def check_marginal_conditions(model: GeneralBivariateModel,
@@ -415,29 +446,16 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-
     cond_i, us, alpha = _weight_condition("i", model.kernels, theta, floor)
-
-    hi, lo, _, r0_lo, slopes = _grid_slopes(model.kernels, grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
-    cond_ii = _grid_bound_condition("ii", "cross-derivative-bound",
-                                    lhs, theta * r0_lo, hi, lo, floor=floor)
-
-    cond_const = _constancy_condition(model.kernels, grid, us)
-
-    conditions = [cond_i, cond_ii, cond_const]
-    diagnostics = {
-        "u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
-        "grid": grid.describe(),
-        "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)",
-    }
+    conditions = [
+        cond_i,
+        _cross_derivative_condition("ii", theta, _grid_slopes(model.kernels, grid), floor),
+        _constancy_condition("u-constancy", model.kernels, grid, us),
+    ]
+    diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
+                   "grid": grid.describe(),
+                   "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
     return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Hazard-rate qualification (conditions on hazard function handles)
-# ---------------------------------------------------------------------------
 
 
 def _as_kernel(handle, baseline: BaselineModel) -> WedgeKernel:
@@ -462,65 +480,37 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
 
     ``r1``/``r2`` may be callables, :class:`MarginalModel` instances or
     :class:`~bisurv.marginals.WedgeKernel` instances over ``baseline``; a
-    kernel brings its already-taken diagonal limit ``u`` along, so
-    ``combined_validation`` passes the model's own kernels.
-    Condition (ii) (total hazard diverges) is decided by an explicit
-    heuristic -- cumulative hazard exceeding 30 with monotone growth over
-    probe points far in the tail -- and is reported as such; a hazard that
-    decays too fast yields Inconclusive, never Valid.
+    kernel brings its already-taken diagonal limit ``u`` along.  Conditions:
+    ``0 <= Q' <= theta`` (i), divergence of the total hazard by an explicit
+    heuristic, never reported Valid when undecided (ii), nonnegativity of
+    the implied joint density (iii) and the weight bounds on ``v1 + v2`` (iv).
     """
     theta = _validate_theta(theta)
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    hi, lo, r0_hi, r0_lo, slopes = _grid_slopes(kernels, grid)
-
-    # (i) 0 <= Q' * r0(lo) <= theta * r0(lo)
-    with np.errstate(invalid="ignore"):
-        lhs = [q1 * r0_lo for q1, _ in slopes]
-    cond_i = _grid_bound_condition("i", "gradient-nonnegativity-bound", lhs,
-                                   theta * r0_lo, hi, lo, lower_zero=True, floor=floor)
-
-    # (ii) divergence heuristic on Q at far cumulative-hazard levels
-    cond_ii_pass: bool | None = True
-    worst_tail = math.inf
-    for k in kernels:
-        ri = k.q(np.asarray(_DIVERGENCE_PROBES))
-        growing = bool(np.all(np.diff(ri) > 0))
-        worst_tail = min(worst_tail, float(ri[-1]))
-        if not (growing and ri[-1] > _DIVERGENCE_TARGET):
-            cond_ii_pass = None
-    cond_ii = ConditionResult(
-        "ii", "total-hazard-divergence", cond_ii_pass,
-        margin=worst_tail - _DIVERGENCE_TARGET,
-        note=("heuristic: cumulative hazard %.4g at the farthest probe, "
-              "target > %g with monotone growth; divergence cannot be proven "
-              "from finite samples" % (worst_tail, _DIVERGENCE_TARGET)),
-    )
-
-    # (iii) implied joint density nonnegative:
-    #       r0(hi) * r0(lo) * (theta Q' + Q'' - Q'^2) >= 0
+    pairs = _grid_slopes(kernels, grid)
+    hi, lo, r0_hi, r0_lo, slopes = pairs
+    # (iii) r0(hi) * r0(lo) * (theta Q' + Q'' - Q'^2) >= 0, normalized by the
+    # size of its terms so that one tolerance fits all
     terms = []
     for q1, q2 in slopes:
         with np.errstate(invalid="ignore", over="ignore"):
             value = r0_hi * r0_lo * (theta * q1 + q2 - q1 * q1)
-            # margins are normalized by the term scale so one tolerance fits all
             scale = np.abs(theta * q1 * r0_hi * r0_lo) + np.abs(r0_hi * r0_lo * q2) + 1.0
         terms.append(np.where(np.isfinite(value), value / scale, math.nan))
-    cond_iii = _grid_bound_condition("iii", "density-nonnegativity",
-                                     [-t for t in terms], np.zeros_like(r0_lo),
-                                     hi, lo, floor=floor)
-
-    # (iv) mixture-weight bounds on the diagonal limits
     cond_iv, vs, alpha = _weight_condition("iv", kernels, theta, floor, names=("v1", "v2"))
-
-    conditions = [cond_i, cond_ii, cond_iii, cond_iv]
-    diagnostics = {
-        "v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
-        "grid": grid.describe(),
-        "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
-                                f"R0 probes {list(_DIVERGENCE_PROBES)}",
-    }
+    conditions = [
+        _gradient_condition("i", theta, pairs, floor),
+        _divergence_condition("ii", kernels),
+        _grid_bound_condition("iii", "density-nonnegativity", [-t for t in terms],
+                              np.zeros_like(r0_lo), hi, lo, floor=floor),
+        cond_iv,
+    ]
+    diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
+                   "grid": grid.describe(),
+                   "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
+                                           f"R0 probes {list(_DIVERGENCE_PROBES)}"}
     return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
 
 
@@ -623,6 +613,9 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
     largest residual."""
     if len(ts) == 0:
         raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
+    if len(x1) == 0:
+        raise DomainError("the shift checks need at least one grid point; the gradient "
+                          "identity takes knot pairs at least wedge_margin apart")
     worst = -1.0
     witness = (float(x1[0]), float(x2[0]), float(ts[0]))
     total = 0
@@ -768,28 +761,34 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
 
 def combined_validation(model, grid: GridSpec | None = None,
                         tol: float | None = None) -> ValidationReport:
-    """All checks on one model, merged into a single report.
+    """Each of the paper's conditions once, from one evaluation of the grid.
 
-    Runs the marginal conditions, the hazard-rate conditions on the model's
-    own wedge kernels (so each diagonal limit is taken once), and the
-    two-increasing grid scan; condition ids are prefixed by the check they
-    came from.
+    Rows: ``marginal-i`` the weight bounds ``theta <= u1 + u2 <= 2*theta``;
+    ``marginal-ii`` the density sign ``h >= 0``; ``marginal-u-constancy``
+    the diagonal limits agree from every anchor; ``hazard-i`` ``G >= 0``,
+    i.e. ``0 <= Q' <= theta``; ``hazard-ii`` divergence of the total hazard
+    (heuristic); ``two-increasing`` the definition, no grid rectangle of
+    negative probability.  Hazard-rate (iv) is ``marginal-i`` again, and
+    (iii) decides nothing the rows leave open: where ``Q' < 0`` ``hazard-i``
+    fails, and where ``Q' = 0`` (iii) reads ``Q'' = r_m'/r0^2 >= 0``, true
+    of any nonnegative hazard.
     """
     grid = grid or GridSpec.default()
-    reports = [
-        ("marginal", check_marginal_conditions(model, grid, tol)),
-        ("hazard", check_hazard_rate_conditions(*model.kernels, model.baseline,
-                                                model.theta, grid, tol)),
-        ("", check_two_increasing(model, grid, tol)),
+    floor = 1e-8 if tol is None else float(tol)
+    theta, kernels = model.theta, model.kernels
+    weights, us, alpha = _weight_condition("marginal-i", kernels, theta, floor)
+    pairs = _grid_slopes(kernels, grid)
+    rectangles = check_two_increasing(model, grid, tol)
+    conditions = [
+        weights,
+        _cross_derivative_condition("marginal-ii", theta, pairs, floor),
+        _constancy_condition("marginal-u-constancy", kernels, grid, us),
+        _gradient_condition("hazard-i", theta, pairs, floor),
+        _divergence_condition("hazard-ii", kernels),
+        *rectangles.conditions,
     ]
-    conditions: list[ConditionResult] = []
-    diagnostics: dict = {"grid": grid.describe()}
-    for prefix, rep in reports:
-        for c in rep.conditions:
-            cid = f"{prefix}-{c.cid}" if prefix else c.cid
-            conditions.append(ConditionResult(cid, c.label, c.passed,
-                                              c.witness, c.margin, c.note))
-        for key in ("u1", "u2", "v1", "v2", "alpha", "min_rectangle_probability"):
-            if key in rep.diagnostics and rep.diagnostics[key] is not None:
-                diagnostics.setdefault(key, rep.diagnostics[key])
+    worst = rectangles.diagnostics.get("min_rectangle_probability")
+    diagnostics = {key: value for key, value in (
+        ("grid", grid.describe()), ("u1", us[0]), ("u2", us[1]), ("alpha", alpha),
+        ("min_rectangle_probability", worst)) if value is not None}
     return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)

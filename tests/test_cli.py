@@ -108,6 +108,44 @@ def test_validate_writes_json_report(capsys, mo_config, tmp_path):
     assert {c["id"] for c in report["conditions"]} >= {"marginal-i", "two-increasing"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_validate_json_is_strict_for_divergent_limits(capsys, tmp_path):
+    # lfr:1 over weibull:2 has Q' -> inf at the diagonal: u1 and the weight
+    # margin are infinite, and both outputs spell them as the table does
+    cfg = tmp_path / "div.json"
+    cfg.write_text('{"baseline": "weibull:2", "theta": 3, "marginals": ["lfr:1", "ph:1"]}')
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "validate", "--config", str(cfg), "--format", "json",
+                       "--out", str(out_path))
+    assert code == 3
+    for text in (out, out_path.read_text()):
+        report = json.loads(text, parse_constant=_refuse_constant)
+        weights = report["conditions"][0]
+        assert (weights["id"], weights["pass"], weights["margin"]) == ("marginal-i", False, "-inf")
+        assert report["diagnostics"]["u1"] == "inf"
+        assert report["conditions"][2]["margin"] is None  # undecided stays null
+    _, table, _ = run(capsys, "validate", "--config", str(cfg))
+    assert "-inf" in table.splitlines()[3]
+
+
+def test_validate_table_columns_align(capsys, mo_config):
+    code, out, _ = run(capsys, "validate", "--config", mo_config)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines[1]
+    rows = [line for line in lines[3:] if not line.startswith(" ")]
+    assert len(rows) == 6
+    # every pass column starts under "pass" and every row is as wide as the
+    # header up to the witness
+    column = header.index("pass")
+    for row in rows:
+        assert row[column - 1] == " " and row[column] != " "
+        assert row[header.index("witness") - 2:header.index("witness")] == "  "
+
+
 def test_decompose(capsys, mo_config, lfr_config):
     code, out, _ = run(capsys, "decompose", "--format", "json",
                        "--config", mo_config)

@@ -291,6 +291,14 @@ def test_shift_checks_refuse_an_empty_shift_set():
     assert combined_validation(lfr_exp_model(), no_shifts).verdict == INVALID
 
 
+@pytest.mark.parametrize("knots", [(1.0,), (1.0, 1.01)], ids=["one-knot", "within-margin"])
+def test_gradient_identity_refuses_a_grid_without_off_diagonal_pairs(knots):
+    # no knot pair is wedge_margin apart, so there is no point to shift
+    grid = GridSpec(r0_knots=knots, t_r0_knots=(0.5,))
+    with pytest.raises(DomainError, match="at least one grid point"):
+        check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1), grid)
+
+
 # -- hazard gradient ----------------------------------------------------------
 
 
@@ -431,8 +439,7 @@ def test_combined_validation_merging():
     rep = combined_validation(MO)
     ids = [c.cid for c in rep.conditions]
     assert ids == ["marginal-i", "marginal-ii", "marginal-u-constancy",
-                   "hazard-i", "hazard-ii", "hazard-iii", "hazard-iv",
-                   "two-increasing"]
+                   "hazard-i", "hazard-ii", "two-increasing"]
     assert rep.verdict == VALID
     assert combined_validation(lfr_exp_model()).verdict == INVALID
 
@@ -452,11 +459,79 @@ def test_combined_validation_takes_each_diagonal_limit_once(monkeypatch):
     assert len(calls) == 2  # one per marginal, shared by both checks
     dec = model.decompose()
     assert len(calls) == 2  # the decomposition reads the same kernels
-    assert (rep.diagnostics["u1"], rep.diagnostics["v2"]) == (dec.u1, dec.u2)
+    assert (rep.diagnostics["u1"], rep.diagnostics["u2"]) == (dec.u1, dec.u2)
 
     combined_validation(MOW)
     MOW.decompose()
     assert len(calls) == 2  # PH kernels know u = delta exactly
+
+
+def test_combined_validation_evaluates_the_grid_once(monkeypatch):
+    calls = []
+    original = validity._grid_slopes
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(validity, "_grid_slopes", counting)
+    for model in (lfr_exp_model(0.2, 2.0), MOW):
+        calls.clear()
+        combined_validation(model)
+        assert len(calls) == 1
+
+
+def _seeded_models(base, rng):
+    """PH, LFR (where the support starts at 0) and hazard-table models over
+    ``base``, valid or not, with parameters drawn from ``rng``."""
+    from bisurv import FromHazard
+    xs = base.x_L + np.linspace(0.0, 10.0, 41)
+    models = []
+    for _ in range(2):
+        models.append(PHBivariateModel(base, *rng.uniform(0.2, 3.0, size=3)))
+        if base.x_L == 0.0:
+            a1, a2 = rng.uniform(0.05, 2.0, size=2)
+            models.append(GeneralBivariateModel(base, LinearFailureRate(a1),
+                                                LinearFailureRate(a2), rng.uniform(1.0, 4.0)))
+        level, wiggle, freq = rng.uniform(0.5, 2.0), rng.uniform(-0.6, 0.6), rng.uniform(0.5, 4.0)
+        table = FromHazard.from_table(xs, level * (1.0 + wiggle * np.sin(freq * xs)))
+        models.append(GeneralBivariateModel(base, table,
+                                            ProportionalHazard(base, rng.uniform(0.5, 2.0)),
+                                            rng.uniform(1.0, 4.0)))
+    return models
+
+
+#: merged row id -> (public report, that report's id)
+_MERGED_ROWS = {"marginal-i": ("marginal", "i"), "marginal-ii": ("marginal", "ii"),
+                "marginal-u-constancy": ("marginal", "u-constancy"),
+                "hazard-i": ("hazard", "i"), "hazard-ii": ("hazard", "ii"),
+                "two-increasing": ("rectangles", "two-increasing")}
+
+
+@pytest.mark.parametrize("base", [E, Weibull(0.5), W2, PAR], ids=lambda b: b.spec_string())
+def test_combined_validation_agrees_with_the_public_checks(base):
+    rng = np.random.default_rng(1729)
+    verdicts = set()
+    for model in _seeded_models(base, rng):
+        merged = combined_validation(model)
+        public = {
+            "marginal": check_marginal_conditions(model),
+            "hazard": check_hazard_rate_conditions(model.marginal1, model.marginal2,
+                                                   base, model.theta),
+            "rectangles": check_two_increasing(model),
+        }
+        rows = {name: {c.cid: c.to_json_dict() for c in rep.conditions}
+                for name, rep in public.items()}
+        assert [c.cid for c in merged.conditions] == list(_MERGED_ROWS)
+        for c in merged.conditions:
+            name, cid = _MERGED_ROWS[c.cid]
+            assert {**c.to_json_dict(), "id": cid} == rows[name][cid]
+        everything = [c for rep in public.values() for c in rep.conditions]
+        assert merged.verdict == validity._combine_verdict(everything)
+        # the dropped density row decides exactly what the kept one does
+        assert rows["marginal"]["ii"]["pass"] == rows["hazard"]["iii"]["pass"]
+        verdicts.add(merged.verdict)
+    assert INVALID in verdicts
 
 
 class _AnchorRows:
@@ -492,14 +567,14 @@ def test_constancy_probe_unsettled_anchor_is_inconclusive():
     n = len(anchors)
     spread = _AnchorRows(_anchor_rows(n, a2=_SETTLES * 1.01))
     bad = _AnchorRows(_anchor_rows(n, a3=np.full(8, math.nan), a7=_ERRATIC, a9=_ERRATIC))
-    cond = validity._constancy_condition([spread, bad], grid, [1.0, 1.0])
+    cond = validity._constancy_condition("u-constancy", [spread, bad], grid, [1.0, 1.0])
     # marginal 1 varies, but the first anchor of marginal 2 that does not
     # settle (a NaN row counts) decides the outcome
     assert (cond.cid, cond.passed, cond.margin) == ("u-constancy", None, None)
     assert cond.witness == (float(anchors[3]), float(anchors[3]))
     assert cond.note == "anchored limit for marginal 2 did not converge"
-    cond = validity._constancy_condition([_AnchorRows(_anchor_rows(n, a9=_ERRATIC)), bad],
-                                         grid, [1.0, 1.0])
+    cond = validity._constancy_condition(
+        "u-constancy", [_AnchorRows(_anchor_rows(n, a9=_ERRATIC)), bad], grid, [1.0, 1.0])
     assert cond.witness == (float(anchors[9]), float(anchors[9]))
     assert cond.note == "anchored limit for marginal 1 did not converge"
 
@@ -510,14 +585,14 @@ def test_constancy_probe_spread_names_the_worst_anchor():
     n = len(anchors)
     first = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 1.5e-4)))
     second = _AnchorRows(_anchor_rows(n, a6=_SETTLES * (1 - 3e-4), a11=_SETTLES * (1 + 2.5e-4)))
-    cond = validity._constancy_condition([first, second], grid, [1.0, 1.0])
+    cond = validity._constancy_condition("u-constancy", [first, second], grid, [1.0, 1.0])
     assert cond.passed is None
     assert cond.witness == (float(anchors[6]), float(anchors[6]))
     assert cond.margin == pytest.approx(1e-4 - 3e-4, rel=1e-6)
     assert cond.note == "diagonal limits vary across anchors (relative spread 0.0003)"
     # within the tolerance the probe passes with its slack
     close = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 5e-5)))
-    cond = validity._constancy_condition([close, close], grid, [1.0, 1.0])
+    cond = validity._constancy_condition("u-constancy", [close, close], grid, [1.0, 1.0])
     assert (cond.passed, cond.witness) == (True, None)
     assert cond.margin == pytest.approx(1e-4 - 5e-5, rel=1e-6)
 
@@ -556,7 +631,7 @@ def test_constancy_probe_skips_unavailable_limits():
     grid = GridSpec.default()
     rows = _AnchorRows(_anchor_rows(len(grid.r0_knots)))
     for us in ([None, 1.0], [1.0, math.inf]):
-        cond = validity._constancy_condition([rows, rows], grid, us)
+        cond = validity._constancy_condition("u-constancy", [rows, rows], grid, us)
         assert (cond.passed, cond.witness, cond.margin) == (None, None, None)
         assert cond.note == "skipped: diagonal limits unavailable"
 
