@@ -45,7 +45,7 @@ __all__ = [
 
 
 def _is_scalar(x) -> bool:
-    return np.ndim(x) == 0
+    return isinstance(x, float) or np.ndim(x) == 0
 
 
 def _ret(value, *refs):

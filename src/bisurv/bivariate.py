@@ -30,6 +30,12 @@ singular part carries ``1 - alpha``.
 
 All survival evaluation happens in cumulative-hazard (log-survival)
 coordinates; raw survival factors are never multiplied.
+
+A pair of scalar coordinates takes one path of its own: ``_point`` checks
+it with ``math``, maps both coordinates through one baseline call and picks
+the kernel of its wedge, and survival, density and gradient are views of
+that point.  They return floats equal bit for bit to the array path's
+element, and raise the same errors.
 """
 
 from __future__ import annotations
@@ -107,6 +113,13 @@ def _nan_check(*values) -> None:
             raise DomainError(f"coordinates must not be NaN, got {v!r}")
 
 
+def _negative_density(x1, x2, value) -> InvalidModelError:
+    return InvalidModelError(
+        f"absolutely continuous density is negative at ({x1}, {x2})",
+        witness=(float(x1), float(x2)), value=float(value),
+    )
+
+
 class _BivariateBase:
     """Survival, the cached decomposition, the singular part and rectangle
     probabilities, derived from ``log_survival`` and ``_compute_decomposition``,
@@ -127,8 +140,40 @@ class _BivariateBase:
         """Joint survival P(X1 > x1, X2 > x2); accepts scalars or arrays."""
         log_s = self.log_survival(x1, x2)
         if type(log_s) is np.ndarray:  # a fresh array: exponentiate in place
-            return _ret(np.exp(log_s, out=log_s), x1, x2)
-        return _ret(np.exp(log_s), x1, x2)
+            return np.exp(log_s, out=log_s)
+        return float(np.exp(log_s))
+
+    def _point(self, x1, x2, what: str | None = None):
+        """One point as ``(x1, x2, upper, s, w, kernel)``: the scalar path's
+        single admission check and map into wedge coordinates.
+
+        ``what`` names an off-diagonal quantity (``"density"``, ``"hazard
+        gradient"``); the point must then be off the diagonal, finite and at
+        or above ``x_L``, else :class:`DomainError`.  Without it the point is
+        a survival argument: a NaN coordinate raises, both clamp to ``x_L``,
+        and an infinite one returns None.
+        """
+        f1, f2 = float(x1), float(x2)
+        xl = self.baseline.x_L
+        if what is None:
+            for f, v in ((f1, x1), (f2, x2)):
+                if math.isnan(f):
+                    raise DomainError(f"coordinates must not be NaN, got {v!r}")
+            f1, f2 = max(f1, xl), max(f2, xl)
+            if f1 == math.inf or f2 == math.inf:
+                return None
+        elif f1 == f2:
+            raise DomainError(f"{what} undefined on the diagonal")
+        elif not (math.isfinite(f1) and math.isfinite(f2) and min(f1, f2) >= xl):
+            raise DomainError(f"coordinates must be finite and >= {xl}")
+        return self._wedge_point(f1, f2)
+
+    def _wedge_point(self, x1: float, x2: float):
+        """:meth:`_point` of admitted floats: one baseline map of both
+        coordinates, and the kernel of the point's own wedge."""
+        r1, r2 = self.baseline.cumulative_hazard(np.array((x1, x2))).tolist()
+        upper = x1 >= x2
+        return x1, x2, upper, abs(r1 - r2), min(r1, r2), self.kernels[0 if upper else 1]
 
     def _off_diagonal(self, x1, x2, what: str):
         """``x1, x2`` as broadcast float arrays, admitted only off the diagonal,
@@ -144,13 +189,8 @@ class _BivariateBase:
         return x1a, x2a
 
     def _per_wedge(self, method: str, upper, s, *args):
-        """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere.
-
-        A single point (0-d ``upper``) runs only its own wedge's kernel.
-        """
+        """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere."""
         k1, k2 = self.kernels
-        if np.ndim(upper) == 0:
-            return np.asarray(getattr(k1 if upper else k2, method)(s, *args), dtype=float)
         return np.where(upper, getattr(k1, method)(s, *args), getattr(k2, method)(s, *args))
 
     # -- decomposition ---------------------------------------------------------
@@ -225,21 +265,21 @@ class GeneralBivariateModel(_BivariateBase):
 
     def log_survival(self, x1, x2):
         """``-(Q_i(s) + theta * w)`` on the wedge of marginal ``i``; scalars or arrays."""
-        _nan_check(x1, x2)
-        base = self.baseline
-        xl = base.x_L
         if _is_scalar(x1) and _is_scalar(x2):
-            if math.isinf(x1) or math.isinf(x2):
-                return -math.inf
-            r1 = float(base.cumulative_hazard(max(float(x1), xl)))
-            r2 = float(base.cumulative_hazard(max(float(x2), xl)))
-            kernel = self.kernels[0 if x1 >= x2 else 1]
-            return -(float(kernel.q(abs(r1 - r2))) + self.theta * min(r1, r2))
+            return self._log_survival_at(self._point(x1, x2))
+        _nan_check(x1, x2)
         x1a = np.asarray(x1, dtype=float)
         x2a = np.asarray(x2, dtype=float)
         if (x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size) > 2 * _BLOCK:
             return self._log_survival_blocked(x1a, x2a)
         return self._log_survival_array(x1a, x2a)
+
+    def _log_survival_at(self, point) -> float:
+        """:meth:`log_survival` of one :meth:`_point`; None reads ``-inf``."""
+        if point is None:
+            return -math.inf
+        _, _, _, s, w, kernel = point
+        return -(float(kernel.q(s)) + self.theta * w)
 
     def _log_survival_array(self, x1, x2):
         """The array branch of :meth:`log_survival`, on float arrays free of NaN."""
@@ -286,11 +326,10 @@ class GeneralBivariateModel(_BivariateBase):
         :class:`~bisurv.errors.InvalidModelError` carrying the first such
         point as its witness.
         """
+        if _is_scalar(x1) and _is_scalar(x2):
+            return self._ac_density_at(self._point(x1, x2, "density"))
         x1a, x2a = self._off_diagonal(x1, x2, "density")
-        alpha = self.decompose().alpha
-        if alpha <= _WEIGHT_EPS:
-            raise UndefinedComponentError(
-                "model is purely singular; the absolutely continuous density is undefined")
+        alpha = self._ac_weight()
         upper, s, w = _wedge(self.baseline, x1a, x2a)
         h = self._per_wedge("density", upper, s, self.theta)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,12 +339,27 @@ class GeneralBivariateModel(_BivariateBase):
         negative = np.flatnonzero(val < 0.0)
         if negative.size:
             i = negative[0]
-            raise InvalidModelError(
-                f"absolutely continuous density is negative at "
-                f"({x1a.flat[i]}, {x2a.flat[i]})",
-                witness=(float(x1a.flat[i]), float(x2a.flat[i])), value=float(val.flat[i]),
-            )
-        return _ret(val, x1, x2)
+            raise _negative_density(x1a.flat[i], x2a.flat[i], val.flat[i])
+        return val
+
+    def _ac_density_at(self, point) -> float:
+        """:meth:`ac_density` of one :meth:`_point`."""
+        x1, x2, _, s, w, kernel = point
+        alpha = self._ac_weight()
+        h = float(kernel.density(s, self.theta))
+        r0_1, r0_2 = self.baseline.hazard(np.array((x1, x2))).tolist()
+        val = r0_1 * r0_2 * h * float(np.exp(-self.theta * w)) / alpha
+        if val < 0.0:
+            raise _negative_density(x1, x2, val)
+        return val
+
+    def _ac_weight(self) -> float:
+        """``alpha``, refused when the model is purely singular."""
+        alpha = self.decompose().alpha
+        if alpha <= _WEIGHT_EPS:
+            raise UndefinedComponentError(
+                "model is purely singular; the absolutely continuous density is undefined")
+        return alpha
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"GeneralBivariateModel(baseline={self.baseline!r}, "

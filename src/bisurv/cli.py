@@ -25,6 +25,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .baseline import Exponential
 from .bivariate import GeneralBivariateModel, PHBivariateModel
 from .config import ModelConfig, load_model_config
@@ -45,9 +47,9 @@ from .validity import (
     INCONCLUSIVE,
     INVALID,
     VALID,
+    _gradient_at,
     check_functional_equation,
     combined_validation,
-    hazard_gradient,
     lfr_exponential_cross_bound,
 )
 
@@ -123,21 +125,26 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     model = cfg.model
     x1, x2 = float(args.x1), float(args.x2)
-    surv = model.survival(x1, x2)
+    if x1 == x2 or math.isnan(x1) or math.isnan(x2):
+        # only survival is defined on the diagonal, and it refuses NaN
+        point, surv = None, model.survival(x1, x2)
+    else:  # one map of the point for all three values
+        point = model._point(x1, x2, "density")
+        surv = float(np.exp(model._log_survival_at(point)))
     payload: dict = {"x1": x1, "x2": x2, "survival": surv}
     lines = [f"survival = {_fmt(surv)}"]
-    if x1 == x2:
+    if point is None:
         payload["note"] = "diagonal"
         lines.append("point lies on the diagonal; density and gradient undefined")
     else:
         try:
-            dens = model.ac_density(x1, x2)
+            dens = model._ac_density_at(point)
             payload["ac_density"] = dens
             lines.append(f"ac_density = {_fmt(dens)}")
         except UndefinedComponentError:
             payload["ac_density"] = None
             lines.append("ac_density = undefined (purely singular model)")
-        g1, g2 = hazard_gradient(model, x1, x2)
+        g1, g2 = _gradient_at(model, point)
         payload["hazard_gradient"] = [g1, g2]
         lines.append(f"hazard_gradient = ({_fmt(g1)}, {_fmt(g2)})")
     _emit(args, payload, lines)

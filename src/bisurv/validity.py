@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import BaselineModel, _ret
+from .baseline import BaselineModel, _is_scalar
 from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel, _row_limits
@@ -663,6 +663,7 @@ def check_functional_equation(model, grid: GridSpec | None = None,
 
 
 def _gradient_components(model, x1, x2):
+    """``(g1, g2)`` at float arrays ``x1, x2``, unchecked."""
     base = model.baseline
     theta = model.theta
     upper, s, _ = _wedge(base, x1, x2)
@@ -675,6 +676,18 @@ def _gradient_components(model, x1, x2):
     return g1, g2
 
 
+def _gradient_at(model, point) -> tuple[float, float]:
+    """``(g1, g2)`` of one point of the model's ``_point`` routine: the
+    expressions of :func:`_gradient_components` on the point's own wedge."""
+    x1, x2, upper, s, _, kernel = point
+    theta = model.theta
+    q = float(kernel.q_prime(s))
+    r0_1, r0_2 = model.baseline.hazard(np.array((x1, x2))).tolist()
+    if upper:
+        return q * r0_1, theta * r0_2 - q * r0_2
+    return theta * r0_1 - q * r0_1, q * r0_2
+
+
 def hazard_gradient(model, x1, x2):
     """Closed-form hazard gradient (-d ln S/dx1, -d ln S/dx2) off the diagonal.
 
@@ -682,9 +695,11 @@ def hazard_gradient(model, x1, x2):
     ``Q_i'(s) = r_i(d)/r0(d)`` at the wedge difference ``d``; for the
     smaller it is ``theta * r0(x_i) - Q_other'(s) * r0(x_i)``.  Raises
     on diagonal input, where the singular mass makes the gradient undefined.
+    A pair of scalars gives a pair of floats, anything else a pair of arrays.
     """
-    g1, g2 = _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
-    return _ret(g1, x1, x2), _ret(g2, x1, x2)
+    if _is_scalar(x1) and _is_scalar(x2):
+        return _gradient_at(model, model._point(x1, x2, "hazard gradient"))
+    return _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
 
 
 def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> ResidualReport:
@@ -741,11 +756,16 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
         total += val
         err_budget += err
 
-    add_piece(lambda u: _gradient_components(model, u, xl)[0], xl, x1)
-    mid = min(x1, x2)
-    add_piece(lambda u: _gradient_components(model, x1, u)[1], xl, mid)
+    def g1(u):
+        return _gradient_at(model, model._wedge_point(u, xl))[0]
+
+    def g2(u):
+        return _gradient_at(model, model._wedge_point(x1, u))[1]
+
+    add_piece(g1, xl, x1)
+    add_piece(g2, xl, min(x1, x2))
     if x2 > x1:
-        add_piece(lambda u: _gradient_components(model, x1, u)[1], x1, x2)
+        add_piece(g2, x1, x2)
     if err_budget > 1e-6 * max(1.0, abs(total)):
         raise NumericError(
             f"gradient path quadrature error {err_budget:.3g} too large",

@@ -11,7 +11,13 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from bisurv.errors import NumericError
+from bisurv.bivariate import _BLOCK, _WEIGHT_EPS
+from bisurv.errors import (
+    DomainError,
+    InvalidModelError,
+    NumericError,
+    UndefinedComponentError,
+)
 
 
 def mixed_fd(survival_fn, x1: float, x2: float, rel_step: float = 1e-4):
@@ -305,3 +311,106 @@ def sequence_limit(samples, *, what: str = "sequence") -> float:
         if val is not None:
             return val
     raise NumericError(f"{what} did not converge", samples=ratios)
+
+
+# ---------------------------------------------------------------------------
+# Scalar point evaluation
+# ---------------------------------------------------------------------------
+# ``GeneralBivariateModel.log_survival`` and ``ac_density``, and
+# ``validity._gradient_components`` with the scalar wrapping of
+# ``hazard_gradient``, as they were when a scalar point mapped each coordinate
+# through its own baseline call, with the helpers they called.  Kept verbatim
+# (``self`` is ``model``) as the reference the scalar point routine must
+# match bit for bit, error for error.  One deliberate difference: this
+# ``log_survival`` reads a coordinate of -inf as -inf before clamping it to
+# ``x_L``, so it gives survival 0 where the array path gives the marginal
+# survival of the other coordinate.
+
+
+def _is_scalar(x) -> bool:
+    return np.ndim(x) == 0
+
+
+def _ret(value, *refs):
+    """Return a plain float when every reference input is scalar."""
+    if all(_is_scalar(r) for r in refs):
+        return float(value)
+    return np.asarray(value, dtype=float)
+
+
+def _wedge(baseline, x1, x2):
+    r1 = np.asarray(baseline.cumulative_hazard(x1), dtype=float)
+    r2 = np.asarray(baseline.cumulative_hazard(x2), dtype=float)
+    return np.asarray(x1) >= np.asarray(x2), np.abs(r1 - r2), np.minimum(r1, r2)
+
+
+def _nan_check(*values) -> None:
+    for v in values:
+        if np.any(np.isnan(v)):
+            raise DomainError(f"coordinates must not be NaN, got {v!r}")
+
+
+def _per_wedge(model, method: str, upper, s, *args):
+    k1, k2 = model.kernels
+    if np.ndim(upper) == 0:
+        return np.asarray(getattr(k1 if upper else k2, method)(s, *args), dtype=float)
+    return np.where(upper, getattr(k1, method)(s, *args), getattr(k2, method)(s, *args))
+
+
+def point_log_survival(model, x1, x2):
+    _nan_check(x1, x2)
+    base = model.baseline
+    xl = base.x_L
+    if _is_scalar(x1) and _is_scalar(x2):
+        if math.isinf(x1) or math.isinf(x2):
+            return -math.inf
+        r1 = float(base.cumulative_hazard(max(float(x1), xl)))
+        r2 = float(base.cumulative_hazard(max(float(x2), xl)))
+        kernel = model.kernels[0 if x1 >= x2 else 1]
+        return -(float(kernel.q(abs(r1 - r2))) + model.theta * min(r1, r2))
+    x1a = np.asarray(x1, dtype=float)
+    x2a = np.asarray(x2, dtype=float)
+    if (x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size) > 2 * _BLOCK:
+        return model._log_survival_blocked(x1a, x2a)
+    return model._log_survival_array(x1a, x2a)
+
+
+def point_ac_density(model, x1, x2):
+    x1a, x2a = model._off_diagonal(x1, x2, "density")
+    alpha = model.decompose().alpha
+    if alpha <= _WEIGHT_EPS:
+        raise UndefinedComponentError(
+            "model is purely singular; the absolutely continuous density is undefined")
+    upper, s, w = _wedge(model.baseline, x1a, x2a)
+    h = _per_wedge(model, "density", upper, s, model.theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = (np.asarray(model.baseline.hazard(x1a), dtype=float)
+               * np.asarray(model.baseline.hazard(x2a), dtype=float)
+               * h * np.exp(-model.theta * w) / alpha)
+    negative = np.flatnonzero(val < 0.0)
+    if negative.size:
+        i = negative[0]
+        raise InvalidModelError(
+            f"absolutely continuous density is negative at "
+            f"({x1a.flat[i]}, {x2a.flat[i]})",
+            witness=(float(x1a.flat[i]), float(x2a.flat[i])), value=float(val.flat[i]),
+        )
+    return _ret(val, x1, x2)
+
+
+def _gradient_components(model, x1, x2):
+    base = model.baseline
+    theta = model.theta
+    upper, s, _ = _wedge(base, x1, x2)
+    q = _per_wedge(model, "q_prime", upper, s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0_1 = np.asarray(base.hazard(x1), dtype=float)
+        r0_2 = np.asarray(base.hazard(x2), dtype=float)
+        g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
+        g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
+    return g1, g2
+
+
+def point_hazard_gradient(model, x1, x2):
+    g1, g2 = _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
+    return _ret(g1, x1, x2), _ret(g2, x1, x2)

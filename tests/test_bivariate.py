@@ -21,9 +21,15 @@ from bisurv import (
     Weibull,
     hazard_gradient,
 )
-from bisurv import bivariate
+from bisurv import CustomHazard, bivariate
 from bisurv.marginals import WedgeKernel
-from oracles import mixed_fd, wedge_ac_mass
+from oracles import (
+    mixed_fd,
+    point_ac_density,
+    point_hazard_gradient,
+    point_log_survival,
+    wedge_ac_mass,
+)
 
 E = Exponential()
 W2 = Weibull(2.0)
@@ -81,23 +87,39 @@ def test_general_fd_density_matches_ph_closed_form():
 
 
 def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
-    # a valid general model with different kernels on the two wedges
+    # a valid general model with different kernels on the two wedges; every
+    # scalar survival, density and gradient maps its point through one
+    # baseline call and runs only its own wedge's kernel
     model = GeneralBivariateModel(E, LinearFailureRate(0.5), ProportionalHazard(E, 2.0), 3.0)
     pts = [(2.5, 0.9), (0.4, 1.3), (1.7, 1.2), (0.6, 2.4)]
-    batch = model.ac_density(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-    calls = []
-    density = WedgeKernel.density
+    xs1, xs2 = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+    views = {
+        "survival": (model.survival, model.survival(xs1, xs2)),
+        "ac_density": (model.ac_density, model.ac_density(xs1, xs2)),
+        "hazard_gradient": (lambda a, b: hazard_gradient(model, a, b),
+                            np.transpose(hazard_gradient(model, xs1, xs2))),
+    }
+    maps, kernels = [], []
+    cumulative_hazard = Exponential.cumulative_hazard
 
-    def counted(self, s, theta):
-        calls.append(self)
-        return density(self, s, theta)
+    def counted_map(self, x):
+        maps.append(np.shape(x))
+        return cumulative_hazard(self, x)
 
-    monkeypatch.setattr(WedgeKernel, "density", counted)
-    for (x1, x2), want in zip(pts, batch):
-        calls.clear()
-        got = model.ac_density(x1, x2)
-        assert calls == [model.kernels[0 if x1 > x2 else 1]]
-        assert got == want  # bit for bit
+    monkeypatch.setattr(Exponential, "cumulative_hazard", counted_map)
+    for name in ("q", "q_prime", "slopes", "q_slopes", "density"):
+        def counted(self, *args, _method=getattr(WedgeKernel, name), **kwargs):
+            kernels.append(self)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(WedgeKernel, name, counted)
+    for view, batch in views.values():
+        for (x1, x2), want in zip(pts, batch):
+            maps.clear()
+            kernels.clear()
+            got = view(x1, x2)
+            assert maps == [(2,)]
+            assert kernels and set(kernels) == {model.kernels[0 if x1 > x2 else 1]}
+            assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
 
 
 def test_negative_density_raises_invalid_model():
@@ -409,3 +431,117 @@ def test_blocked_survival_nan_message_unchanged(monkeypatch):
             model.survival(x1, x2)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1] == f"coordinates must not be NaN, got {x2!r}"
+
+
+# -- scalar point evaluation -------------------------------------------------------
+
+W05 = Weibull(0.5)
+TABLE_BASE = CustomHazard.from_table([0.0, 1.0, 2.5, 6.0], [1.0, 1.6, 1.1, 1.4])
+TABLE_MARGINAL = FromHazard.from_table([0.0, 2.0, 5.0, 10.0], [1.5, 1.2, 1.05, 1.0])
+
+#: exponential, Weibull 0.5 and 2, Pareto and table baselines; PH, LFR and
+#: table marginals, over their own baseline and over another; valid and
+#: invalid models (lfr:0.2 turns negative past s = 2.96, the LFR-over-Weibull
+#: limit diverges)
+_POINT_MODELS = {
+    "ph-exponential": PHBivariateModel(E, 1.0, 1.0, 1.0),
+    "ph-weibull0.5": PHBivariateModel(W05, 1.0, 0.5, 2.0),
+    "ph-weibull2": PHBivariateModel(W2, 0.5, 1.0, 1.5),
+    "ph-pareto": PHBivariateModel(PAR, 2.0, 1.0, 1.0),
+    "ph-table": PHBivariateModel(TABLE_BASE, 1.0, 1.0, 1.0),
+    "lfr-exponential": GeneralBivariateModel(E, LinearFailureRate(0.2),
+                                             LinearFailureRate(0.2), 2.0),
+    "table-exponential": GeneralBivariateModel(E, TABLE_MARGINAL, ProportionalHazard(E, 2.0), 3.0),
+    "lfr-table-table": GeneralBivariateModel(TABLE_BASE, LinearFailureRate(0.3),
+                                             TABLE_MARGINAL, 3.0),
+    "lfr-weibull2-divergent": GeneralBivariateModel(W2, LinearFailureRate(0.5),
+                                                    ProportionalHazard(E, 1.5), 2.0),
+}
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` did: the types and raw bytes of what it returned,
+    or its error."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, never swallowed: see _check_point
+        return ("raised", type(exc), str(exc), getattr(exc, "witness", None),
+                getattr(exc, "value", None))
+    values = value if isinstance(value, tuple) else (value,)
+    return "returned", tuple(type(v) for v in values), np.array(values, dtype=float).tobytes()
+
+
+def _point_views(model):
+    """(scalar view, its oracle, its array form, whether it is a survival view)
+    of log-survival, survival, density and gradient."""
+    def array(fn):
+        return lambda x1, x2: fn(np.array([x1], dtype=float), np.array([x2], dtype=float))
+
+    def gradient(x1, x2):
+        return hazard_gradient(model, x1, x2)
+
+    return (
+        (model.log_survival, point_log_survival, array(model.log_survival), True),
+        (model.survival, lambda m, a, b: float(np.exp(point_log_survival(m, a, b))),
+         array(model.survival), True),
+        (model.ac_density, point_ac_density, array(model.ac_density), False),
+        (gradient, point_hazard_gradient, array(gradient), False),
+    )
+
+
+def _check_point(model, x1, x2, kind, survival_oracle=True):
+    """Each scalar view at ``kind(x1), kind(x2)`` returns floats or raises as
+    its oracle does, bit for bit and message for message, and returns the
+    bits of the array path's element or raises its error type."""
+    for view, oracle, array, survival in _point_views(model):
+        got = _outcome(view, kind(x1), kind(x2))
+        if survival_oracle or not survival:
+            assert got == _outcome(oracle, model, kind(x1), kind(x2))
+        want = _outcome(array, x1, x2)
+        assert got[0] == want[0]
+        if got[0] == "returned":
+            assert set(got[1]) == {float} and got[2] == want[2]
+        else:
+            assert got[1] is want[1]
+
+
+_KINDS = (float, np.float64, np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(list(_POINT_MODELS.values())), w=st.floats(0.0, 6.0),
+       s=st.floats(0.0, 6.0), upper=st.booleans(), kind=st.sampled_from(_KINDS))
+def test_scalar_point_is_bit_identical_to_oracle_and_array(model, w, s, upper, kind):
+    x1, x2 = _wedge_point(model.baseline, w, s, upper)
+    _check_point(model, x1, x2, kind)
+
+
+@pytest.mark.parametrize("name", _POINT_MODELS)
+def test_scalar_point_errors_match_oracle_and_array(name):
+    model = _POINT_MODELS[name]
+    xl, nan, inf = model.baseline.x_L, math.nan, math.inf
+    y = xl + 1.0
+    points = [(nan, y), (y, nan), (nan, nan), (y, y), (xl, xl), (inf, inf), (xl - 0.5, y),
+              (y, xl - 0.5), (xl - 1.0, xl - 2.0), (inf, y), (y, inf), (inf, xl - 1.0)]
+    for x1, x2 in points:
+        for kind in _KINDS:
+            _check_point(model, x1, x2, kind)
+    # survival clamps -inf to x_L on both paths; the oracle read it as 0
+    for x1, x2 in ((-inf, y), (y, -inf), (-inf, -inf), (-inf, inf), (nan, -inf)):
+        for kind in _KINDS:
+            _check_point(model, x1, x2, kind, survival_oracle=False)
+
+
+@pytest.mark.parametrize("base", [E, PAR], ids=["exponential", "pareto"])
+def test_scalar_survival_matches_array_at_infinity(base):
+    model = PHBivariateModel(base, 1.0, 1.0, 1.0)
+    y = base.x_L + 1.0
+    for x1, x2 in ((-math.inf, y), (y, -math.inf), (math.inf, y), (y, math.inf),
+                   (-math.inf, -math.inf), (-math.inf, math.inf)):
+        want = model.survival(np.array([x1]), np.array([x2]))[0]
+        got = model.survival(x1, x2)
+        assert type(got) is float and got == want
+    # P(X2 > y) = S0(y)**delta2
+    marginal = math.exp(-model.delta2 * float(base.cumulative_hazard(y)))
+    assert model.survival(-math.inf, y) == pytest.approx(marginal, rel=1e-15)
+    assert model.survival(-math.inf, y) > 0.0
