@@ -45,14 +45,19 @@ __all__ = [
 
 
 def _is_scalar(x) -> bool:
-    return isinstance(x, float) or np.ndim(x) == 0
+    if isinstance(x, float):
+        return True
+    if isinstance(x, np.ndarray):
+        return x.ndim == 0
+    return np.ndim(x) == 0
 
 
 def _ret(value, *refs):
     """Return a plain float when every reference input is scalar."""
-    if all(_is_scalar(r) for r in refs):
-        return float(value)
-    return np.asarray(value, dtype=float)
+    for r in refs:
+        if not _is_scalar(r):
+            return np.asarray(value, dtype=float)
+    return float(value)
 
 
 def _check_finite(x, name: str) -> None:
@@ -208,22 +213,24 @@ class Weibull(BaselineModel):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ModelError(f"Weibull shape must be positive, got {self.alpha}")
 
+    # np.errstate as a decorator sets the same error state as a ``with``
+    # block over the whole body, at a fraction of its per-call cost
+    @np.errstate(over="ignore")
     def cumulative_hazard(self, x):
-        with np.errstate(over="ignore"):
-            return _ret(np.power(np.maximum(np.asarray(x, dtype=float), 0.0), self.alpha), x)
+        return _ret(np.power(np.maximum(np.asarray(x, dtype=float), 0.0), self.alpha), x)
 
+    @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        with np.errstate(over="ignore"):
-            return _ret(np.power(np.maximum(np.asarray(r, dtype=float), 0.0), 1.0 / self.alpha), r)
+        return _ret(np.power(np.maximum(np.asarray(r, dtype=float), 0.0), 1.0 / self.alpha), r)
 
+    @np.errstate(divide="ignore", over="ignore")
     def hazard(self, x):
-        with np.errstate(divide="ignore", over="ignore"):
-            return _ret(self.alpha * np.power(np.asarray(x, dtype=float), self.alpha - 1.0), x)
+        return _ret(self.alpha * np.power(np.asarray(x, dtype=float), self.alpha - 1.0), x)
 
+    @np.errstate(divide="ignore", over="ignore")
     def hazard_derivative(self, x):
         a = self.alpha
-        with np.errstate(divide="ignore", over="ignore"):
-            return _ret(a * (a - 1.0) * np.power(np.asarray(x, dtype=float), a - 2.0), x)
+        return _ret(a * (a - 1.0) * np.power(np.asarray(x, dtype=float), a - 2.0), x)
 
     def spec_string(self) -> str:
         return f"weibull:{self.alpha:g}"
@@ -239,9 +246,9 @@ class Pareto(BaselineModel):
     def cumulative_hazard(self, x):
         return _ret(np.log(np.maximum(np.asarray(x, dtype=float), 1.0)), x)
 
+    @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        with np.errstate(over="ignore"):
-            return _ret(np.exp(np.asarray(r, dtype=float)), r)
+        return _ret(np.exp(np.asarray(r, dtype=float)), r)
 
     def hazard(self, x):
         return _ret(1.0 / np.asarray(x, dtype=float), x)
@@ -249,9 +256,9 @@ class Pareto(BaselineModel):
     def hazard_derivative(self, x):
         return _ret(-1.0 / np.square(np.asarray(x, dtype=float)), x)
 
+    @np.errstate(over="ignore")
     def _combine(self, x, t):
-        with np.errstate(over="ignore"):
-            return x * t
+        return x * t
 
     def _difference(self, x, t):
         return x / t

@@ -209,15 +209,23 @@ class _BivariateBase:
         return cached
 
     def singular_survival(self, x):
-        """Survival of the diagonal component, ``S0(x)**theta``."""
+        """Survival of the diagonal component, ``S0(x)**theta``.
+
+        Takes :meth:`survival`'s input rules: NaN raises, a coordinate below
+        ``x_L`` clamps to it and ``+inf`` reads 0.
+        """
         dec = self.decompose()
         if dec.singular_mass <= _WEIGHT_EPS:
             raise UndefinedComponentError(
                 "model has no singular component (singular mass is zero)"
             )
-        xc = np.maximum(x, self.baseline.x_L)
-        return _ret(np.exp(-self.theta * np.asarray(
-            self.baseline.cumulative_hazard(xc), dtype=float)), x)
+        _nan_check(x)
+        xl = self.baseline.x_L
+        xc = np.maximum(np.asarray(x, dtype=float), xl)
+        inf = np.isinf(xc)
+        r0 = np.asarray(self.baseline.cumulative_hazard(np.where(inf, xl, xc)), dtype=float)
+        with np.errstate(over="ignore"):  # theta * r0 may pass the float range: S = 0
+            return _ret(np.where(inf, 0.0, np.exp(-self.theta * r0)), x)
 
     # -- rectangle probabilities ----------------------------------------------
 

@@ -186,7 +186,9 @@ class WedgeKernel:
     nowhere else: then ``Q = delta * s`` exactly, ``Q' = u = delta`` and
     ``Q'' = 0``.  Otherwise ``Q''`` comes from the analytic hazard
     derivatives when both exist, and from a central difference of ``Q'`` in
-    ``s`` when not.  All methods take arrays of ``s >= 0`` and return arrays.
+    ``s`` when not.  All methods take arrays of ``s >= 0`` and return arrays,
+    except that a PH kernel answers a Python ``float`` ``s`` with floats: the
+    same arithmetic, so the same bits as the array path's element.
     """
 
     def __init__(self, marginal: MarginalModel, baseline: BaselineModel):
@@ -200,7 +202,7 @@ class WedgeKernel:
 
     def q(self, s):
         if self.delta is not None:
-            return self.delta * np.asarray(s, dtype=float)
+            return self.delta * (s if type(s) is float else np.asarray(s, dtype=float))
         return np.asarray(self.marginal.cumulative_hazard(self._at(s)), dtype=float)
 
     def q_prime(self, s):
@@ -208,16 +210,19 @@ class WedgeKernel:
 
     def slopes(self, s, second: bool = True):
         """``(Q', Q'')``; ``Q''`` is None when ``second`` is False."""
-        s = np.asarray(s, dtype=float)
         if self.delta is not None:
+            if type(s) is float:
+                return self.delta, 0.0
+            s = np.asarray(s, dtype=float)
             return np.full_like(s, self.delta), np.zeros_like(s)
+        s = np.asarray(s, dtype=float)
         return self._slopes_at(s, self._at(s), second)
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
-        s = np.asarray(s, dtype=float)
         if self.delta is not None:
-            return (self.delta * s,) + self.slopes(s, second)
+            return (self.q(s),) + self.slopes(s, second)
+        s = np.asarray(s, dtype=float)
         d = self._at(s)
         return (np.asarray(self.marginal.cumulative_hazard(d), dtype=float),
                 *self._slopes_at(s, d, second))
@@ -246,6 +251,12 @@ class WedgeKernel:
         difference-quotient ``Q''``) and reads as 0.
         """
         q, q1, q2 = self.q_slopes(s)
+        if type(q) is float:  # a PH kernel at a float: the array path's steps
+            theta = float(theta)
+            a = theta * q1 + q2 - q1 * q1
+            if a < 0.0 and -a <= _DENSITY_NOISE * (theta * abs(q1) + abs(q2) + q1 * q1):
+                a = 0.0
+            return a * float(np.exp(-q))
         with np.errstate(over="ignore", invalid="ignore"):
             a = theta * q1 + q2 - q1 * q1
             noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)

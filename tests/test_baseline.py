@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bisurv import CustomHazard, DomainError, Exponential, ModelError, NumericError, Pareto, Weibull
+from bisurv.baseline import _is_scalar, _ret
+from oracles import _ret as oracle_ret
 from oracles import trapezoid_cumulative_hazard
 
 FAMILIES = {
@@ -193,6 +195,27 @@ def test_semigroup_arrays_match_scalars(base):
     arr = base.difference(x[keep], t[keep])
     assert arr.tobytes() == np.array([base.difference(float(a), float(b))
                                       for a, b in zip(x[keep], t[keep])]).tobytes()
+
+
+_REFS = {"float": 1.5, "int": 2, "float64": np.float64(1.5), "0-d array": np.array(1.5),
+         "1-element array": np.array([1.5]), "list": [1.5, 2.0], "tuple": (1.5, 2.0)}
+_SCALAR_REFS = ("float", "int", "float64", "0-d array")
+
+
+@pytest.mark.parametrize("refs", [(k,) for k in _REFS] + [
+    (), ("float", "int"), ("float", "0-d array", "float64"), ("float", "1-element array"),
+    ("1-element array", "float"), ("int", "list"), ("tuple", "0-d array"),
+    ("0-d array", "float64", "tuple")], ids=lambda refs: "+".join(refs) or "no refs")
+def test_ret_gives_a_float_only_when_every_ref_is_scalar(refs):
+    args = [_REFS[k] for k in refs]
+    assert [_is_scalar(a) for a in args] == [k in _SCALAR_REFS for k in refs]
+    scalar = all(k in _SCALAR_REFS for k in refs)
+    values = (0.1 + 0.2, np.float64(0.3), np.array(0.7))
+    for value in values if scalar else values + (np.array([0.7]),):
+        got, want = _ret(value, *args), oracle_ret(value, *args)
+        assert type(got) is type(want) is (float if scalar else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.shape(got) == np.shape(want)
 
 
 def test_custom_hazard_cache_is_thread_safe():

@@ -185,6 +185,23 @@ def test_singular_survival():
     assert mw.singular_survival(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("base", [E, W2, PAR, CustomHazard.from_table([0, 1, 3], [1, 2, 0.5])],
+                         ids=["exponential", "weibull2", "pareto", "table"])
+def test_singular_survival_takes_the_survival_input_rules(base):
+    model = PHBivariateModel(base, 1.0, 1.0, 1.0)
+    xl, y = base.x_L, base.x_L + 1.0
+    inside = model.singular_survival(y)
+    assert inside == float(np.exp(-3.0 * base.cumulative_hazard(y)))
+    for x, want in ((math.inf, 0.0), (1e308, 0.0), (-math.inf, 1.0), (xl - 1.0, 1.0), (xl, 1.0)):
+        got = model.singular_survival(x)
+        assert type(got) is float and got == want, x
+        arr = model.singular_survival(np.array([x, y]))
+        assert arr.tolist() == [want, inside], x
+    for x in (math.nan, np.array([y, math.nan])):
+        with pytest.raises(DomainError, match="NaN"):
+            model.singular_survival(x)
+
+
 def test_singular_survival_undefined_for_purely_ac_model():
     # independence-like: delta1 + delta2 == theta leaves no diagonal mass
     model = GeneralBivariateModel(

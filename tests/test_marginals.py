@@ -9,6 +9,8 @@ from bisurv import (
     DomainError,
     Exponential,
     FromHazard,
+    GeneralBivariateModel,
+    InvalidModelError,
     LinearFailureRate,
     ModelError,
     NumericError,
@@ -17,7 +19,7 @@ from bisurv import (
     Weibull,
     limit_hazard_ratio,
 )
-from bisurv.marginals import _row_limits
+from bisurv.marginals import WedgeKernel, _row_limits
 from oracles import sequence_limit, trapezoid_cumulative_hazard
 
 BASELINES = [Exponential(), Weibull(0.5), Weibull(2.0), Pareto()]
@@ -142,6 +144,53 @@ def test_row_limits_match_the_scalar_limit_bit_for_bit(rows):
             assert math.isnan(value), row
             continue
         assert np.float64(value).tobytes() == np.float64(want).tobytes(), row
+
+
+#: ``(delta, theta)`` of PH kernels: inside (B); the border ``delta = theta``,
+#: where the density factor is exactly 0; ``delta`` just past it, where the
+#: factor is rounding-sized noise and clamps to 0; and ``delta > theta``, where it is < 0
+_PH_PAIRS = [(1.0, 3.0), (2.0, 3.0), (0.3, 0.7), (3.0, 3.0), (1.7, 1.7),
+             (1.0 + 2.0**-40, 1.0), (4.0, 3.0), (2.5, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(BASELINES), pair=st.sampled_from(_PH_PAIRS),
+       s=st.floats(0.0, 50.0))
+@example(base=Exponential(), pair=(3.0, 3.0), s=0.0)
+def test_ph_kernel_answers_a_float_with_the_array_bits(base, pair, s):
+    delta, theta = pair
+    kernel = WedgeKernel(ProportionalHazard(base, delta), base)
+    assert kernel.delta == delta
+    arr = np.array([s])
+    views = [(kernel.q(s), kernel.q(arr)), (kernel.q_prime(s), kernel.q_prime(arr)),
+             *zip(kernel.slopes(s), kernel.slopes(arr)),
+             *zip(kernel.slopes(s, second=False), kernel.slopes(arr, second=False)),
+             *zip(kernel.q_slopes(s), kernel.q_slopes(arr)),
+             (kernel.density(s, theta), kernel.density(arr, theta)),
+             (kernel.density(s, np.float64(theta)), kernel.density(arr, theta))]
+    for got, want in views:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+    if abs(delta - theta) < 1e-9:
+        assert kernel.density(s, theta) == 0.0
+
+
+def _invalid(density, x1, x2):
+    with pytest.raises(InvalidModelError) as info:
+        density(x1, x2)
+    return str(info.value), info.value.witness, info.value.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.floats(0.0, 6.0), s=st.floats(1e-6, 50.0))
+def test_negative_ph_density_raises_the_array_error_at_a_float(w, s):
+    # delta1 = 4 > theta = 3: the wedge density of marginal 1 is negative
+    e = Exponential()
+    model = GeneralBivariateModel(e, ProportionalHazard(e, 4.0), ProportionalHazard(e, 1.0), 3.0)
+    x1, x2 = w + s, w
+    got = _invalid(model.ac_density, x1, x2)
+    assert got == _invalid(model.ac_density, np.array([x1]), np.array([x2]))
+    assert got[2] < 0.0 and got[1] == (x1, x2)
 
 
 def test_left_endpoint_mismatch_rejected():
