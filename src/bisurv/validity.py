@@ -663,7 +663,7 @@ def check_functional_equation(model, grid: GridSpec | None = None,
 
 
 def _gradient_components(model, x1, x2):
-    """``(g1, g2)`` at float arrays ``x1, x2``, unchecked."""
+    """``(g1, g2, r0(x1), r0(x2))`` at float arrays ``x1, x2``, unchecked."""
     base = model.baseline
     theta = model.theta
     upper, s, _ = _wedge(base, x1, x2)
@@ -673,16 +673,16 @@ def _gradient_components(model, x1, x2):
         r0_2 = np.asarray(base.hazard(x2), dtype=float)
         g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
         g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
-    return g1, g2
+    return g1, g2, r0_1, r0_2
 
 
 def _gradient_at(model, point) -> tuple[float, float]:
-    """``(g1, g2)`` of one point of the model's ``_point`` routine: the
-    expressions of :func:`_gradient_components` on the point's own wedge."""
-    x1, x2, upper, s, _, kernel = point
+    """``(g1, g2)`` of one off-diagonal point of the model's ``_point``
+    routine: the expressions of :func:`_gradient_components` on the point's
+    own wedge, with the hazards the point carries."""
+    _, _, upper, s, _, kernel, (r0_1, r0_2) = point
     theta = model.theta
     q = float(kernel.q_prime(s))
-    r0_1, r0_2 = model.baseline.hazard(np.array((x1, x2))).tolist()
     if upper:
         return q * r0_1, theta * r0_2 - q * r0_2
     return theta * r0_1 - q * r0_1, q * r0_2
@@ -699,7 +699,7 @@ def hazard_gradient(model, x1, x2):
     """
     if _is_scalar(x1) and _is_scalar(x2):
         return _gradient_at(model, model._point(x1, x2, "hazard gradient"))
-    return _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
+    return _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))[:2]
 
 
 def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> ResidualReport:
@@ -715,11 +715,10 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     hi, lo = grid.wedge_pairs(base)
 
     def residual(t, y1, y2):
-        g1, g2 = _gradient_components(model, y1, y2)
+        g1, g2, r0_1, r0_2 = _gradient_components(model, y1, y2)
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = (g1 * r0t / np.asarray(base.hazard(y1), dtype=float)
-                   + g2 * r0t / np.asarray(base.hazard(y2), dtype=float))
+            lhs = g1 * r0t / r0_1 + g2 * r0t / r0_2
         return np.abs(lhs - theta * r0t) / (theta * r0t)
 
     return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
@@ -757,10 +756,10 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
         err_budget += err
 
     def g1(u):
-        return _gradient_at(model, model._wedge_point(u, xl))[0]
+        return _gradient_at(model, model._wedge_point(u, xl, hazards=True))[0]
 
     def g2(u):
-        return _gradient_at(model, model._wedge_point(x1, u))[1]
+        return _gradient_at(model, model._wedge_point(x1, u, hazards=True))[1]
 
     add_piece(g1, xl, x1)
     add_piece(g2, xl, min(x1, x2))

@@ -414,3 +414,31 @@ def _gradient_components(model, x1, x2):
 def point_hazard_gradient(model, x1, x2):
     g1, g2 = _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
     return _ret(g1, x1, x2), _ret(g2, x1, x2)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal survival
+# ---------------------------------------------------------------------------
+# ``_BivariateBase.singular_survival`` as it was when it kept its own copy of
+# survival's input rules, kept verbatim (``self`` is ``model``) as the
+# reference that ``S(x, x)`` must match bit for bit, error for error.
+
+
+def diagonal_singular_survival(model, x):
+    """Survival of the diagonal component, ``S0(x)**theta``.
+
+    Takes :meth:`survival`'s input rules: NaN raises, a coordinate below
+    ``x_L`` clamps to it and ``+inf`` reads 0.
+    """
+    dec = model.decompose()
+    if dec.singular_mass <= _WEIGHT_EPS:
+        raise UndefinedComponentError(
+            "model has no singular component (singular mass is zero)"
+        )
+    _nan_check(x)
+    xl = model.baseline.x_L
+    xc = np.maximum(np.asarray(x, dtype=float), xl)
+    inf = np.isinf(xc)
+    r0 = np.asarray(model.baseline.cumulative_hazard(np.where(inf, xl, xc)), dtype=float)
+    with np.errstate(over="ignore"):  # theta * r0 may pass the float range: S = 0
+        return _ret(np.where(inf, 0.0, np.exp(-model.theta * r0)), x)

@@ -24,6 +24,7 @@ from bisurv import (
 from bisurv import CustomHazard, bivariate
 from bisurv.marginals import WedgeKernel
 from oracles import (
+    diagonal_singular_survival,
     mixed_fd,
     point_ac_density,
     point_hazard_gradient,
@@ -89,7 +90,8 @@ def test_general_fd_density_matches_ph_closed_form():
 def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
     # a valid general model with different kernels on the two wedges; every
     # scalar survival, density and gradient maps its point through one
-    # baseline call and runs only its own wedge's kernel
+    # baseline call and runs only its own wedge's kernel; density and
+    # gradient take both baseline hazards from one more call, survival none
     model = GeneralBivariateModel(E, LinearFailureRate(0.5), ProportionalHazard(E, 2.0), 3.0)
     pts = [(2.5, 0.9), (0.4, 1.3), (1.7, 1.2), (0.6, 2.4)]
     xs1, xs2 = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
@@ -99,25 +101,26 @@ def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
         "hazard_gradient": (lambda a, b: hazard_gradient(model, a, b),
                             np.transpose(hazard_gradient(model, xs1, xs2))),
     }
-    maps, kernels = [], []
-    cumulative_hazard = Exponential.cumulative_hazard
-
-    def counted_map(self, x):
-        maps.append(np.shape(x))
-        return cumulative_hazard(self, x)
-
-    monkeypatch.setattr(Exponential, "cumulative_hazard", counted_map)
+    maps, hazards, kernels = [], [], []
+    for name, calls in (("cumulative_hazard", maps), ("hazard", hazards)):
+        def counted_map(self, x, _method=getattr(Exponential, name), _calls=calls):
+            _calls.append(np.shape(x))
+            return _method(self, x)
+        monkeypatch.setattr(Exponential, name, counted_map)
     for name in ("q", "q_prime", "slopes", "q_slopes", "density"):
         def counted(self, *args, _method=getattr(WedgeKernel, name), **kwargs):
             kernels.append(self)
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(WedgeKernel, name, counted)
-    for view, batch in views.values():
+    for name, (view, batch) in views.items():
         for (x1, x2), want in zip(pts, batch):
             maps.clear()
+            hazards.clear()
             kernels.clear()
             got = view(x1, x2)
             assert maps == [(2,)]
+            # a non-PH kernel takes r0 at its own wedge difference, one value
+            assert hazards.count((2,)) == (0 if name == "survival" else 1)
             assert kernels and set(kernels) == {model.kernels[0 if x1 > x2 else 1]}
             assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
 
@@ -562,3 +565,82 @@ def test_scalar_survival_matches_array_at_infinity(base):
     marginal = math.exp(-model.delta2 * float(base.cumulative_hazard(y)))
     assert model.survival(-math.inf, y) == pytest.approx(marginal, rel=1e-15)
     assert model.survival(-math.inf, y) > 0.0
+
+
+# -- the diagonal, and points past the float range -----------------------------------
+
+#: PH over every baseline kind, and two general models with singular mass: LFR
+#: over the exponential, and a table marginal over Weibull(2) with
+#: ``u = lim 1.5 x / 2 x = 0.75``
+_DIAGONAL_MODELS = {
+    **{name: _POINT_MODELS[name] for name in
+       ("ph-exponential", "ph-weibull0.5", "ph-weibull2", "ph-pareto", "ph-table")},
+    "lfr-exponential": GeneralBivariateModel(E, LinearFailureRate(0.5),
+                                             LinearFailureRate(0.5), 1.5),
+    "hazard-weibull2": GeneralBivariateModel(
+        W2, FromHazard.from_table([0.0, 1.0, 2.0, 5.0], [0.0, 1.5, 3.0, 9.0]),
+        ProportionalHazard(W2, 0.75), 1.0),
+}
+
+#: ways to pass coordinates: scalars of three types, lists, arrays, and arrays
+#: long enough for blocked survival
+_DIAGONAL_KINDS = {
+    "float": lambda v: v[0],
+    "float64": lambda v: np.float64(v[0]),
+    "0-d": lambda v: np.array(v[0]),
+    "list": list,
+    "array": np.array,
+    "blocked": lambda v: np.resize(np.array(v), 2 * bivariate._BLOCK + 7),
+}
+
+_far = st.sampled_from([1e154, 1e300, 1e308, math.inf, -math.inf])
+
+
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(list(_DIAGONAL_MODELS)), kind=st.sampled_from(list(_DIAGONAL_KINDS)),
+       offsets=st.lists(st.one_of(st.floats(-2.0, 60.0), _far), min_size=1, max_size=12))
+def test_singular_survival_is_the_old_body_bit_for_bit(name, kind, offsets):
+    model = _DIAGONAL_MODELS[name]
+    x = _DIAGONAL_KINDS[kind]([model.baseline.x_L + v for v in offsets])
+    got, want = model.singular_survival(x), diagonal_singular_survival(model, x)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("name", _DIAGONAL_MODELS)
+def test_singular_survival_refuses_nan_with_the_old_message(name):
+    model = _DIAGONAL_MODELS[name]
+    for make in _DIAGONAL_KINDS.values():
+        x = make([math.nan, model.baseline.x_L + 1.0])
+        messages = []
+        for fn in (model.singular_survival, lambda v: diagonal_singular_survival(model, v)):
+            with pytest.raises(DomainError) as excinfo:
+                fn(x)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("name", ["ph-weibull2", "hazard-weibull2"])
+def test_survival_reads_zero_where_both_cumulative_hazards_overflow(name):
+    # R0 = x**2 passes the float range at both coordinates, so w = inf and
+    # s = inf - inf; every path reads S = 0 without a warning or an error
+    model = _DIAGONAL_MODELS[name]
+    inside = model.survival(0.5, 0.7)
+    n = 2 * bivariate._BLOCK + 1
+    for x1, x2 in ((1e308, 1e300), (1e300, 1e308), (1e308, 1e308)):
+        assert model.survival(x1, x2) == 0.0
+        assert model.log_survival(x1, x2) == -math.inf
+        assert model.survival(np.array([x1, 0.5]), np.array([x2, 0.7])).tolist() == [0.0, inside]
+        blocked = model.survival(np.resize([x1, 0.5], n), np.resize([x2, 0.7], n))
+        assert blocked.tolist() == [0.0, inside] * (n // 2) + [0.0]
+
+
+def test_array_evaluation_is_silent_past_the_float_range():
+    # pytest turns a RuntimeWarning into an error: the PH kernel's delta * s
+    # and theta * w overflow here, and the array paths say nothing, as the
+    # scalar ones do
+    model = PHBivariateModel(E, 1.0, 1.0, 1.0)
+    density = model.ac_density(np.array([1e308]), np.array([1e307]))
+    assert density.tolist() == [model.ac_density(1e308, 1e307)] == [0.0]
+    survival = model.survival(np.array([1e308]), np.array([1e308]))
+    assert survival.tolist() == [model.survival(1e308, 1e308)] == [0.0]

@@ -74,6 +74,32 @@ def test_rect(capsys, lfr_config):
     assert "negative" in out
 
 
+def test_rect_where_both_cumulative_hazards_overflow(capsys, tmp_path):
+    # R0 = x**2 overflows at both upper corners: S(b1, b2) reads 0, not nan
+    cfg = tmp_path / "w2.json"
+    cfg.write_text('{"baseline": "weibull:2", "theta123": [0.5, 1.0, 1.5]}')
+    code, out, _ = run(capsys, "rect", "--format", "json", "--config", str(cfg),
+                       "0.5", "1e308", "0.5", "1e300")
+    assert code == 0
+    probability = json.loads(out)["probability"]
+    assert probability == pytest.approx(math.exp(-3.0 * 0.25), rel=1e-15)
+
+
+def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
+    # density and gradient share the hazard pair of their one point
+    calls = []
+    hazard = bisurv.Exponential.hazard
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return hazard(self, x)
+
+    monkeypatch.setattr(bisurv.Exponential, "hazard", counting)
+    code, out, _ = run(capsys, "eval", "--config", mo_config, "1", "2")
+    assert code == 0 and "hazard_gradient = (1, 2)" in out
+    assert calls == [(2,)]
+
+
 def test_validate_exit_codes(capsys, mo_config, lfr_config, tmp_path):
     code, out, _ = run(capsys, "validate", "--config", mo_config)
     assert code == 0
