@@ -36,9 +36,10 @@ it with ``math``, maps both coordinates through one baseline call and picks
 the kernel of its wedge, and survival, density and gradient are views of
 that point.  They return floats equal bit for bit to the array path's
 element, and raise the same errors.  An off-diagonal point also carries
-``(r0(x1), r0(x2))`` from one hazard call, for density and gradient.  The
-singular part's survival ``S0(x)**theta`` is ``S(x, x)``, and ``w = inf``
-(both cumulative hazards past the float range) reads survival 0.
+``(r0(x1), r0(x2))`` from one hazard call, for density and gradient, as
+``_points`` does for arrays.  The singular part's survival ``S0(x)**theta``
+is ``S(x, x)``, and survival and density are 0 where the larger cumulative
+hazard passes the float range (``s`` inf, or NaN from ``inf - inf``).
 """
 
 from __future__ import annotations
@@ -183,9 +184,10 @@ class _BivariateBase:
         upper = x1 >= x2
         return x1, x2, upper, abs(r1 - r2), min(r1, r2), self.kernels[0 if upper else 1], r0
 
-    def _off_diagonal(self, x1, x2, what: str):
-        """``x1, x2`` as broadcast float arrays, admitted only off the diagonal,
-        finite and at or above ``x_L``; :class:`DomainError` otherwise."""
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def _points(self, x1, x2, what: str):
+        """:meth:`_point` of arrays: ``(x1, x2, upper, s, w, r0)`` of broadcast
+        float arrays, admitted as :meth:`_point` admits an off-diagonal point."""
         x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
                                        np.asarray(x2, dtype=float))
         if np.any(x1a == x2a):
@@ -194,7 +196,8 @@ class _BivariateBase:
         if not (np.all(np.isfinite(x1a) & np.isfinite(x2a))
                 and np.all(np.minimum(x1a, x2a) >= xl)):
             raise DomainError(f"coordinates must be finite and >= {xl}")
-        return x1a, x2a
+        upper, s, w = _wedge(self.baseline, x1a, x2a)
+        return x1a, x2a, upper, s, w, (self.baseline.hazard(x1a), self.baseline.hazard(x2a))
 
     def _per_wedge(self, method: str, upper, s, *args):
         """Kernel ``method`` of marginal 1 where ``upper``, of marginal 2 elsewhere."""
@@ -281,8 +284,8 @@ class GeneralBivariateModel(_BivariateBase):
         return self._log_survival_array(x1a, x2a)
 
     def _log_survival_at(self, point) -> float:
-        """:meth:`log_survival` of one :meth:`_point`; None or ``w = inf`` reads ``-inf``."""
-        if point is None or point[4] == math.inf:
+        """:meth:`log_survival` of one :meth:`_point`; None, ``s`` inf or NaN read ``-inf``."""
+        if point is None or not point[3] < math.inf:
             return -math.inf
         _, _, _, s, w, kernel, _ = point
         return -(float(kernel.q(s)) + self.theta * w)
@@ -290,16 +293,19 @@ class GeneralBivariateModel(_BivariateBase):
     @np.errstate(over="ignore", invalid="ignore")
     def _log_survival_array(self, x1, x2):
         """The array branch of :meth:`log_survival`, on float arrays free of
-        NaN.  Where ``w = inf``, ``s = inf - inf`` is NaN: ``fmax`` hands the
-        kernels 0 there instead, and ``theta * w`` reads ``-inf``."""
+        NaN.  An infinite coordinate maps as ``x_L``; there, and where ``s``
+        is inf or NaN (``inf - inf``), the kernels get 0 and ``-inf`` is read."""
         xl = self.baseline.x_L
         x1a = np.maximum(x1, xl)
         x2a = np.maximum(x2, xl)
-        inf_mask = np.maximum(x1a, x2a) == np.inf  # two passes; isinf | isinf takes three
+        inf_mask = np.isinf(np.maximum(x1a, x2a))  # clamped to x_L: never -inf
         upper, s, w = _wedge(self.baseline, np.where(inf_mask, xl, x1a),
                              np.where(inf_mask, xl, x2a))
-        out = -(self._per_wedge("q", upper, np.fmax(s, 0.0, out=s)) + self.theta * w)
-        return np.where(inf_mask, -np.inf, out)
+        zero = np.isfinite(s) <= inf_mask
+        s[zero] = 0.0
+        out = -(self._per_wedge("q", upper, s) + self.theta * w)
+        out[zero] = -np.inf
+        return out
 
     def _log_survival_blocked(self, x1, x2):
         """:meth:`_log_survival_array` of the broadcast inputs, in near-equal
@@ -330,21 +336,20 @@ class GeneralBivariateModel(_BivariateBase):
 
         ``r0(x1) * r0(x2) * h_i(s) * exp(-theta * w) / alpha`` on the wedge
         of marginal ``i``, with ``h_i`` the kernel's wedge density; scalars
-        or arrays, finite and at or above ``x_L``.  A negative value (beyond
+        or arrays, finite and at or above ``x_L``.  It is 0 where the larger
+        cumulative hazard passes the float range.  A negative value (beyond
         the rounding noise of its terms) raises
         :class:`~bisurv.errors.InvalidModelError` carrying the first such
         point as its witness.
         """
         if _is_scalar(x1) and _is_scalar(x2):
             return self._ac_density_at(self._point(x1, x2, "density"))
-        x1a, x2a = self._off_diagonal(x1, x2, "density")
+        x1a, x2a, upper, s, w, (r0_1, r0_2) = self._points(x1, x2, "density")
         alpha = self._ac_weight()
         with np.errstate(over="ignore", invalid="ignore"):
-            upper, s, w = _wedge(self.baseline, x1a, x2a)
-            h = self._per_wedge("density", upper, s, self.theta)
-            val = (np.asarray(self.baseline.hazard(x1a), dtype=float)
-                   * np.asarray(self.baseline.hazard(x2a), dtype=float)
-                   * h * np.exp(-self.theta * w) / alpha)
+            finite = np.isfinite(s)
+            h = self._per_wedge("density", upper, np.where(finite, s, 0.0), self.theta)
+            val = np.where(finite, r0_1 * r0_2 * h * np.exp(-self.theta * w) / alpha, 0.0)
         negative = np.flatnonzero(val < 0.0)
         if negative.size:
             i = negative[0]
@@ -355,11 +360,32 @@ class GeneralBivariateModel(_BivariateBase):
         """:meth:`ac_density` of one :meth:`_point`."""
         x1, x2, _, s, w, kernel, (r0_1, r0_2) = point
         alpha = self._ac_weight()
-        h = float(kernel.density(s, self.theta))
+        if not s < math.inf:
+            return 0.0
+        h = float(kernel.tail(s, self.theta)[1])
         val = r0_1 * r0_2 * h * float(np.exp(-self.theta * w)) / alpha
         if val < 0.0:
             raise _negative_density(x1, x2, val)
         return val
+
+    def _hazard_gradient(self, x1, x2):
+        """:func:`~bisurv.validity.hazard_gradient`: ``Q_i' r0(x_i)`` for the
+        larger coordinate, ``(theta - Q_i') r0(x_i)`` for the smaller."""
+        if _is_scalar(x1) and _is_scalar(x2):
+            return self._gradient_at(self._point(x1, x2, "hazard gradient"))
+        _, _, upper, s, _, (r0_1, r0_2) = self._points(x1, x2, "hazard gradient")
+        q = self._per_wedge("q_prime", upper, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.where(upper, q * r0_1, self.theta * r0_1 - q * r0_1),
+                    np.where(upper, self.theta * r0_2 - q * r0_2, q * r0_2))
+
+    def _gradient_at(self, point) -> tuple[float, float]:
+        """:meth:`_hazard_gradient` of one :meth:`_point`, on its own wedge."""
+        _, _, upper, s, _, kernel, (r0_1, r0_2) = point
+        q = float(kernel.slopes(s, second=False)[0])
+        if upper:
+            return q * r0_1, self.theta * r0_2 - q * r0_2
+        return self.theta * r0_1 - q * r0_1, q * r0_2
 
     def _ac_weight(self) -> float:
         """``alpha``, refused when the model is purely singular."""

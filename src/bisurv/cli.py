@@ -41,13 +41,12 @@ from .errors import (
     SamplerError,
     UndefinedComponentError,
 )
-from .marginals import LinearFailureRate, limit_hazard_ratio
+from .marginals import LinearFailureRate
 from .sampling import sample_general, sample_ph
 from .validity import (
     INCONCLUSIVE,
     INVALID,
     VALID,
-    _gradient_at,
     check_functional_equation,
     combined_validation,
     lfr_exponential_cross_bound,
@@ -144,7 +143,7 @@ def cmd_eval(args) -> int:
         except UndefinedComponentError:
             payload["ac_density"] = None
             lines.append("ac_density = undefined (purely singular model)")
-        g1, g2 = _gradient_at(model, point)
+        g1, g2 = model._gradient_at(point)
         payload["hazard_gradient"] = [g1, g2]
         lines.append(f"hazard_gradient = ({_fmt(g1)}, {_fmt(g2)})")
     _emit(args, payload, lines)
@@ -233,7 +232,7 @@ def cmd_counterexample(args) -> int:
 
     rect = model.rectangle_probability(1.0, 2.0, 3.0, 5.0)
     lhs = lfr_exponential_cross_bound(a, 5.0, 3.0)
-    u = limit_hazard_ratio(marg, base)  # both marginals are the same LFR law
+    u = model.kernels[0].u  # both marginals are the same LFR law
     usum = u + u
     fe = check_functional_equation(model)
 

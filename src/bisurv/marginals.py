@@ -14,7 +14,7 @@ Three kinds are provided:
 ``s = R0(max) - R0(min)`` of the bivariate models:
 ``Q(s) = R_marginal(R0^{-1}(s))`` with its derivatives ``Q'`` and ``Q''``.
 Every bivariate quantity off the diagonal -- survival, density, validity
-conditions, the sampler's wedge density -- is built from these.
+conditions, the sampler's wedge tail ``G`` and its table -- is built from these.
 
 ``limit_hazard_ratio`` evaluates the one-sided limit ``u = Q'(0+)``, i.e.
 of ``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
@@ -43,7 +43,7 @@ from .baseline import (
     PiecewiseLinearHazard,
     _ret,
 )
-from .errors import DomainError, ModelError, NumericError
+from .errors import DomainError, InvalidModelError, ModelError, NumericError, SamplerError
 
 __all__ = [
     "MarginalModel",
@@ -176,6 +176,11 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 #: a negative density factor within this fraction of its terms is rounding noise
 _DENSITY_NOISE = 1e-9
 
+#: nodes of the wedge-tail table, equally spaced in ``v = s/(1+s)`` over [0, 1]
+_TAIL_NODES = 2049
+#: a rise of ``G`` between neighbouring nodes, relative to ``G``, read as rounding
+_RISE_RTOL = 1e-9
+
 
 class WedgeKernel:
     """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
@@ -186,7 +191,7 @@ class WedgeKernel:
     nowhere else: then ``Q = delta * s`` exactly, ``Q' = u = delta`` and
     ``Q'' = 0``.  Otherwise ``Q''`` comes from the analytic hazard
     derivatives when both exist, and from a central difference of ``Q'`` in
-    ``s`` when not.  All methods take arrays of ``s >= 0`` and return arrays,
+    ``s`` when not.  Methods of ``s`` take arrays of ``s >= 0`` and return arrays,
     except that a PH kernel answers a Python ``float`` ``s`` with floats: the
     same arithmetic, so the same bits as the array path's element.
     """
@@ -243,12 +248,12 @@ class WedgeKernel:
             h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
             return q1, (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
 
-    def density(self, s, theta: float):
-        """Wedge density ``h(s) = (theta Q' + Q'' - Q'^2) exp(-Q)``.
-
-        Its total mass is ``theta - u``.  A negative factor no larger than
-        ``1e-9`` times the size of its terms is rounding noise (mostly of a
-        difference-quotient ``Q''``) and reads as 0.
+    def tail(self, s, theta: float):
+        """``(G, h)``: the wedge tail ``G(s) = (theta - Q') exp(-Q)``, with
+        ``G(0+) = theta - u``, and the wedge density
+        ``h = -G' = (theta Q' + Q'' - Q'^2) exp(-Q)``.  A negative factor of
+        ``h`` no larger than ``1e-9`` times the size of its terms is rounding
+        noise (mostly of a difference-quotient ``Q''``) and reads as 0.
         """
         q, q1, q2 = self.q_slopes(s)
         if type(q) is float:  # a PH kernel at a float: the array path's steps
@@ -256,12 +261,42 @@ class WedgeKernel:
             a = theta * q1 + q2 - q1 * q1
             if a < 0.0 and -a <= _DENSITY_NOISE * (theta * abs(q1) + abs(q2) + q1 * q1):
                 a = 0.0
-            return a * float(np.exp(-q))
+            e = float(np.exp(-q))
+            return (theta - q1) * e, a * e
         with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-q)
             a = theta * q1 + q2 - q1 * q1
-            noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)
-            a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
-            return a * np.exp(-q)
+            if (a < 0.0).any():  # as on the float path, only a negative factor is tested
+                noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)
+                a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
+            return (theta - q1) * e, a * e
+
+    def density(self, s, theta: float):
+        """Wedge density ``h(s)``, the second value of :meth:`tail`."""
+        return self.tail(s, theta)[1]
+
+    def tail_table(self, theta: float):
+        """``(s, G(s))`` on the table: ``G(0) = theta - u``, ``G(inf) = 0``.
+
+        Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
+        is negative (``Q' > theta``) or rises by more than rounding (``h < 0``).
+        """
+        v = np.linspace(0.0, 1.0, _TAIL_NODES)[:-1]
+        s = np.append(v / (1.0 - v), np.inf)
+        g = np.concatenate([[theta - self.u], self.tail(s[1:-1], theta)[0], [0.0]])
+        rises = g[1:] - g[:-1] > _RISE_RTOL * np.maximum(g[:-1], g[1:])
+        bad = np.flatnonzero(~(g >= 0.0) | np.concatenate([[False], rises]))
+        if bad.size:
+            i = bad[0]
+            if np.isnan(g[i]):
+                raise SamplerError(f"wedge tail G(s) is not a number at s = {s[i]:.6g}")
+            what = "is negative, so Q'(s) > theta" if g[i] < 0.0 else "rises, so h(s) < 0"
+            raise InvalidModelError(
+                f"wedge tail G(s) = (theta - Q'(s)) exp(-Q(s)) {what} at s = {s[i]:.6g} "
+                f"(G = {g[i]:.6g}); the model is not a valid distribution",
+                witness=float(s[i]), value=float(g[i]))
+        # the running minimum keeps the bracket search monotone through rounding
+        return s, np.minimum.accumulate(g)
 
     @functools.cached_property
     def u(self) -> float:

@@ -14,8 +14,9 @@ coordinates ``w = R0(min)``, ``s = R0(max) - R0(min)``, where ``w`` is an
 exact exponential with rate ``theta``.  The density of ``s`` is the exact
 derivative ``h = -G'`` of ``G(s) = (theta - Q'(s)) exp(-Q(s))``, so ``s`` is
 drawn by inverting the closed-form CDF ``H(s) = G(0) - G(s)`` (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. 2).  A model whose ``G``
-goes negative or rises is refused.  Both samplers draw at most
+*Non-Uniform Random Variate Generation*, 1986, ch. 2).  The wedge kernel
+gives ``G``, ``h`` and the table of ``G``, which refuses a model whose
+``G`` goes negative or rises.  Both samplers draw at most
 ``MAX_PAIRS`` pairs per call.
 
 All randomness comes from counter-based (Philox) generators seeded once,
@@ -48,10 +49,6 @@ __all__ = ["MAX_PAIRS", "SampleBatch", "sample_ph", "sample_general"]
 #: most pairs one call may draw: the samplers hold a few arrays of n floats
 MAX_PAIRS = 2**22
 
-#: nodes of the wedge-tail table, equally spaced in ``v = s/(1+s)`` over [0, 1]
-_TAIL_NODES = 2049
-#: a rise of ``G`` between neighbouring nodes, relative to ``G``, read as rounding
-_RISE_RTOL = 1e-9
 #: relative residual every wedge draw meets: ``|G(s) - t| <= _TAIL_RTOL * t``
 _TAIL_RTOL = 1e-10
 #: evaluations of ``G`` per draw; bisection alone shrinks a bracket to rounding in fewer
@@ -376,38 +373,6 @@ def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _wedge_tail(kernel, theta: float, s):
-    """``G(s) = (theta - Q'(s)) exp(-Q(s))`` and the wedge density ``h = -G'``."""
-    q, q1, q2 = kernel.q_slopes(s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-q)
-        return (theta - q1) * e, (theta * q1 + q2 - q1 * q1) * e
-
-
-def _tail_table(kernel, theta: float):
-    """``(s, G(s))`` on the table: ``G(0) = theta - u``, ``G(inf) = 0``.
-
-    Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
-    is negative (``Q' > theta``) or rises by more than rounding (``h < 0``).
-    """
-    v = np.linspace(0.0, 1.0, _TAIL_NODES)[:-1]
-    s = np.append(v / (1.0 - v), np.inf)
-    g = np.concatenate([[theta - kernel.u], _wedge_tail(kernel, theta, s[1:-1])[0], [0.0]])
-    rises = g[1:] - g[:-1] > _RISE_RTOL * np.maximum(g[:-1], g[1:])
-    bad = np.flatnonzero(~(g >= 0.0) | np.concatenate([[False], rises]))
-    if bad.size:
-        i = bad[0]
-        if np.isnan(g[i]):
-            raise SamplerError(f"wedge tail G(s) is not a number at s = {s[i]:.6g}")
-        what = "is negative, so Q'(s) > theta" if g[i] < 0.0 else "rises, so h(s) < 0"
-        raise InvalidModelError(
-            f"wedge tail G(s) = (theta - Q'(s)) exp(-Q(s)) {what} at s = {s[i]:.6g} "
-            f"(G = {g[i]:.6g}); the model is not a valid distribution",
-            witness=float(s[i]), value=float(g[i]))
-    # the running minimum keeps the bracket search monotone through rounding
-    return s, np.minimum.accumulate(g)
-
-
 def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
     """Solve ``G(s) = t = G(0) * tail`` for each ``tail`` in (0, 1].
 
@@ -430,7 +395,7 @@ def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
         frac = (log_g[hi - 1] - np.log(t)) / (log_g[hi - 1] - log_g[hi])
         s = np.where(frac > 0.0, lo_s + frac * (hi_s - lo_s), lo_s)
     for _ in range(_MAX_STEPS):
-        g, h = _wedge_tail(kernel, theta, s)
+        g, h = kernel.tail(s, theta)
         done = np.abs(g - t) <= _TAIL_RTOL * t
         out[idx[done]] = s[done]
         keep = ~done
@@ -469,7 +434,7 @@ def sample_general(model: GeneralBivariateModel, n: int, seed: int,
             f"mixture weight alpha = {dec.alpha:.6g} outside [0, 1]; "
             "the model is not a valid distribution", value=dec.alpha)
     theta, base = model.theta, model.baseline
-    tables = [_tail_table(kernel, theta) for kernel in model.kernels]
+    tables = [kernel.tail_table(theta) for kernel in model.kernels]
     alpha = min(max(dec.alpha, 0.0), 1.0)
 
     pick_seq, diag_seq, ac_seq = np.random.SeedSequence(seed).spawn(3)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import BaselineModel, _is_scalar
+from .baseline import BaselineModel
 from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel, _row_limits
@@ -662,32 +662,6 @@ def check_functional_equation(model, grid: GridSpec | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _gradient_components(model, x1, x2):
-    """``(g1, g2, r0(x1), r0(x2))`` at float arrays ``x1, x2``, unchecked."""
-    base = model.baseline
-    theta = model.theta
-    upper, s, _ = _wedge(base, x1, x2)
-    q = model._per_wedge("q_prime", upper, s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r0_1 = np.asarray(base.hazard(x1), dtype=float)
-        r0_2 = np.asarray(base.hazard(x2), dtype=float)
-        g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
-        g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
-    return g1, g2, r0_1, r0_2
-
-
-def _gradient_at(model, point) -> tuple[float, float]:
-    """``(g1, g2)`` of one off-diagonal point of the model's ``_point``
-    routine: the expressions of :func:`_gradient_components` on the point's
-    own wedge, with the hazards the point carries."""
-    _, _, upper, s, _, kernel, (r0_1, r0_2) = point
-    theta = model.theta
-    q = float(kernel.q_prime(s))
-    if upper:
-        return q * r0_1, theta * r0_2 - q * r0_2
-    return theta * r0_1 - q * r0_1, q * r0_2
-
-
 def hazard_gradient(model, x1, x2):
     """Closed-form hazard gradient (-d ln S/dx1, -d ln S/dx2) off the diagonal.
 
@@ -697,9 +671,7 @@ def hazard_gradient(model, x1, x2):
     on diagonal input, where the singular mass makes the gradient undefined.
     A pair of scalars gives a pair of floats, anything else a pair of arrays.
     """
-    if _is_scalar(x1) and _is_scalar(x2):
-        return _gradient_at(model, model._point(x1, x2, "hazard gradient"))
-    return _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))[:2]
+    return model._hazard_gradient(x1, x2)
 
 
 def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> ResidualReport:
@@ -715,10 +687,10 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     hi, lo = grid.wedge_pairs(base)
 
     def residual(t, y1, y2):
-        g1, g2, r0_1, r0_2 = _gradient_components(model, y1, y2)
+        g1, g2 = hazard_gradient(model, y1, y2)
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = g1 * r0t / r0_1 + g2 * r0t / r0_2
+            lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
         return np.abs(lhs - theta * r0t) / (theta * r0t)
 
     return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
@@ -756,10 +728,10 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
         err_budget += err
 
     def g1(u):
-        return _gradient_at(model, model._wedge_point(u, xl, hazards=True))[0]
+        return model._gradient_at(model._wedge_point(u, xl, hazards=True))[0]
 
     def g2(u):
-        return _gradient_at(model, model._wedge_point(x1, u, hazards=True))[1]
+        return model._gradient_at(model._wedge_point(x1, u, hazards=True))[1]
 
     add_piece(g1, xl, x1)
     add_piece(g2, xl, min(x1, x2))

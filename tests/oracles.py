@@ -16,6 +16,7 @@ from bisurv.errors import (
     DomainError,
     InvalidModelError,
     NumericError,
+    SamplerError,
     UndefinedComponentError,
 )
 
@@ -376,7 +377,7 @@ def point_log_survival(model, x1, x2):
 
 
 def point_ac_density(model, x1, x2):
-    x1a, x2a = model._off_diagonal(x1, x2, "density")
+    x1a, x2a = off_diagonal(model, x1, x2, "density")
     alpha = model.decompose().alpha
     if alpha <= _WEIGHT_EPS:
         raise UndefinedComponentError(
@@ -412,7 +413,7 @@ def _gradient_components(model, x1, x2):
 
 
 def point_hazard_gradient(model, x1, x2):
-    g1, g2 = _gradient_components(model, *model._off_diagonal(x1, x2, "hazard gradient"))
+    g1, g2 = _gradient_components(model, *off_diagonal(model, x1, x2, "hazard gradient"))
     return _ret(g1, x1, x2), _ret(g2, x1, x2)
 
 
@@ -442,3 +443,112 @@ def diagonal_singular_survival(model, x):
     r0 = np.asarray(model.baseline.cumulative_hazard(np.where(inf, xl, xc)), dtype=float)
     with np.errstate(over="ignore"):  # theta * r0 may pass the float range: S = 0
         return _ret(np.where(inf, 0.0, np.exp(-model.theta * r0)), x)
+
+
+# ---------------------------------------------------------------------------
+# Wedge tail, wedge density and hazard gradient
+# ---------------------------------------------------------------------------
+# ``sampling._wedge_tail`` and ``sampling._tail_table``,
+# ``WedgeKernel.density``, and ``validity._gradient_components`` and
+# ``validity._gradient_at`` with the ``_BivariateBase._off_diagonal``
+# admission they took, as they were before the kernel owned the wedge tail
+# and the model owned the hazard gradient.  Kept verbatim (``self`` is
+# ``kernel`` or ``model``, and the constants are copied) as the references
+# the kernel's and the model's routines must match bit for bit.
+
+_DENSITY_NOISE = 1e-9
+_TAIL_NODES = 2049
+_RISE_RTOL = 1e-9
+
+
+def off_diagonal(model, x1, x2, what: str):
+    """``x1, x2`` as broadcast float arrays, admitted only off the diagonal,
+    finite and at or above ``x_L``; :class:`DomainError` otherwise."""
+    x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                   np.asarray(x2, dtype=float))
+    if np.any(x1a == x2a):
+        raise DomainError(f"{what} undefined on the diagonal")
+    xl = model.baseline.x_L
+    if not (np.all(np.isfinite(x1a) & np.isfinite(x2a))
+            and np.all(np.minimum(x1a, x2a) >= xl)):
+        raise DomainError(f"coordinates must be finite and >= {xl}")
+    return x1a, x2a
+
+
+def wedge_tail(kernel, theta: float, s):
+    """``G(s) = (theta - Q'(s)) exp(-Q(s))`` and the wedge density ``h = -G'``."""
+    q, q1, q2 = kernel.q_slopes(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-q)
+        return (theta - q1) * e, (theta * q1 + q2 - q1 * q1) * e
+
+
+def tail_table(kernel, theta: float):
+    """``(s, G(s))`` on the table: ``G(0) = theta - u``, ``G(inf) = 0``.
+
+    Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
+    is negative (``Q' > theta``) or rises by more than rounding (``h < 0``).
+    """
+    v = np.linspace(0.0, 1.0, _TAIL_NODES)[:-1]
+    s = np.append(v / (1.0 - v), np.inf)
+    g = np.concatenate([[theta - kernel.u], wedge_tail(kernel, theta, s[1:-1])[0], [0.0]])
+    rises = g[1:] - g[:-1] > _RISE_RTOL * np.maximum(g[:-1], g[1:])
+    bad = np.flatnonzero(~(g >= 0.0) | np.concatenate([[False], rises]))
+    if bad.size:
+        i = bad[0]
+        if np.isnan(g[i]):
+            raise SamplerError(f"wedge tail G(s) is not a number at s = {s[i]:.6g}")
+        what = "is negative, so Q'(s) > theta" if g[i] < 0.0 else "rises, so h(s) < 0"
+        raise InvalidModelError(
+            f"wedge tail G(s) = (theta - Q'(s)) exp(-Q(s)) {what} at s = {s[i]:.6g} "
+            f"(G = {g[i]:.6g}); the model is not a valid distribution",
+            witness=float(s[i]), value=float(g[i]))
+    # the running minimum keeps the bracket search monotone through rounding
+    return s, np.minimum.accumulate(g)
+
+
+def wedge_density(kernel, s, theta: float):
+    """Wedge density ``h(s) = (theta Q' + Q'' - Q'^2) exp(-Q)``.
+
+    Its total mass is ``theta - u``.  A negative factor no larger than
+    ``1e-9`` times the size of its terms is rounding noise (mostly of a
+    difference-quotient ``Q''``) and reads as 0.
+    """
+    q, q1, q2 = kernel.q_slopes(s)
+    if type(q) is float:  # a PH kernel at a float: the array path's steps
+        theta = float(theta)
+        a = theta * q1 + q2 - q1 * q1
+        if a < 0.0 and -a <= _DENSITY_NOISE * (theta * abs(q1) + abs(q2) + q1 * q1):
+            a = 0.0
+        return a * float(np.exp(-q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = theta * q1 + q2 - q1 * q1
+        noise = _DENSITY_NOISE * (theta * np.abs(q1) + np.abs(q2) + q1 * q1)
+        a = np.where((a < 0.0) & (-a <= noise), 0.0, a)
+        return a * np.exp(-q)
+
+
+def gradient_components(model, x1, x2):
+    """``(g1, g2, r0(x1), r0(x2))`` at float arrays ``x1, x2``, unchecked."""
+    base = model.baseline
+    theta = model.theta
+    upper, s, _ = _wedge(base, x1, x2)
+    q = model._per_wedge("q_prime", upper, s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r0_1 = np.asarray(base.hazard(x1), dtype=float)
+        r0_2 = np.asarray(base.hazard(x2), dtype=float)
+        g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
+        g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
+    return g1, g2, r0_1, r0_2
+
+
+def gradient_at(model, point) -> tuple[float, float]:
+    """``(g1, g2)`` of one off-diagonal point of the model's ``_point``
+    routine: the expressions of :func:`gradient_components` on the point's
+    own wedge, with the hazards the point carries."""
+    _, _, upper, s, _, kernel, (r0_1, r0_2) = point
+    theta = model.theta
+    q = float(kernel.q_prime(s))
+    if upper:
+        return q * r0_1, theta * r0_2 - q * r0_2
+    return theta * r0_1 - q * r0_1, q * r0_2

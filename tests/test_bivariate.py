@@ -25,7 +25,10 @@ from bisurv import CustomHazard, bivariate
 from bisurv.marginals import WedgeKernel
 from oracles import (
     diagonal_singular_survival,
+    gradient_at,
+    gradient_components,
     mixed_fd,
+    off_diagonal,
     point_ac_density,
     point_hazard_gradient,
     point_log_survival,
@@ -644,3 +647,61 @@ def test_array_evaluation_is_silent_past_the_float_range():
     assert density.tolist() == [model.ac_density(1e308, 1e307)] == [0.0]
     survival = model.survival(np.array([1e308]), np.array([1e308]))
     assert survival.tolist() == [model.survival(1e308, 1e308)] == [0.0]
+
+
+@pytest.mark.parametrize("name", ["ph-weibull2", "hazard-weibull2"])
+def test_one_overflowing_cumulative_hazard_reads_zero_survival_and_density(name):
+    # R0 = x**2 passes the float range at 1e308 and 1e300 but not at 0.5:
+    # there s = inf and, at both, NaN; no kernel sees either, and every path
+    # reads 0 without a warning or an error
+    model = _DIAGONAL_MODELS[name]
+    inside = model.survival(0.5, 0.7), model.ac_density(0.5, 0.7)
+    n = 2 * bivariate._BLOCK + 1
+    for x1, x2 in ((1e308, 0.5), (0.5, 1e308)):
+        assert model.survival(x1, x2) == 0.0
+        assert model.log_survival(x1, x2) == -math.inf
+        assert model.survival(np.array([x1, 0.5]), np.array([x2, 0.7])).tolist() == [0.0, inside[0]]
+        blocked = model.survival(np.resize([x1, 0.5], n), np.resize([x2, 0.7], n))
+        assert blocked.tolist() == [0.0, inside[0]] * (n // 2) + [0.0]
+    for x1, x2 in ((1e308, 0.5), (0.5, 1e308), (1e308, 1e300)):
+        assert model.ac_density(x1, x2) == 0.0
+        assert model.ac_density(np.array([x1, 0.5]), np.array([x2, 0.7])).tolist() == [0.0, inside[1]]
+
+
+def test_array_gradient_is_silent_past_the_float_range():
+    # r0(1e308) = 2e308 overflows and s = inf - inf: the array call returns
+    # the scalar call's values with no RuntimeWarning
+    model = _DIAGONAL_MODELS["ph-weibull2"]
+    g1, g2 = hazard_gradient(model, np.array([1e308]), np.array([1e300]))
+    assert (g1.tolist(), g2.tolist()) == ([math.inf], [2e300])
+    assert hazard_gradient(model, 1e308, 1e300) == (math.inf, 2e300)
+
+
+#: the point models, and a callable marginal and a callable baseline
+_GRADIENT_MODELS = {
+    **_POINT_MODELS,
+    "callable-exponential": GeneralBivariateModel(
+        E, FromHazard(lambda x: 1.0 + 0.5 * math.exp(-x)), ProportionalHazard(E, 2.0), 3.0),
+    "lfr-callable": GeneralBivariateModel(
+        CustomHazard(lambda x: 1.0 + 0.2 * x), LinearFailureRate(0.3), LinearFailureRate(0.1), 3.0),
+}
+
+
+def _old_gradient(model, x1, x2):
+    if np.ndim(x1) == 0:
+        return gradient_at(model, model._point(x1, x2, "hazard gradient"))
+    return gradient_components(model, *off_diagonal(model, x1, x2, "hazard gradient"))[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(list(_GRADIENT_MODELS)),
+       points=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0), st.booleans()),
+                       min_size=1, max_size=6))
+def test_gradient_and_density_are_the_old_routines_bit_for_bit(name, points):
+    model = _GRADIENT_MODELS[name]
+    pts = [_wedge_point(model.baseline, w, s, upper) for w, s, upper in points]
+    x1, x2 = np.array(pts).T
+    assert _outcome(hazard_gradient, model, x1, x2) == _outcome(_old_gradient, model, x1, x2)
+    assert _outcome(model.ac_density, x1, x2) == _outcome(point_ac_density, model, x1, x2)
+    for a, b in pts:
+        assert _outcome(hazard_gradient, model, a, b) == _outcome(_old_gradient, model, a, b)

@@ -289,15 +289,15 @@ def test_counterexample_json_values(capsys):
 
 
 def test_counterexample_takes_the_diagonal_limit_once(capsys, monkeypatch):
-    from bisurv import cli
+    from bisurv import marginals
     calls = []
-    original = cli.limit_hazard_ratio
+    original = marginals.limit_hazard_ratio
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "limit_hazard_ratio", counting)
+    monkeypatch.setattr(marginals, "limit_hazard_ratio", counting)
     code, out, _ = run(capsys, "counterexample")
     assert code == 0
     assert len(calls) == 1  # both marginals are the same law
@@ -444,3 +444,52 @@ def test_cli_import_leaves_csv_tables_unbuilt():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "True"
+
+
+# -- validate, decompose and sample disagree on these models ------------------------
+# Each test states that the commands reach one verdict.  They do not yet:
+# ``validate`` decides on a grid and ``sample`` on the wedge tail table, with
+# different tolerances.  The tests pass once both read one certificate.
+
+_WEDGE_DISAGREEMENTS = pytest.mark.xfail(
+    strict=True, reason="validate and sample decide validity in different ways")
+
+
+def _exit_codes(capsys, tmp_path, spec, commands, tables=None):
+    for name, rows in (tables or {}).items():
+        (tmp_path / name).write_text("x,hazard\n" + "".join(f"{x},{h}\n" for x, h in rows))
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(spec))
+    argv = {"validate": ["validate"], "decompose": ["decompose"],
+            "sample": ["sample", "--n", "10", "--seed", "1"]}
+    return {cmd: run(capsys, *argv[cmd], "--config", str(cfg))[0] for cmd in commands}
+
+
+@_WEDGE_DISAGREEMENTS
+def test_validate_and_sample_agree_past_the_grid(capsys, tmp_path):
+    # Q' = 1 + 0.1 s passes theta = 2 at s = 10, past the grid's r0_max = 8
+    codes = _exit_codes(capsys, tmp_path, {"baseline": "exponential", "theta": 2.0,
+                                           "marginals": ["lfr:0.05", "lfr:0.05"]},
+                        ("validate", "sample"))
+    assert codes["validate"] == codes["sample"], codes
+
+
+@_WEDGE_DISAGREEMENTS
+def test_validate_decompose_and_sample_agree_on_the_weight_bound(capsys, tmp_path):
+    # u1 + u2 = 2.9999999 < theta = 3: alpha = 1 + 3.3e-8
+    codes = _exit_codes(capsys, tmp_path, {"baseline": "exponential", "theta": 3.0,
+                                           "marginals": ["ph:1.4999999", "ph:1.5"]},
+                        ("validate", "decompose", "sample"))
+    assert len(set(codes.values())) == 1, codes
+
+
+@_WEDGE_DISAGREEMENTS
+def test_validate_and_sample_refuse_a_spike_narrower_than_the_grid(capsys, tmp_path):
+    # the hazard drops from 5 to 2 over s in (6.0005, 6.001), where h < 0
+    spec = {"baseline": "exponential", "theta": 3.0, "marginals": ["hazard:spike.csv", "ph:2"]}
+    tables = {"spike.csv": [(0, 2), (6, 2), (6.0005, 5), (6.001, 2), (40, 2)]}
+    codes = _exit_codes(capsys, tmp_path, spec, ("validate", "sample"), tables)
+    code, out, _ = run(capsys, "rect", "--config", str(tmp_path / "model.json"),
+                       "6.0005", "6.001", "0", "0.0001")
+    assert code == 0 and "probability is negative" in out
+    assert codes == {"validate": 3, "sample": 3}, codes

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bisurv import (
+    BisurvError,
+    CustomHazard,
     DomainError,
     Exponential,
     FromHazard,
@@ -18,8 +22,18 @@ from bisurv import (
     sample_general,
     sample_ph,
 )
-from bisurv import sampling
-from oracles import LinearHazardTable, exponential_wedge_tail
+from bisurv import marginals, sampling
+from bisurv.config import load_model_config
+from bisurv.marginals import WedgeKernel
+from oracles import (
+    LinearHazardTable,
+    exponential_wedge_tail,
+    tail_table,
+    wedge_density,
+    wedge_tail,
+)
+from test_cli_golden import CONFIGS as GOLDEN_CONFIGS
+from test_cli_golden import _write_config
 
 E = Exponential()
 MO = PHBivariateModel(E, 1.0, 1.0, 1.0)
@@ -245,7 +259,7 @@ def test_wedge_draws_meet_residual_bound(kernel):
     k = model.kernels[wedge]
     tail = np.concatenate([1.0 - np.random.default_rng(77).random(2000),
                            [1.0, 0.5, 2.0**-53]])
-    s = sampling._draw_s(k, 3.0, sampling._tail_table(k, 3.0), tail)
+    s = sampling._draw_s(k, 3.0, k.tail_table(3.0), tail)
     t = exponential_wedge_tail(table, 3.0, 0.0) * tail
     got = np.array([exponential_wedge_tail(table, 3.0, v) for v in s])
     # the oracle and the library round differently by ~1e-15 of G
@@ -268,7 +282,7 @@ def test_wedge_tail_inverts_the_baseline_once_per_point(monkeypatch):
         return inverse(self, v)
 
     monkeypatch.setattr(Weibull, "inverse_cumulative_hazard", counted)
-    g, h = sampling._wedge_tail(kernel, 3.0, s)
+    g, h = kernel.tail(s, 3.0)
     assert sum(inverted) == s.size
     e = np.exp(-q)
     assert np.array_equal(g, (3.0 - q1) * e)
@@ -283,7 +297,7 @@ def test_negative_wedge_tail_refused_at_first_node_past_root(a, root):
     model = GeneralBivariateModel(E, m, m, 2.0)
     with pytest.raises(InvalidModelError, match="Q'") as info:
         sample_general(model, 100, 1)
-    node_gap = (1.0 + root) ** 2 / (sampling._TAIL_NODES - 1)
+    node_gap = (1.0 + root) ** 2 / (marginals._TAIL_NODES - 1)
     assert root < info.value.witness <= root + 1.01 * node_gap
     assert info.value.value < 0.0
 
@@ -295,4 +309,90 @@ def test_rising_wedge_tail_refused():
     model = GeneralBivariateModel(E, marginal, ProportionalHazard(E, 2.0), 3.0)
     with pytest.raises(InvalidModelError, match="rises") as info:
         sample_general(model, 100, 1)
-    assert 1.0 < info.value.witness < 1.01 + 4.0 / (sampling._TAIL_NODES - 1)
+    assert 1.0 < info.value.witness < 1.01 + 4.0 / (marginals._TAIL_NODES - 1)
+
+
+# -- the kernel's wedge tail against the sampler's old routines -------------------
+
+W2 = Weibull(2.0)
+
+#: kernels of every kind: PH over its own baseline (the exact kernel, with its
+#: float path) and over another; LFR over the exponential, Weibull(2) and a
+#: table baseline; table and callable marginals; a callable baseline
+KERNELS = {
+    "ph-weibull2": WedgeKernel(ProportionalHazard(W2, 1.5), W2),
+    "ph-exponential-weibull2": WedgeKernel(ProportionalHazard(E, 2.0), W2),
+    "lfr-exponential": WedgeKernel(LinearFailureRate(0.2), E),
+    "lfr-weibull2": WedgeKernel(LinearFailureRate(0.25), W2),
+    "lfr-table": WedgeKernel(LinearFailureRate(0.3), CustomHazard.from_table(
+        [0.0, 1.0, 2.5, 6.0], [1.0, 1.6, 1.1, 1.4])),
+    "table-exponential": WedgeKernel(FromHazard.from_table(TABLE_X, TABLE_H), E),
+    "callable-exponential": WedgeKernel(FromHazard(lambda x: 1.0 + 0.5 * math.exp(-x)), E),
+    "lfr-callable": WedgeKernel(LinearFailureRate(0.3), CustomHazard(lambda x: 1.0 + 0.2 * x)),
+}
+
+#: below, at and above each kernel's ``u``, and just below a PH exponent, where
+#: the density factor is negative but rounding-sized and clamps to 0
+THETAS = [0.5, 1.5, 2.0, 3.0, 1.5 - 2.0**-40]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("theta", THETAS)
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@settings(max_examples=10, deadline=None)
+@given(s=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=6), as_float=st.booleans())
+def test_kernel_tail_is_the_old_wedge_tail_bit_for_bit(name, theta, s, as_float):
+    kernel = KERNELS[name]
+    arg = s[0] if as_float else np.array(s)
+    g, h = kernel.tail(arg, theta)
+    density = wedge_density(kernel, arg, theta)
+    assert _bits(g) == _bits(wedge_tail(kernel, theta, arg)[0])
+    assert type(h) is type(density) and _bits(h) == _bits(density)
+    assert type(kernel.density(arg, theta)) is type(density)
+    assert _bits(kernel.density(arg, theta)) == _bits(density)
+
+
+def _outcome(fn, *args):
+    """The raw bytes of what ``fn(*args)`` returned, or its error."""
+    try:
+        return tuple(_bits(v) for v in fn(*args))
+    except BisurvError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None), getattr(exc, "value", None)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_tail_table_is_the_old_table_bit_for_bit(name):
+    kernel = KERNELS[name]
+    for theta in THETAS:
+        assert _outcome(kernel.tail_table, theta) == _outcome(tail_table, kernel, theta)
+
+
+def _golden_model(name, tmp_path):
+    if name == "counterexample":  # the model ``bisurv counterexample`` builds
+        return GeneralBivariateModel(E, LinearFailureRate(1.5), LinearFailureRate(1.5), 3.0)
+    if name == "gen-weibull2":
+        path = tmp_path / "gen-weibull2.json"
+        path.write_text('{"baseline": "weibull:2", "theta": 3.0, "marginals": ["ph:1", "ph:2.5"]}')
+        return load_model_config(str(path)).model
+    return load_model_config(str(_write_config(name, tmp_path))).model
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "counterexample", "gen-weibull2"])
+def test_seeded_draws_are_the_old_sampler_bit_for_bit(name, tmp_path):
+    # the old sampler: sample_general with the old routines in the kernel's place
+    model = _golden_model(name, tmp_path)
+
+    def draws(seed):
+        def pair():
+            batch = sample_general(model, 5000, seed)
+            return batch.x1, batch.x2
+        return _outcome(pair)
+
+    got = [draws(seed) for seed in (7, 11, 2024)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WedgeKernel, "tail", lambda self, s, theta: wedge_tail(self, theta, s))
+        patch.setattr(WedgeKernel, "tail_table", tail_table)
+        assert got == [draws(seed) for seed in (7, 11, 2024)]
