@@ -373,7 +373,11 @@ class GeneralBivariateModel(_BivariateBase):
         larger coordinate, ``(theta - Q_i') r0(x_i)`` for the smaller."""
         if _is_scalar(x1) and _is_scalar(x2):
             return self._gradient_at(self._point(x1, x2, "hazard gradient"))
-        _, _, upper, s, _, (r0_1, r0_2) = self._points(x1, x2, "hazard gradient")
+        return self._gradient_array(self._points(x1, x2, "hazard gradient"))
+
+    def _gradient_array(self, points):
+        """:meth:`_hazard_gradient` of :meth:`_points`, both wedges at once."""
+        _, _, upper, s, _, (r0_1, r0_2) = points
         q = self._per_wedge("q_prime", upper, s)
         with np.errstate(over="ignore", invalid="ignore"):
             return (np.where(upper, q * r0_1, self.theta * r0_1 - q * r0_1),

@@ -22,10 +22,9 @@ endpoint.  This is the diagonal weight that the mixture decomposition of the
 bivariate models is built from; both individual hazards may vanish or blow
 up at the endpoint, so the limit is taken by sampling at geometrically
 shrinking offsets in cumulative-hazard coordinates and accelerating the
-resulting sequence.  One routine, ``_row_limits``, accelerates every such
-sequence: it takes a 2-D array with one sequence per row and settles all
-rows in one array pass, so the validity checks re-take the limit from every
-grid anchor of a kernel in a single call.
+resulting sequence with ``_row_limits``.  ``Q'`` is a function of ``s``
+alone, so the limit is the same from every point of the diagonal and each
+kernel takes it once.
 """
 
 from __future__ import annotations
@@ -325,7 +324,8 @@ _DIVERGENCE_FACTOR = 50.0
 
 
 def _row_limits(rows) -> np.ndarray:
-    """Limit of each row of step-halved samples (samples on the last axis).
+    """Limit of each row of step-halved samples (samples on the last axis);
+    :func:`limit_hazard_ratio` passes its one sequence as a 1-D array.
 
     Each row takes the first rule that applies: a NaN sample leaves it
     unsettled (NaN); an infinite sample, or a monotone tail whose increments

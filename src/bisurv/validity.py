@@ -9,12 +9,12 @@ fact is built by one function, and the checks are views over those:
 
 * ``combined_validation`` -- the ``validate`` report, each condition once:
   ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
-  ``marginal-ii`` (density sign ``h >= 0``), ``marginal-u-constancy`` (a
-  probe of the diagonal limits), ``hazard-i`` (``G >= 0``), ``hazard-ii``
-  (divergence of the total hazard) and ``two-increasing`` (the definition).
+  ``marginal-ii`` (density sign ``h >= 0``), ``hazard-i`` (``G >= 0``),
+  ``hazard-ii`` (divergence of the total hazard) and ``two-increasing``
+  (the definition).
 * ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
-  two theorems as the paper states them: ``i``, ``ii``, ``u-constancy``;
-  and ``i``, ``ii``, ``iii`` (``h >= 0`` again) and ``iv`` (weight bounds).
+  two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
+  ``iii`` (``h >= 0`` again) and ``iv`` (weight bounds).
 * ``check_two_increasing`` -- one O(n^3) pass ranks the rectangles spanned
   by grid knots by their separable sum and reports the winner's
   inclusion-exclusion sum.
@@ -39,7 +39,7 @@ import numpy as np
 from .baseline import BaselineModel
 from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
 from .errors import DomainError, ModelError, NumericError
-from .marginals import FromHazard, MarginalModel, WedgeKernel, _row_limits
+from .marginals import FromHazard, MarginalModel, WedgeKernel
 
 __all__ = [
     "GridSpec",
@@ -69,12 +69,6 @@ _DIVERGENCE_TARGET = 30.0
 
 #: cumulative-hazard levels probed by the divergence heuristic
 _DIVERGENCE_PROBES = (8.0, 16.0, 32.0, 64.0, 128.0)
-
-#: relative spread allowed between diagonal-limit anchors
-_CONSTANCY_RTOL = 1e-4
-
-#: step-halving levels of each anchored diagonal limit
-_ANCHOR_LEVELS = 8
 
 
 def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
@@ -252,7 +246,7 @@ def _combine_verdict(conditions: list[ConditionResult]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal limits and their constancy along the diagonal
+# Diagonal limits
 # ---------------------------------------------------------------------------
 
 
@@ -261,9 +255,11 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
     """Mixture-weight bounds ``theta <= u1 + u2 <= 2*theta`` on the kernels'
     diagonal limits ``u_i = Q_i'(0+)``.
 
-    Returns the condition, the limits (None where a limit failed; its error
-    becomes the note) and the weight ``alpha = 2 - (u1 + u2)/theta``, or None
-    unless both limits are finite.
+    Each ``u_i`` is one limit of a function of ``s`` alone, so it is the same
+    from every point of the diagonal and is taken once.  Returns the
+    condition, the limits (None where a limit failed; its error becomes the
+    note) and the weight ``alpha = 2 - (u1 + u2)/theta``, or None unless both
+    limits are finite.
     """
     label = "mixture-weight-bounds"
     us: list[float | None] = []
@@ -285,54 +281,6 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
     note = f"{names[0]}+{names[1]} = {total:.12g}, bounds [{theta:.12g}, {2 * theta:.12g}]"
     cond = ConditionResult(cid, label, bool(margin >= -tol), margin=float(margin), note=note)
     return cond, us, 2.0 - total / theta
-
-
-def _constancy_condition(cid: str, kernels, grid: GridSpec,
-                         us: list[float | None]) -> ConditionResult:
-    """Diagonal limits re-taken from every grid anchor must agree with ``u``.
-
-    From anchor ``a`` the samples are ``Q'(s) exp(-Q(s))``, i.e.
-    ``f(d)/r0(d)``, at ``s = R0(a + h) - R0(a)`` for raw offsets ``h``
-    halving from ``0.05 * max(1, |a|)``, so the pre-limit samples genuinely
-    depend on the anchor for non-exponential baselines.  Each kernel's
-    anchors are the rows of one :func:`~bisurv.marginals._row_limits` call.
-    The first anchor whose limit does not settle is the witness of an
-    undecided probe, else the anchor farthest from ``u``, the first on ties.
-    """
-    label = "diagonal-limit constancy"
-    if any(u is None or math.isinf(u) for u in us):
-        return ConditionResult(cid, label, None,
-                               note="skipped: diagonal limits unavailable")
-    base = kernels[0].baseline
-    anchors = grid.axis_points(base)
-    offsets = (0.05 * np.maximum(1.0, np.abs(anchors))[:, None]
-               * 0.5 ** np.arange(_ANCHOR_LEVELS))
-    s = _wedge(base, anchors[:, None] + offsets, anchors[:, None])[1]
-    worst = 0.0
-    worst_anchor = None
-    for idx, (kernel, u) in enumerate(zip(kernels, us), start=1):
-        if kernel.delta is not None:
-            continue  # Q' = delta exactly
-        q, q1, _ = kernel.q_slopes(s, second=False)
-        with np.errstate(over="ignore"):
-            vals = _row_limits(q1 * np.exp(-q))
-        unsettled = np.flatnonzero(np.isnan(vals))
-        if unsettled.size:
-            a = float(anchors[unsettled[0]])
-            return ConditionResult(
-                cid, label, None, witness=(a, a),
-                note=f"anchored limit for marginal {idx} did not converge",
-            )
-        dev = np.abs(vals - u) / max(abs(u), 1e-12)
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
-            worst, worst_anchor = float(dev[i]), (float(anchors[i]),) * 2
-    if worst > _CONSTANCY_RTOL:
-        return ConditionResult(
-            cid, label, None, witness=worst_anchor, margin=_CONSTANCY_RTOL - worst,
-            note=f"diagonal limits vary across anchors (relative spread {worst:.3g})",
-        )
-    return ConditionResult(cid, label, True, margin=_CONSTANCY_RTOL - worst)
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +387,7 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     Condition (i): ``theta <= u1 + u2 <= 2*theta`` for the diagonal
     hazard-ratio limits.  Condition (ii): at every off-diagonal grid point
     the cross log-derivative of the wedge survival factor,
-    ``r0(lo) * (Q' - Q''/Q')``, must not exceed ``theta * r0(lo)``.  The
-    diagonal limits are additionally probed at several anchors;
-    disagreement makes the report Inconclusive.
+    ``r0(lo) * (Q' - Q''/Q')``, must not exceed ``theta * r0(lo)``.
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
@@ -450,7 +396,6 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     conditions = [
         cond_i,
         _cross_derivative_condition("ii", theta, _grid_slopes(model.kernels, grid), floor),
-        _constancy_condition("u-constancy", model.kernels, grid, us),
     ]
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
@@ -679,7 +624,8 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
 
     Checks ``sum_i grad_i(x1 (+) t, x2 (+) t) * r0(t)/r0(x_i (+) t)`` against
     ``theta * r0(t)`` over off-diagonal grid pairs and shift knots
-    (``DomainError`` without a shift knot).
+    (``DomainError`` without a shift knot).  The divisors ``r0(x_i (+) t)``
+    are the hazards the model mapped for the gradient.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
@@ -687,10 +633,12 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     hi, lo = grid.wedge_pairs(base)
 
     def residual(t, y1, y2):
-        g1, g2 = hazard_gradient(model, y1, y2)
+        points = model._points(y1, y2, "hazard gradient")
+        g1, g2 = model._gradient_array(points)
+        r0_1, r0_2 = points[-1]
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
+            lhs = g1 * r0t / r0_1 + g2 * r0t / r0_2
         return np.abs(lhs - theta * r0t) / (theta * r0t)
 
     return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
@@ -755,8 +703,7 @@ def combined_validation(model, grid: GridSpec | None = None,
     """Each of the paper's conditions once, from one evaluation of the grid.
 
     Rows: ``marginal-i`` the weight bounds ``theta <= u1 + u2 <= 2*theta``;
-    ``marginal-ii`` the density sign ``h >= 0``; ``marginal-u-constancy``
-    the diagonal limits agree from every anchor; ``hazard-i`` ``G >= 0``,
+    ``marginal-ii`` the density sign ``h >= 0``; ``hazard-i`` ``G >= 0``,
     i.e. ``0 <= Q' <= theta``; ``hazard-ii`` divergence of the total hazard
     (heuristic); ``two-increasing`` the definition, no grid rectangle of
     negative probability.  Hazard-rate (iv) is ``marginal-i`` again, and
@@ -773,7 +720,6 @@ def combined_validation(model, grid: GridSpec | None = None,
     conditions = [
         weights,
         _cross_derivative_condition("marginal-ii", theta, pairs, floor),
-        _constancy_condition("marginal-u-constancy", kernels, grid, us),
         _gradient_condition("hazard-i", theta, pairs, floor),
         _divergence_condition("hazard-ii", kernels),
         *rectangles.conditions,

@@ -552,3 +552,30 @@ def gradient_at(model, point) -> tuple[float, float]:
     if upper:
         return q * r0_1, theta * r0_2 - q * r0_2
     return theta * r0_1 - q * r0_1, q * r0_2
+
+
+# ---------------------------------------------------------------------------
+# Hazard-gradient identity
+# ---------------------------------------------------------------------------
+# ``validity.check_hazard_gradient_identity`` as it was when its residual
+# mapped the baseline hazard of each shifted pair again for its divisors,
+# kept verbatim as the reference the check must match bit for bit.
+
+
+def gradient_identity(model, grid=None):
+    from bisurv.validity import GridSpec, _worst_over_shifts, hazard_gradient
+
+    grid = grid or GridSpec.default()
+    base = model.baseline
+    theta = model.theta
+    hi, lo = grid.wedge_pairs(base)
+
+    def residual(t, y1, y2):
+        g1, g2 = hazard_gradient(model, y1, y2)
+        r0t = float(base.hazard(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
+        return np.abs(lhs - theta * r0t) / (theta * r0t)
+
+    return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
+                              np.concatenate([lo, hi]), residual, relative=True)

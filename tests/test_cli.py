@@ -152,7 +152,7 @@ def test_validate_json_is_strict_for_divergent_limits(capsys, tmp_path):
         weights = report["conditions"][0]
         assert (weights["id"], weights["pass"], weights["margin"]) == ("marginal-i", False, "-inf")
         assert report["diagnostics"]["u1"] == "inf"
-        assert report["conditions"][2]["margin"] is None  # undecided stays null
+        assert weights["witness"] is None  # absent stays null
     _, table, _ = run(capsys, "validate", "--config", str(cfg))
     assert "-inf" in table.splitlines()[3]
 
@@ -163,7 +163,7 @@ def test_validate_table_columns_align(capsys, mo_config):
     lines = out.splitlines()
     header = lines[1]
     rows = [line for line in lines[3:] if not line.startswith(" ")]
-    assert len(rows) == 6
+    assert len(rows) == 5
     # every pass column starts under "pass" and every row is as wide as the
     # header up to the witness
     column = header.index("pass")
@@ -444,6 +444,22 @@ def test_cli_import_leaves_csv_tables_unbuilt():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "True"
+
+
+def test_valid_table_model_is_reported_valid(capsys, tmp_path):
+    # every condition holds with room (weight bounds by 0.055, density sign by
+    # 0.089, smallest rectangle +3.5e-5), so validate agrees with decompose
+    # and sample
+    xs = np.linspace(0.0, 10.0, 50).tolist()
+    rows = "".join(f"{x!r},{0.5 * x + 0.05 * x * x!r}\n" for x in xs)
+    (tmp_path / "quadratic.csv").write_text("x,hazard\n" + rows)
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"baseline": "weibull:2", "theta": 1.0,
+                               "marginals": ["hazard:quadratic.csv", "ph:0.8"]}))
+    code, out, _ = run(capsys, "validate", "--config", str(cfg), "--format", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "Valid")
+    assert run(capsys, "decompose", "--config", str(cfg))[0] == 0
+    assert run(capsys, "sample", "--config", str(cfg), "--n", "50")[0] == 0
 
 
 # -- validate, decompose and sample disagree on these models ------------------------

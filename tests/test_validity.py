@@ -38,7 +38,14 @@ from bisurv.validity import (
     _min_rectangle,
     lfr_exponential_cross_bound,
 )
-from oracles import fd_log_gradient, rectangle_scan_separable, rectangle_scan_tensor
+from oracles import (
+    fd_log_gradient,
+    gradient_identity,
+    rectangle_scan_separable,
+    rectangle_scan_tensor,
+)
+from test_cli_golden import CONFIGS as GOLDEN_CONFIGS
+from test_sampling import _golden_model
 
 E = Exponential()
 W2 = Weibull(2.0)
@@ -101,7 +108,6 @@ def test_marginal_conditions_lfr_exp_invalid():
     assert by_id["i"].passed is False
     assert by_id["i"].margin == pytest.approx(-1.0, abs=1e-6)  # u1+u2 = 2 vs theta 3
     assert by_id["ii"].passed is False
-    assert by_id["u-constancy"].passed is True
     assert rep.diagnostics["u1"] == pytest.approx(1.0, abs=1e-6)
     assert rep.diagnostics["alpha"] == pytest.approx(4.0 / 3.0, abs=1e-6)
 
@@ -299,6 +305,28 @@ def test_gradient_identity_refuses_a_grid_without_off_diagonal_pairs(knots):
         check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1), grid)
 
 
+def test_gradient_identity_maps_each_shifted_pair_once(monkeypatch):
+    # per shift: r0(t) once, and the hazards of both coordinates in the
+    # model's one map, which the residual's divisors reuse
+    sizes = []
+    original = Exponential.hazard
+
+    def counting(self, x):
+        sizes.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Exponential, "hazard", counting)
+    check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1))
+    assert (len(sizes), sum(sizes)) == (24, 3848)
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "counterexample"])
+def test_gradient_identity_is_the_old_check_bit_for_bit(name, tmp_path):
+    model = _golden_model(name, tmp_path)
+    got, old = check_hazard_gradient_identity(model), gradient_identity(model)
+    assert got.to_json_dict() == old.to_json_dict()  # max_residual, witness, n_points
+
+
 # -- hazard gradient ----------------------------------------------------------
 
 
@@ -438,8 +466,7 @@ def test_random_ph_models_pass_everything(base):
 def test_combined_validation_merging():
     rep = combined_validation(MO)
     ids = [c.cid for c in rep.conditions]
-    assert ids == ["marginal-i", "marginal-ii", "marginal-u-constancy",
-                   "hazard-i", "hazard-ii", "two-increasing"]
+    assert ids == ["marginal-i", "marginal-ii", "hazard-i", "hazard-ii", "two-increasing"]
     assert rep.verdict == VALID
     assert combined_validation(lfr_exp_model()).verdict == INVALID
 
@@ -503,7 +530,6 @@ def _seeded_models(base, rng):
 
 #: merged row id -> (public report, that report's id)
 _MERGED_ROWS = {"marginal-i": ("marginal", "i"), "marginal-ii": ("marginal", "ii"),
-                "marginal-u-constancy": ("marginal", "u-constancy"),
                 "hazard-i": ("hazard", "i"), "hazard-ii": ("hazard", "ii"),
                 "two-increasing": ("rectangles", "two-increasing")}
 
@@ -534,69 +560,6 @@ def test_combined_validation_agrees_with_the_public_checks(base):
     assert INVALID in verdicts
 
 
-class _AnchorRows:
-    """Stub kernel over the exponential baseline whose anchored samples are
-    given row by row: ``Q = 0`` and ``Q'`` at anchor ``i`` is ``rows[i]``."""
-
-    delta = None
-    baseline = E
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=float)
-
-    def q_slopes(self, s, second=True):
-        return np.zeros(np.shape(s)), np.broadcast_to(self.rows, np.shape(s)).copy(), None
-
-
-#: 8 step-halved samples that settle on 1.0 (Richardson is exact on them)
-_SETTLES = 1.0 + 0.5 ** np.arange(8)
-#: 8 samples no accelerator settles
-_ERRATIC = 1.0 + np.array([0.3, -0.1, 0.7, 0.2, -0.5, 0.4, 0.1, -0.6])
-
-
-def _anchor_rows(n, **overrides):
-    rows = np.tile(_SETTLES, (n, 1))
-    for i, row in overrides.items():
-        rows[int(i[1:])] = row
-    return rows
-
-
-def test_constancy_probe_unsettled_anchor_is_inconclusive():
-    grid = GridSpec.default()
-    anchors = grid.axis_points(E)
-    n = len(anchors)
-    spread = _AnchorRows(_anchor_rows(n, a2=_SETTLES * 1.01))
-    bad = _AnchorRows(_anchor_rows(n, a3=np.full(8, math.nan), a7=_ERRATIC, a9=_ERRATIC))
-    cond = validity._constancy_condition("u-constancy", [spread, bad], grid, [1.0, 1.0])
-    # marginal 1 varies, but the first anchor of marginal 2 that does not
-    # settle (a NaN row counts) decides the outcome
-    assert (cond.cid, cond.passed, cond.margin) == ("u-constancy", None, None)
-    assert cond.witness == (float(anchors[3]), float(anchors[3]))
-    assert cond.note == "anchored limit for marginal 2 did not converge"
-    cond = validity._constancy_condition(
-        "u-constancy", [_AnchorRows(_anchor_rows(n, a9=_ERRATIC)), bad], grid, [1.0, 1.0])
-    assert cond.witness == (float(anchors[9]), float(anchors[9]))
-    assert cond.note == "anchored limit for marginal 1 did not converge"
-
-
-def test_constancy_probe_spread_names_the_worst_anchor():
-    grid = GridSpec.default()
-    anchors = grid.axis_points(E)
-    n = len(anchors)
-    first = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 1.5e-4)))
-    second = _AnchorRows(_anchor_rows(n, a6=_SETTLES * (1 - 3e-4), a11=_SETTLES * (1 + 2.5e-4)))
-    cond = validity._constancy_condition("u-constancy", [first, second], grid, [1.0, 1.0])
-    assert cond.passed is None
-    assert cond.witness == (float(anchors[6]), float(anchors[6]))
-    assert cond.margin == pytest.approx(1e-4 - 3e-4, rel=1e-6)
-    assert cond.note == "diagonal limits vary across anchors (relative spread 0.0003)"
-    # within the tolerance the probe passes with its slack
-    close = _AnchorRows(_anchor_rows(n, a4=_SETTLES * (1 + 5e-5)))
-    cond = validity._constancy_condition("u-constancy", [close, close], grid, [1.0, 1.0])
-    assert (cond.passed, cond.witness) == (True, None)
-    assert cond.margin == pytest.approx(1e-4 - 5e-5, rel=1e-6)
-
-
 class _FixedLimit:
     """Stub kernel whose diagonal limit ``u`` is a value or raises."""
 
@@ -625,15 +588,6 @@ def test_weight_condition_divergent_limit_fails():
     assert (cond.cid, cond.passed, cond.margin) == ("iv", False, -math.inf)
     assert cond.note == "v1+v2 diverges"
     assert (us, alpha) == ([math.inf, 1.0], None)
-
-
-def test_constancy_probe_skips_unavailable_limits():
-    grid = GridSpec.default()
-    rows = _AnchorRows(_anchor_rows(len(grid.r0_knots)))
-    for us in ([None, 1.0], [1.0, math.inf]):
-        cond = validity._constancy_condition("u-constancy", [rows, rows], grid, us)
-        assert (cond.passed, cond.witness, cond.margin) == (None, None, None)
-        assert cond.note == "skipped: diagonal limits unavailable"
 
 
 def test_hazard_rate_conditions_accept_wedge_kernels():
