@@ -376,20 +376,38 @@ class GeneralBivariateModel(_BivariateBase):
         return self._gradient_array(self._points(x1, x2, "hazard gradient"))
 
     def _gradient_array(self, points):
-        """:meth:`_hazard_gradient` of :meth:`_points`, both wedges at once."""
-        _, _, upper, s, _, (r0_1, r0_2) = points
-        q = self._per_wedge("q_prime", upper, s)
+        """:meth:`_hazard_gradient` of :meth:`_points`, both wedges at once;
+        where ``s`` overflows, the kernels get 0 and :meth:`_gradient_at`
+        answers."""
+        x1, x2, upper, s, _, (r0_1, r0_2) = points
+        finite = np.isfinite(s)
+        q = self._per_wedge("q_prime", upper, np.where(finite, s, 0.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.where(upper, q * r0_1, self.theta * r0_1 - q * r0_1),
-                    np.where(upper, self.theta * r0_2 - q * r0_2, q * r0_2))
+            g1 = np.where(upper, q * r0_1, self.theta * r0_1 - q * r0_1)
+            g2 = np.where(upper, self.theta * r0_2 - q * r0_2, q * r0_2)
+        for i in np.flatnonzero(~finite):
+            g1.flat[i], g2.flat[i] = self._gradient_at(
+                self._wedge_point(float(x1.flat[i]), float(x2.flat[i]), hazards=True))
+        return g1, g2
 
     def _gradient_at(self, point) -> tuple[float, float]:
-        """:meth:`_hazard_gradient` of one :meth:`_point`, on its own wedge."""
-        _, _, upper, s, _, kernel, (r0_1, r0_2) = point
-        q = float(kernel.slopes(s, second=False)[0])
+        """:meth:`_hazard_gradient` of one :meth:`_point`, on its own wedge.
+
+        Where the larger cumulative hazard passes the float range (``s`` inf
+        or NaN), no kernel is evaluated: ``Q'`` is taken at the larger
+        coordinate, whose component is then the marginal's own hazard there.
+        """
+        x1, x2, upper, s, _, kernel, (r0_1, r0_2) = point
+        if s < math.inf:
+            q = float(kernel.slopes(s, second=False)[0])
+            larger = q * (r0_1 if upper else r0_2)
+        else:
+            x, r0 = (x1, r0_1) if upper else (x2, r0_2)
+            larger = float(kernel.marginal.hazard(x))
+            q = kernel.delta if kernel.delta is not None else larger / r0
         if upper:
-            return q * r0_1, self.theta * r0_2 - q * r0_2
-        return self.theta * r0_1 - q * r0_1, q * r0_2
+            return larger, self.theta * r0_2 - q * r0_2
+        return self.theta * r0_1 - q * r0_1, larger
 
     def _ac_weight(self) -> float:
         """``alpha``, refused when the model is purely singular."""

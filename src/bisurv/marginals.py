@@ -22,7 +22,7 @@ endpoint.  This is the diagonal weight that the mixture decomposition of the
 bivariate models is built from; both individual hazards may vanish or blow
 up at the endpoint, so the limit is taken by sampling at geometrically
 shrinking offsets in cumulative-hazard coordinates and accelerating the
-resulting sequence with ``_row_limits``.  ``Q'`` is a function of ``s``
+resulting sequence with ``_sequence_limit``.  ``Q'`` is a function of ``s``
 alone, so the limit is the same from every point of the diagonal and each
 kernel takes it once.
 """
@@ -323,58 +323,57 @@ _LIMIT_ATOL = 1e-9
 _DIVERGENCE_FACTOR = 50.0
 
 
-def _row_limits(rows) -> np.ndarray:
-    """Limit of each row of step-halved samples (samples on the last axis);
-    :func:`limit_hazard_ratio` passes its one sequence as a 1-D array.
+def _sequence_limit(samples) -> float:
+    """Limit of a sequence of step-halved samples.
 
-    Each row takes the first rule that applies: a NaN sample leaves it
-    unsettled (NaN); an infinite sample, or a monotone tail whose increments
-    do not shrink, reads ``inf``; samples constant to rounding give the last
+    Takes the first rule that applies: a NaN sample leaves it unsettled
+    (NaN); an infinite sample, or a monotone tail whose increments do not
+    shrink, reads ``inf``; samples constant to rounding give the last
     sample; otherwise the first of the Richardson tableau's diagonal, one
     Aitken delta-squared pass and a second pass whose last two values agree
-    gives the last of those values.  A row that none settles is NaN.  Every
-    rule is computed for every row, along the last axis, with the same
-    arithmetic per row as a one-sequence-at-a-time loop.
+    gives the last of those values.  A sequence that none settles is NaN.
     """
-    r = np.asarray(rows, dtype=float)
+    r = np.asarray(samples, dtype=float)
+    if np.isnan(r).any():
+        return math.nan
+    if np.isinf(r).any():
+        return math.inf
 
     def aitken(s):  # exact for geometric error terms
-        d1 = s[..., 1:] - s[..., :-1]
-        denom = d1[..., 1:] - d1[..., :-1]
-        return np.where(denom == 0.0, s[..., 2:], s[..., 2:] - d1[..., 1:] ** 2 / denom)
+        d1 = s[1:] - s[:-1]
+        denom = d1[1:] - d1[:-1]
+        return np.where(denom == 0.0, s[2:], s[2:] - d1[1:] ** 2 / denom)
 
-    with np.errstate(all="ignore"):  # the rules are computed for every row
-        scale = np.maximum(1.0, np.abs(r[..., 0]))
-        tail = np.diff(r)[..., -4:]
+    with np.errstate(all="ignore"):
+        scale = max(1.0, abs(r[0]))
+        if np.abs(r - r[0]).max() <= 1e-13 * scale:
+            return float(r[-1])
+        tail = np.diff(r)[-4:]
         mags = np.abs(tail)
-        diverges = (((tail > 0).all(-1) | (tail < 0).all(-1))
-                    & (mags[..., 1:] >= 0.9 * mags[..., :-1]).all(-1)
-                    & ((np.abs(r[..., -1]) > _DIVERGENCE_FACTOR * scale)
-                       | (mags[..., -1] > scale)))
-        conds = [np.isnan(r).any(-1), np.isinf(r).any(-1),
-                 np.abs(r - r[..., :1]).max(-1) <= 1e-13 * scale, diverges]
-        values = [np.nan, np.inf, r[..., -1], np.inf]
-        t, diag = r, [r[..., -1]]  # the Richardson tableau, level by level
-        for j in range(1, r.shape[-1]):
+        if (((tail > 0).all() or (tail < 0).all()) and (mags[1:] >= 0.9 * mags[:-1]).all()
+                and (abs(r[-1]) > _DIVERGENCE_FACTOR * scale or mags[-1] > scale)):
+            return math.inf
+        t, diag = r, [r[-1]]  # the Richardson tableau, level by level
+        for j in range(1, r.size):
             fac = 2.0**j
-            t = (fac * t[..., 1:] - t[..., :-1]) / (fac - 1.0)
-            diag.append(t[..., -1])
+            t = (fac * t[1:] - t[:-1]) / (fac - 1.0)
+            diag.append(t[-1])
         acc = aitken(r)
-        for d in (np.stack(diag, -1), acc, aitken(acc)):
-            if d.shape[-1] >= 2:
-                a, b = d[..., -2], d[..., -1]
-                conds.append(np.isfinite(a) & np.isfinite(b) & (
-                    np.abs(b - a) <= np.maximum(_LIMIT_ATOL, _LIMIT_RTOL * np.abs(b))))
-                values.append(b)
-        return np.select(conds, values, default=np.nan)
+        for d in (np.array(diag), acc, aitken(acc)):
+            if d.size >= 2:
+                a, b = d[-2], d[-1]
+                if (np.isfinite(a) and np.isfinite(b)
+                        and abs(b - a) <= max(_LIMIT_ATOL, _LIMIT_RTOL * abs(b))):
+                    return float(b)
+    return math.nan
 
 
 def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> float:
     """Limit of ``marginal.hazard / baseline.hazard`` at the left endpoint.
 
     Samples the ratio ``Q'(s_k)`` at ``s_k = 1e-3 * 2**-k``, ``k < 10``, i.e. at
-    ``y_k = R0^{-1}(s_k)``, and accelerates the sequence as the one row of
-    a :func:`_row_limits` call.  Returns
+    ``y_k = R0^{-1}(s_k)``, and accelerates the sequence with
+    :func:`_sequence_limit`.  Returns
     ``math.inf`` when the sequence grows without bound (divergence flag);
     raises :class:`~bisurv.errors.NumericError` carrying the sampled values
     when the sequence oscillates or fails to settle.
@@ -385,7 +384,7 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> floa
         )
     ratios = WedgeKernel(marginal, baseline).q_prime(
         _LIMIT_EPS0 * 0.5 ** np.arange(_LIMIT_LEVELS))
-    u = float(_row_limits(ratios))
+    u = _sequence_limit(ratios)
     if math.isnan(u):
         what = "evaluated to NaN" if np.isnan(ratios).any() else "did not converge"
         raise NumericError(f"hazard ratio near the left endpoint {what}", samples=ratios)

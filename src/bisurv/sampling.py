@@ -27,10 +27,12 @@ concatenate in shard order; this implementation samples in one shard.
 
 ``SampleBatch.write_csv`` writes each coordinate as Python's ``repr``, the
 shortest decimal that reads back as the same double.  Small batches call
-``repr``; larger ones are formatted in blocks of rows by ``_shortest``, a
-numpy Schubfach kernel in ``uint64`` arithmetic, whose digits are laid out
-into fixed byte slots per float and compressed to ASCII once per block.
-Both give the same bytes.
+``repr``; larger ones are formatted in blocks of ``_CSV_BLOCK`` rows by
+``_shortest``, a numpy Schubfach kernel in ``uint64`` arithmetic.  Each
+float's layout and then its digit words are written into fixed byte slots
+of one row buffer, which every block of a call reuses, with the separators
+in place, and each block is compressed to ASCII at once.  Both paths give
+the same bytes.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class SampleBatch:
                 f"{a!r},{b!r},{t}\n" for a, b, t in
                 zip(self.x1.tolist(), self.x2.tolist(), self.tied.view(np.int8).tolist())))
             return
+        # one row buffer for every block
+        rows = np.empty((min(self.x1.size, _CSV_BLOCK), 2 * _FIELD), dtype=np.uint8)
         for lo in range(0, self.x1.size, _CSV_BLOCK):
             hi = lo + _CSV_BLOCK
-            fileobj.write(_csv_rows(self.x1[lo:hi], self.x2[lo:hi]))
+            fileobj.write(_csv_rows(self.x1[lo:hi], self.x2[lo:hi], rows))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -104,12 +108,19 @@ class SampleBatch:
 # CSV output: Python's repr of every float, formatted a block at a time
 # ---------------------------------------------------------------------------
 
-#: rows formatted per block by the vectorized writer
-_CSV_BLOCK = 8192
+#: rows formatted per block by the vectorized writer.  A 20,000-row write
+#: took 13.6 ms in blocks of 2,048 rows, 12.9 ms in blocks of 4,096 and
+#: 17.2 ms in blocks of 8,192: past 4,096 rows a block's temporaries outgrow
+#: glibc's default trim threshold, and every block faults its pages in
+#: again (~1,400 minor faults a write at 8,192 rows, ~80 at 4,096).  Medians
+#: of 25 interleaved runs in process time, 2-vCPU x86-64 host, Python 3.11.7,
+#: numpy 2.4.6
+_CSV_BLOCK = 4096
 
-#: batches with fewer rows take per-value ``repr``.  The block writer has a
-#: fixed cost of ~0.35 ms; at 200 rows both paths took ~0.5 ms (medians of
-#: 200 calls on a 2-vCPU x86-64 host, Python 3.11, numpy 2.4)
+#: batches with fewer rows take per-value ``repr``.  The block writer costs
+#: ~0.29 ms plus ~0.8 us a row, ``repr`` ~3.1 us a row: they meet near 125
+#: rows, and at 200 rows the block writer saves ~0.2 ms (medians of 200
+#: calls, same host)
 _REPR_ROWS = 200
 
 #: range of the decimal exponent ``k`` of ``_shortest``'s scaling, over all
@@ -119,27 +130,27 @@ _K_MIN, _K_MAX = -324, 292
 #: lookup tables of the writer, built by ``_tables`` on first use
 _TABLES = None
 
-_POW10 = 10 ** np.arange(18, dtype=np.uint64)
 _MIN_NORMAL = np.finfo(float).tiny
 _MAX_FLOAT = np.finfo(float).max
 
 #: bytes of one formatted float, in six 8-byte words: ``0.000`` and a 0 byte,
 #: then the 17 digits, digit ``j`` at byte ``6 + 2j`` and a dot after each,
-#: then from byte ``_EXP`` on ``e``, the exponent's sign and 3 digits, and 3
-#: bytes for the separators that follow the field.  A layout keeps the bytes
-#: the float's ``repr`` uses; the others become 0 and are dropped at the end.
+#: then from byte ``_EXP`` on ``e``, the exponent's sign and 3 digits, the
+#: comma that ends the field, and 2 bytes for the tie flag and newline that
+#: end a row.  A layout keeps the bytes the float's ``repr`` uses and the
+#: comma; the others become 0 and are dropped at the end.
 _FIELD = 48
 _EXP = 40
 _SEP = 45
 
-#: layout ids: fixed notation by (decpt, digits), then scientific notation by
-#: (digits, 3-digit exponent)
-_SCI_ID = 20 * 17
+#: ``decpt + _DECPT`` indexes the tables by decimal point position; normal
+#: doubles have ``-307 <= decpt <= 309``
+_DECPT = 308
 
 
 def _layout(decpt: int, nsig: int, sci: bool, wide: bool):
     """Bytes of a field used by a float of ``nsig`` significant digits and
-    decimal point position ``decpt``, as ``repr`` writes it."""
+    decimal point position ``decpt``, as ``repr`` writes it, and its comma."""
     used = np.zeros(_FIELD, dtype=bool)
     ndigits, dot = nsig, None
     if sci:  # one digit, the dot if more follow, the exponent
@@ -153,6 +164,7 @@ def _layout(decpt: int, nsig: int, sci: bool, wide: bool):
     used[6:6 + 2 * ndigits:2] = True
     if dot is not None:
         used[7 + 2 * dot] = True
+    used[_SEP] = True
     return used
 
 
@@ -166,9 +178,12 @@ def _tables():
 
     ``g(k) = floor(10**-k * 2**(127 - r)) + 1`` for each ``k``, split into two
     64-bit words, with ``r = floor(log2(10**-k))`` so that
-    ``2**127 <= g < 2**128``; the words of every leading digit, of every
-    4-digit group and of every exponent; the count of trailing zeros of
-    every 4-digit group; the used bytes of every layout id, 0xFF each.
+    ``2**127 <= g < 2**128``.  ``_shortest`` looks up ``g``, ``k`` and the
+    shifts they give by ``j``, the biased binary exponent plus 2048 for a
+    power of 2.  Then the words of every leading digit, of every 4-digit
+    group and of every exponent and of a row's end; the count of trailing
+    zeros of every 4-digit group; the used bytes of every layout, 0xFF each,
+    and the first layout of every decimal point position.
     """
     global _TABLES
     if _TABLES is None:
@@ -180,26 +195,60 @@ def _tables():
             else:
                 r.append(-(10 ** k).bit_length())
                 g.append((1 << (127 - r[-1])) // 10 ** k + 1)
+        g_hi = np.array([v >> 64 for v in g], dtype=np.uint64)
+        g_lo = np.array([v & (2 ** 64 - 1) for v in g], dtype=np.uint64)
+        r = np.array(r, dtype=np.int64)
+        # x = (2**52 + m) * 2**q with q = E - 1075 for biased exponent E;
+        # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) for a power of 2
+        j = np.arange(4096)
+        pow2 = j >> 11
+        q = np.clip(j & 2047, 1, 2046) - 1075
+        k = (q * 661971961083 - pow2 * 274743187321) >> 41
+        h = q + r[k - _K_MIN] + 1
+        gk = g_hi[k - _K_MIN], g_lo[k - _K_MIN]
         # "d.d.d.d." for every 4-digit group
         group = np.arange(10_000)
         quads = np.full((10_000, 4, 2), ord("."), dtype=np.uint8)
         quads[:, :, 0] = group[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
-        layouts = ([_layout(decpt, nsig, False, False)
-                    for decpt in range(-3, 17) for nsig in range(1, 18)]
-                   + [_layout(0, nsig, True, wide)
-                      for nsig in range(1, 18) for wide in (False, True)])
+        # layouts by class (fixed notation by decpt, then scientific notation
+        # with a 2- and a 3-digit exponent) and trailing zeros
+        layouts = ([_layout(decpt, 17 - tz, False, False)
+                    for decpt in range(-3, 17) for tz in range(17)]
+                   + [_layout(0, 17 - tz, True, wide)
+                      for wide in (False, True) for tz in range(17)])
+        decpt = np.arange(-_DECPT, _DECPT + 2)
+        fixed = (decpt > -4) & (decpt <= 16)
+        cls = np.where(fixed, decpt + 3, 20 + (np.abs(decpt - 1) >= 100))
         _TABLES = {
-            "g_hi": np.array([v >> 64 for v in g], dtype=np.uint64),
-            "g_lo": np.array([v & (2 ** 64 - 1) for v in g], dtype=np.uint64),
-            "r": np.array(r, dtype=np.int64),
+            "g_hi": g_hi,
+            "g_lo": g_lo,
+            "r": r,
+            "j_g_hi": gk[0],
+            "j_g_lo": gk[1],
+            "j_k": k,
+            # the value's multiplier is (2**52 + m) << (h + 2), and its
+            # bounds' multipliers differ from it by 2 << h, or by 1 << h below
+            # a power of 2: their products by g differ by g << (h + 1 - pow2)
+            # below and g << (h + 1) above, 3 words each
+            "j_sh": (h + 2).astype(np.uint64),
+            "j_lo": _shifted(*gk, h + 1 - pow2),
+            "j_hi": _shifted(*gk, h + 1),
             "lead": _words(f"0.000\0{i}." for i in range(10)),
             "quads": quads.reshape(-1, 8).view(np.uint64).ravel(),
             # a group's trailing zeros: the powers of 10 up to 10**4 dividing it
-            "zeros": sum((group % p == 0).astype(np.int64) for p in (10, 100, 1000, 10_000)),
-            "exps": _words(f"e{i:+04d}\0\0\0" for i in range(-308, 309)),
+            "zeros": sum((group % p == 0).astype(np.uint8) for p in (10, 100, 1000, 10_000)),
+            "exps": _words(f"e{i - 1:+04d},\0\0" for i in decpt),
+            "first": 17 * cls,
             "layouts": (np.array(layouts, dtype=np.uint8) * 0xFF).view(np.uint64),
+            "tails": _words(f"\0\0\0\0\0\0{t}\n" for t in "01"),
         }
     return _TABLES
+
+
+def _shifted(g_hi, g_lo, d):
+    """The words of ``g << d``, low word first, for ``0 < d < 64``."""
+    d = d.astype(np.uint64)
+    return g_lo << d, g_hi << d | g_lo >> 64 - d, g_hi >> 64 - d
 
 
 def _limbs(a):
@@ -211,18 +260,35 @@ def _mulhi(a, b):
     """High 64 bits of the 128-bit products of ``uint64`` arrays given as limbs."""
     (a0, a1), (b0, b1) = a, b
     a1b0 = a1 * b0
-    mid = ((a0 * b0) >> 32) + (a1b0 & 0xFFFFFFFF) + a0 * b1
-    return a1 * b1 + (a1b0 >> 32) + (mid >> 32)
+    mid = a0 * b0
+    mid >>= 32
+    mid += a1b0 & 0xFFFFFFFF
+    mid += a0 * b1
+    mid >>= 32
+    a1b0 >>= 32
+    out = a1 * b1
+    out += a1b0
+    out += mid
+    return out
 
 
-def _round_to_odd(g_hi, g_limbs, cp):
-    """``floor(g * cp / 2**128)`` with its lowest bit set when the rest is not
-    0, for ``g = g_hi * 2**64 + g_lo``; ``g_limbs`` are the limbs of both words."""
+def _product(g_hi, g_lo, cp):
+    """``floor(g * cp / 2**64)`` as its high and low words, for
+    ``g = g_hi * 2**64 + g_lo``."""
     c = _limbs(cp)
-    x_hi = _mulhi(g_limbs[1], c)
-    y0 = g_hi * cp + x_hi
-    y1 = _mulhi(g_limbs[0], c) + (y0 < x_hi)
-    return y1 | (y0 > 1)
+    x_hi = _mulhi(_limbs(g_lo), c)
+    y0 = g_hi * cp
+    y0 += x_hi
+    y1 = _mulhi(_limbs(g_hi), c)
+    y1 += y0 < x_hi
+    return y1, y0
+
+
+def _round_to_odd(y1, y0):
+    """``floor(p / 2**128)`` with its lowest bit set when ``p`` has bits from
+    2**65 to 2**127, for ``floor(p / 2**64) = y1 * 2**64 + y0``."""
+    y1 |= y0 > 1
+    return y1
 
 
 def _shortest(x):
@@ -230,48 +296,91 @@ def _shortest(x):
 
     ``x`` holds normal, positive, finite doubles.  Of the shortest decimals
     that round to each value, ``f`` is the closest (even ``f`` on a tie), as
-    Python's ``repr`` picks them, but it may keep trailing zeros.  This is
-    Schubfach (R. Giulietti, *The Schubfach way to render doubles*, 2020) in
-    ``uint64`` arithmetic: ``k`` is chosen so that the rounding interval of
-    ``x``, scaled by ``10**-k``, is 1 to 10 units wide, and the candidates
-    are the multiples of 10 and of 1 at its ends.
+    Python's ``repr`` picks them, but it may keep trailing zeros: ``f`` has
+    16 or 17 digits.  This is Schubfach (R. Giulietti, *The Schubfach way to
+    render doubles*, 2020) in ``uint64`` arithmetic: ``k`` is chosen so that
+    the rounding interval of ``x``, scaled by ``10**-k``, is 1 to 10 units
+    wide, and the candidates are the multiples of 10 and of 1 at its ends.
     """
     t = _tables()
     bits = x.view(np.uint64)
-    m = bits & 2 ** 52 - 1
-    q = (bits >> 52).astype(np.int64) - 1075  # x = (2**52 + m) * 2**q
-    # a power of 2 has its lower neighbour at half the distance
-    pow2 = m == 0
-    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) for a power of 2
-    k = (q * 661971961083 - np.where(pow2, 274743187321, 0)) >> 41
-    i = k - _K_MIN
-    g_hi = t["g_hi"][i]
-    g_limbs = _limbs(g_hi), _limbs(t["g_lo"][i])
-    h = (q + t["r"][i] + 1).astype(np.uint64)
-    cb = (m | 2 ** 52) << 2
-    # the value and its rounding bounds, times 4 * 10**-k
-    vb = _round_to_odd(g_hi, g_limbs, cb << h)
-    vbl = _round_to_odd(g_hi, g_limbs, (cb - 2 + pow2) << h)
-    vbr = _round_to_odd(g_hi, g_limbs, (cb + 2) << h)
+    c = bits & 2 ** 52 - 1
+    # j: the biased exponent, plus 2048 for a power of 2, whose lower
+    # neighbour is at half the distance (c - 1 has bit 52 set only for c == 0)
+    j = c - 1
+    j >>= 41
+    j &= 2048
+    j |= bits >> 52
+    j = j.view(np.int64)
+    g_hi = t["j_g_hi"].take(j)
+    g_lo = t["j_g_lo"].take(j)
+    c |= 2 ** 52
+    c <<= t["j_sh"].take(j)
+    # the value times 4 * 10**-k: the product g * c, its words from the top
+    y1, y0 = _product(g_hi, g_lo, c)
+    low = g_lo * c
+    # the rounding bounds: the product less and plus a shifted g
+    d0, d1, d2 = (w.take(j) for w in t["j_lo"])
+    z1 = y0 - d1
+    borrow = y0 < d1
+    d0 = low < d0
+    borrow |= z1 < d0
+    z1 -= d0
+    lower = _round_to_odd(y1 - d2 - borrow, z1)
+    d0, d1, d2 = (w.take(j) for w in t["j_hi"])
+    z1 = y0 + d1
+    carry = z1 < y0
+    d0 = d0 > ~low
+    z1 += d0
+    carry |= z1 < d0
+    d2 += y1
+    upper = _round_to_odd(d2 + carry, z1)
+    vb = _round_to_odd(y1, y0)
     # the bounds round to x only for an even significand
-    odd = m & 1
-    lower = vbl + odd
-    upper = vbr - odd
+    odd = bits & 1
+    lower += odd
+    upper -= odd
+    # the candidates 10 sp, 10 sp + 10, s and s + 1, times 4, each against
+    # its bound; all are below 2**60, so bit 63 of a difference is set
+    # where the candidate is outside the interval
     s = vb >> 2
     sp = s // 10
-    sp_in = lower <= 40 * sp
-    tp_in = 40 * sp + 40 <= upper
-    shorter = sp_in != tp_in  # exactly one multiple of 10 in the interval
-    s_in = lower <= s << 2
-    t_in = (s << 2) + 4 <= upper
-    mid = (s << 2) + 2
-    up = np.where(s_in != t_in, t_in, (vb > mid) | ((vb == mid) & (s & 1 == 1)))
-    f = np.where(shorter, sp + tp_in, s + up)
-    return f, k + shorter
+    cand = sp * 40
+    out_sp = cand - lower
+    cand += 40
+    out_tp = upper - cand
+    cand = s << 2
+    out_s = cand - lower
+    cand += 4
+    out_t = upper - cand
+    # exactly one multiple of 10 inside: it has one digit fewer, and ten
+    # times it keeps the value's digits and exponent
+    out_sp ^= out_tp
+    out_sp >>= 63
+    out_tp >>= 63
+    sp += 1
+    sp -= out_tp
+    sp *= 10
+    # else s or s + 1: the one inside, or the nearer, to even on a tie
+    # (vb is 4 s plus 0 to 3, its lowest bit sticky)
+    up = np.uint64(0xC8) >> (vb & 7)
+    up &= 1
+    out_s >>= 63
+    out_t ^= out_s << 63
+    out_t >>= 63
+    out_s ^= up
+    out_s &= out_t
+    up ^= out_s
+    s += up
+    sp ^= s
+    sp &= 0 - out_sp
+    s ^= sp
+    return s, t["j_k"].take(j)
 
 
-def _fields(x):
-    """``repr`` of each float of ``x`` as rows of ``_FIELD`` bytes, 0 where unused.
+def _fields(x, out=None):
+    """``repr`` of each float of ``x`` and a comma, as rows of ``_FIELD``
+    bytes, 0 where unused; written to ``out`` if given.
 
     Normal positive values go through :func:`_shortest` with Python's rule:
     fixed notation when the decimal point position ``decpt`` satisfies
@@ -280,51 +389,60 @@ def _fields(x):
     other value (0, negative, subnormal, inf, nan) takes ``repr`` itself.
     """
     t = _tables()
-    normal = (x >= _MIN_NORMAL) & (x <= _MAX_FLOAT)
-    all_normal = bool(normal.all())
-    f, e = _shortest(x if all_normal else x[normal])
-    ndig = np.searchsorted(_POW10, f, side="right")
-    decpt = e + ndig
-    f = f * _POW10[17 - ndig]  # 17 digits, left-aligned
-    groups = [f // 10 ** 12 % 10 ** 4, f // 10 ** 8 % 10 ** 4,
-              f // 10 ** 4 % 10 ** 4, f % 10 ** 4]
-    words = np.empty((f.size, _FIELD // 8), dtype=np.uint64)
-    words[:, 0] = t["lead"][f // 10 ** 16]
-    for j, group in enumerate(groups, start=1):
-        words[:, j] = t["quads"][group]
-    words[:, _EXP // 8] = t["exps"][decpt + 307]
-    trailing = 0
-    for group in groups:
-        trailing = t["zeros"][group] + (group == 0) * trailing
-    nsig = 17 - trailing
-    sci = (decpt <= -4) | (decpt > 16)
-    ids = np.where(sci, _SCI_ID + 2 * (nsig - 1) + (np.abs(decpt - 1) >= 100),
-                   (decpt + 3) * 17 + nsig - 1)
-    words &= t["layouts"][ids]
-    if all_normal:
-        return words.view(np.uint8)
-    out = np.empty((x.size, _FIELD), dtype=np.uint8)
-    out[normal] = words.view(np.uint8)
-    text = [repr(v).encode() for v in x[~normal].tolist()]
-    out[~normal] = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
-    return out
+    # min and max are nan if x holds a nan
+    all_normal = (x.min(initial=_MAX_FLOAT) >= _MIN_NORMAL
+                  and x.max(initial=_MIN_NORMAL) <= _MAX_FLOAT)
+    if not all_normal:
+        normal = (x >= _MIN_NORMAL) & (x <= _MAX_FLOAT)
+    f, decpt = _shortest(x if all_normal else np.where(normal, x, 1.0))
+    # 17 digits, left-aligned: a 16-digit f gains a zero
+    short = f - 10 ** 16
+    short >>= 63
+    decpt += 17 + _DECPT
+    decpt -= short.view(np.int64)
+    short *= 9
+    short += 1
+    f *= short
+    lead = f // 10 ** 16
+    f -= lead * 10 ** 16
+    hi = f // 10 ** 8
+    f -= hi * 10 ** 8
+    groups = []
+    for half in (hi, f):
+        top = half // 10 ** 4
+        half -= top * 10 ** 4
+        groups += [top.view(np.int64), half.view(np.int64)]
+    # trailing zeros of the last 16 digits, by 8-digit halves
+    z1, z2, z3, z4 = (t["zeros"].take(group) for group in groups)
+    trailing = z4 + (groups[3] == 0) * z3
+    trailing += (trailing == 8) * (z2 + (groups[1] == 0) * z1)
+    ids = t["first"].take(decpt)
+    ids += trailing
+    # each field's layout, then its words
+    words = (np.empty((x.size, _FIELD // 8), dtype=np.uint64) if out is None
+             else out.view(np.uint64))
+    t["layouts"].take(ids, axis=0, out=words, mode="clip")
+    for col, (table, index) in enumerate(zip(
+            ("lead", "quads", "quads", "quads", "quads", "exps"),
+            [lead.view(np.int64)] + groups + [decpt])):
+        words[:, col] &= t[table].take(index)
+    fields = words.view(np.uint8)
+    if not all_normal:
+        odd = np.flatnonzero(~normal)
+        text = [repr(v).encode().ljust(_SEP, b"\0") + b"," for v in x[odd].tolist()]
+        fields[odd] = np.array(text, dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+    return fields
 
 
-def _csv_rows(x1, x2) -> str:
-    """CSV rows ``repr(x1),repr(x2),tied`` of equal-length float arrays."""
+def _csv_rows(x1, x2, rows=None) -> str:
+    """CSV rows ``repr(x1),repr(x2),tied`` of equal-length float arrays,
+    built in ``rows``, a ``uint8`` buffer of at least that many rows of
+    ``2 * _FIELD`` bytes, if given."""
     n = x1.size
-    tied = x1 == x2
-    # a positive tie is the same float twice: it reuses the x1 field
-    own = np.flatnonzero(~(tied & (x1 > 0.0)))
-    fields = _fields(np.concatenate([x1, x2[own]]))
-    second = np.arange(n)
-    second[own] = n + np.arange(own.size)
-    rows = np.empty((n, 2, _FIELD), dtype=np.uint8)
-    rows[:, 0] = fields[:n]
-    rows[:, 1] = fields[second]
-    rows[:, :, _SEP] = ord(",")
-    rows[:, 1, _SEP + 1] = tied + ord("0")
-    rows[:, 1, _SEP + 2] = ord("\n")
+    rows = np.empty((n, 2 * _FIELD), dtype=np.uint8) if rows is None else rows[:n]
+    _fields(np.stack((x1, x2), axis=1).ravel(), out=rows.reshape(2 * n, _FIELD))
+    words = rows.view(np.uint64)
+    words[:, -1] |= _tables()["tails"].take((x1 == x2).view(np.uint8))
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -386,7 +504,10 @@ def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
     s_nodes, g_nodes = table
     t = g_nodes[0] * tail
     out = np.zeros(t.size)
-    hi = np.searchsorted(-g_nodes, -t)  # the first node with G <= t
+    # the first node with G <= t, searched for in key order
+    order = np.argsort(-t)
+    hi = np.empty(t.size, dtype=np.intp)
+    hi[order] = np.searchsorted(-g_nodes, -t[order])
     idx = np.flatnonzero(hi > 0)  # hi == 0 only where t == G(0): s = 0
     hi, t = hi[idx], t[idx]
     lo_s, hi_s = s_nodes[hi - 1], s_nodes[hi]

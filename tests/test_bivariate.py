@@ -677,6 +677,23 @@ def test_array_gradient_is_silent_past_the_float_range():
     assert hazard_gradient(model, 1e308, 1e300) == (math.inf, 2e300)
 
 
+def test_gradient_past_the_float_range_takes_the_larger_coordinates_hazard():
+    # R0(1e308) overflows under weibull:2: s is inf at (1e308, 0.5) and NaN at
+    # (1e308, 1e300), and the table kernel is not evaluated there.  Its
+    # hazard is flat at 9 past x = 5, so Q' -> 0: the larger coordinate's
+    # component is r_m(x_max) = 9 and the smaller's theta * r0(x_min) = 2 x_min
+    w2 = Weibull(2.0)
+    model = GeneralBivariateModel(w2, FromHazard.from_table([0, 1, 2, 5], [0, 1.5, 3, 9]),
+                                  ProportionalHazard(w2, 0.75), 1.0)
+    x1, x2 = np.array([1e308, 1e308, 3.0]), np.array([0.5, 1e300, 2.0])
+    want = [(9.0, 1.0), (9.0, 2e300), hazard_gradient(model, 3.0, 2.0)]
+    assert [hazard_gradient(model, a, b) for a, b in zip(x1, x2)][:2] == want[:2]
+    g1, g2 = hazard_gradient(model, x1, x2)
+    assert list(zip(g1.tolist(), g2.tolist())) == want
+    # the PH wedge's answer there is unchanged: Q' = 0.75 everywhere
+    assert hazard_gradient(model, 0.5, 1e308) == (0.25, math.inf)
+
+
 #: the point models, and a callable marginal and a callable baseline
 _GRADIENT_MODELS = {
     **_POINT_MODELS,

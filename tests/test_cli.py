@@ -44,6 +44,20 @@ def test_eval_values(capsys, mo_config):
     assert "ac_density" in out
 
 
+def test_eval_gradient_where_the_cumulative_hazard_overflows(capsys, tmp_path):
+    # R0(1e308) passes the float range under weibull:2 (s = inf, and
+    # inf - inf at the second point); the table marginal's hazard is 9 there
+    (tmp_path / "haz.csv").write_text("x,hazard\n0,0\n1,1.5\n2,3\n5,9\n")
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"baseline": "weibull:2", "theta": 1.0,
+                               "marginals": ["hazard:haz.csv", "ph:0.75"]}))
+    for point, gradient in ((("1e308", "0.5"), [9.0, 1.0]), (("1e308", "1e300"), [9.0, 2e300])):
+        code, out, _ = run(capsys, "eval", "--config", str(cfg), "--format", "json", *point)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["survival"], doc["ac_density"], doc["hazard_gradient"]) == (0.0, 0.0, gradient)
+
+
 def test_eval_pareto(capsys, tmp_path):
     p = tmp_path / "p.json"
     p.write_text('{"baseline": "pareto", "theta123": [1, 1, 1]}')

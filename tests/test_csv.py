@@ -86,9 +86,9 @@ def test_writer_sizes_around_crossover_and_block(monkeypatch, n):
     blocks = []
     csv_rows = sampling._csv_rows
 
-    def counted(x1, x2):
+    def counted(x1, x2, *rows):
         blocks.append(x1.size)
-        return csv_rows(x1, x2)
+        return csv_rows(x1, x2, *rows)
 
     monkeypatch.setattr(sampling, "_csv_rows", counted)
     assert new_csv(batch) == oracle_csv(batch)
@@ -97,6 +97,29 @@ def test_writer_sizes_around_crossover_and_block(monkeypatch, n):
     else:
         assert blocks == [min(n - lo, sampling._CSV_BLOCK)
                           for lo in range(0, n, sampling._CSV_BLOCK)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_blocks_leave_no_state_behind(monkeypatch, block):
+    # write_csv reuses one row buffer for every block: fields alternate
+    # between short and 17-digit ones, so a stale byte of the longer field
+    # would show, and ties and special values sit at the blocks' edges
+    monkeypatch.setattr(sampling, "_CSV_BLOCK", block)
+    shorts = [0.5, 1e-05]
+    longs = [0.30000000000000004, 1.2345678901234567e-300, 123456789.12345679,
+             2.718281828459045e+200]
+    n = 2 * sampling._REPR_ROWS + 1
+    x1 = np.array([shorts[i // 2 % 2] if i % 2 == 0 else longs[i // 2 % 4] for i in range(n)])
+    x2 = np.array([longs[i // 2 % 4] if i % 2 == 0 else shorts[i // 2 % 2] for i in range(n)])
+    edges = [i for i in range(n) if i % block in (0, block - 1)]
+    for k, i in enumerate(edges):
+        if k % 3 == 0:
+            x2[i] = x1[i]
+        elif k % 3 == 1:
+            x1[i], x2[i] = SPECIALS[k % len(SPECIALS)], SPECIALS[(k + 1) % len(SPECIALS)]
+    batch = SampleBatch(x1=x1, x2=x2, seed=0, n=n)
+    assert batch.tie_count > 0
+    assert new_csv(batch) == oracle_csv(batch)
 
 
 def floor_log10(x: Fraction) -> int:
@@ -145,9 +168,10 @@ def test_fields_match_repr_on_a_million_bit_patterns():
 
 
 def test_writer_memory_is_per_block():
-    # one block of 8,192 rows holds at most 16,384 floats; each of its largest
-    # arrays (48-byte fields, the row matrix) takes 0.75 MiB, and a handful are
-    # alive at once.  Formatting all 200,000 rows at once would take ~20 MiB.
+    # one block of 4,096 rows holds 8,192 floats; its largest arrays (the
+    # row buffer of 48-byte fields, its bytes) take 0.375 MiB each, and a
+    # handful are alive at once.  Formatting all 200,000 rows at once would
+    # take ~20 MiB.
     batch = sample_ph(PHBivariateModel(Exponential(), 1.0, 1.0, 1.0), 200_000, 5)
 
     class Sink:
