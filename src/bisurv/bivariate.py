@@ -32,11 +32,13 @@ All survival evaluation happens in cumulative-hazard (log-survival)
 coordinates; raw survival factors are never multiplied.
 
 A pair of scalar coordinates takes one path of its own: ``_point`` checks
-it with ``math``, maps both coordinates through one baseline call and picks
-the kernel of its wedge, and survival, density and gradient are views of
-that point.  They return floats equal bit for bit to the array path's
+it with ``math``, maps both coordinates through the baseline's pair map and
+picks the kernel of its wedge, and survival, density and gradient are views
+of that point.  A closed-form baseline maps the pair in one numpy call; a
+table answers each float in float arithmetic, bit for bit as its array
+element.  The views return floats equal bit for bit to the array path's
 element, and raise the same errors.  An off-diagonal point also carries
-``(r0(x1), r0(x2))`` from one hazard call, for density and gradient, as
+``(r0(x1), r0(x2))`` from the same pair map, for density and gradient, as
 ``_points`` does for arrays.  The singular part's survival ``S0(x)**theta``
 is ``S(x, x)``, and survival and density are 0 where the larger cumulative
 hazard passes the float range (``s`` inf, or NaN from ``inf - inf``).
@@ -175,12 +177,10 @@ class _BivariateBase:
         return self._wedge_point(f1, f2, hazards=True)
 
     def _wedge_point(self, x1: float, x2: float, hazards: bool = False):
-        """:meth:`_point` of admitted floats: one baseline map of both
-        coordinates, the kernel of the point's own wedge and, with
-        ``hazards``, both baseline hazards from one call."""
-        xs = np.array((x1, x2))
-        r1, r2 = self.baseline.cumulative_hazard(xs).tolist()
-        r0 = self.baseline.hazard(xs).tolist() if hazards else None
+        """:meth:`_point` of admitted floats: both coordinates through the
+        baseline's pair map (with ``hazards``, both baseline hazards too) and
+        the kernel of the point's own wedge."""
+        (r1, r2), r0 = self.baseline._map_pair(x1, x2, hazards)
         upper = x1 >= x2
         return x1, x2, upper, abs(r1 - r2), min(r1, r2), self.kernels[0 if upper else 1], r0
 

@@ -461,17 +461,23 @@ def test_blocked_survival_nan_message_unchanged(monkeypatch):
 W05 = Weibull(0.5)
 TABLE_BASE = CustomHazard.from_table([0.0, 1.0, 2.5, 6.0], [1.0, 1.6, 1.1, 1.4])
 TABLE_MARGINAL = FromHazard.from_table([0.0, 2.0, 5.0, 10.0], [1.5, 1.2, 1.05, 1.0])
+#: a table baseline with a narrow spike at R0 ~ 1, inside the strategy's range,
+#: so that a table's float path is taken within a few ulps of narrow segments
+SPIKE_BASE = CustomHazard.from_table([0.0, 1.0, 1.0005, 1.001, 8.0], [1.0, 1.0, 4.0, 1.0, 1.0])
 
-#: exponential, Weibull 0.5 and 2, Pareto and table baselines; PH, LFR and
-#: table marginals, over their own baseline and over another; valid and
-#: invalid models (lfr:0.2 turns negative past s = 2.96, the LFR-over-Weibull
-#: limit diverges)
+#: exponential, Weibull 0.5 and 2, Pareto and table baselines (one with a
+#: spike); PH, LFR and table marginals, over their own baseline and over
+#: another; valid and invalid models (lfr:0.2 turns negative past s = 2.96,
+#: the LFR-over-Weibull limit diverges)
 _POINT_MODELS = {
     "ph-exponential": PHBivariateModel(E, 1.0, 1.0, 1.0),
     "ph-weibull0.5": PHBivariateModel(W05, 1.0, 0.5, 2.0),
     "ph-weibull2": PHBivariateModel(W2, 0.5, 1.0, 1.5),
     "ph-pareto": PHBivariateModel(PAR, 2.0, 1.0, 1.0),
     "ph-table": PHBivariateModel(TABLE_BASE, 1.0, 1.0, 1.0),
+    "ph-spike-table": PHBivariateModel(SPIKE_BASE, 1.0, 0.5, 2.0),
+    "table-spike-table": GeneralBivariateModel(SPIKE_BASE, TABLE_MARGINAL,
+                                               ProportionalHazard(SPIKE_BASE, 2.0), 3.0),
     "lfr-exponential": GeneralBivariateModel(E, LinearFailureRate(0.2),
                                              LinearFailureRate(0.2), 2.0),
     "table-exponential": GeneralBivariateModel(E, TABLE_MARGINAL, ProportionalHazard(E, 2.0), 3.0),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bisurv
+from bisurv.baseline import PiecewiseLinearHazard
 from bisurv.cli import main
 
 MO_CONFIG = '{"baseline": "exponential", "theta123": [1, 1, 1]}\n'
@@ -112,6 +113,33 @@ def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
     code, out, _ = run(capsys, "eval", "--config", mo_config, "1", "2")
     assert code == 0 and "hazard_gradient = (1, 2)" in out
     assert calls == [(2,)]
+
+
+def test_eval_maps_a_table_baseline_in_floats(capsys, tmp_path, monkeypatch):
+    # a table baseline answers each coordinate of the point in float
+    # arithmetic: two float calls of each map, shared by density and
+    # gradient, and no segment lookup or np.interp of the array path
+    (tmp_path / "base.csv").write_text("x,hazard\n0,1\n1,1.6\n2.5,1.1\n6,1.4\n")
+    cfg_path = tmp_path / "table.json"
+    cfg_path.write_text('{"baseline": "custom:base.csv", "theta123": [1, 1, 1]}')
+    # built before the guards go up: a table interpolates its hazard at x_L
+    cfg = bisurv.config.load_model_config(str(cfg_path))
+    monkeypatch.setattr(bisurv.cli, "load_model_config", lambda *args, **kwargs: cfg)
+    calls = {"cumulative_hazard": [], "hazard": []}
+    for name, seen in calls.items():
+        def counting(self, x, _method=getattr(bisurv.CustomHazard, name), _seen=seen):
+            _seen.append(type(x))
+            return _method(self, x)
+        monkeypatch.setattr(bisurv.CustomHazard, name, counting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the array path was entered")
+
+    monkeypatch.setattr(PiecewiseLinearHazard, "_segment", refuse)
+    monkeypatch.setattr(np, "interp", refuse)
+    code, out, _ = run(capsys, "eval", "--config", str(cfg_path), "1", "2")
+    assert code == 0 and "hazard_gradient" in out
+    assert calls == {"cumulative_hazard": [float, float], "hazard": [float, float]}
 
 
 def test_validate_exit_codes(capsys, mo_config, lfr_config, tmp_path):

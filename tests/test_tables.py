@@ -201,3 +201,44 @@ def test_table_maps_are_monotone_inverses(table, fractions):
     # R^{-1}(R(x)) = x wherever the hazard keeps the inverse well conditioned
     firm = maps.hazard(pts) >= 1e-2
     np.testing.assert_allclose(back[firm], pts[firm], rtol=1e-9, atol=1e-9)
+
+
+def _raised(fn, x):
+    """The error ``fn(x)`` raised, as (type, message), or None."""
+    try:
+        fn(x)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.booleans(), st.lists(st.floats(-0.5, 1.5), max_size=20))
+def test_float_path_is_the_array_element_bit_for_bit(table, zero_last, fractions):
+    xs, hs, x_L = table
+    if zero_last:  # bounded total hazard: flat at 0 past the last row
+        hs = np.append(hs[:-1], 0.0)
+    maps = PiecewiseLinearHazard(xs, hs, x_L)
+    top = float(xs[-1]) + 5.0
+    # random points below x_L, inside and past the last row; every row, both
+    # its float neighbours, x_L and its neighbours
+    edges = np.append(xs, x_L)
+    pts = np.concatenate([x_L + (top - x_L) * np.asarray(fractions), edges,
+                          np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                          [x_L - 1.0, top]])
+    for fn in (maps.cumulative, maps.hazard):
+        want = fn(pts)
+        for x, w in zip(pts.tolist(), want):
+            got = fn(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == w.tobytes(), (fn.__name__, x, got, w)
+    # non-finite floats behave as before on both paths: the same error, or
+    # the hazard's flat end value
+    for bad in (math.inf, -math.inf, math.nan):
+        assert _raised(maps.cumulative, bad) == (DomainError, f"x must be finite, got {bad!r}")
+        assert _raised(maps.cumulative, np.array([bad]))[0] is DomainError
+    assert _raised(maps.hazard, math.nan) == (DomainError, "x must not be NaN, got nan")
+    assert _raised(maps.hazard, np.array([math.nan]))[0] is DomainError
+    for bad, end in ((math.inf, hs[-1]), (-math.inf, hs[0])):
+        got = maps.hazard(bad)
+        assert type(got) is float and got == end == maps.hazard(np.array([bad]))[0]
