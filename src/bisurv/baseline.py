@@ -118,6 +118,10 @@ class BaselineModel(HazardModel):
     ``R0^{-1}(R0(x) +/- R0(t))`` through those maps; a family overrides
     ``_combine`` / ``_difference`` only where a direct form rounds better
     (Pareto's ``x*t`` and ``x/t``).
+
+    ``cumulative_hazard`` is exactly ``0.0`` (never ``-0.0``) at and below
+    ``x_L``, so a finite point below the left endpoint maps as ``x_L`` does:
+    array survival maps a finite block without clamping it first.
     """
 
     family: str = "abstract"

@@ -113,6 +113,18 @@ def _wedge(baseline: BaselineModel, x1, x2):
     return np.asarray(x1) >= np.asarray(x2), np.abs(r1 - r2), np.minimum(r1, r2)
 
 
+def _zero_overflow(s):
+    """Set ``s`` to 0, in place, where the larger cumulative hazard passed
+    the float range (``s`` inf, or NaN from ``inf - inf``), so that no kernel
+    sees it; the mask of those points, or None when there are none."""
+    finite = np.isfinite(s)
+    if finite.all():
+        return None
+    overflow = ~finite
+    s[overflow] = 0.0
+    return overflow
+
+
 def _nan_check(*values) -> None:
     for v in values:
         if np.isnan(v).any():  # the method: ~2 us less than the np.any wrapper
@@ -293,19 +305,28 @@ class GeneralBivariateModel(_BivariateBase):
     @np.errstate(over="ignore", invalid="ignore")
     def _log_survival_array(self, x1, x2):
         """The array branch of :meth:`log_survival`, on float arrays free of
-        NaN.  An infinite coordinate maps as ``x_L``; there, and where ``s``
-        is inf or NaN (``inf - inf``), the kernels get 0 and ``-inf`` is read."""
-        xl = self.baseline.x_L
-        x1a = np.maximum(x1, xl)
-        x2a = np.maximum(x2, xl)
-        inf_mask = np.isinf(np.maximum(x1a, x2a))  # clamped to x_L: never -inf
-        upper, s, w = _wedge(self.baseline, np.where(inf_mask, xl, x1a),
-                             np.where(inf_mask, xl, x2a))
-        zero = np.isfinite(s) <= inf_mask
-        s[zero] = 0.0
-        out = -(self._per_wedge("q", upper, s) + self.theta * w)
-        out[zero] = -np.inf
-        return out
+        NaN, in one in-place pass.  A finite block is not clamped: every
+        baseline map reads a point below ``x_L`` as ``R0 = 0``, and where both
+        coordinates do, ``s = 0`` and either kernel's ``q(0)`` is 0.  Only a
+        block with an infinite coordinate is clamped and masked: its infinite
+        points, and points whose ``s`` is inf or NaN (``inf - inf``), give the
+        kernels 0 and read ``-inf``.  ``-theta * w - q`` is ``-(q + theta * w)``
+        bit for bit, since neither ``q`` nor ``w`` is negative or ``-0.0``."""
+        dead = None
+        if not np.isfinite(x1 - x2).all():  # NaN was refused: an inf, or a rare overflow
+            xl = self.baseline.x_L
+            x1, x2 = np.maximum(x1, xl), np.maximum(x2, xl)
+            dead = np.isinf(np.maximum(x1, x2))  # clamped to x_L: never -inf
+            x1, x2 = np.where(dead, xl, x1), np.where(dead, xl, x2)
+        upper, s, w = _wedge(self.baseline, x1, x2)
+        overflow = _zero_overflow(s)
+        if overflow is not None:
+            dead = overflow if dead is None else dead | overflow
+        np.multiply(w, -self.theta, out=w)
+        w -= self._per_wedge("q", upper, s)
+        if dead is not None:
+            w[dead] = -np.inf
+        return w
 
     def _log_survival_blocked(self, x1, x2):
         """:meth:`_log_survival_array` of the broadcast inputs, in near-equal
@@ -347,9 +368,11 @@ class GeneralBivariateModel(_BivariateBase):
         x1a, x2a, upper, s, w, (r0_1, r0_2) = self._points(x1, x2, "density")
         alpha = self._ac_weight()
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(s)
-            h = self._per_wedge("density", upper, np.where(finite, s, 0.0), self.theta)
-            val = np.where(finite, r0_1 * r0_2 * h * np.exp(-self.theta * w) / alpha, 0.0)
+            overflow = _zero_overflow(s)
+            h = self._per_wedge("density", upper, s, self.theta)
+            val = r0_1 * r0_2 * h * np.exp(-self.theta * w) / alpha
+        if overflow is not None:
+            val[overflow] = 0.0
         negative = np.flatnonzero(val < 0.0)
         if negative.size:
             i = negative[0]
@@ -380,12 +403,12 @@ class GeneralBivariateModel(_BivariateBase):
         where ``s`` overflows, the kernels get 0 and :meth:`_gradient_at`
         answers."""
         x1, x2, upper, s, _, (r0_1, r0_2) = points
-        finite = np.isfinite(s)
-        q = self._per_wedge("q_prime", upper, np.where(finite, s, 0.0))
+        overflow = _zero_overflow(s)
+        q = self._per_wedge("q_prime", upper, s)
         with np.errstate(over="ignore", invalid="ignore"):
             g1 = np.where(upper, q * r0_1, self.theta * r0_1 - q * r0_1)
             g2 = np.where(upper, self.theta * r0_2 - q * r0_2, q * r0_2)
-        for i in np.flatnonzero(~finite):
+        for i in () if overflow is None else np.flatnonzero(overflow):
             g1.flat[i], g2.flat[i] = self._gradient_at(
                 self._wedge_point(float(x1.flat[i]), float(x2.flat[i]), hazards=True))
         return g1, g2

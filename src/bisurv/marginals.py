@@ -193,6 +193,10 @@ class WedgeKernel:
     ``s`` when not.  Methods of ``s`` take arrays of ``s >= 0`` and return arrays,
     except that a PH kernel answers a Python ``float`` ``s`` with floats: the
     same arithmetic, so the same bits as the array path's element.
+
+    ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
+    at or below ``x_L`` (``s = 0``), array survival may take either wedge's
+    kernel.
     """
 
     def __init__(self, marginal: MarginalModel, baseline: BaselineModel):

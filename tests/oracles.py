@@ -446,6 +446,33 @@ def diagonal_singular_survival(model, x):
 
 
 # ---------------------------------------------------------------------------
+# Array survival
+# ---------------------------------------------------------------------------
+# ``GeneralBivariateModel._log_survival_array`` as it was when it clamped every
+# block to ``x_L`` and masked its infinite points whether it had any or not,
+# kept verbatim (``self`` is ``model``, and the helpers are this module's
+# copies) as the reference the in-place pass must match bit for bit.
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def log_survival_masked(model, x1, x2):
+    """Log-survival of float arrays free of NaN, broadcast as numpy does.
+    An infinite coordinate maps as ``x_L``; there, and where ``s`` is inf or
+    NaN (``inf - inf``), the kernels get 0 and ``-inf`` is read."""
+    xl = model.baseline.x_L
+    x1a = np.maximum(x1, xl)
+    x2a = np.maximum(x2, xl)
+    inf_mask = np.isinf(np.maximum(x1a, x2a))  # clamped to x_L: never -inf
+    upper, s, w = _wedge(model.baseline, np.where(inf_mask, xl, x1a),
+                         np.where(inf_mask, xl, x2a))
+    zero = np.isfinite(s) <= inf_mask
+    s[zero] = 0.0
+    out = -(_per_wedge(model, "q", upper, s) + model.theta * w)
+    out[zero] = -np.inf
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Wedge tail, wedge density and hazard gradient
 # ---------------------------------------------------------------------------
 # ``sampling._wedge_tail`` and ``sampling._tail_table``,

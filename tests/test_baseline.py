@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from bisurv import CustomHazard, DomainError, Exponential, ModelError, NumericError, Pareto, Weibull
+from bisurv import (
+    CustomHazard,
+    DomainError,
+    Exponential,
+    FromHazard,
+    LinearFailureRate,
+    ModelError,
+    NumericError,
+    Pareto,
+    ProportionalHazard,
+    Weibull,
+)
 from bisurv.baseline import _is_scalar, _ret
+from bisurv.marginals import WedgeKernel
 from oracles import _ret as oracle_ret
 from oracles import trapezoid_cumulative_hazard
 
@@ -258,3 +270,54 @@ def test_quadrature_error_budget_overrun_raises():
     # a short interval resolves the oscillation within budget
     assert custom.cumulative_hazard(0.01) == pytest.approx(
         0.01 + (1.0 - math.cos(100.0)) / 1e4, abs=1e-10)
+
+
+# -- the left-endpoint contract that array survival relies on -------------------
+
+#: closed forms, tables whose x_L lies left of, at and inside their rows, and a
+#: callable
+_CONTRACT_BASELINES = {
+    **FAMILIES,
+    "table-left": CustomHazard.from_table([0.0, 1.0, 3.0], [1.0, 2.0, 0.5], x_L=-1.5),
+    "table-at": CustomHazard.from_table([0.5, 1.0, 3.0], [1.0, 2.0, 0.5]),
+    "table-inside": CustomHazard.from_table([0.0, 1.0, 3.0], [1.0, 2.0, 0.5], x_L=1.5),
+    "callable": CustomHazard(lambda x: 1.0 + 0.2 * x),
+}
+
+
+@pytest.mark.parametrize("name", _CONTRACT_BASELINES)
+def test_cumulative_hazard_is_exactly_zero_at_and_below_the_left_endpoint(name):
+    base = _CONTRACT_BASELINES[name]
+    xl = base.x_L
+    points = [xl, float(np.nextafter(xl, -math.inf)), xl - 0.5, xl - 1e6, -1e300]
+    points += [v for v in (0.0, -0.0) if v <= xl]
+    values = [base.cumulative_hazard(x) for x in points]
+    values += base.cumulative_hazard(np.array(points)).tolist()
+    assert all(v == 0.0 and not math.copysign(1.0, v) < 0 for v in values), values
+
+
+def _contract_kernels():
+    """PH kernels over every contract baseline; LFR, table, callable and PH
+    marginals over other baselines."""
+    table = FromHazard.from_table([0.0, 2.0, 5.0, 10.0], [1.5, 1.2, 1.05, 1.0])
+    e = FAMILIES["exponential"]
+    kernels = {f"ph-{name}": WedgeKernel(ProportionalHazard(base, 1.5), base)
+               for name, base in _CONTRACT_BASELINES.items()}
+    for name in ("exponential", "weibull_half", "weibull_two", "callable"):
+        base = _CONTRACT_BASELINES[name]
+        kernels[f"lfr-{name}"] = WedgeKernel(LinearFailureRate(0.3), base)
+        kernels[f"table-{name}"] = WedgeKernel(table, base)
+        kernels[f"ph-exponential-over-{name}"] = WedgeKernel(ProportionalHazard(e, 2.0), base)
+    kernels["callable-exponential"] = WedgeKernel(
+        FromHazard(lambda x: 1.0 + 0.5 * math.exp(-x)), e)
+    return kernels
+
+
+_CONTRACT_KERNELS = _contract_kernels()
+
+
+@pytest.mark.parametrize("name", _CONTRACT_KERNELS)
+def test_every_wedge_kernel_reads_exactly_zero_at_zero(name):
+    kernel = _CONTRACT_KERNELS[name]
+    values = [float(kernel.q(0.0))] + kernel.q(np.zeros(3)).tolist()
+    assert all(v == 0.0 and not math.copysign(1.0, v) < 0 for v in values), values

@@ -27,6 +27,7 @@ from oracles import (
     diagonal_singular_survival,
     gradient_at,
     gradient_components,
+    log_survival_masked,
     mixed_fd,
     off_diagonal,
     point_ac_density,
@@ -574,6 +575,45 @@ def test_scalar_survival_matches_array_at_infinity(base):
     marginal = math.exp(-model.delta2 * float(base.cumulative_hazard(y)))
     assert model.survival(-math.inf, y) == pytest.approx(marginal, rel=1e-15)
     assert model.survival(-math.inf, y) > 0.0
+
+
+# -- array survival ----------------------------------------------------------------
+
+#: the point models, and PH over a callable baseline
+_ARRAY_MODELS = {
+    **_POINT_MODELS,
+    "ph-callable": PHBivariateModel(CustomHazard(lambda x: 1.0 + 0.2 * x), 1.0, 0.5, 2.0),
+}
+
+
+@st.composite
+def _survival_arrays(draw, xl: float):
+    """Coordinate arrays of 1-60 points: finite ones at, above and below
+    ``x_L``, signed zeros, +-inf, 1e300 and 1e308 (past the float range under
+    Weibull(2)), and exact ties; or their ``(n, 1) x (1, n)`` broadcast."""
+    coordinate = st.one_of(
+        st.floats(xl - 2.0, xl + 8.0),
+        st.sampled_from([xl, xl - 0.5, 0.0, -0.0, math.inf, -math.inf, 1e300, 1e308, -1e308]))
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate, st.integers(0, 4)),
+                          min_size=1, max_size=60))
+    x1 = np.array([a for a, _, _ in pairs])
+    x2 = np.array([a if tie == 0 else b for a, b, tie in pairs])
+    if draw(st.booleans()):
+        return x1[:, None], x2[None, :]
+    return x1, x2
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(list(_ARRAY_MODELS)), data=st.data())
+def test_array_survival_is_the_masked_body_bit_for_bit(name, data):
+    model = _ARRAY_MODELS[name]
+    x1, x2 = data.draw(_survival_arrays(model.baseline.x_L))
+    want = _outcome(log_survival_masked, model, x1, x2)
+    assert _outcome(model.log_survival, x1, x2) == want
+    if want[0] == "returned":
+        assert model.log_survival(x1, x2).shape == np.broadcast(x1, x2).shape
+    assert _outcome(model.survival, x1, x2) == _outcome(
+        lambda a, b: np.exp(log_survival_masked(model, a, b)), x1, x2)
 
 
 # -- the diagonal, and points past the float range -----------------------------------
