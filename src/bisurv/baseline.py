@@ -298,8 +298,9 @@ class HazardIntegrator:
     instances may be shared across threads.
 
     A quadrature that reports trouble (a warning from ``quad``) and whose
-    error estimate exceeds ``max(1e-10, 1.49e-8 * |integral|)`` raises
-    :class:`~bisurv.errors.NumericError` instead of returning the value.
+    error estimate exceeds ``max(1e-10, 1.49e-8 * |integral|)``, or is NaN,
+    raises :class:`~bisurv.errors.NumericError` instead of returning the
+    value; so does one that steps to ``x = nan``, as near the float range.
     ``cumulative``, ``inverse`` and ``hazard`` accept scalars or arrays and
     evaluate arrays one element at a time.
     """
@@ -335,6 +336,8 @@ class HazardIntegrator:
     def _hazard_at(self, x: float) -> float:
         v = float(self._fn(x))
         if math.isnan(v) or v < 0.0:
+            if math.isnan(x):  # a quadrature past the float range steps to NaN
+                raise NumericError(f"{self.name} was evaluated at x = nan")
             raise ModelError(f"{self.name} returned a negative or NaN value {v} at x={x}")
         return v
 
@@ -347,7 +350,8 @@ class HazardIntegrator:
         inc, abserr = out[0], out[1]
         if inc < 0.0:
             raise ModelError(f"{self.name} integrated to a negative value on [{a}, {b}]")
-        if len(out) > 3 and abserr > max(self._EPSABS, self._EPSREL * abs(inc)):
+        # a NaN integral or estimate misses the budget too
+        if len(out) > 3 and not abserr <= max(self._EPSABS, self._EPSREL * abs(inc)):
             raise NumericError(
                 f"{self.name}: quadrature on [{a}, {b}] missed its error budget "
                 f"(estimate {abserr:.3g}): {out[3].splitlines()[0]}",
@@ -377,13 +381,13 @@ class HazardIntegrator:
         offset = x - self.x_L
         if offset < self._FIRST_STEP:
             return self._quad(self.x_L, x)
-        k = min(int(math.log2(offset / self._FIRST_STEP)), self._MAX_RUNGS - 1)
+        # rung k = x_L + 2**(k-4) <= x for 2**(k-4) <= offset, unless rounding lifted
+        # offset onto rung k; then take rung k - 1, or x_L below rung 0
+        k = min(math.frexp(offset)[1] + 3, self._MAX_RUNGS - 1)
         self._ensure_rung(k)
         with self._lock:
-            # log2 rounding may land one rung high; step down if so
-            while self._rung_x[k] > x:
-                k -= 1
-            rung_x, rung_r = self._rung_x[k], self._rung_r[k]
+            k = bisect.bisect_right(self._rung_x, x, 0, k + 1) - 1
+            rung_x, rung_r = (self._rung_x[k], self._rung_r[k]) if k >= 0 else (self.x_L, 0.0)
         if x == rung_x:
             return rung_r
         return rung_r + self._quad(rung_x, x)
@@ -512,7 +516,8 @@ class PiecewiseLinearHazard:
         dr = ra - self._R[j]
         b, a = self._h[j], self._slope[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = 2.0 * dr / (b + np.sqrt(np.maximum(b * b + 2.0 * a * dr, 0.0)))
+            # dr / (sum / 2), not 2 dr / sum: a finite target's step stays finite
+            d = dr / (0.5 * (b + np.sqrt(np.maximum(b * b + 2.0 * a * dr, 0.0))))
         x = np.minimum(self._knots[j] + d, self._knots_next[j])
         return _ret(np.where(ra > 0.0, x, self.x_L), r)
 

@@ -5,7 +5,7 @@ distribution.  The paper characterises validity through the marginals and
 through the hazard rates; off the diagonal both reduce to facts about the
 kernels ``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
 at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  Each
-fact is built by one function, and the checks are views over those:
+such fact is one row of one builder, and the reports relabel those rows:
 
 * ``combined_validation`` -- the ``validate`` report, each condition once:
   ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
@@ -14,7 +14,7 @@ fact is built by one function, and the checks are views over those:
   (the definition).
 * ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
   two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
-  ``iii`` (``h >= 0`` again) and ``iv`` (weight bounds).
+  ``iii`` (marginal ``ii``'s row) and ``iv`` (marginal ``i``'s row).
 * ``check_two_increasing`` -- one O(n^3) pass ranks the rectangles spanned
   by grid knots by their separable sum and reports the winner's
   inclusion-exclusion sum.
@@ -32,7 +32,7 @@ violation found on grid" and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -289,14 +289,13 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
 
 
 def _grid_slopes(kernels, grid: GridSpec):
-    """The off-diagonal grid pairs ``(hi, lo)``, ``r0`` at both ends and
-    ``(Q', Q'')`` of each kernel at the pairs' wedge coordinate ``s``."""
+    """The off-diagonal grid pairs ``(hi, lo)``, ``r0(lo)`` and ``(Q', Q'')``
+    of each kernel at the pairs' wedge coordinate ``s``."""
     base = kernels[0].baseline
     hi, lo = grid.wedge_pairs(base)
     s = _wedge(base, hi, lo)[1]
-    r0_hi = np.asarray(base.hazard(hi), dtype=float)
     r0_lo = np.asarray(base.hazard(lo), dtype=float)
-    return hi, lo, r0_hi, r0_lo, [k.slopes(s) for k in kernels]
+    return hi, lo, r0_lo, [k.slopes(s) for k in kernels]
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
@@ -333,27 +332,6 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
                            margin=worst, note=note)
 
 
-def _cross_derivative_condition(cid: str, theta: float, pairs, floor: float) -> ConditionResult:
-    """The density sign ``h >= 0`` as a bound on the cross log-derivative of
-    the wedge survival factor: ``r0(lo) * (Q' - Q''/Q') <= theta * r0(lo)``.
-    Points with ``Q' = 0`` give no finite left side and are skipped."""
-    hi, lo, _, r0_lo, slopes = pairs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
-    return _grid_bound_condition(cid, "cross-derivative-bound", lhs, theta * r0_lo,
-                                 hi, lo, floor=floor)
-
-
-def _gradient_condition(cid: str, theta: float, pairs, floor: float) -> ConditionResult:
-    """``G >= 0``: both hazard-gradient components are nonnegative, i.e.
-    ``0 <= Q' * r0(lo) <= theta * r0(lo)``."""
-    hi, lo, _, r0_lo, slopes = pairs
-    with np.errstate(invalid="ignore"):
-        lhs = [q1 * r0_lo for q1, _ in slopes]
-    return _grid_bound_condition(cid, "gradient-nonnegativity-bound", lhs, theta * r0_lo,
-                                 hi, lo, lower_zero=True, floor=floor)
-
-
 def _divergence_condition(cid: str, kernels) -> ConditionResult:
     """The total hazard diverges: each ``Q`` grows past 30 over far probes.
     A heuristic, so a hazard that decays too fast is undecided, never passed."""
@@ -374,8 +352,37 @@ def _divergence_condition(cid: str, kernels) -> ConditionResult:
     )
 
 
+def _rows(kernels, theta: float, grid: GridSpec, floor: float, names=("u1", "u2")):
+    """The four kernel rows from one grid pass, each with its fact's key as
+    id, plus the limits and ``alpha`` of :func:`_weight_condition`: ``weights``;
+    ``density``, the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q') <=
+    theta * r0(lo)``, skipping points with ``Q' = 0``; ``gradient``, ``G >= 0``,
+    i.e. ``0 <= Q' <= theta``; and ``divergence`` of the total hazard."""
+    weights, us, alpha = _weight_condition("weights", kernels, theta, floor, names)
+    hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
+    bound = theta * r0_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
+        gradient = [q1 * r0_lo for q1, _ in slopes]
+    rows = {
+        "weights": weights,
+        "density": _grid_bound_condition("density", "cross-derivative-bound", cross,
+                                         bound, hi, lo, floor=floor),
+        "gradient": _grid_bound_condition("gradient", "gradient-nonnegativity-bound",
+                                          gradient, bound, hi, lo, lower_zero=True,
+                                          floor=floor),
+        "divergence": _divergence_condition("divergence", kernels),
+    }
+    return rows, us, alpha
+
+
+def _relabelled(rows, layout) -> list[ConditionResult]:
+    """The rows named by ``layout``, pairs ``(cid, fact)``, each under its ``cid``."""
+    return [replace(rows[fact], cid=cid) for cid, fact in layout]
+
+
 # ---------------------------------------------------------------------------
-# The paper's two theorems, each a view over the row functions above
+# The paper's two theorems, each a relabelled view of the kernel rows
 # ---------------------------------------------------------------------------
 
 
@@ -392,11 +399,8 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-    cond_i, us, alpha = _weight_condition("i", model.kernels, theta, floor)
-    conditions = [
-        cond_i,
-        _cross_derivative_condition("ii", theta, _grid_slopes(model.kernels, grid), floor),
-    ]
+    rows, us, alpha = _rows(model.kernels, theta, grid, floor)
+    conditions = _relabelled(rows, (("i", "weights"), ("ii", "density")))
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -429,29 +433,21 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     ``0 <= Q' <= theta`` (i), divergence of the total hazard by an explicit
     heuristic, never reported Valid when undecided (ii), nonnegativity of
     the implied joint density (iii) and the weight bounds on ``v1 + v2`` (iv).
+
+    (iv) is the marginal theorem's (i), and (iii) its (ii): the rows of
+    :func:`check_marginal_conditions` under these ids.  The density sign
+    ``theta Q' + Q'' - Q'^2 >= 0`` is the cross-derivative bound wherever
+    ``Q' > 0``; where ``Q' < 0`` (i) fails, and where ``Q' = 0`` it reads
+    ``Q'' = r_m'/r0^2 >= 0``, true of any nonnegative hazard at a zero.  So
+    the bound, which skips the points with ``Q' = 0``, decides the sign.
     """
     theta = _validate_theta(theta)
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    pairs = _grid_slopes(kernels, grid)
-    hi, lo, r0_hi, r0_lo, slopes = pairs
-    # (iii) r0(hi) * r0(lo) * (theta Q' + Q'' - Q'^2) >= 0, normalized by the
-    # size of its terms so that one tolerance fits all
-    terms = []
-    for q1, q2 in slopes:
-        with np.errstate(invalid="ignore", over="ignore"):
-            value = r0_hi * r0_lo * (theta * q1 + q2 - q1 * q1)
-            scale = np.abs(theta * q1 * r0_hi * r0_lo) + np.abs(r0_hi * r0_lo * q2) + 1.0
-        terms.append(np.where(np.isfinite(value), value / scale, math.nan))
-    cond_iv, vs, alpha = _weight_condition("iv", kernels, theta, floor, names=("v1", "v2"))
-    conditions = [
-        _gradient_condition("i", theta, pairs, floor),
-        _divergence_condition("ii", kernels),
-        _grid_bound_condition("iii", "density-nonnegativity", [-t for t in terms],
-                              np.zeros_like(r0_lo), hi, lo, floor=floor),
-        cond_iv,
-    ]
+    rows, vs, alpha = _rows(kernels, theta, grid, floor, names=("v1", "v2"))
+    conditions = _relabelled(rows, (("i", "gradient"), ("ii", "divergence"),
+                                    ("iii", "density"), ("iv", "weights")))
     diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
                    "grid": grid.describe(),
                    "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
@@ -706,22 +702,16 @@ def combined_validation(model, grid: GridSpec | None = None,
     ``marginal-ii`` the density sign ``h >= 0``; ``hazard-i`` ``G >= 0``,
     i.e. ``0 <= Q' <= theta``; ``hazard-ii`` divergence of the total hazard
     (heuristic); ``two-increasing`` the definition, no grid rectangle of
-    negative probability.  Hazard-rate (iv) is ``marginal-i`` again, and
-    (iii) decides nothing the rows leave open: where ``Q' < 0`` ``hazard-i``
-    fails, and where ``Q' = 0`` (iii) reads ``Q'' = r_m'/r0^2 >= 0``, true
-    of any nonnegative hazard.
+    negative probability.  Hazard-rate (iii) and (iv) are ``marginal-ii``
+    and ``marginal-i`` again (see :func:`check_hazard_rate_conditions`).
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    theta, kernels = model.theta, model.kernels
-    weights, us, alpha = _weight_condition("marginal-i", kernels, theta, floor)
-    pairs = _grid_slopes(kernels, grid)
+    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor)
     rectangles = check_two_increasing(model, grid, tol)
     conditions = [
-        weights,
-        _cross_derivative_condition("marginal-ii", theta, pairs, floor),
-        _gradient_condition("hazard-i", theta, pairs, floor),
-        _divergence_condition("hazard-ii", kernels),
+        *_relabelled(rows, (("marginal-i", "weights"), ("marginal-ii", "density"),
+                            ("hazard-i", "gradient"), ("hazard-ii", "divergence"))),
         *rectangles.conditions,
     ]
     worst = rectangles.diagnostics.get("min_rectangle_probability")

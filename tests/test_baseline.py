@@ -12,6 +12,7 @@ from bisurv import (
     ModelError,
     NumericError,
     Pareto,
+    PHBivariateModel,
     ProportionalHazard,
     Weibull,
 )
@@ -270,6 +271,34 @@ def test_quadrature_error_budget_overrun_raises():
     # a short interval resolves the oscillation within budget
     assert custom.cumulative_hazard(0.01) == pytest.approx(
         0.01 + (1.0 - math.cos(100.0)) / 1e4, abs=1e-10)
+
+
+def test_callable_past_the_quadrature_range_is_a_numeric_error():
+    # the ladder stops near 2**135; from there quad reports a NaN estimate at
+    # 1e300 and steps to x = nan at 1e308: numeric failures (exit 4), neither a
+    # value nor a fault of the hazard
+    base = CustomHazard(lambda x: 1.0 + 0.2 * x)
+    model = PHBivariateModel(base, 1.0, 0.5, 2.0)
+    for x in (1e300, 1e308):
+        for call in (lambda: base.cumulative_hazard(x),
+                     lambda: base.cumulative_hazard(np.array([1.0, x])),
+                     lambda: model.log_survival(x, 1.0),
+                     lambda: model.log_survival(np.array([x, 2.0]), np.array([1.0, 1.0]))):
+            with pytest.raises(NumericError):
+                call()
+    assert base.cumulative_hazard(1e6) == pytest.approx(1e6 + 1e11, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, x_L", [(1.0 - 2.0**-53, -2.0**-54), (2.0**-4 - 2.0**-57, -2.0**-58)],
+                         ids=["rung-4", "rung-0"])
+def test_callable_ladder_never_starts_above_the_point(x, x_L):
+    # x - x_L rounds up onto a rung, and x_L + that rung's step rounds above x:
+    # the integral starts one rung lower, at x_L below rung 0
+    base = CustomHazard(lambda u: 1.0 + u, x_L=x_L)
+    step = x - x_L
+    assert step in (1.0, 2.0**-4) and x_L + step > x
+    exact = (x - x_L) * (1.0 + 0.5 * (x + x_L))
+    assert base.cumulative_hazard(x) == pytest.approx(exact, rel=1e-14)
 
 
 # -- the left-endpoint contract that array survival relies on -------------------

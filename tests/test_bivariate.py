@@ -562,6 +562,18 @@ def test_scalar_point_errors_match_oracle_and_array(name):
             _check_point(model, x1, x2, kind, survival_oracle=False)
 
 
+@pytest.mark.parametrize("name, want", [("table-spike-table", -1e308),
+                                        ("lfr-table-table", -math.inf)])
+def test_log_survival_near_the_float_range_over_a_table_baseline(name, want):
+    # R0(1e308) and its inverse are finite on both table baselines, so every
+    # kernel answers there; the array path runs both kernels at every point
+    model = _POINT_MODELS[name]
+    assert model.log_survival(1e308, 1.0) == want
+    x1, x2 = np.array([1e308, 1.0, 2.0]), np.array([1.0, 1e308, 0.5])
+    for fn in (model.log_survival, model.survival):
+        assert fn(x1, x2).tolist() == [fn(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+
+
 @pytest.mark.parametrize("base", [E, PAR], ids=["exponential", "pareto"])
 def test_scalar_survival_matches_array_at_infinity(base):
     model = PHBivariateModel(base, 1.0, 1.0, 1.0)

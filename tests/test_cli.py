@@ -83,6 +83,20 @@ def test_eval_json_format(capsys, mo_config):
     assert payload["hazard_gradient"] == [1.0, 2.0]
 
 
+def test_eval_on_a_purely_singular_model(capsys, tmp_path):
+    # u1 + u2 = 6 = 2 theta: alpha = 0, all mass on the diagonal
+    cfg = tmp_path / "singular.json"
+    cfg.write_text('{"baseline": "exponential", "theta": 3, "marginals": ["ph:3", "ph:3"]}')
+    code, out, err = run(capsys, "eval", "--config", str(cfg), "1", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "ac_density = undefined (purely singular model)"
+    code, out, err = run(capsys, "eval", "--config", str(cfg), "--format", "json", "1", "2")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["ac_density"] is None
+    assert doc["survival"] == pytest.approx(math.exp(-6.0), rel=1e-15)
+
+
 def test_rect(capsys, lfr_config):
     code, out, _ = run(capsys, "rect", "--config", lfr_config, "1", "2", "3", "5")
     assert code == 0
@@ -308,6 +322,17 @@ def test_sample_invalid_model_exit(capsys, lfr_config, tmp_path):
         code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "10")
         assert (code, out) == (3, ""), a
         assert err.startswith("invalid model: "), a
+
+
+def test_sample_past_a_bounded_total_hazard_is_inconclusive(capsys, tmp_path):
+    # the baseline table's last row is 0, so R0 stops at 1.5: draws past it
+    # have no inverse, and the NumericError maps to exit 4
+    (tmp_path / "bounded.csv").write_text("x,hazard\n0,1\n1,1\n2,0\n")
+    cfg = tmp_path / "bounded.json"
+    cfg.write_text('{"baseline": "custom:bounded.csv", "theta123": [1, 1, 1]}')
+    code, out, err = run(capsys, "sample", "--config", str(cfg), "--n", "1000")
+    assert (code, out) == (4, "")
+    assert err.startswith("inconclusive: ")
 
 
 def test_counterexample(capsys):

@@ -108,6 +108,16 @@ def test_bounded_total_hazard_inverse_raises():
         base.inverse_cumulative_hazard(1.5 + 1e-9)
 
 
+def test_inverse_stays_finite_near_the_float_range():
+    # past the last row the hazard is 3, so R^{-1}(r) = 2 + (r - 4)/3; the
+    # step 2 dr would pass the float range at r = 1e308, the step itself not
+    table = PiecewiseLinearHazard([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    for r in (1e308, 1.7e308):
+        x = table.inverse(r)
+        assert x == pytest.approx(2.0 + (r - 4.0) / 3.0, rel=1e-15)
+        assert table.inverse(np.array([r, 0.5])).tolist() == [x, table.inverse(0.5)]
+
+
 def test_sine_table_is_exact_where_quadrature_drifted():
     # 1 + 0.5x + 0.3 sin 5x on 200 rows: adaptive quad over np.interp was
     # off by up to 1e-4 here despite its stated 1e-10 absolute tolerance

@@ -554,7 +554,8 @@ def test_combined_validation_agrees_with_the_public_checks(base):
             assert {**c.to_json_dict(), "id": cid} == rows[name][cid]
         everything = [c for rep in public.values() for c in rep.conditions]
         assert merged.verdict == validity._combine_verdict(everything)
-        # the dropped density row decides exactly what the kept one does
+        # hazard-rate (iii) is marginal (ii)'s row under another id
+        assert {**rows["hazard"]["iii"], "id": "ii"} == rows["marginal"]["ii"]
         assert rows["marginal"]["ii"]["pass"] == rows["hazard"]["iii"]["pass"]
         verdicts.add(merged.verdict)
     assert INVALID in verdicts
