@@ -321,7 +321,7 @@ class HazardIntegrator:
         self._rung_r: list[float] = []
 
     def hazard(self, x):
-        return _elementwise(self._hazard_at, x)
+        return _elementwise(self._checked_hazard_at, x)
 
     def cumulative(self, x):
         return _elementwise(self._cumulative_at, x)
@@ -332,6 +332,11 @@ class HazardIntegrator:
     def derivative(self, x):
         """A callable has no analytic hazard derivative: always None."""
         return None
+
+    def _checked_hazard_at(self, x: float) -> float:
+        if math.isnan(x):  # as a table: only quad's own steps reach x = nan below
+            raise DomainError(f"x must not be NaN, got {x!r}")
+        return self._hazard_at(x)
 
     def _hazard_at(self, x: float) -> float:
         v = float(self._fn(x))

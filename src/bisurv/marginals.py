@@ -103,11 +103,9 @@ class LinearFailureRate(MarginalModel):
         self.a = float(a)
 
     def cumulative_hazard(self, x):
-        if type(x) is float:  # the array path's steps, overflowing silently to inf
-            xc = max(x, 0.0)
-            return xc + self.a * (xc * xc)
         xc = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return _ret(xc + self.a * np.square(xc), x)
+        with np.errstate(over="ignore"):  # past the float range R is inf
+            return _ret(xc + self.a * np.square(xc), x)
 
     def hazard(self, x):
         return _ret(1.0 + 2.0 * self.a * np.asarray(x, dtype=float), x)
@@ -209,8 +207,7 @@ class WedgeKernel:
                       and marginal.baseline == baseline else None)
 
     def _at(self, s):
-        d = self.baseline.inverse_cumulative_hazard(s)
-        return d if type(d) is float else np.asarray(d, dtype=float)  # a float stays one
+        return np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
 
     def q(self, s):
         if self.delta is not None:

@@ -5,7 +5,7 @@ distribution.  The paper characterises validity through the marginals and
 through the hazard rates; off the diagonal both reduce to facts about the
 kernels ``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
 at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  Each
-such fact is one row of one builder, and the reports relabel those rows:
+such fact is one row of one builder, and each report names the rows it lists:
 
 * ``combined_validation`` -- the ``validate`` report, each condition once:
   ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
@@ -32,7 +32,7 @@ violation found on grid" and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -352,37 +352,36 @@ def _divergence_condition(cid: str, kernels) -> ConditionResult:
     )
 
 
-def _rows(kernels, theta: float, grid: GridSpec, floor: float, names=("u1", "u2")):
-    """The four kernel rows from one grid pass, each with its fact's key as
-    id, plus the limits and ``alpha`` of :func:`_weight_condition`: ``weights``;
-    ``density``, the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q') <=
-    theta * r0(lo)``, skipping points with ``Q' = 0``; ``gradient``, ``G >= 0``,
-    i.e. ``0 <= Q' <= theta``; and ``divergence`` of the total hazard."""
-    weights, us, alpha = _weight_condition("weights", kernels, theta, floor, names)
+def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1", "u2")):
+    """The kernel rows that ``ids`` (fact -> the report's id) names, in its
+    order, from one grid pass, with the limits and ``alpha`` of
+    :func:`_weight_condition`.  ``weights`` and ``density`` are always named;
+    ``density`` is the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q')
+    <= theta * r0(lo)``, skipping points with ``Q' = 0``.  ``gradient``
+    (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence`` of the total
+    hazard are built only when named."""
+    rows = {}
+    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
+                                                   floor, names)
     hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
-        gradient = [q1 * r0_lo for q1, _ in slopes]
-    rows = {
-        "weights": weights,
-        "density": _grid_bound_condition("density", "cross-derivative-bound", cross,
-                                         bound, hi, lo, floor=floor),
-        "gradient": _grid_bound_condition("gradient", "gradient-nonnegativity-bound",
-                                          gradient, bound, hi, lo, lower_zero=True,
-                                          floor=floor),
-        "divergence": _divergence_condition("divergence", kernels),
-    }
-    return rows, us, alpha
-
-
-def _relabelled(rows, layout) -> list[ConditionResult]:
-    """The rows named by ``layout``, pairs ``(cid, fact)``, each under its ``cid``."""
-    return [replace(rows[fact], cid=cid) for cid, fact in layout]
+    rows["density"] = _grid_bound_condition(ids["density"], "cross-derivative-bound",
+                                            cross, bound, hi, lo, floor=floor)
+    if "gradient" in ids:
+        with np.errstate(invalid="ignore"):
+            gradient = [q1 * r0_lo for q1, _ in slopes]
+        rows["gradient"] = _grid_bound_condition(
+            ids["gradient"], "gradient-nonnegativity-bound", gradient, bound, hi, lo,
+            lower_zero=True, floor=floor)
+    if "divergence" in ids:
+        rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
+    return [rows[fact] for fact in ids], us, alpha
 
 
 # ---------------------------------------------------------------------------
-# The paper's two theorems, each a relabelled view of the kernel rows
+# The paper's two theorems, each a view of the kernel rows
 # ---------------------------------------------------------------------------
 
 
@@ -399,8 +398,8 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-    rows, us, alpha = _rows(model.kernels, theta, grid, floor)
-    conditions = _relabelled(rows, (("i", "weights"), ("ii", "density")))
+    conditions, us, alpha = _rows(model.kernels, theta, grid, floor,
+                                  {"weights": "i", "density": "ii"})
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -445,9 +444,9 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    rows, vs, alpha = _rows(kernels, theta, grid, floor, names=("v1", "v2"))
-    conditions = _relabelled(rows, (("i", "gradient"), ("ii", "divergence"),
-                                    ("iii", "density"), ("iv", "weights")))
+    conditions, vs, alpha = _rows(kernels, theta, grid, floor,
+                                  {"gradient": "i", "divergence": "ii", "density": "iii",
+                                   "weights": "iv"}, names=("v1", "v2"))
     diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
                    "grid": grid.describe(),
                    "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
@@ -707,13 +706,11 @@ def combined_validation(model, grid: GridSpec | None = None,
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor)
+    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor,
+                            {"weights": "marginal-i", "density": "marginal-ii",
+                             "gradient": "hazard-i", "divergence": "hazard-ii"})
     rectangles = check_two_increasing(model, grid, tol)
-    conditions = [
-        *_relabelled(rows, (("marginal-i", "weights"), ("marginal-ii", "density"),
-                            ("hazard-i", "gradient"), ("hazard-ii", "divergence"))),
-        *rectangles.conditions,
-    ]
+    conditions = [*rows, *rectangles.conditions]
     worst = rectangles.diagnostics.get("min_rectangle_probability")
     diagnostics = {key: value for key, value in (
         ("grid", grid.describe()), ("u1", us[0]), ("u2", us[1]), ("alpha", alpha),

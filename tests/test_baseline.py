@@ -289,6 +289,16 @@ def test_callable_past_the_quadrature_range_is_a_numeric_error():
     assert base.cumulative_hazard(1e6) == pytest.approx(1e6 + 1e11, rel=1e-12)
 
 
+@pytest.mark.parametrize("cls", [CustomHazard, FromHazard])
+def test_callable_hazard_at_nan_is_a_domain_error(cls):
+    # the caller's NaN, as for a table; only quad's own steps to NaN are numeric
+    handle = cls(lambda x: 1.0 + 0.2 * x)
+    for x in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(DomainError):
+            handle.hazard(x)
+    assert handle.hazard(2.0) == pytest.approx(1.4, rel=1e-15)
+
+
 @pytest.mark.parametrize("x, x_L", [(1.0 - 2.0**-53, -2.0**-54), (2.0**-4 - 2.0**-57, -2.0**-58)],
                          ids=["rung-4", "rung-0"])
 def test_callable_ladder_never_starts_above_the_point(x, x_L):

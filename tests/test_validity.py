@@ -435,6 +435,17 @@ def test_hazard_rate_conditions_truncated_table_inconclusive():
     assert by_id["iv"].passed is True
 
 
+def test_marginal_conditions_over_a_bounded_total_hazard():
+    # R0 stops at 1.5, so the divergence probes (R0 = 8 .. 128) have no
+    # inverse; the marginal theorem never reads them and still reports
+    from bisurv import CustomHazard
+    base = CustomHazard.from_table([0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
+    model = GeneralBivariateModel(base, LinearFailureRate(0.5), LinearFailureRate(0.25), 1.0)
+    rep = check_marginal_conditions(model, GridSpec(r0_knots=(0.1, 0.5, 1.0, 1.5)))
+    assert [(c.cid, c.passed) for c in rep.conditions] == [("i", True), ("ii", False)]
+    assert rep.verdict == INVALID
+
+
 # -- counter-example simultaneity and consistency suites ----------------------
 
 
