@@ -473,6 +473,13 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: cap of one slab of the rectangle scan, in floats, on grids of up to 90
+#: knots; larger grids get 4 n^2.  A slab holds the column differences of one
+#: block of columns, and the scan keeps two.  2^15 floats (256 KiB) take all
+#: the columns of a grid of up to 32 knots in one block.
+_SLAB_FLOATS = 2 ** 15
+
+
 def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     """Most negative rectangle ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over
     ``i < j`` and ``k < l`` of a square matrix (``n >= 2``), as
@@ -480,24 +487,46 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
 
     Rectangles are ranked by their separable sum ``c_i - c_j`` with
     ``c = s[:, k] - s[:, l]``, which differs from the direct sum by rounding
-    only.  For each column ``k`` a running maximum of ``c`` up the rows gives
-    every row ``i`` its best partner below it, and the smallest key
-    ``(NaN first, value, i, k, l)`` wins.  ``j`` is then the first row below
-    ``i`` with the largest ``c_j``, and the value is the direct sum, left to
-    right, on that rectangle: what ``rectangle_probability`` gives there.
+    only.  The columns ``k`` are taken in blocks: one broadcast subtract
+    builds the slab ``c[i, k, l]`` of a block for every ``l`` right of its
+    first column, a descending loop of ``np.maximum`` over the rows gives
+    every row ``i`` its best partner below it (a maximum is exact and passes
+    NaN on, so this is the running maximum bit for bit), and pairs with
+    ``l <= k`` are set to ``+inf``.  One ``argmin`` per block, in C order
+    over ``(i, k, l)``, and a comparison across blocks pick the smallest key
+    ``(NaN first, value, i, k, l)``; a masked pair never wins, because the
+    first entry of a block, ``(0, k0, k0 + 1)``, is a real pair.  ``j`` is
+    then the first row below ``i`` with the largest ``c_j``, and the value
+    is the direct sum, left to right, on that rectangle: what
+    ``rectangle_probability`` gives there.  A slab holds at most
+    ``max(_SLAB_FLOATS, 4 n^2)`` floats.
     """
     n = s.shape[0]
+    cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
+    c_buf, d_buf = np.empty(cap), np.empty(cap)
     best = None
+    k0 = 0
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n - 1):
-            c = s[:, k:k + 1] - s[:, k + 1:]
-            below = np.maximum.accumulate(c[:0:-1], axis=0)[::-1]  # max over rows > i
-            d = c[:-1] - below
-            i, m = np.unravel_index(int(np.argmin(d)), d.shape)
-            v = float(d[i, m])
-            key = (not math.isnan(v), 0.0 if math.isnan(v) else v, int(i), k, k + 1 + int(m))
+        while k0 < n - 1:
+            width = n - 1 - k0  # columns l = k0 + 1 .. n - 1
+            k1 = min(n - 1, k0 + cap // (n * width))
+            size = (k1 - k0) * width
+            c = c_buf[:n * size].reshape(n, k1 - k0, width)
+            np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
+            d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
+            d[-1] = c[-1]
+            for i in range(n - 3, -1, -1):
+                np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
+            np.subtract(c[:-1], d, out=d)
+            np.copyto(d, np.inf, where=np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n))
+            flat = int(np.argmin(d))
+            v = float(d_buf[flat])
+            i, rest = divmod(flat, size)
+            dk, dl = divmod(rest, width)
+            key = (not math.isnan(v), 0.0 if math.isnan(v) else v, i, k0 + dk, k0 + 1 + dl)
             if best is None or key < best:
                 best = key
+            k0 = k1
         i, k, l = best[2:]
         j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
         value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
@@ -508,12 +537,15 @@ def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
-    Scans all knot pairs per axis in O(n^3) time and O(n^2) memory on ``n``
-    knots and reports the most negative rectangle.  Rectangles are ranked by
-    their separable sum, ``(S_ik - S_il) - (S_jk - S_jl)``, which differs
-    from the inclusion-exclusion sum by rounding only (about one eps times
-    the largest survival value, far inside the tolerance); ties go to the
-    first ``(i, k, l)`` in knot order.  The reported probability is the
+    Scans all knot pairs per axis in O(n^3) time on ``n`` knots and reports
+    the most negative rectangle.  The scan takes the columns in blocks and
+    holds two slabs of at most ``max(2^15, 4 n^2)`` floats, so its memory is
+    O(n^2): about 10 n^2 floats with the survival matrix on large grids.
+    Rectangles are ranked by their separable sum,
+    ``(S_ik - S_il) - (S_jk - S_jl)``, which differs from the
+    inclusion-exclusion sum by rounding only (about one eps times the largest
+    survival value, far inside the tolerance); ties go to the first
+    ``(i, k, l)`` in knot order.  The reported probability is the
     inclusion-exclusion sum on the winning rectangle.  See
     :func:`_min_rectangle`.
     """

@@ -214,6 +214,36 @@ def rectangle_scan_separable(s):
     return (float(s[i, k] - s[j, k] - s[i, l] + s[j, l]), i, j, k, l)
 
 
+def rectangle_scan_running_max(s):
+    """The rectangle scan one column at a time: the body of
+    ``validity._min_rectangle`` before it took the columns in blocks, kept
+    as the bit-exact reference for the blocked scan.
+
+    For each column ``k``, ``c = s[:, k] - s[:, l]`` over ``l > k`` and a
+    running maximum of ``c`` up the rows (``np.maximum.accumulate``) gives
+    every row ``i`` its best partner below it; the smallest key
+    ``(NaN first, value, i, k, l)`` wins.  ``j`` is the first row below
+    ``i`` with the largest ``c_j``, and the value is the direct sum on that
+    rectangle.
+    """
+    n = s.shape[0]
+    best = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            c = s[:, k:k + 1] - s[:, k + 1:]
+            below = np.maximum.accumulate(c[:0:-1], axis=0)[::-1]  # max over rows > i
+            d = c[:-1] - below
+            i, m = np.unravel_index(int(np.argmin(d)), d.shape)
+            v = float(d[i, m])
+            key = (not math.isnan(v), 0.0 if math.isnan(v) else v, int(i), k, k + 1 + int(m))
+            if best is None or key < best:
+                best = key
+        i, k, l = best[2:]
+        j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
+        value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
+    return (value, i, j, k, l)
+
+
 def write_csv_rows(batch, fileobj):
     """``SampleBatch.write_csv`` as it was before it formatted whole blocks
     at once: one f-string per row, with Python's ``repr`` of each coordinate
@@ -383,8 +413,8 @@ def point_ac_density(model, x1, x2):
         raise UndefinedComponentError(
             "model is purely singular; the absolutely continuous density is undefined")
     upper, s, w = _wedge(model.baseline, x1a, x2a)
-    h = _per_wedge(model, "density", upper, s, model.theta)
     with np.errstate(over="ignore", invalid="ignore"):
+        h = _per_wedge(model, "density", upper, s, model.theta)
         val = (np.asarray(model.baseline.hazard(x1a), dtype=float)
                * np.asarray(model.baseline.hazard(x2a), dtype=float)
                * h * np.exp(-model.theta * w) / alpha)

@@ -572,6 +572,10 @@ def test_log_survival_near_the_float_range_over_a_table_baseline(name, want):
     x1, x2 = np.array([1e308, 1.0, 2.0]), np.array([1.0, 1e308, 0.5])
     for fn in (model.log_survival, model.survival):
         assert fn(x1, x2).tolist() == [fn(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+    # every view there, the density's 0.0 included, against the oracles
+    for kind in _KINDS:
+        _check_point(model, 1.0, 1e308, kind)
+        _check_point(model, 1e308, 1.0, kind)
 
 
 @pytest.mark.parametrize("base", [E, PAR], ids=["exponential", "pareto"])

@@ -41,6 +41,7 @@ from bisurv.validity import (
 from oracles import (
     fd_log_gradient,
     gradient_identity,
+    rectangle_scan_running_max,
     rectangle_scan_separable,
     rectangle_scan_tensor,
 )
@@ -177,14 +178,19 @@ def test_two_increasing_agrees_with_direct_scan():
 
 
 @st.composite
-def _survival_matrices(draw):
-    """Square matrices for the rectangle scan: random, heavily tied, decimal
+def _survival_matrices(draw, max_n=20):
+    """Square matrices of 2 to ``max_n`` rows for the rectangle scan: random,
+    random from a seed (``hnp.arrays`` fills most of a large matrix with one
+    value; a seeded draw keeps every entry distinct), heavily tied, decimal
     (sums of tenths round differently in the separable and the direct form,
     so near-ties split by rounding), all zero, PH-shaped with one entry
     bumped up, which makes negative rectangles, or random with one NaN,
     infinite or huge entry."""
-    n = draw(st.integers(2, 20))
-    kind = draw(st.sampled_from(["random", "tied", "decimal", "zero", "negative", "nonfinite"]))
+    n = draw(st.integers(2, max_n))
+    kind = draw(st.sampled_from(["random", "seeded", "tied", "decimal", "zero", "negative",
+                                 "nonfinite"]))
+    if kind == "seeded":
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n))
     if kind in ("random", "nonfinite"):
         s = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
         if kind == "nonfinite":
@@ -233,9 +239,43 @@ def test_rectangle_scan_examples():
     assert math.isnan(value) and witness == [0, 1, 0, 1]
 
 
+def _scan_example(n, kind, seed=0):
+    """A matrix at a block-split size of the rectangle scan: its first block
+    takes 13 columns at 49 knots and 8 at 64; later blocks widen, and the
+    last is ragged."""
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        return rng.choice([0.0, 0.25, 0.5], (n, n))
+    s = rng.random((n, n))
+    if kind == "inf":
+        # -inf rectangles at column 50 win, in the last block
+        s[10, 50] = math.inf
+    elif kind == "two-inf":
+        # inf - inf is NaN in the scan at rows 5 and 1 of columns 20 and 50;
+        # the NaN of the later block has the smaller row and wins
+        s[[5, 30], 20] = math.inf
+        s[[1, 2], 50] = math.inf
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_survival_matrices(max_n=80))
+@example(s=_scan_example(49, "tied"))
+@example(s=_scan_example(49, "random"))
+@example(s=_scan_example(64, "inf"))
+@example(s=_scan_example(64, "two-inf"))
+@example(s=np.zeros((64, 64)))
+def test_blocked_rectangle_scan_is_the_column_scan(s):
+    # bit for bit, ties and NaN included, through several blocks of columns
+    want = rectangle_scan_running_max(s)
+    got = _min_rectangle(s)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
 def test_rectangle_scan_of_tied_rectangles_is_cubic():
     # every rectangle ties at 0: re-checking tied column pairs exactly
-    # would cost n^4 here, one pass over the columns takes ~0.04 s
+    # would cost n^4 here, one pass over the blocks takes ~0.03 s
     start = time.perf_counter()
     assert _min_rectangle(np.zeros((192, 192))) == (0.0, 0, 1, 0, 1)
     assert time.perf_counter() - start < 2.0
@@ -257,17 +297,24 @@ def test_two_increasing_reports_rectangle_probability(model, knots):
 
 
 def test_two_increasing_memory_is_quadratic():
-    # the n^4 rectangle tensor took ~90 MB here; n x n arrays are 18 KiB
-    grid = GridSpec.default(knots=48)
-    for model in (MO, lfr_exp_model()):
-        check_two_increasing(model, grid)
-        tracemalloc.start()
-        try:
+    # the n^4 rectangle tensor took ~90 MB at 48 knots, where n x n arrays are
+    # 18 KiB; the scan keeps two slabs of at most max(2^15, 4 n^2) floats, so
+    # on large grids the peak is the slabs, the survival matrix and its
+    # temporaries: about 10 n^2 floats
+    for knots in (48, 128, 256):
+        grid = GridSpec.default(knots=knots)
+        for model in (MO, lfr_exp_model()):
             check_two_increasing(model, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+            tracemalloc.start()
+            try:
+                check_two_increasing(model, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if knots == 48:
+                assert peak < 1_000_000
+            else:
+                assert peak < 12 * knots**2 * 8  # 12 n^2 floats
 
 
 # -- functional equation ------------------------------------------------------
