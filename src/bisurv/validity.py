@@ -31,13 +31,15 @@ violation found on grid" and the reports say so.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baseline import BaselineModel
-from .bivariate import GeneralBivariateModel, _validate_theta, _wedge
+from .bivariate import GeneralBivariateModel, _validate_theta
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel
 
@@ -69,6 +71,9 @@ _DIVERGENCE_TARGET = 30.0
 
 #: cumulative-hazard levels probed by the divergence heuristic
 _DIVERGENCE_PROBES = (8.0, 16.0, 32.0, 64.0, 128.0)
+
+#: how many of the most recent default grids ``GridSpec.default`` keeps
+_DEFAULT_GRIDS = 32
 
 
 def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
@@ -112,12 +117,20 @@ class GridSpec:
 
         Meaningful qualification checks need at least 8 knots per axis; the
         factory enforces that (degenerate grids can still be constructed
-        directly, e.g. for vacuous two-increasing checks).
+        directly, e.g. for vacuous two-increasing checks).  A grid is frozen,
+        so the recent ones are kept and handed out again; the counts must be
+        integers (``TypeError`` otherwise, as ``np.geomspace`` raises).
         """
         if knots < 8:
             raise DomainError("default grids need at least 8 knots per axis")
         if t_knots < 0:
             raise DomainError(f"the shift knot count must be >= 0, got {t_knots}")
+        return cls._default(operator.index(knots), r0_min, r0_max, wedge_margin,
+                            operator.index(t_knots), t_min, t_max)
+
+    @classmethod
+    @functools.lru_cache(maxsize=_DEFAULT_GRIDS, typed=True)  # typed: 1 and 1.0 stay apart
+    def _default(cls, knots, r0_min, r0_max, wedge_margin, t_knots, t_min, t_max):
         with np.errstate(invalid="ignore"):  # non-finite bounds: __post_init__ raises
             return cls(
                 r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
@@ -139,13 +152,18 @@ class GridSpec:
             baseline.inverse_cumulative_hazard(np.asarray(self.t_r0_knots)), dtype=float
         )
 
+    def _pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Knot indices ``(j, k)``, ``j > k``, of the pairs clear of the
+        diagonal margin, in row order: ``k`` ascending within each ``j``."""
+        knots = np.asarray(self.r0_knots)
+        gap = np.subtract.outer(knots, knots)  # knots increase: gap > 0 iff j > k
+        return np.nonzero(gap >= self.wedge_margin if self.wedge_margin > 0 else gap > 0)
+
     def wedge_pairs(self, baseline: BaselineModel) -> tuple[np.ndarray, np.ndarray]:
         """All ordered knot pairs (hi, lo) clear of the diagonal margin."""
-        knots = np.asarray(self.r0_knots)
-        j, k = np.tril_indices(len(knots), -1)
-        keep = knots[j] - knots[k] >= self.wedge_margin
+        j, k = self._pair_indices()
         xs = self.axis_points(baseline)
-        return xs[j[keep]], xs[k[keep]]
+        return xs[j], xs[k]
 
     def describe(self) -> dict:
         return {
@@ -289,13 +307,17 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
 
 
 def _grid_slopes(kernels, grid: GridSpec):
-    """The off-diagonal grid pairs ``(hi, lo)``, ``r0(lo)`` and ``(Q', Q'')``
-    of each kernel at the pairs' wedge coordinate ``s``."""
+    """The axis points ``xs``, the off-diagonal grid pairs ``(hi, lo)``,
+    ``r0(lo)`` and ``(Q', Q'')`` of each kernel at the pairs' wedge
+    coordinate ``s``.  The baseline maps each of the n knots once; the
+    pairs take ``R0`` and ``r0`` from those n values by index."""
     base = kernels[0].baseline
-    hi, lo = grid.wedge_pairs(base)
-    s = _wedge(base, hi, lo)[1]
-    r0_lo = np.asarray(base.hazard(lo), dtype=float)
-    return hi, lo, r0_lo, [k.slopes(s) for k in kernels]
+    xs = grid.axis_points(base)
+    r0_cum = np.asarray(base.cumulative_hazard(xs), dtype=float)
+    r0 = np.asarray(base.hazard(xs), dtype=float)
+    j, k = grid._pair_indices()
+    s = np.abs(r0_cum[j] - r0_cum[k])
+    return xs, xs[j], xs[k], r0[k], [kernel.slopes(s) for kernel in kernels]
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
@@ -305,25 +327,30 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
 
     ``lhs_by_marg`` holds one array per marginal over the pairs ``(hi, lo)``;
     marginal 1 sits on the wedge ``x1 >= x2``, so its witnesses are
-    ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.
+    ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.  A point whose
+    ``lhs`` is not finite is skipped; when none is, nothing is masked.
     """
     worst, worst_witness, passed = math.inf, None, True
     decided = skipped = 0
-    for lhs, wit in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
+    least = -_ineq_tol(rhs, floor)  # the most negative margin that passes
+    for lhs, (x1, x2) in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
         lhs = np.asarray(lhs, dtype=float)
+        bound, low = rhs, least
         ok = np.isfinite(lhs)
-        skipped += int(np.sum(~ok))
-        if not np.any(ok):
+        if not ok.all():
+            skipped += lhs.size - int(np.count_nonzero(ok))
+            lhs, bound, low, x1, x2 = lhs[ok], rhs[ok], least[ok], x1[ok], x2[ok]
+        if lhs.size == 0:
             continue
-        decided += int(np.sum(ok))
-        margin = rhs[ok] - lhs[ok]
+        decided += lhs.size
+        margin = bound - lhs
         if lower_zero:
-            margin = np.minimum(margin, lhs[ok])
-        passed &= not np.any(margin < -_ineq_tol(rhs[ok], floor))
-        i = int(np.argmin(margin))
+            np.minimum(margin, lhs, out=margin)
+        passed &= not (margin < low).any()
+        i = int(margin.argmin())
         if margin[i] < worst:
             worst = float(margin[i])
-            worst_witness = (float(wit[0][ok][i]), float(wit[1][ok][i]))
+            worst_witness = (float(x1[i]), float(x2[i]))
     if decided == 0:
         return ConditionResult(cid, label, None,
                                note=f"all {skipped} grid points skipped")
@@ -355,7 +382,8 @@ def _divergence_condition(cid: str, kernels) -> ConditionResult:
 def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1", "u2")):
     """The kernel rows that ``ids`` (fact -> the report's id) names, in its
     order, from one grid pass, with the limits and ``alpha`` of
-    :func:`_weight_condition`.  ``weights`` and ``density`` are always named;
+    :func:`_weight_condition` and the grid's axis points ``xs``, which the
+    rectangle scan takes on.  ``weights`` and ``density`` are always named;
     ``density`` is the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q')
     <= theta * r0(lo)``, skipping points with ``Q' = 0``.  ``gradient``
     (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence`` of the total
@@ -363,7 +391,7 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
     rows = {}
     rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
                                                    floor, names)
-    hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
+    xs, hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
@@ -377,7 +405,7 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
             lower_zero=True, floor=floor)
     if "divergence" in ids:
         rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
-    return [rows[fact] for fact in ids], us, alpha
+    return [rows[fact] for fact in ids], us, alpha, xs
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +426,8 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-    conditions, us, alpha = _rows(model.kernels, theta, grid, floor,
-                                  {"weights": "i", "density": "ii"})
+    conditions, us, alpha, _ = _rows(model.kernels, theta, grid, floor,
+                                     {"weights": "i", "density": "ii"})
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -444,9 +472,9 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    conditions, vs, alpha = _rows(kernels, theta, grid, floor,
-                                  {"gradient": "i", "divergence": "ii", "density": "iii",
-                                   "weights": "iv"}, names=("v1", "v2"))
+    conditions, vs, alpha, _ = _rows(kernels, theta, grid, floor,
+                                     {"gradient": "i", "divergence": "ii", "density": "iii",
+                                      "weights": "iv"}, names=("v1", "v2"))
     diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
                    "grid": grid.describe(),
                    "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
@@ -489,22 +517,31 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     ``c = s[:, k] - s[:, l]``, which differs from the direct sum by rounding
     only.  The columns ``k`` are taken in blocks: one broadcast subtract
     builds the slab ``c[i, k, l]`` of a block for every ``l`` right of its
-    first column, a descending loop of ``np.maximum`` over the rows gives
-    every row ``i`` its best partner below it (a maximum is exact and passes
-    NaN on, so this is the running maximum bit for bit), and pairs with
-    ``l <= k`` are set to ``+inf``.  One ``argmin`` per block, in C order
-    over ``(i, k, l)``, and a comparison across blocks pick the smallest key
-    ``(NaN first, value, i, k, l)``; a masked pair never wins, because the
-    first entry of a block, ``(0, k0, k0 + 1)``, is a real pair.  ``j`` is
-    then the first row below ``i`` with the largest ``c_j``, and the value
-    is the direct sum, left to right, on that rectangle: what
-    ``rectangle_probability`` gives there.  A slab holds at most
-    ``max(_SLAB_FLOATS, 4 n^2)`` floats.
+    first column, and row ``i`` scores ``c_i`` minus the largest ``c_j``
+    below it.  Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per
+    block, in C order over ``(i, k, l)``, and a comparison across blocks
+    pick the smallest key ``(NaN first, value, i, k, l)``; a masked pair
+    never wins, because the first entry of a block, ``(0, k0, k0 + 1)``, is
+    a real pair.
+
+    A block is first scored by one subtract, ``c_i - c_{i+1}``.  If its
+    least score is ``>= 0`` (so no score is NaN), the rows never rise, as
+    on a survival matrix without negative rectangles; the largest ``c_j``
+    below row ``i`` is then ``c_{i+1}``, and the scores stand.  Else a
+    descending loop of ``np.maximum`` over the rows gives every row its
+    largest value below (a maximum is exact and passes NaN on, so this is
+    the running maximum bit for bit) and scores the block again; later
+    blocks go straight to the loop.  The two scores differ at most in the sign
+    of a zero, which no comparison sees.  ``j`` is then the first row below
+    ``i`` with the largest ``c_j``, and the value is the direct sum, left to
+    right, on that rectangle: what ``rectangle_probability`` gives there.
+    A slab holds at most ``max(_SLAB_FLOATS, 4 n^2)`` floats.
     """
     n = s.shape[0]
     cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
     c_buf, d_buf = np.empty(cap), np.empty(cap)
     best = None
+    monotone = True  # until a block's rows rise somewhere
     k0 = 0
     with np.errstate(invalid="ignore", over="ignore"):
         while k0 < n - 1:
@@ -514,12 +551,19 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
             c = c_buf[:n * size].reshape(n, k1 - k0, width)
             np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
             d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
-            d[-1] = c[-1]
-            for i in range(n - 3, -1, -1):
-                np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
-            np.subtract(c[:-1], d, out=d)
-            np.copyto(d, np.inf, where=np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n))
-            flat = int(np.argmin(d))
+            masked = np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n)  # l <= k
+            if monotone:
+                np.subtract(c[:-1], c[1:], out=d)
+                np.copyto(d, np.inf, where=masked)
+                flat = int(np.argmin(d))  # the first NaN, if there is one
+                monotone = bool(d_buf[flat] >= 0.0)
+            if not monotone:
+                d[-1] = c[-1]
+                for i in range(n - 3, -1, -1):
+                    np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
+                np.subtract(c[:-1], d, out=d)
+                np.copyto(d, np.inf, where=masked)
+                flat = int(np.argmin(d))
             v = float(d_buf[flat])
             i, rest = divmod(flat, size)
             dk, dl = divmod(rest, width)
@@ -534,24 +578,28 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,
-                         tol: float | None = None) -> ValidationReport:
+                         tol: float | None = None, *, _xs=None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
     Scans all knot pairs per axis in O(n^3) time on ``n`` knots and reports
     the most negative rectangle.  The scan takes the columns in blocks and
     holds two slabs of at most ``max(2^15, 4 n^2)`` floats, so its memory is
-    O(n^2): about 10 n^2 floats with the survival matrix on large grids.
+    O(n^2): about 10 n^2 floats with the survival matrix on large grids.  A
+    block whose column differences ``S_ik - S_il`` never rise down the rows,
+    as on a grid without negative rectangles, is scored by one subtract of
+    neighbouring rows; the others by a running maximum over the rows.
     Rectangles are ranked by their separable sum,
     ``(S_ik - S_il) - (S_jk - S_jl)``, which differs from the
     inclusion-exclusion sum by rounding only (about one eps times the largest
     survival value, far inside the tolerance); ties go to the first
     ``(i, k, l)`` in knot order.  The reported probability is the
     inclusion-exclusion sum on the winning rectangle.  See
-    :func:`_min_rectangle`.
+    :func:`_min_rectangle`.  ``_xs`` takes the grid's axis points over the
+    model's baseline from a caller that has mapped them already.
     """
     grid = grid or GridSpec.default()
     rect_tol = _RECT_TOL if tol is None else float(tol)
-    xs = grid.axis_points(model.baseline)
+    xs = grid.axis_points(model.baseline) if _xs is None else _xs
     n = len(xs)
     if n < 2:
         cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
@@ -738,10 +786,10 @@ def combined_validation(model, grid: GridSpec | None = None,
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor,
-                            {"weights": "marginal-i", "density": "marginal-ii",
-                             "gradient": "hazard-i", "divergence": "hazard-ii"})
-    rectangles = check_two_increasing(model, grid, tol)
+    rows, us, alpha, xs = _rows(model.kernels, model.theta, grid, floor,
+                                {"weights": "marginal-i", "density": "marginal-ii",
+                                 "gradient": "hazard-i", "divergence": "hazard-ii"})
+    rectangles = check_two_increasing(model, grid, tol, _xs=xs)
     conditions = [*rows, *rectangles.conditions]
     worst = rectangles.diagnostics.get("min_rectangle_probability")
     diagnostics = {key: value for key, value in (

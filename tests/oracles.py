@@ -418,6 +418,10 @@ def point_ac_density(model, x1, x2):
         val = (np.asarray(model.baseline.hazard(x1a), dtype=float)
                * np.asarray(model.baseline.hazard(x2a), dtype=float)
                * h * np.exp(-model.theta * w) / alpha)
+    # where the larger cumulative hazard passes the float range, the wedge
+    # survival exp(-Q - theta w) is 0 and so is the density, though r0 there
+    # may be inf and inf * 0 is NaN
+    val = np.where(np.isfinite(s), val, 0.0)
     negative = np.flatnonzero(val < 0.0)
     if negative.size:
         i = negative[0]
@@ -429,6 +433,13 @@ def point_ac_density(model, x1, x2):
     return _ret(val, x1, x2)
 
 
+def _far_slopes(kernel, x, r0x):
+    """``(r_m(x), Q')`` with ``Q'`` read at ``x`` itself: ``r_m(x) / r0(x)``,
+    or ``delta`` for a PH kernel over its own baseline."""
+    r = np.asarray(kernel.marginal.hazard(x), dtype=float)
+    return r, (r / r0x if kernel.delta is None else np.full_like(r, kernel.delta))
+
+
 def _gradient_components(model, x1, x2):
     base = model.baseline
     theta = model.theta
@@ -437,8 +448,20 @@ def _gradient_components(model, x1, x2):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r0_1 = np.asarray(base.hazard(x1), dtype=float)
         r0_2 = np.asarray(base.hazard(x2), dtype=float)
+        # where the larger coordinate x passes the float range of R0 (s inf),
+        # R0^{-1}(s) is read as x: Q' = r_m(x) / r0(x), and the larger
+        # component Q' r0(x) is the marginal's own hazard r_m(x), not the
+        # NaN of 0 * inf
+        far = ~np.isfinite(s)
+        if np.any(far):
+            x, r0x = np.where(upper, x1, x2), np.where(upper, r0_1, r0_2)
+            (r_a, q_a), (r_b, q_b) = (_far_slopes(k, x, r0x) for k in model.kernels)
+            q = np.where(far, np.where(upper, q_a, q_b), q)
         g1 = np.where(upper, q * r0_1, theta * r0_1 - q * r0_1)
         g2 = np.where(upper, theta * r0_2 - q * r0_2, q * r0_2)
+        if np.any(far):
+            g1 = np.where(far & upper, r_a, g1)
+            g2 = np.where(far & ~upper, r_b, g2)
     return g1, g2
 
 
@@ -636,3 +659,158 @@ def gradient_identity(model, grid=None):
 
     return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
                               np.concatenate([lo, hi]), residual, relative=True)
+
+
+# ---------------------------------------------------------------------------
+# Validity rows
+# ---------------------------------------------------------------------------
+# ``GridSpec.wedge_pairs``, ``validity._grid_slopes``,
+# ``validity._grid_bound_condition`` and ``validity._rows`` as they were when
+# the baseline mapped every grid pair, with the three reports built on them
+# and ``check_two_increasing`` on the column scan above.  Kept verbatim
+# (``self`` is ``grid``) as the reference the reports must match byte for
+# byte; the weight and divergence rows, which did not change, are the
+# library's.
+
+
+def wedge_pairs(grid, baseline):
+    """All ordered knot pairs (hi, lo) clear of the diagonal margin."""
+    knots = np.asarray(grid.r0_knots)
+    j, k = np.tril_indices(len(knots), -1)
+    keep = knots[j] - knots[k] >= grid.wedge_margin
+    xs = grid.axis_points(baseline)
+    return xs[j[keep]], xs[k[keep]]
+
+
+def grid_slopes(kernels, grid):
+    base = kernels[0].baseline
+    hi, lo = wedge_pairs(grid, base)
+    s = _wedge(base, hi, lo)[1]
+    r0_lo = np.asarray(base.hazard(lo), dtype=float)
+    return hi, lo, r0_lo, [k.slopes(s) for k in kernels]
+
+
+def grid_bound_condition(cid, label, lhs_by_marg, rhs, hi, lo, *, lower_zero=False,
+                         floor=1e-8):
+    from bisurv.validity import ConditionResult, _ineq_tol
+
+    worst, worst_witness, passed = math.inf, None, True
+    decided = skipped = 0
+    for lhs, wit in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
+        lhs = np.asarray(lhs, dtype=float)
+        ok = np.isfinite(lhs)
+        skipped += int(np.sum(~ok))
+        if not np.any(ok):
+            continue
+        decided += int(np.sum(ok))
+        margin = rhs[ok] - lhs[ok]
+        if lower_zero:
+            margin = np.minimum(margin, lhs[ok])
+        passed &= not np.any(margin < -_ineq_tol(rhs[ok], floor))
+        i = int(np.argmin(margin))
+        if margin[i] < worst:
+            worst = float(margin[i])
+            worst_witness = (float(wit[0][ok][i]), float(wit[1][ok][i]))
+    if decided == 0:
+        return ConditionResult(cid, label, None,
+                               note=f"all {skipped} grid points skipped")
+    note = f"{decided} grid points" + (f", {skipped} skipped" if skipped else "")
+    return ConditionResult(cid, label, passed, witness=worst_witness,
+                           margin=worst, note=note)
+
+
+def grid_rows(kernels, theta, grid, floor, ids, names=("u1", "u2")):
+    from bisurv.validity import _divergence_condition, _weight_condition
+
+    rows = {}
+    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
+                                                   floor, names)
+    hi, lo, r0_lo, slopes = grid_slopes(kernels, grid)
+    bound = theta * r0_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
+    rows["density"] = grid_bound_condition(ids["density"], "cross-derivative-bound",
+                                           cross, bound, hi, lo, floor=floor)
+    if "gradient" in ids:
+        with np.errstate(invalid="ignore"):
+            gradient = [q1 * r0_lo for q1, _ in slopes]
+        rows["gradient"] = grid_bound_condition(
+            ids["gradient"], "gradient-nonnegativity-bound", gradient, bound, hi, lo,
+            lower_zero=True, floor=floor)
+    if "divergence" in ids:
+        rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
+    return [rows[fact] for fact in ids], us, alpha
+
+
+def marginal_conditions(model, grid, tol=None):
+    from bisurv.validity import ValidationReport, _combine_verdict
+
+    floor = 1e-8 if tol is None else float(tol)
+    theta = model.theta
+    conditions, us, alpha = grid_rows(model.kernels, theta, grid, floor,
+                                      {"weights": "i", "density": "ii"})
+    diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
+                   "grid": grid.describe(),
+                   "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
+    return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
+
+
+def hazard_rate_conditions(r1, r2, baseline, theta, grid, tol=None):
+    from bisurv.bivariate import _validate_theta
+    from bisurv.validity import (_DIVERGENCE_PROBES, _DIVERGENCE_TARGET, ValidationReport,
+                                 _as_kernel, _combine_verdict)
+
+    theta = _validate_theta(theta)
+    floor = 1e-8 if tol is None else float(tol)
+    kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
+    conditions, vs, alpha = grid_rows(kernels, theta, grid, floor,
+                                      {"gradient": "i", "divergence": "ii", "density": "iii",
+                                       "weights": "iv"}, names=("v1", "v2"))
+    diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
+                   "grid": grid.describe(),
+                   "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
+                                           f"R0 probes {list(_DIVERGENCE_PROBES)}"}
+    return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
+
+
+def two_increasing(model, grid, tol=None):
+    from bisurv.validity import (_RECT_TOL, INVALID, VALID, ConditionResult,
+                                 ValidationReport)
+
+    rect_tol = _RECT_TOL if tol is None else float(tol)
+    xs = grid.axis_points(model.baseline)
+    n = len(xs)
+    if n < 2:
+        cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
+                               note="degenerate grid; vacuously satisfied")
+        return ValidationReport(VALID, [cond], {"grid": grid.describe()})
+    s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
+    worst, i, j, k, l = rectangle_scan_running_max(s)
+    rect = (float(xs[i]), float(xs[j]), float(xs[k]), float(xs[l]))
+    passed = worst >= -rect_tol
+    cond = ConditionResult(
+        "two-increasing", "rectangle-nonnegativity", bool(passed),
+        witness=(rect[0], rect[2]), margin=worst,
+        note=(f"most negative rectangle ({rect[0]:.6g}, {rect[1]:.6g}) x "
+              f"({rect[2]:.6g}, {rect[3]:.6g}) has probability {worst:.6g}"),
+    )
+    diagnostics = {"grid": grid.describe(), "min_rectangle_probability": worst,
+                   "rectangle": list(rect), "tolerance": rect_tol}
+    return ValidationReport(VALID if passed else INVALID, [cond], diagnostics)
+
+
+def validation(model, grid, tol=None):
+    """The ``validate`` report: ``combined_validation``'s body."""
+    from bisurv.validity import ValidationReport, _combine_verdict
+
+    floor = 1e-8 if tol is None else float(tol)
+    rows, us, alpha = grid_rows(model.kernels, model.theta, grid, floor,
+                                {"weights": "marginal-i", "density": "marginal-ii",
+                                 "gradient": "hazard-i", "divergence": "hazard-ii"})
+    rectangles = two_increasing(model, grid, tol)
+    conditions = [*rows, *rectangles.conditions]
+    worst = rectangles.diagnostics.get("min_rectangle_probability")
+    diagnostics = {key: value for key, value in (
+        ("grid", grid.describe()), ("u1", us[0]), ("u2", us[1]), ("alpha", alpha),
+        ("min_rectangle_probability", worst)) if value is not None}
+    return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)

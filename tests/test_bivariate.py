@@ -578,6 +578,15 @@ def test_log_survival_near_the_float_range_over_a_table_baseline(name, want):
         _check_point(model, 1e308, 1.0, kind)
 
 
+@pytest.mark.parametrize("name", _POINT_MODELS)
+def test_point_views_past_the_float_range_match_their_oracles(name):
+    # over Weibull(2), R0(1e308) and r0(1e308) are inf: the density is 0
+    # there and the larger gradient component the marginal's own hazard
+    for kind in _KINDS:
+        _check_point(_POINT_MODELS[name], 1.0, 1e308, kind)
+        _check_point(_POINT_MODELS[name], 1e308, 1.0, kind)
+
+
 @pytest.mark.parametrize("base", [E, PAR], ids=["exponential", "pareto"])
 def test_scalar_survival_matches_array_at_infinity(base):
     model = PHBivariateModel(base, 1.0, 1.0, 1.0)

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bisurv import (
+    CustomHazard,
     DomainError,
     Exponential,
+    FromHazard,
     GeneralBivariateModel,
     GridSpec,
     LinearFailureRate,
@@ -38,6 +41,7 @@ from bisurv.validity import (
     _min_rectangle,
     lfr_exponential_cross_bound,
 )
+import oracles
 from oracles import (
     fd_log_gradient,
     gradient_identity,
@@ -88,15 +92,36 @@ def test_default_grid_shape():
             GridSpec(**kwargs)
 
 
+def test_default_grids_are_kept_and_refuse_as_before():
+    grid = GridSpec.default(knots=16)
+    assert GridSpec.default(knots=16) is grid and GridSpec.default() is grid
+    assert GridSpec.default(knots=np.int64(16)) == grid
+    # a cached 16 does not answer 16.0 or True
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        GridSpec.default(knots=16.0)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        GridSpec.default(t_knots=8.0)
+    with pytest.raises(DomainError):
+        GridSpec.default(knots=True)
+    with pytest.raises(DomainError):
+        GridSpec.default(knots=4.0)
+    # nor 1.0 a margin of 1: the margin is reported as it was given
+    assert GridSpec.default(wedge_margin=1).describe()["wedge_margin_r0"] == 1
+    margin = GridSpec.default(wedge_margin=1.0).describe()["wedge_margin_r0"]
+    assert type(margin) is float and margin == 1.0
+
+
 def test_wedge_pairs_keep_the_double_loop_order():
-    grid = GridSpec(r0_knots=(0.1, 0.11, 0.5, 0.52, 2.0, 6.0), wedge_margin=0.05)
-    xs = grid.axis_points(W2)
-    knots = grid.r0_knots
-    expected = [(xs[j], xs[k]) for j in range(len(knots)) for k in range(j)
-                if knots[j] - knots[k] >= grid.wedge_margin]
-    hi, lo = grid.wedge_pairs(W2)
-    assert list(zip(hi.tolist(), lo.tolist())) == expected
-    assert len(expected) == 13  # two of the 15 pairs lie within the margin
+    # at 0.05 two of the 15 pairs lie within the margin; no pair is 6 apart
+    for margin, count in ((0.05, 13), (0.0, 15), (6.0, 0)):
+        grid = GridSpec(r0_knots=(0.1, 0.11, 0.5, 0.52, 2.0, 6.0), wedge_margin=margin)
+        xs = grid.axis_points(W2)
+        knots = grid.r0_knots
+        expected = [(xs[j], xs[k]) for j in range(len(knots)) for k in range(j)
+                    if knots[j] - knots[k] >= grid.wedge_margin]
+        hi, lo = grid.wedge_pairs(W2)
+        assert list(zip(hi.tolist(), lo.tolist())) == expected
+        assert len(expected) == count
 
 
 # -- marginal qualification conditions ---------------------------------------
@@ -177,20 +202,51 @@ def test_two_increasing_agrees_with_direct_scan():
             direct_min, rel=1e-12, abs=1e-15)
 
 
+def _mass_survival(rng, n, empty_row=None):
+    """Survival matrix of integer masses, ``s[i, k]`` the mass at or below
+    row ``i`` and right of column ``k``: exact in floats, so no rectangle
+    is negative and no column difference rises down the rows.  Most masses
+    are 0, so rows tie exactly, and trailing columns may be all zero;
+    ``empty_row`` carries no mass, so it ties with the row below it in
+    every column difference."""
+    mass = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], (n, n))
+    mass[:, rng.integers(1, n + 1):] = 0.0
+    if empty_row is not None:
+        mass[empty_row] = 0.0
+    return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].copy()
+
+
 @st.composite
 def _survival_matrices(draw, max_n=20):
     """Square matrices of 2 to ``max_n`` rows for the rectangle scan: random,
     random from a seed (``hnp.arrays`` fills most of a large matrix with one
     value; a seeded draw keeps every entry distinct), heavily tied, decimal
     (sums of tenths round differently in the separable and the direct form,
-    so near-ties split by rounding), all zero, PH-shaped with one entry
-    bumped up, which makes negative rectangles, or random with one NaN,
-    infinite or huge entry."""
+    so near-ties split by rounding), all zero, PH-shaped, PH-shaped with one
+    entry bumped up, which makes negative rectangles, or random with one
+    NaN, infinite or huge entry.  Row-monotone ones, whose column
+    differences never rise down the rows, and near-monotone ones take both
+    branches of the scan: integer-mass survival (:func:`_mass_survival`)
+    with some zeros signed ``-0.0``, or with one column difference one ulp
+    below its tie with the next row, or one NaN or infinite entry."""
     n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(["random", "seeded", "tied", "decimal", "zero", "negative",
-                                 "nonfinite"]))
+                                 "nonfinite", "ph", "monotone", "near"]))
     if kind == "seeded":
         return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n))
+    if kind in ("monotone", "near"):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        i, k = draw(st.integers(0, max(n - 2, 0))), draw(st.integers(0, max(n - 2, 0)))
+        how = "-0.0" if kind == "monotone" else draw(
+            st.sampled_from(["ulp", math.nan, math.inf, -math.inf]))
+        s = _mass_survival(rng, n, empty_row=i if how == "ulp" else None)
+        if how == "-0.0":
+            s[(s == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+        elif how == "ulp":
+            s[i + 1, k] = np.nextafter(s[i + 1, k], math.inf)
+        else:
+            s[i, k] = how
+        return s
     if kind in ("random", "nonfinite"):
         s = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
         if kind == "nonfinite":
@@ -207,7 +263,9 @@ def _survival_matrices(draw, max_n=20):
     theta = max(d1, d2) + draw(st.floats(0.0, 2.0))
     hi, lo = np.maximum.outer(r0, r0), np.minimum.outer(r0, r0)
     s = np.exp(-np.where(r0[:, None] >= r0[None, :], d1, d2) * (hi - lo) - theta * lo)
-    s[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += draw(st.floats(1e-12, 0.1))
+    if kind == "negative":
+        s[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += draw(
+            st.floats(1e-12, 0.1))
     return s
 
 
@@ -258,6 +316,15 @@ def _scan_example(n, kind):
     return s
 
 
+def _dipped_example(n, k):
+    """Integer-mass survival whose rows 3 and 4 tie in every column
+    difference, except that ``c_3 - c_4`` is one ulp below 0 at the pairs
+    ``(k, l > k)``: row-monotone everywhere else."""
+    s = _mass_survival(np.random.default_rng(1), n, empty_row=3)
+    s[4, k] = np.nextafter(s[4, k], math.inf)
+    return s
+
+
 @settings(max_examples=150, deadline=None)
 @given(s=_survival_matrices(max_n=80))
 @example(s=_scan_example(49, "tied"))
@@ -265,12 +332,54 @@ def _scan_example(n, kind):
 @example(s=_scan_example(64, "inf"))
 @example(s=_scan_example(64, "two-inf"))
 @example(s=np.zeros((64, 64)))
+@example(s=_dipped_example(64, 40))
+@example(s=np.where(_mass_survival(np.random.default_rng(2), 49) == 0.0, -0.0, 1.0))
 def test_blocked_rectangle_scan_is_the_column_scan(s):
-    # bit for bit, ties and NaN included, through several blocks of columns
+    # bit for bit, ties and NaN included, through several blocks of columns,
+    # row-monotone or not: at the default slab, and at slabs of 4 n^2 floats
+    # (blocks of about four columns)
     want = rectangle_scan_running_max(s)
-    got = _min_rectangle(s)
-    assert got[1:] == want[1:]
-    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for slab in (validity._SLAB_FLOATS, 1):
+        with mock.patch.object(validity, "_SLAB_FLOATS", slab):
+            got = _min_rectangle(s)
+        assert got[1:] == want[1:]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def _scan_branches(s):
+    """``(blocks, failed row checks, blocks scored by the row loop)`` of
+    ``_min_rectangle(s)``, from its calls of ``np.subtract`` and
+    ``np.maximum``: each block makes one slab (``n`` rows) and one score
+    (``n - 1`` rows), a row check that fails one more score, and the row
+    loop ``n - 2`` maxima."""
+    n = s.shape[0]
+    outs = []
+    ufunc = np.subtract
+
+    def subtract(a, b, out):
+        outs.append(out.shape[0])
+        return ufunc(a, b, out=out)
+
+    with mock.patch.object(np, "subtract", side_effect=subtract), \
+            mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
+        got = _min_rectangle(s)
+    assert got[1:] == rectangle_scan_running_max(s)[1:]
+    blocks = outs.count(n)
+    return blocks, len(outs) - 2 * blocks, maximum.call_count // (n - 2)
+
+
+def test_rectangle_scan_loops_over_rows_only_where_they_rise():
+    grid = GridSpec.default(knots=48)
+    xs = grid.axis_points(E)
+    valid = MO.survival(xs[:, None], xs[None, :])
+    invalid = lfr_exp_model().survival(xs[:, None], xs[None, :])
+    # 48 knots take 3 blocks; a valid model's grid never rises, an invalid
+    # one rises in its first block and pays for one failed check
+    assert _scan_branches(valid) == (3, 0, 0)
+    assert _scan_branches(invalid) == (3, 1, 3)
+    # 64 knots take 5 blocks; a one-ulp rise at column 40, in the fourth,
+    # fails its check, and the loop scores it and the last block
+    assert _scan_branches(_dipped_example(64, 40)) == (5, 1, 2)
 
 
 def test_rectangle_scan_of_tied_rectangles_is_cubic():
@@ -564,6 +673,86 @@ def test_combined_validation_evaluates_the_grid_once(monkeypatch):
         calls.clear()
         combined_validation(model)
         assert len(calls) == 1
+
+
+def test_combined_validation_maps_each_knot_once(monkeypatch):
+    # the baseline maps the n axis knots, not the n(n-1)/2 pairs: R0^{-1},
+    # R0 and r0 once each for the rows, and R0 by rows and by columns of the
+    # survival matrix; PH kernels over their own baseline map nothing else
+    sizes = []
+    for name in ("cumulative_hazard", "hazard", "inverse_cumulative_hazard"):
+        def counting(self, x, original=getattr(Weibull, name)):
+            sizes.append(np.size(x))
+            return original(self, x)
+        monkeypatch.setattr(Weibull, name, counting)
+    n = 48
+    grid = GridSpec.default(knots=n)
+    for model in (MOW, GeneralBivariateModel(W2, ProportionalHazard(W2, 1.0),
+                                             ProportionalHazard(W2, 2.5), 3.0)):
+        sizes.clear()
+        combined_validation(model, grid)
+        assert sum(sizes) <= 6 * n + 2 * len(validity._DIVERGENCE_PROBES)
+
+
+_REPORT_BASELINES = {
+    "exponential": E, "weibull0.5": Weibull(0.5), "weibull2": W2, "pareto": PAR,
+    "table": CustomHazard.from_table([0.0, 1.0, 2.5, 6.0], [1.0, 1.6, 1.1, 1.4]),
+    "callable": CustomHazard(lambda x: 1.0 + 0.2 * x),
+}
+
+
+@st.composite
+def _report_cases(draw):
+    """``(model, grid, tol)``: 2 to 64 log-spaced knots (16 over the
+    callable baseline, whose maps are quadratures), a wedge margin of 0 or
+    above the smallest knot spacing (up to one that leaves no pair), and PH,
+    LFR (where the support starts at 0) or table marginals, some of whose
+    points the rows skip; PH only over the callable baseline, where the
+    others would map every pair by quadrature."""
+    name = draw(st.sampled_from(list(_REPORT_BASELINES)))
+    base = _REPORT_BASELINES[name]
+    knots = np.geomspace(0.05, 8.0, draw(st.integers(2, 16 if name == "callable" else 64)))
+    margin = draw(st.one_of(st.just(0.0), st.floats(float(np.diff(knots).min()), 8.0)))
+    kinds = ["ph"] if name == "callable" else ["ph", "table"] + ["lfr"] * (base.x_L == 0.0)
+    xs = base.x_L + np.linspace(0.0, 10.0, 41)
+    marginals = []
+    for kind in (draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))):
+        if kind == "ph":
+            marginals.append(ProportionalHazard(base, draw(st.floats(0.2, 3.0))))
+        elif kind == "lfr":
+            marginals.append(LinearFailureRate(draw(st.floats(0.05, 2.0))))
+        else:
+            # a wiggle beyond 1 has zero hazard, where Q' = 0 and the rows
+            # skip the point; the tail is flat, so the density decays
+            level, wiggle = draw(st.floats(0.5, 2.0)), draw(st.floats(-2.0, 2.0))
+            hs = level * np.maximum(1.0 + wiggle * np.sin(2.0 * xs) * (xs < 5.0), 0.0)
+            marginals.append(FromHazard.from_table(xs, hs))
+    model = GeneralBivariateModel(base, *marginals, draw(st.floats(1.0, 4.0)))
+    grid = GridSpec(r0_knots=tuple(knots), wedge_margin=margin, t_r0_knots=(0.5,))
+    return model, grid, draw(st.sampled_from([None, 1e-6]))
+
+
+def _report_bytes(fn, *args):
+    """The JSON of ``fn(*args).to_json_dict()``, or its error."""
+    import json
+    try:
+        return json.dumps(fn(*args).to_json_dict(), sort_keys=True)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_report_cases())
+def test_reports_are_the_pairwise_row_path_byte_for_byte(case):
+    # the rows from n knot maps against the rows that mapped every pair
+    model, grid, tol = case
+    m1, m2, base, theta = model.marginal1, model.marginal2, model.baseline, model.theta
+    assert _report_bytes(combined_validation, model, grid, tol) == \
+        _report_bytes(oracles.validation, model, grid, tol)
+    assert _report_bytes(check_marginal_conditions, model, grid, tol) == \
+        _report_bytes(oracles.marginal_conditions, model, grid, tol)
+    assert _report_bytes(check_hazard_rate_conditions, m1, m2, base, theta, grid, tol) == \
+        _report_bytes(oracles.hazard_rate_conditions, m1, m2, base, theta, grid, tol)
 
 
 def _seeded_models(base, rng):
