@@ -31,9 +31,7 @@ violation found on grid" and the reports say so.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +69,6 @@ _DIVERGENCE_TARGET = 30.0
 
 #: cumulative-hazard levels probed by the divergence heuristic
 _DIVERGENCE_PROBES = (8.0, 16.0, 32.0, 64.0, 128.0)
-
-#: how many of the most recent default grids ``GridSpec.default`` keeps
-_DEFAULT_GRIDS = 32
 
 
 def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
@@ -117,20 +112,12 @@ class GridSpec:
 
         Meaningful qualification checks need at least 8 knots per axis; the
         factory enforces that (degenerate grids can still be constructed
-        directly, e.g. for vacuous two-increasing checks).  A grid is frozen,
-        so the recent ones are kept and handed out again; the counts must be
-        integers (``TypeError`` otherwise, as ``np.geomspace`` raises).
+        directly, e.g. for vacuous two-increasing checks).
         """
         if knots < 8:
             raise DomainError("default grids need at least 8 knots per axis")
         if t_knots < 0:
             raise DomainError(f"the shift knot count must be >= 0, got {t_knots}")
-        return cls._default(operator.index(knots), r0_min, r0_max, wedge_margin,
-                            operator.index(t_knots), t_min, t_max)
-
-    @classmethod
-    @functools.lru_cache(maxsize=_DEFAULT_GRIDS, typed=True)  # typed: 1 and 1.0 stay apart
-    def _default(cls, knots, r0_min, r0_max, wedge_margin, t_knots, t_min, t_max):
         with np.errstate(invalid="ignore"):  # non-finite bounds: __post_init__ raises
             return cls(
                 r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
@@ -307,17 +294,17 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
 
 
 def _grid_slopes(kernels, grid: GridSpec):
-    """The axis points ``xs``, the off-diagonal grid pairs ``(hi, lo)``,
-    ``r0(lo)`` and ``(Q', Q'')`` of each kernel at the pairs' wedge
-    coordinate ``s``.  The baseline maps each of the n knots once; the
-    pairs take ``R0`` and ``r0`` from those n values by index."""
+    """The off-diagonal grid pairs ``(hi, lo)``, ``r0(lo)`` and ``(Q', Q'')``
+    of each kernel at the pairs' wedge coordinate ``s``.  The baseline maps
+    each of the n knots once; the pairs take ``R0`` and ``r0`` from those n
+    values by index."""
     base = kernels[0].baseline
     xs = grid.axis_points(base)
     r0_cum = np.asarray(base.cumulative_hazard(xs), dtype=float)
     r0 = np.asarray(base.hazard(xs), dtype=float)
     j, k = grid._pair_indices()
     s = np.abs(r0_cum[j] - r0_cum[k])
-    return xs, xs[j], xs[k], r0[k], [kernel.slopes(s) for kernel in kernels]
+    return xs[j], xs[k], r0[k], [kernel.slopes(s) for kernel in kernels]
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
@@ -382,8 +369,7 @@ def _divergence_condition(cid: str, kernels) -> ConditionResult:
 def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1", "u2")):
     """The kernel rows that ``ids`` (fact -> the report's id) names, in its
     order, from one grid pass, with the limits and ``alpha`` of
-    :func:`_weight_condition` and the grid's axis points ``xs``, which the
-    rectangle scan takes on.  ``weights`` and ``density`` are always named;
+    :func:`_weight_condition`.  ``weights`` and ``density`` are always named;
     ``density`` is the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q')
     <= theta * r0(lo)``, skipping points with ``Q' = 0``.  ``gradient``
     (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence`` of the total
@@ -391,7 +377,7 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
     rows = {}
     rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
                                                    floor, names)
-    xs, hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
+    hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
@@ -405,7 +391,7 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
             lower_zero=True, floor=floor)
     if "divergence" in ids:
         rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
-    return [rows[fact] for fact in ids], us, alpha, xs
+    return [rows[fact] for fact in ids], us, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +412,8 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-    conditions, us, alpha, _ = _rows(model.kernels, theta, grid, floor,
-                                     {"weights": "i", "density": "ii"})
+    conditions, us, alpha = _rows(model.kernels, theta, grid, floor,
+                                  {"weights": "i", "density": "ii"})
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -472,9 +458,9 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    conditions, vs, alpha, _ = _rows(kernels, theta, grid, floor,
-                                     {"gradient": "i", "divergence": "ii", "density": "iii",
-                                      "weights": "iv"}, names=("v1", "v2"))
+    conditions, vs, alpha = _rows(kernels, theta, grid, floor,
+                                  {"gradient": "i", "divergence": "ii", "density": "iii",
+                                   "weights": "iv"}, names=("v1", "v2"))
     diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
                    "grid": grid.describe(),
                    "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
@@ -578,7 +564,7 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,
-                         tol: float | None = None, *, _xs=None) -> ValidationReport:
+                         tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
     Scans all knot pairs per axis in O(n^3) time on ``n`` knots and reports
@@ -594,12 +580,11 @@ def check_two_increasing(model, grid: GridSpec | None = None,
     survival value, far inside the tolerance); ties go to the first
     ``(i, k, l)`` in knot order.  The reported probability is the
     inclusion-exclusion sum on the winning rectangle.  See
-    :func:`_min_rectangle`.  ``_xs`` takes the grid's axis points over the
-    model's baseline from a caller that has mapped them already.
+    :func:`_min_rectangle`.
     """
     grid = grid or GridSpec.default()
     rect_tol = _RECT_TOL if tol is None else float(tol)
-    xs = grid.axis_points(model.baseline) if _xs is None else _xs
+    xs = grid.axis_points(model.baseline)
     n = len(xs)
     if n < 2:
         cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
@@ -786,10 +771,10 @@ def combined_validation(model, grid: GridSpec | None = None,
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    rows, us, alpha, xs = _rows(model.kernels, model.theta, grid, floor,
-                                {"weights": "marginal-i", "density": "marginal-ii",
-                                 "gradient": "hazard-i", "divergence": "hazard-ii"})
-    rectangles = check_two_increasing(model, grid, tol, _xs=xs)
+    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor,
+                            {"weights": "marginal-i", "density": "marginal-ii",
+                             "gradient": "hazard-i", "divergence": "hazard-ii"})
+    rectangles = check_two_increasing(model, grid, tol)
     conditions = [*rows, *rectangles.conditions]
     worst = rectangles.diagnostics.get("min_rectangle_probability")
     diagnostics = {key: value for key, value in (

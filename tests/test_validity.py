@@ -92,11 +92,8 @@ def test_default_grid_shape():
             GridSpec(**kwargs)
 
 
-def test_default_grids_are_kept_and_refuse_as_before():
-    grid = GridSpec.default(knots=16)
-    assert GridSpec.default(knots=16) is grid and GridSpec.default() is grid
-    assert GridSpec.default(knots=np.int64(16)) == grid
-    # a cached 16 does not answer 16.0 or True
+def test_default_grids_refuse_bad_counts_and_report_the_margin_as_given():
+    assert GridSpec.default(knots=np.int64(16)) == GridSpec.default()
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         GridSpec.default(knots=16.0)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
@@ -105,10 +102,9 @@ def test_default_grids_are_kept_and_refuse_as_before():
         GridSpec.default(knots=True)
     with pytest.raises(DomainError):
         GridSpec.default(knots=4.0)
-    # nor 1.0 a margin of 1: the margin is reported as it was given
-    assert GridSpec.default(wedge_margin=1).describe()["wedge_margin_r0"] == 1
-    margin = GridSpec.default(wedge_margin=1.0).describe()["wedge_margin_r0"]
-    assert type(margin) is float and margin == 1.0
+    for margin in (1, 1.0, 0.0, -0.0):
+        given = GridSpec.default(wedge_margin=margin).describe()["wedge_margin_r0"]
+        assert type(given) is type(margin) and math.copysign(1, given) == math.copysign(1, margin)
 
 
 def test_wedge_pairs_keep_the_double_loop_order():
@@ -677,8 +673,9 @@ def test_combined_validation_evaluates_the_grid_once(monkeypatch):
 
 def test_combined_validation_maps_each_knot_once(monkeypatch):
     # the baseline maps the n axis knots, not the n(n-1)/2 pairs: R0^{-1},
-    # R0 and r0 once each for the rows, and R0 by rows and by columns of the
-    # survival matrix; PH kernels over their own baseline map nothing else
+    # R0 and r0 once each for the rows, R0^{-1} again for the rectangle scan,
+    # and R0 by rows and by columns of the survival matrix; PH kernels over
+    # their own baseline map nothing else
     sizes = []
     for name in ("cumulative_hazard", "hazard", "inverse_cumulative_hazard"):
         def counting(self, x, original=getattr(Weibull, name)):
