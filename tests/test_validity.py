@@ -92,21 +92,6 @@ def test_default_grid_shape():
             GridSpec(**kwargs)
 
 
-def test_default_grids_refuse_bad_counts_and_report_the_margin_as_given():
-    assert GridSpec.default(knots=np.int64(16)) == GridSpec.default()
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        GridSpec.default(knots=16.0)
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        GridSpec.default(t_knots=8.0)
-    with pytest.raises(DomainError):
-        GridSpec.default(knots=True)
-    with pytest.raises(DomainError):
-        GridSpec.default(knots=4.0)
-    for margin in (1, 1.0, 0.0, -0.0):
-        given = GridSpec.default(wedge_margin=margin).describe()["wedge_margin_r0"]
-        assert type(given) is type(margin) and math.copysign(1, given) == math.copysign(1, margin)
-
-
 def test_wedge_pairs_keep_the_double_loop_order():
     # at 0.05 two of the 15 pairs lie within the margin; no pair is 6 apart
     for margin, count in ((0.05, 13), (0.0, 15), (6.0, 0)):
