@@ -74,6 +74,9 @@ class HazardModel:
     """
 
     x_L: float = 0.0
+    #: the :class:`PiecewiseLinearHazard` behind a model built from a hazard
+    #: table: the wedge kernel answers from its segments
+    _table: "PiecewiseLinearHazard | None" = None
 
     def cumulative_hazard(self, x):
         raise NotImplementedError
@@ -436,9 +439,18 @@ class PiecewiseLinearHazard:
         R(x)      = R_j + d (h_j + a_j d / 2),                 d = x - x_j
         R^{-1}(r) = x_j + 2 dr / (h_j + sqrt(h_j^2 + 2 a_j dr)),  dr = r - R_j
 
-    the latter being the root of the quadratic that does not cancel.  When
+    the latter being the root of the quadratic that does not cancel; where
+    ``h_j = 0`` and ``2 a_j dr`` underflows, it is ``sqrt(2 dr / a_j)``.  When
     the last row is 0 the total hazard is bounded, and a target beyond it
     raises :class:`~bisurv.errors.NumericError`.
+
+    A table reports its own segments to the wedge kernel
+    (:class:`~bisurv.marginals.WedgeKernel`), which looks a point up once
+    and evaluates ``R``, ``R^{-1}``, the hazard and its slope on the
+    segment it found.  The hazard on a segment is ``np.interp``'s line: the
+    table row at or left of the segment's start, with the table's own
+    slope, so it is ``hazard``'s value bit for bit, also where ``x_L`` lies
+    inside the table and the segment starts between rows.
 
     ``cumulative`` and ``hazard`` answer a finite Python ``float`` in float
     arithmetic, on list copies of the tables: the array path's steps (for
@@ -463,16 +475,26 @@ class PiecewiseLinearHazard:
         dx = np.diff(knots)
         self._knots, self._h = knots, h
         self._slope = np.append(np.diff(h) / dx, 0.0)  # the flat right tail
+        self._half = 0.5 * self._slope  # as R's formula rounds it
         self._R = np.concatenate(([0.0], np.cumsum(0.5 * (h[:-1] + h[1:]) * dx)))
         # each segment's right end; clamping to it keeps both maps monotone
         # across knots despite rounding
         self._knots_next = np.append(knots[1:], math.inf)
         self._R_next = np.append(self._R[1:], math.inf)
+        # np.interp's line on each segment: through the table row at or left
+        # of the segment's start, with np.interp's slope; flat past both ends
+        interp_slope = np.diff(hs) / np.diff(xs)
+        row = np.searchsorted(xs, knots, side="right") - 1
+        inner = (row >= 0) & (row < xs.size - 1)
+        row = np.clip(row, 0, xs.size - 2)
+        self._line_x = np.where(inner, xs[row], knots)
+        self._line_h = np.where(inner, hs[row], np.where(knots < xs[0], hs[0], hs[-1]))
+        self._line_slope = np.where(inner, interp_slope[row], 0.0)
         # the float path's tables: the table with np.interp's slopes, and the
         # segments with half their slopes, as the array path rounds them
-        self._table = (xs.tolist(), hs.tolist(), (np.diff(hs) / np.diff(xs)).tolist())
+        self._table = (xs.tolist(), hs.tolist(), interp_slope.tolist())
         self._segments = (knots.tolist(), self._R.tolist(), h.tolist(),
-                          (0.5 * self._slope).tolist(), self._R_next.tolist())
+                          self._half.tolist(), self._R_next.tolist())
 
     def hazard(self, x):
         if type(x) is float and math.isfinite(x):
@@ -505,26 +527,46 @@ class PiecewiseLinearHazard:
             d = xa - knots[j]
             return min(R[j] + d * (h[j] + half[j] * d), R_next[j])
         _check_finite(x, "x")
-        xa, j = self._segment(x)
-        d = xa - self._knots[j]
-        r = self._R[j] + d * (self._h[j] + 0.5 * self._slope[j] * d)
-        return _ret(np.minimum(r, self._R_next[j]), x)
+        return _ret(self._cumulative_on(*self._segment(x)), x)
 
     def inverse(self, r):
         ra = np.maximum(np.asarray(r, dtype=float), 0.0)
+        self._check_target(ra)
+        j = np.maximum(np.searchsorted(self._R, ra, side="left") - 1, 0)
+        return _ret(self._inverse_on(ra, j), r)
+
+    # -- the maps on given segments: the wedge kernel looks a point up once --
+
+    def _cumulative_on(self, xa, j):
+        """``R`` at points ``xa >= x_L`` of segments ``j``."""
+        d = xa - self._knots[j]
+        return np.minimum(self._R[j] + d * (self._h[j] + self._half[j] * d), self._R_next[j])
+
+    def _hazard_on(self, x, j):
+        """The hazard at finite points ``x`` of segments ``j``, in
+        ``np.interp``'s arithmetic: its slope times the offset from its row."""
+        return self._line_slope[j] * (x - self._line_x[j]) + self._line_h[j]
+
+    def _check_target(self, ra) -> None:
+        """Refuse non-finite targets ``ra >= 0`` and, when the total hazard
+        is bounded, targets past it."""
         _check_finite(ra, "target cumulative hazard")
         if self._h[-1] == 0.0 and np.any(ra > self._R[-1]):
             raise NumericError(
                 f"target cumulative hazard exceeds the table's total hazard {self._R[-1]}"
             )
-        j = np.maximum(np.searchsorted(self._R, ra, side="left") - 1, 0)
+
+    def _inverse_on(self, ra, j):
+        """``R^{-1}`` of checked targets ``ra >= 0`` on segments ``j``."""
         dr = ra - self._R[j]
         b, a = self._h[j], self._slope[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # dr / (sum / 2), not 2 dr / sum: a finite target's step stays finite
             d = dr / (0.5 * (b + np.sqrt(np.maximum(b * b + 2.0 * a * dr, 0.0))))
+            if np.isinf(d).any():  # h_j = 0 and 2 a_j dr underflowed: a_j d^2 / 2 = dr
+                d = np.where(np.isinf(d), np.sqrt(2.0 * dr / a), d)
         x = np.minimum(self._knots[j] + d, self._knots_next[j])
-        return _ret(np.where(ra > 0.0, x, self.x_L), r)
+        return np.where(ra > 0.0, x, self.x_L)
 
 
 class CustomHazard(BaselineModel):
@@ -553,7 +595,7 @@ class CustomHazard(BaselineModel):
         """
         table = PiecewiseLinearHazard(xs, hazards, x_L)
         model = cls(table.hazard, table.x_L)
-        model._maps = table
+        model._maps = model._table = table
         return model
 
     def cumulative_hazard(self, x):

@@ -40,6 +40,7 @@ from .baseline import (
     HazardIntegrator,
     HazardModel,
     PiecewiseLinearHazard,
+    _check_finite,
     _ret,
 )
 from .errors import DomainError, InvalidModelError, ModelError, NumericError, SamplerError
@@ -143,7 +144,7 @@ class FromHazard(MarginalModel):
         """
         table = PiecewiseLinearHazard(xs, hazards, x_L)
         model = cls(table.hazard, table.x_L)
-        model._maps = table
+        model._maps = model._table = table
         tail = np.asarray(xs, dtype=float)[-3:]
         dens = [model.density(float(v)) for v in tail]
         if len(dens) >= 2 and dens[-1] >= dens[0] and dens[-1] > 0:
@@ -195,6 +196,18 @@ class WedgeKernel:
     except that a PH kernel answers a Python ``float`` ``s`` with floats: the
     same arithmetic, so the same bits as the array path's element.
 
+    Where the marginal or the baseline is a hazard table
+    (:class:`~bisurv.baseline.PiecewiseLinearHazard`), ``Q`` is piecewise
+    quadratic in ``d`` and each method looks ``s`` up once.  Over a table
+    baseline the lookup is in the merged knots in ``s``, both tables' knots
+    mapped by ``R0`` and built on first use; it gives the baseline's segment,
+    on which ``d`` is the quadratic's root, and the marginal table's.  Over
+    any other baseline ``d`` is the baseline's own inverse and the lookup is
+    in the marginal table's knots.  ``R_m(d)`` is then the marginal's
+    quadratic, and a table's hazard and its slope are its segment's line in
+    ``np.interp``'s arithmetic.  A non-finite ``d`` raises
+    :class:`~bisurv.errors.DomainError`.
+
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
     at or below ``x_L`` (``s = 0``), array survival may take either wedge's
     kernel.
@@ -205,6 +218,8 @@ class WedgeKernel:
         self.baseline = baseline
         self.delta = (marginal.delta if isinstance(marginal, ProportionalHazard)
                       and marginal.baseline == baseline else None)
+        self._m = getattr(marginal, "_table", None)
+        self._b = getattr(baseline, "_table", None)
 
     def _at(self, s):
         return np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
@@ -212,7 +227,7 @@ class WedgeKernel:
     def q(self, s):
         if self.delta is not None:
             return self.delta * (s if type(s) is float else np.asarray(s, dtype=float))
-        return np.asarray(self.marginal.cumulative_hazard(self._at(s)), dtype=float)
+        return self._terms(s, True, 0)[0]
 
     def q_prime(self, s):
         return self.slopes(s, second=False)[0]
@@ -224,33 +239,80 @@ class WedgeKernel:
                 return self.delta, 0.0
             s = np.asarray(s, dtype=float)
             return np.full_like(s, self.delta), np.zeros_like(s)
-        s = np.asarray(s, dtype=float)
-        return self._slopes_at(s, self._at(s), second)
+        return self._terms(s, False, 2 if second else 1)[1:]
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
         if self.delta is not None:
             return (self.q(s),) + self.slopes(s, second)
-        s = np.asarray(s, dtype=float)
-        d = self._at(s)
-        return (np.asarray(self.marginal.cumulative_hazard(d), dtype=float),
-                *self._slopes_at(s, d, second))
+        return self._terms(s, True, 2 if second else 1)
 
-    def _slopes_at(self, s, d, second: bool):
-        """``(Q', Q'')`` at ``s`` with ``d = R0^{-1}(s)`` already found."""
-        r = np.asarray(self.marginal.hazard(d), dtype=float)
-        r0 = np.asarray(self.baseline.hazard(d), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q1 = r / r0
-            if not second:
-                return q1, None
-            rp = self.marginal.hazard_derivative(d)
-            r0p = self.baseline.hazard_derivative(d)
-            if rp is not None and r0p is not None:
-                return q1, (np.asarray(rp, dtype=float) * r0
-                            - r * np.asarray(r0p, dtype=float)) / r0**3
-            h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
-            return q1, (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
+    @functools.cached_property
+    def _merged(self):
+        """A table baseline's merged knots in ``s``: the starts of its
+        segments and of the marginal table's, mapped by ``R0`` and sorted;
+        with the baseline's and the marginal's segment on each merged one.
+        A merged segment ``(S[k], S[k+1]]`` is closed on the right, as the
+        baseline's inverse takes its segments, and ``s = 0`` is on the first."""
+        b, m = self._b, self._m
+        starts, jm = b._R, None
+        if m is not None:
+            marginal_starts = b.cumulative(m._knots)
+            starts = np.sort(np.concatenate([starts, marginal_starts]))
+            jm = np.maximum(np.searchsorted(marginal_starts, starts, side="right") - 1, 0)
+            jm[0] = 0
+        jb = np.searchsorted(b._R, starts, side="right") - 1
+        jb[0] = 0
+        return starts, jb, jm
+
+    def _terms(self, s, cum: bool, order: int):
+        """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
+        ``order >= 1`` and ``Q''`` with ``order == 2``, the others None."""
+        s = np.asarray(s, dtype=float)
+        m, b = self._m, self._b
+        if b is None:
+            d = self._at(s)
+            if m is not None:
+                _check_finite(d, "x")
+                xa, jm = m._segment(d)
+        else:
+            starts, jbs, jms = self._merged
+            sa = np.maximum(s, 0.0)
+            b._check_target(sa)
+            k = np.maximum(np.searchsorted(starts, sa, side="left") - 1, 0)
+            jb = jbs[k]
+            d = xa = b._inverse_on(sa, jb)
+            if m is not None:
+                jm = jms[k]
+                while True:  # where d rounds past a marginal knot, that knot's side
+                    up, down = d >= m._knots_next[jm], d < m._knots[jm]
+                    if not (up.any() or down.any()):
+                        break
+                    jm = jm + up - down
+        q = q1 = q2 = None
+        if cum:
+            q = (m._cumulative_on(xa, jm) if m is not None
+                 else np.asarray(self.marginal.cumulative_hazard(d), dtype=float))
+        if order:
+            if b is not None:  # a root on the segment's end: the next segment's hazards
+                jb = jb + (d == b._knots_next[jb])
+            r = (m._hazard_on(d, jm) if m is not None
+                 else np.asarray(self.marginal.hazard(d), dtype=float))
+            r0 = (b._hazard_on(d, jb) if b is not None
+                  else np.asarray(self.baseline.hazard(d), dtype=float))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q1 = r / r0
+                if order == 2:
+                    rp = m._slope[jm] if m is not None else self.marginal.hazard_derivative(d)
+                    r0p = b._slope[jb] if b is not None else self.baseline.hazard_derivative(d)
+                    if rp is not None and r0p is not None:
+                        # np.power, not **: a numpy scalar's ** is not the array loop's
+                        q2 = (np.asarray(rp, dtype=float) * r0
+                              - r * np.asarray(r0p, dtype=float)) / np.power(r0, 3)
+                    else:
+                        h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
+                        q2 = (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
+        return q, q1, q2
 
     def tail(self, s, theta: float):
         """``(G, h)``: the wedge tail ``G(s) = (theta - Q') exp(-Q)``, with

@@ -32,6 +32,7 @@ violation found on grid" and the reports say so.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,40 @@ def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
     return np.maximum(floor, 1e-6 * np.abs(rhs_scale))
 
 
+@np.errstate(invalid="ignore")  # a bound of the wrong sign: __post_init__ raises
+def _geomspace(start, stop, num: int) -> tuple[float, ...]:
+    """``tuple(np.geomspace(start, stop, num))`` for real bounds, as floats.
+
+    The same steps as numpy's: the ends turned positive by the sign of
+    ``start``, ``10 ** (log10(start) + arange(num) * step)`` with the step
+    of ``np.linspace``, then the exact ends.  Where numpy raises
+    ``ValueError`` for a zero bound, this raises
+    :class:`~bisurv.errors.DomainError`, also when ``num`` is 0 or 1.
+    """
+    start, stop = float(start), float(stop)
+    if start == 0.0 or stop == 0.0:
+        raise DomainError(f"grid bounds must not be zero, got {start} and {stop}")
+    if num < 2:
+        return (start,) * num
+    sign = -1.0 if start < 0.0 else 1.0
+    log_start, log_stop = np.log10(sign * start), np.log10(sign * stop)
+    delta = log_stop - log_start
+    step = delta / (num - 1)
+    y = np.arange(num, dtype=float)
+    if step == 0:  # np.linspace's order for a step that underflows
+        y /= num - 1
+        y *= delta
+    else:
+        y *= step
+    y += log_start
+    knots = np.power(10.0, y)
+    if sign < 0.0:
+        knots *= sign  # as numpy: a NaN keeps its sign bit
+    knots = knots.tolist()
+    knots[0], knots[-1] = start, stop
+    return tuple(knots)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Evaluation grid in cumulative-hazard coordinates.
@@ -110,6 +145,13 @@ class GridSpec:
                 t_min: float = 0.1, t_max: float = 4.0) -> "GridSpec":
         """Standard grid: log-spaced knots covering bulk and tail.
 
+        The knots are ``np.geomspace(r0_min, r0_max, knots)`` and
+        ``np.geomspace(t_min, t_max, t_knots)`` bit for bit, built by
+        :func:`_geomspace` at a fraction of their cost.  A bound of zero
+        raises :class:`~bisurv.errors.DomainError` at every knot count, as
+        a negative axis bound does; a count that is not an integer raises
+        ``TypeError``.
+
         Meaningful qualification checks need at least 8 knots per axis; the
         factory enforces that (degenerate grids can still be constructed
         directly, e.g. for vacuous two-increasing checks).
@@ -118,12 +160,12 @@ class GridSpec:
             raise DomainError("default grids need at least 8 knots per axis")
         if t_knots < 0:
             raise DomainError(f"the shift knot count must be >= 0, got {t_knots}")
-        with np.errstate(invalid="ignore"):  # non-finite bounds: __post_init__ raises
-            return cls(
-                r0_knots=tuple(np.geomspace(r0_min, r0_max, knots)),
-                wedge_margin=wedge_margin,
-                t_r0_knots=tuple(np.geomspace(t_min, t_max, t_knots)),
-            )
+        knots, t_knots = operator.index(knots), operator.index(t_knots)
+        return cls(
+            r0_knots=_geomspace(r0_min, r0_max, knots),
+            wedge_margin=wedge_margin,
+            t_r0_knots=_geomspace(t_min, t_max, t_knots),
+        )
 
     @property
     def counts(self) -> tuple[int, int]:

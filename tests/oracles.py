@@ -131,6 +131,40 @@ class LinearHazardTable:
         return math.fsum((v - u) * (self.h(u) + self.h(v)) / 2.0
                          for u, v in zip(cuts[:-1], cuts[1:]))
 
+    def left_slope(self, x: float) -> float:
+        """Left derivative of the hazard; 0 beyond both ends."""
+        xs, hs = self.xs, self.hs
+        if x <= xs[0] or x > xs[-1]:
+            return 0.0
+        k = bisect.bisect_left(xs, x) - 1
+        return (hs[k + 1] - hs[k]) / (xs[k + 1] - xs[k])
+
+    def inverse(self, x_L: float, r: float) -> float:
+        """The least ``x >= x_L`` with ``integral(x_L, x) >= r``, to the
+        last float: bisection on the piece where the integral reaches ``r``,
+        or the flat tail's line past the last row.  A target past a bounded
+        total hazard raises :class:`~bisurv.errors.NumericError`."""
+        if r <= 0.0:
+            return x_L
+        cuts = [x_L] + [v for v in self.xs if v > x_L]
+        area = [0.0]
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            area.append(self.integral(x_L, v))
+        if r > area[-1]:
+            if self.hs[-1] == 0.0:
+                raise NumericError(f"target {r} past the total hazard {area[-1]}")
+            return cuts[-1] + (r - area[-1]) / self.hs[-1]
+        i = bisect.bisect_left(area, r) - 1
+        lo, hi = cuts[i], cuts[i + 1]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return hi
+            if area[i] + self.integral(cuts[i], mid) >= r:
+                hi = mid
+            else:
+                lo = mid
+
 
 def exponential_wedge_tail(table: LinearHazardTable, theta: float, s: float) -> float:
     """Wedge tail ``G(s) = (theta - Q'(s)) exp(-Q(s))`` over the unit exponential.
@@ -814,3 +848,98 @@ def validation(model, grid, tol=None):
         ("grid", grid.describe()), ("u1", us[0]), ("u2", us[1]), ("alpha", alpha),
         ("min_rectangle_probability", worst)) if value is not None}
     return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
+
+
+# -- wedge kernels ------------------------------------------------------------
+
+#: the central-difference step of ``WedgeKernel``'s ``Q''`` fallback
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def composed_q(kernel, s):
+    """``Q(s)`` by composition: the baseline's inverse, then the marginal's
+    cumulative hazard (the kernel's path before merged table segments)."""
+    return np.asarray(kernel.marginal.cumulative_hazard(_composed_at(kernel, s)), dtype=float)
+
+
+def composed_slopes(kernel, s, second: bool = True):
+    s = np.asarray(s, dtype=float)
+    return _composed_slopes_at(kernel, s, _composed_at(kernel, s), second)
+
+
+def composed_q_slopes(kernel, s, second: bool = True):
+    s = np.asarray(s, dtype=float)
+    d = _composed_at(kernel, s)
+    return (np.asarray(kernel.marginal.cumulative_hazard(d), dtype=float),
+            *_composed_slopes_at(kernel, s, d, second))
+
+
+def _composed_at(kernel, s):
+    return np.asarray(kernel.baseline.inverse_cumulative_hazard(s), dtype=float)
+
+
+def _composed_slopes_at(kernel, s, d, second: bool):
+    r = np.asarray(kernel.marginal.hazard(d), dtype=float)
+    r0 = np.asarray(kernel.baseline.hazard(d), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q1 = r / r0
+        if not second:
+            return q1, None
+        rp = kernel.marginal.hazard_derivative(d)
+        r0p = kernel.baseline.hazard_derivative(d)
+        if rp is not None and r0p is not None:
+            return q1, (np.asarray(rp, dtype=float) * r0
+                        - r * np.asarray(r0p, dtype=float)) / r0**3
+        h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
+        return q1, (composed_slopes(kernel, s + h, False)[0]
+                    - composed_slopes(kernel, s - h, False)[0]) / (2.0 * h)
+
+
+class HazardMaps:
+    """``R``, ``R^{-1}``, ``r`` and the right and left derivatives of ``r``
+    of a univariate law, as scalar functions written without the library."""
+
+    def __init__(self, R, inverse, r, right, left):
+        self.R, self.inverse, self.r, self.right, self.left = R, inverse, r, right, left
+
+    @classmethod
+    def closed_form(cls, family: str, alpha: float = 1.0) -> "HazardMaps":
+        """The exponential, Weibull(``alpha``) and Pareto baselines."""
+        if family == "exponential":
+            return cls(lambda x: x, lambda s: s, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+        if family == "weibull":
+            def rp(x):
+                return alpha * (alpha - 1.0) * x ** (alpha - 2.0) if x > 0.0 else math.nan
+            return cls(lambda x: x**alpha, lambda s: s ** (1.0 / alpha),
+                       lambda x: alpha * x ** (alpha - 1.0) if x > 0.0 else (
+                           math.inf if alpha < 1.0 else 0.0 if alpha > 1.0 else 1.0),
+                       rp, rp)
+        assert family == "pareto"
+        return cls(math.log, math.exp, lambda x: 1.0 / x,
+                   lambda x: -1.0 / (x * x), lambda x: -1.0 / (x * x))
+
+    @classmethod
+    def lfr(cls, a: float) -> "HazardMaps":
+        """Hazard ``1 + 2 a x`` on ``x >= 0``."""
+        return cls(lambda x: x + a * x * x, None, lambda x: 1.0 + 2.0 * a * x,
+                   lambda x: 2.0 * a, lambda x: 2.0 * a)
+
+    @classmethod
+    def table(cls, table: LinearHazardTable, x_L: float) -> "HazardMaps":
+        return cls(lambda x: table.integral(x_L, x), lambda s: table.inverse(x_L, s),
+                   table.h, table.slope, table.left_slope)
+
+
+def exact_wedge(marginal: HazardMaps, baseline: HazardMaps, s: float, d: float | None = None):
+    """``(Q, Q', Q'' right, Q'' left)`` at ``s``: ``d = R0^{-1}(s)``, unless
+    given, then ``Q = R_m(d)``, ``Q' = r_m / r0`` and ``Q''`` from the right
+    and from the left derivatives of both hazards at ``d``; they differ only
+    on a knot.  A knot ``x`` passed as ``d`` gives both sides of ``s = R0(x)``,
+    whichever side of ``x`` the float ``R0^{-1}(s)`` rounds to."""
+    if d is None:
+        d = baseline.inverse(s)
+    r, r0 = np.float64(marginal.r(d)), np.float64(baseline.r(d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r0 = 0: inf
+        sides = [(rp(d) * r0 - r * r0p(d)) / r0**3
+                 for rp, r0p in ((marginal.right, baseline.right), (marginal.left, baseline.left))]
+        return marginal.R(d), float(r / r0), *map(float, sides)

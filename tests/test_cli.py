@@ -412,6 +412,12 @@ def test_malformed_configs(capsys, tmp_path):
             mo + ', "grid": {"wedge_margin": NaN}',
             mo + ', "grid": {"r0_min": NaN}',
             mo + ', "grid": {"t_max": Infinity}',
+            # a zero bound is refused as a negative one is, at every knot count
+            mo + ', "grid": {"r0_min": 0}',
+            mo + ', "grid": {"r0_max": 0}',
+            mo + ', "grid": {"t_min": 0}',
+            mo + ', "grid": {"t_max": 0}',
+            mo + ', "grid": {"t_min": 0, "t_knots": 1}',
             # a fractional knot count is an error, not truncated
             mo + ', "grid": {"knots": 8.9}',
             mo + ', "grid": {"t_knots": 2.5}',
@@ -429,6 +435,10 @@ def test_malformed_configs(capsys, tmp_path):
     cfg.write_text("{" + mo + ', "grid": {"t_knots": -1}}')
     code, out, err = run(capsys, "check-fe", "--config", str(cfg))
     assert (code, out) == (2, "") and "shift knot count" in err
+    cfg = tmp_path / "zero_t.json"
+    cfg.write_text("{" + mo + ', "grid": {"t_min": 0}}')
+    code, out, err = run(capsys, "check-fe", "--config", str(cfg))
+    assert (code, out) == (2, "") and "bad grid settings" in err and "zero" in err
 
     cfg = tmp_path / "mo.json"
     cfg.write_text("{" + mo + "}")

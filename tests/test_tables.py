@@ -1,6 +1,9 @@
 """Hazard tables: exact piecewise-quadratic maps against independent oracles."""
 
+import contextlib
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +16,23 @@ from bisurv import (
     Exponential,
     FromHazard,
     GeneralBivariateModel,
+    LinearFailureRate,
     NumericError,
+    Pareto,
     ProportionalHazard,
+    Weibull,
 )
 from bisurv.baseline import PiecewiseLinearHazard
-from oracles import LinearHazardTable, exponential_wedge_ac_density
+from bisurv.marginals import WedgeKernel
+from oracles import (
+    HazardMaps,
+    LinearHazardTable,
+    composed_q,
+    composed_q_slopes,
+    composed_slopes,
+    exact_wedge,
+    exponential_wedge_ac_density,
+)
 
 # several kinks, a zero-hazard row inside, a zero first row and a last row
 # that is not the largest, so both flat tails and a plateau are exercised
@@ -116,6 +131,22 @@ def test_inverse_stays_finite_near_the_float_range():
         x = table.inverse(r)
         assert x == pytest.approx(2.0 + (r - 4.0) / 3.0, rel=1e-15)
         assert table.inverse(np.array([r, 0.5])).tolist() == [x, table.inverse(0.5)]
+
+
+def test_inverse_of_a_tiny_target_above_a_zero_row():
+    # R = a x^2 / 2 on [0, 1] with a = 0.01, so R^{-1}(r) = sqrt(2 r / a); at
+    # these targets 2 a dr underflows to 0, and the quadratic's root read
+    # dr / 0 = inf, which the clamp turned into the segment's right end, 1
+    table = PiecewiseLinearHazard([0.0, 1.0, 2.0], [0.0, 0.01, 0.01])
+    tiny = [5e-324, 1e-322]
+    for r in tiny:
+        assert table.inverse(r) == pytest.approx(math.sqrt(2.0 * r / 0.01), rel=1e-12)
+    assert table.inverse(np.array(tiny + [0.005])).tolist() == \
+        [table.inverse(r) for r in tiny] + [1.0]
+    # so does a wedge kernel over it: LFR(1) has Q(s) = d + d^2, d = R^{-1}(s)
+    base = CustomHazard.from_table([0.0, 1.0, 2.0], [0.0, 0.01, 0.01])
+    q = float(WedgeKernel(LinearFailureRate(1.0), base).q(5e-324))
+    assert q == pytest.approx(math.sqrt(2.0 * 5e-324 / 0.01), rel=1e-12)
 
 
 def test_sine_table_is_exact_where_quadrature_drifted():
@@ -252,3 +283,204 @@ def test_float_path_is_the_array_element_bit_for_bit(table, zero_last, fractions
     for bad, end in ((math.inf, hs[-1]), (-math.inf, hs[0])):
         got = maps.hazard(bad)
         assert type(got) is float and got == end == maps.hazard(np.array([bad]))[0]
+
+
+# -- wedge kernels of tables: merged segments against two oracles --------------
+
+#: closed-form baselines, with their maps written without the library
+_CLOSED = {
+    "exponential": (Exponential(), HazardMaps.closed_form("exponential")),
+    "weibull0.5": (Weibull(0.5), HazardMaps.closed_form("weibull", 0.5)),
+    "weibull2": (Weibull(2.0), HazardMaps.closed_form("weibull", 2.0)),
+    "pareto": (Pareto(), HazardMaps.closed_form("pareto")),
+}
+_THETA = 3.0
+
+
+@st.composite
+def kernel_tables(draw, x_L: float):
+    """2-60 rows with zero-hazard rows and maybe a last row of 0, with
+    ``x_L`` left of, at or inside the table."""
+    n = draw(st.integers(2, 60))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
+    hs = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 4.0)), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        hs[-1] = 0.0
+    where = draw(st.sampled_from(["left", "at", "inside"]))
+    start = x_L
+    if where == "left":
+        start += draw(st.floats(0.01, 1.0))
+    elif where == "inside":
+        start -= draw(st.floats(0.01, 0.99)) * gaps[0]
+    return np.cumsum([start] + gaps), np.array(hs)
+
+
+def _table_model(cls, table, x_L):
+    with warnings.catch_warnings():  # a table whose density does not decay
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return cls.from_table(*table, x_L=x_L)
+
+
+def _knots(table, x_L):
+    """The table's segment starts: ``x_L`` and the rows right of it."""
+    xs = table[0]
+    return np.concatenate([[x_L], xs[xs > x_L]])
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(fn, s):
+    """The bits of ``fn(s)``, or the type of the error it raised."""
+    try:
+        return _bits(fn(s))
+    except Exception as exc:  # compared, never swallowed
+        return type(exc)
+
+
+def _views(kernel, composed: bool):
+    """``q``, both orders of ``slopes``, ``q_slopes`` and ``tail``, of the
+    kernel or of the composition (the kernel's ``tail`` over composed
+    ``(Q, Q', Q'')``)."""
+    if not composed:
+        return {"q": kernel.q, "q_prime": lambda s: kernel.slopes(s, second=False),
+                "slopes": kernel.slopes, "q_slopes": kernel.q_slopes,
+                "tail": lambda s: kernel.tail(s, _THETA)}
+
+    def tail(s):
+        with mock.patch.object(kernel, "q_slopes",
+                               side_effect=lambda v: composed_q_slopes(kernel, v)):
+            return kernel.tail(s, _THETA)
+    return {"q": lambda s: composed_q(kernel, s),
+            "q_prime": lambda s: composed_slopes(kernel, s, False),
+            "slopes": lambda s: composed_slopes(kernel, s),
+            "q_slopes": lambda s: composed_q_slopes(kernel, s),
+            "tail": tail}
+
+
+def _within_rounding(kernel, s, x, got, want, marginal, baseline):
+    """``got = (Q, Q', Q'')`` at ``s`` against the exact ``want = (Q, Q',
+    Q'' right, Q'' left)``, within 16 times the rounding that the inputs'
+    sizes allow: ``d = R0^{-1}(s)`` good to ``eps (|d| (1 + (H0/r0)^2) +
+    s/r0 + 1)``, each hazard to ``eps H`` plus its slope times that, each
+    slope to ``eps H / gap``, and ``R`` to ``eps`` per segment.  ``H`` is a
+    table's largest row (or the hazard at ``d``), ``gap`` its least segment."""
+    e = 2.0 ** -52
+    tables = [t for t in (kernel._m, kernel._b) if t is not None]
+    d = baseline.inverse(s) if x is None else x
+    r, r0 = marginal.r(d), baseline.r(d)
+    rp = max(abs(marginal.right(d)), abs(marginal.left(d)))
+    r0p = max(abs(baseline.right(d)), abs(baseline.left(d)))
+
+    def size(t, h):
+        return (abs(h), math.inf) if t is None else (
+            max(abs(h), float(np.max(t._h))), float(np.min(np.diff(t._knots), initial=math.inf)))
+    (hm, gm), (h0, g0) = size(kernel._m, r), size(kernel._b, r0)
+    q, q1, q2 = got
+    Q, Q1, R2, L2 = want
+    dd = e * (abs(d) * (1.0 + (h0 / r0) ** 2) + s / r0 + 1.0)
+    dr, dr0 = e * hm + rp * dd, e * h0 + r0p * dd
+    tol_q = e * (sum(t._knots.size for t in tables) * abs(Q) + hm * (abs(d) + 1.0)) \
+        + abs(r) * dd + rp * dd * dd
+    tol_q1 = e * abs(Q1) + (dr + abs(Q1) * dr0) / r0
+    d_num = rp * dr0 + r0p * dr + e * (rp * r0 + abs(r) * r0p + r0 * hm / gm + abs(r) * h0 / g0)
+    tol_q2 = e * (abs(R2) + abs(L2)) + d_num / r0**3 + 3.0 * max(abs(R2), abs(L2)) * dr0 / r0
+    assert abs(q - Q) <= 16.0 * tol_q, ("Q", s, q, Q)
+    assert abs(q1 - Q1) <= 16.0 * tol_q1, ("Q'", s, q1, Q1)
+    assert min(abs(q2 - R2), abs(q2 - L2)) <= 16.0 * tol_q2, ("Q''", s, q2, R2, L2)
+
+
+def _check_kernel(kernel, knots, marginal, baseline):
+    """The kernel against the composition, bit for bit, and against the
+    exact wedge within rounding: at s = 0, on every knot, between knots and
+    past the last, on the whole array and at each float."""
+    xk = np.unique(np.concatenate(knots))
+    sk = np.asarray(kernel.baseline.cumulative_hazard(xk), dtype=float)
+    su = np.unique(sk)
+    points = ([(0.0, None)] + list(zip(sk.tolist(), xk.tolist()))
+              + [(v, None) for v in (0.5 * (su[:-1] + su[1:])).tolist()]
+              + [(su[-1] + 0.5, None), (2.0 * su[-1] + 1.0, None)])
+    assert _bits(kernel.q(0.0)) == _bits(0.0)
+    new, old = _views(kernel, False), _views(kernel, True)
+    # past a bounded baseline's total hazard both raise NumericError
+    ok = [(s, x) for s, x in points if not isinstance(_outcome(old["q"], s), type)]
+    s_ok = np.array([s for s, _ in ok])
+    for name in new:
+        arrays = _outcome(new[name], s_ok)
+        assert arrays == _outcome(old[name], s_ok), name
+        for i, (s, _) in enumerate(points):
+            want = _outcome(old[name], s)
+            assert _outcome(new[name], s) == want, (name, s)
+            if not isinstance(want, type):
+                j = ok.index(points[i])
+                elements = tuple(np.frombuffer(a, dtype=float)[j].tobytes() if a else None
+                                 for a in (arrays if isinstance(arrays, tuple) else (arrays,)))
+                assert _bits(new[name](s)) == (elements if isinstance(arrays, tuple)
+                                               else elements[0]), (name, s)
+    for bad in (math.nan, math.inf):
+        for name in ("q", "q_prime", "slopes", "q_slopes", "tail"):
+            assert _outcome(new[name], bad) is DomainError
+            assert _outcome(new[name], np.array([1.0, bad])) is DomainError
+    for s, x in ok[1:]:
+        want = exact_wedge(marginal, baseline, s, x)
+        got = tuple(float(v) for v in kernel.q_slopes(s))
+        if all(map(math.isfinite, want + got)):
+            _within_rounding(kernel, s, x, got, want, marginal, baseline)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_CLOSED)), st.data())
+def test_table_marginal_kernels_are_the_composition_bit_for_bit(name, data):
+    base, base_maps = _CLOSED[name]
+    table = data.draw(kernel_tables(base.x_L))
+    kernel = WedgeKernel(_table_model(FromHazard, table, base.x_L), base)
+    _check_kernel(kernel, [_knots(table, base.x_L)],
+                  HazardMaps.table(LinearHazardTable(*table), base.x_L), base_maps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_tables(0.0), st.one_of(st.floats(0.05, 3.0), kernel_tables(0.0)))
+def test_table_baseline_kernels_are_the_composition_bit_for_bit(table, marginal):
+    base = _table_model(CustomHazard, table, 0.0)
+    base_maps = HazardMaps.table(LinearHazardTable(*table), 0.0)
+    knots = [_knots(table, 0.0)]
+    if isinstance(marginal, float):
+        kernel = WedgeKernel(LinearFailureRate(marginal), base)
+        maps = HazardMaps.lfr(marginal)
+    else:
+        kernel = WedgeKernel(_table_model(FromHazard, marginal, 0.0), base)
+        maps = HazardMaps.table(LinearHazardTable(*marginal), 0.0)
+        knots.append(_knots(marginal, 0.0))
+    _check_kernel(kernel, knots, maps, base_maps)
+
+
+def test_table_kernels_look_each_point_up_once():
+    base = CustomHazard.from_table(KINK_X, KINK_H, x_L=0.0)
+    marginal = FromHazard.from_table(KINK_X, [1.0 + h for h in KINK_H], x_L=0.0)
+    s = np.linspace(0.0, 9.0, 28)
+    # over a closed-form baseline d is the baseline's own inverse, and r0,
+    # r0' its own hazards; every map of a table model is answered from the
+    # table's segments
+    cases = [(WedgeKernel(marginal, Exponential()), [marginal]),
+             (WedgeKernel(LinearFailureRate(0.5), base), [base]),
+             (WedgeKernel(marginal, base), [marginal, base])]
+    for kernel, tables in cases:
+        kernel.q_slopes(s)  # the merged knots are built once, on first use
+        for method in (kernel.q, kernel.slopes, kernel.q_slopes):
+            with contextlib.ExitStack() as stack:
+                search = stack.enter_context(
+                    mock.patch.object(np, "searchsorted", wraps=np.searchsorted))
+                for model in tables:
+                    stack.enter_context(mock.patch.multiple(model, **_forbidden(model)))
+                method(s)
+            assert search.call_count == 1, (kernel, method)
+
+
+def _forbidden(model):
+    names = ["cumulative_hazard", "hazard", "hazard_derivative"]
+    if hasattr(model, "inverse_cumulative_hazard"):
+        names.append("inverse_cumulative_hazard")
+    return {n: mock.Mock(side_effect=AssertionError(n)) for n in names}

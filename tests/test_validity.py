@@ -92,6 +92,50 @@ def test_default_grid_shape():
             GridSpec(**kwargs)
 
 
+_grid_bound = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(8, 1024), st.integers(0, 1024),
+       st.lists(_grid_bound, min_size=4, max_size=4),
+       st.lists(st.sampled_from([float, np.float64, np.asarray]), min_size=4, max_size=4),
+       st.sampled_from([0.02, 0.0, -0.0, 1.5]))
+@example(16, 8, [0.05, 8.0, 0.1, 4.0], [float] * 4, 0.02)
+@example(48, 1, [8.0, 0.05, 4.0, 0.1], [np.asarray] * 4, -0.0)
+def test_default_grid_is_geomspace_bit_for_bit(knots, t_knots, bounds, kinds, margin):
+    r0_min, r0_max, t_min, t_max = (kind(b) for kind, b in zip(kinds, bounds))
+    settings_ = dict(knots=knots, r0_min=r0_min, r0_max=r0_max, wedge_margin=margin,
+                     t_knots=t_knots, t_min=t_min, t_max=t_max)
+    with np.errstate(invalid="ignore"):
+        axes = (tuple(np.geomspace(r0_min, r0_max, knots)),
+                tuple(np.geomspace(t_min, t_max, t_knots)))
+    try:  # bounds in decreasing order make decreasing axis knots
+        want = GridSpec(r0_knots=axes[0], wedge_margin=margin, t_r0_knots=axes[1])
+    except DomainError:
+        with pytest.raises(DomainError):
+            GridSpec.default(**settings_)
+        return
+    got = GridSpec.default(**settings_)
+    for a, b in ((got.r0_knots, want.r0_knots), (got.t_r0_knots, want.t_r0_knots)):
+        assert np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+    assert got.describe() == want.describe()
+    assert math.copysign(1.0, got.describe()["wedge_margin_r0"]) == math.copysign(1.0, margin)
+
+
+def test_default_grid_refuses_what_geomspace_refused():
+    # a count that is not an integer: numpy's TypeError
+    for kwargs in ({"knots": 16.0}, {"knots": np.float64(16)}, {"t_knots": 2.5}):
+        with pytest.raises(TypeError):
+            np.geomspace(1.0, 2.0, next(iter(kwargs.values())))
+        with pytest.raises(TypeError):
+            GridSpec.default(**kwargs)
+    # a zero bound, where numpy raised ValueError, at every knot count
+    for kwargs in ({"r0_min": 0.0}, {"r0_max": 0}, {"t_min": 0.0}, {"t_max": -0.0},
+                   {"t_min": 0.0, "t_knots": 1}, {"t_max": 0.0, "t_knots": 0}):
+        with pytest.raises(DomainError, match="zero"):
+            GridSpec.default(**kwargs)
+
+
 def test_wedge_pairs_keep_the_double_loop_order():
     # at 0.05 two of the 15 pairs lie within the margin; no pair is 6 apart
     for margin, count in ((0.05, 13), (0.0, 15), (6.0, 0)):
