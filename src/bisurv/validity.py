@@ -82,9 +82,11 @@ def _geomspace(start, stop, num: int) -> tuple[float, ...]:
     """``tuple(np.geomspace(start, stop, num))`` for real bounds, as floats.
 
     The same steps as numpy's: the ends turned positive by the sign of
-    ``start``, ``10 ** (log10(start) + arange(num) * step)`` with the step
-    of ``np.linspace``, then the exact ends.  Where numpy raises
-    ``ValueError`` for a zero bound, this raises
+    ``start``, ``10 ** (arange(num) * step + log10(start))`` with the step
+    of ``np.linspace``, then the exact ends.  (``np.linspace`` divides
+    before it multiplies only where the step underflows to 0, which a
+    difference of two ``log10`` values that is not 0 never does.)  Where
+    numpy raises ``ValueError`` for a zero bound, this raises
     :class:`~bisurv.errors.DomainError`, also when ``num`` is 0 or 1.
     """
     start, stop = float(start), float(stop)
@@ -93,17 +95,9 @@ def _geomspace(start, stop, num: int) -> tuple[float, ...]:
     if num < 2:
         return (start,) * num
     sign = -1.0 if start < 0.0 else 1.0
-    log_start, log_stop = np.log10(sign * start), np.log10(sign * stop)
-    delta = log_stop - log_start
-    step = delta / (num - 1)
-    y = np.arange(num, dtype=float)
-    if step == 0:  # np.linspace's order for a step that underflows
-        y /= num - 1
-        y *= delta
-    else:
-        y *= step
-    y += log_start
-    knots = np.power(10.0, y)
+    log_start = np.log10(sign * start)
+    step = (np.log10(sign * stop) - log_start) / (num - 1)
+    knots = np.power(10.0, np.arange(num, dtype=float) * step + log_start)
     if sign < 0.0:
         knots *= sign  # as numpy: a NaN keeps its sign bit
     knots = knots.tolist()

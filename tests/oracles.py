@@ -907,13 +907,11 @@ class HazardMaps:
         """The exponential, Weibull(``alpha``) and Pareto baselines."""
         if family == "exponential":
             return cls(lambda x: x, lambda s: s, lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
-        if family == "weibull":
+        if family == "weibull":  # at x > 0
             def rp(x):
-                return alpha * (alpha - 1.0) * x ** (alpha - 2.0) if x > 0.0 else math.nan
+                return alpha * (alpha - 1.0) * x ** (alpha - 2.0)
             return cls(lambda x: x**alpha, lambda s: s ** (1.0 / alpha),
-                       lambda x: alpha * x ** (alpha - 1.0) if x > 0.0 else (
-                           math.inf if alpha < 1.0 else 0.0 if alpha > 1.0 else 1.0),
-                       rp, rp)
+                       lambda x: alpha * x ** (alpha - 1.0), rp, rp)
         assert family == "pareto"
         return cls(math.log, math.exp, lambda x: 1.0 / x,
                    lambda x: -1.0 / (x * x), lambda x: -1.0 / (x * x))
