@@ -77,7 +77,7 @@ def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
     return np.maximum(floor, 1e-6 * np.abs(rhs_scale))
 
 
-@np.errstate(invalid="ignore")  # a bound of the wrong sign: __post_init__ raises
+@np.errstate(invalid="ignore")  # a bound of the wrong sign or not finite: refused later
 def _geomspace(start, stop, num: int) -> tuple[float, ...]:
     """``tuple(np.geomspace(start, stop, num))`` for real bounds, as floats.
 

@@ -428,6 +428,9 @@ def _check_kernel(kernel, knots, marginal, baseline):
         for name in ("q", "q_prime", "slopes", "q_slopes", "tail"):
             assert _outcome(new[name], bad) is DomainError
             assert _outcome(new[name], np.array([1.0, bad])) is DomainError
+    if kernel._b is not None and kernel._b._h[-1] == 0.0:  # a bounded total hazard
+        for name in new:
+            assert _outcome(new[name], float(kernel._b._R[-1]) + 1.0) is NumericError
     for s, x in ok:
         if s == 0.0:  # checked above: Q(0) = 0, and Q' is the diagonal limit
             continue
