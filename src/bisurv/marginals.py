@@ -205,7 +205,8 @@ class WedgeKernel:
     any other baseline ``d`` is the baseline's own inverse and the lookup is
     in the marginal table's knots.  ``R_m(d)`` is then the marginal's
     quadratic, and a table's hazard and its slope are its segment's line in
-    ``np.interp``'s arithmetic.  A non-finite ``d`` raises
+    ``np.interp``'s arithmetic, so the results are the composition's bits.
+    On these paths a non-finite ``s`` or ``d`` raises
     :class:`~bisurv.errors.DomainError`.
 
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
