@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+#: the least float whose square is a normal float: ``h^2`` underflows below it
+_SQRT_TINY = 2.0 ** -511
+
+
 def _is_scalar(x) -> bool:
     if isinstance(x, float):
         return True
@@ -128,14 +132,24 @@ class BaselineModel(HazardModel):
     """
 
     family: str = "abstract"
+    #: the maps answer a Python ``float`` in float arithmetic, bit for bit as
+    #: the array path's element, or evaluate one element at a time anyway
+    _float_maps: bool = False
 
     def inverse_cumulative_hazard(self, r):
         raise NotImplementedError
 
     def _map_pair(self, x1: float, x2: float, hazards: bool):
         """``((R0(x1), R0(x2)), (r0(x1), r0(x2)) or None)`` of two finite
-        floats at or above ``x_L``: one ``cumulative_hazard`` call on both
-        and, with ``hazards``, one ``hazard`` call on both."""
+        floats at or above ``x_L``.  A family with float maps (the
+        exponential, a table, a callable) maps each coordinate with its own
+        call; any other takes one ``cumulative_hazard`` call on both and,
+        with ``hazards``, one ``hazard`` call on both, since numpy's SIMD
+        loops and ``math`` differ in the last bit of ``log``, ``exp`` and
+        ``power``."""
+        if self._float_maps:
+            r = (self.cumulative_hazard(x1), self.cumulative_hazard(x2))
+            return r, ((self.hazard(x1), self.hazard(x2)) if hazards else None)
         xs = np.array((x1, x2))
         r = self.cumulative_hazard(xs).tolist()
         return r, (self.hazard(xs).tolist() if hazards else None)
@@ -202,17 +216,26 @@ class Exponential(BaselineModel):
 
     family = "exponential"
     x_L = 0.0
+    _float_maps = True
 
     def cumulative_hazard(self, x):
+        if type(x) is float:  # as np.maximum: -0.0 maps to 0.0 and NaN stays NaN
+            return 0.0 if x <= 0.0 else x
         return _ret(np.maximum(np.asarray(x, dtype=float), 0.0), x)
 
     def inverse_cumulative_hazard(self, r):
+        if type(r) is float:
+            return r
         return _ret(np.asarray(r, dtype=float), r)
 
     def hazard(self, x):
+        if type(x) is float:
+            return 1.0
         return _ret(np.ones_like(np.asarray(x, dtype=float)), x)
 
     def hazard_derivative(self, x):
+        if type(x) is float:
+            return 0.0
         return _ret(np.zeros_like(np.asarray(x, dtype=float)), x)
 
 
@@ -440,7 +463,9 @@ class PiecewiseLinearHazard:
         R^{-1}(r) = x_j + 2 dr / (h_j + sqrt(h_j^2 + 2 a_j dr)),  dr = r - R_j
 
     the latter being the root of the quadratic that does not cancel; where
-    ``h_j = 0`` and ``2 a_j dr`` underflows, it is ``sqrt(2 dr / a_j)``.  When
+    ``h_j = 0`` and ``2 a_j dr`` underflows, it is ``sqrt(2 dr / a_j)``, and
+    where ``h_j^2`` underflows, it is taken in units of ``h_j``:
+    ``u / (0.5 (1 + sqrt(1 + 2 a_j u / h_j)))`` with ``u = dr / h_j``.  When
     the last row is 0 the total hazard is bounded, and a target beyond it
     raises :class:`~bisurv.errors.NumericError`.
 
@@ -452,10 +477,11 @@ class PiecewiseLinearHazard:
     slope, so it is ``hazard``'s value bit for bit, also where ``x_L`` lies
     inside the table and the segment starts between rows.
 
-    ``cumulative`` and ``hazard`` answer a finite Python ``float`` in float
-    arithmetic, on list copies of the tables: the array path's steps (for
-    ``hazard``, those of ``np.interp``) in the same order, so a float equal
-    bit for bit to the array path's element, with no array built.
+    ``cumulative``, ``hazard`` and ``derivative`` answer a finite Python
+    ``float`` in float arithmetic, on list copies of the tables: the array
+    path's steps (for ``hazard``, those of ``np.interp``) in the same order,
+    so a float equal bit for bit to the array path's element, with no array
+    built.
     """
 
     def __init__(self, xs, hazards, x_L: float | None = None):
@@ -481,6 +507,9 @@ class PiecewiseLinearHazard:
         # across knots despite rounding
         self._knots_next = np.append(knots[1:], math.inf)
         self._R_next = np.append(self._R[1:], math.inf)
+        # segments whose h_j^2 underflows, or None: the inverse's scaled root
+        tiny = (h > 0.0) & (h < _SQRT_TINY)
+        self._tiny = tiny if tiny.any() else None
         # np.interp's line on each segment: through the table row at or left
         # of the segment's start, with np.interp's slope; flat past both ends
         interp_slope = np.diff(hs) / np.diff(xs)
@@ -494,7 +523,7 @@ class PiecewiseLinearHazard:
         # segments with half their slopes, as the array path rounds them
         self._table = (xs.tolist(), hs.tolist(), interp_slope.tolist())
         self._segments = (knots.tolist(), self._R.tolist(), h.tolist(),
-                          self._half.tolist(), self._R_next.tolist())
+                          self._half.tolist(), self._R_next.tolist(), self._slope.tolist())
 
     def hazard(self, x):
         if type(x) is float and math.isfinite(x):
@@ -516,12 +545,15 @@ class PiecewiseLinearHazard:
 
     def derivative(self, x):
         """Right derivative of the hazard: the slope of x's segment, 0 on the flat ends."""
+        if type(x) is float and math.isfinite(x):
+            knots, slopes = self._segments[0], self._segments[5]
+            return slopes[bisect.bisect_right(knots, max(x, self.x_L)) - 1]
         _check_finite(x, "x")
         return _ret(self._slope[self._segment(x)[1]], x)
 
     def cumulative(self, x):
         if type(x) is float and math.isfinite(x):
-            knots, R, h, half, R_next = self._segments
+            knots, R, h, half, R_next, _ = self._segments
             xa = max(x, self.x_L)
             j = bisect.bisect_right(knots, xa) - 1
             d = xa - knots[j]
@@ -565,6 +597,12 @@ class PiecewiseLinearHazard:
             d = dr / (0.5 * (b + np.sqrt(np.maximum(b * b + 2.0 * a * dr, 0.0))))
             if np.isinf(d).any():  # h_j = 0 and 2 a_j dr underflowed: a_j d^2 / 2 = dr
                 d = np.where(np.isinf(d), np.sqrt(2.0 * dr / a), d)
+            tiny = None if self._tiny is None else self._tiny[j]
+            if tiny is not None and tiny.any():  # h_j^2 underflowed: the root in units of h_j
+                u = dr / b
+                t = 2.0 * a * u / b  # inf only where 2 a_j dr outweighs h_j^2, as d assumed
+                scaled = u / (0.5 * (1.0 + np.sqrt(np.maximum(1.0 + t, 0.0))))
+                d = np.where(tiny & np.isfinite(t), scaled, d)
         x = np.minimum(self._knots[j] + d, self._knots_next[j])
         return np.where(ra > 0.0, x, self.x_L)
 
@@ -581,6 +619,7 @@ class CustomHazard(BaselineModel):
     """
 
     family = "custom"
+    _float_maps = True
 
     def __init__(self, hazard_fn, x_L: float = 0.0):
         self.x_L = float(x_L)
@@ -609,10 +648,3 @@ class CustomHazard(BaselineModel):
 
     def hazard_derivative(self, x):
         return self._maps.derivative(x)
-
-    def _map_pair(self, x1: float, x2: float, hazards: bool):
-        """Each float through its own map call: a table answers a float in
-        float arithmetic, and a callable is evaluated one element at a time
-        either way."""
-        r = (self.cumulative_hazard(x1), self.cumulative_hazard(x2))
-        return r, ((self.hazard(x1), self.hazard(x2)) if hazards else None)

@@ -76,17 +76,22 @@ class ProportionalHazard(MarginalModel):
         self.delta = float(delta)
         self.x_L = baseline.x_L
 
+    # a baseline's float answer is scaled in float arithmetic, the same
+    # product as the array path's element
+
     def cumulative_hazard(self, x):
-        return _ret(self.delta * np.asarray(self.baseline.cumulative_hazard(x)), x)
+        r = self.baseline.cumulative_hazard(x)
+        return self.delta * r if type(r) is float else _ret(self.delta * np.asarray(r), x)
 
     def hazard(self, x):
-        return _ret(self.delta * np.asarray(self.baseline.hazard(x)), x)
+        r = self.baseline.hazard(x)
+        return self.delta * r if type(r) is float else _ret(self.delta * np.asarray(r), x)
 
     def hazard_derivative(self, x):
         d = self.baseline.hazard_derivative(x)
         if d is None:
             return None
-        return _ret(self.delta * np.asarray(d), x)
+        return self.delta * d if type(d) is float else _ret(self.delta * np.asarray(d), x)
 
     def spec_string(self) -> str:
         return f"ph:{self.delta:g}"
@@ -103,15 +108,24 @@ class LinearFailureRate(MarginalModel):
             raise ModelError(f"linear failure rate coefficient must be positive, got {a}")
         self.a = float(a)
 
+    # a float in float arithmetic: the array path's steps in its order
+
     def cumulative_hazard(self, x):
+        if type(x) is float:  # np.maximum's clamp (-0.0 reads 0.0), np.square's x * x
+            xc = 0.0 if x <= 0.0 else x
+            return xc + self.a * (xc * xc)
         xc = np.maximum(np.asarray(x, dtype=float), 0.0)
         with np.errstate(over="ignore"):  # past the float range R is inf
             return _ret(xc + self.a * np.square(xc), x)
 
     def hazard(self, x):
+        if type(x) is float:
+            return 1.0 + 2.0 * self.a * x
         return _ret(1.0 + 2.0 * self.a * np.asarray(x, dtype=float), x)
 
     def hazard_derivative(self, x):
+        if type(x) is float:
+            return 2.0 * self.a
         return _ret(np.full_like(np.asarray(x, dtype=float), 2.0 * self.a), x)
 
     def spec_string(self) -> str:
@@ -183,6 +197,25 @@ _TAIL_NODES = 2049
 _RISE_RTOL = 1e-9
 
 
+def _divide(a: float, b: float) -> float:
+    """``a / b`` of floats, with numpy's inf or NaN where Python raises."""
+    if b == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(a, b))
+    return a / b
+
+
+def _cube(r0: float) -> float:
+    """``np.power(r0, 3)`` of a float: Python's ``r0 ** 3`` rounds differently
+    in the last bit, and raises where the cube overflows."""
+    if r0 == 1.0:  # exact in every pow
+        return 1.0
+    if abs(r0) < 1e100:
+        return float(np.power(r0, 3))
+    with np.errstate(over="ignore"):
+        return float(np.power(r0, 3))
+
+
 class WedgeKernel:
     """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
 
@@ -192,22 +225,33 @@ class WedgeKernel:
     nowhere else: then ``Q = delta * s`` exactly, ``Q' = u = delta`` and
     ``Q'' = 0``.  Otherwise ``Q''`` comes from the analytic hazard
     derivatives when both exist, and from a central difference of ``Q'`` in
-    ``s`` when not.  Methods of ``s`` take arrays of ``s >= 0`` and return arrays,
-    except that a PH kernel answers a Python ``float`` ``s`` with floats: the
-    same arithmetic, so the same bits as the array path's element.
+    ``s`` when not.
+
+    Methods of ``s`` take arrays of ``s >= 0`` and return arrays, and answer
+    a Python ``float`` ``s`` with floats equal bit for bit to the array
+    path's element.  A PH kernel answers from ``delta``; any other takes
+    ``d``, the hazards and their slopes from the maps' own float answers
+    (float arithmetic for the exponential, LFR, tables but for their
+    inverse, and PH over those; one numpy call for Weibull, Pareto and
+    callables) and forms ``Q'`` and ``Q''`` in the array path's order, with
+    ``np.power(r0, 3)``'s bits and numpy's inf or NaN where Python would
+    raise.  A non-finite float ``s``
+    raises :class:`~bisurv.errors.DomainError`.  An array passes a non-finite
+    ``s`` through on the composition path: the models zero any overflow
+    before a kernel runs, and a check would cost every vectorized call.
 
     Where the marginal or the baseline is a hazard table
     (:class:`~bisurv.baseline.PiecewiseLinearHazard`), ``Q`` is piecewise
-    quadratic in ``d`` and each method looks ``s`` up once.  Over a table
-    baseline the lookup is in the merged knots in ``s``, both tables' knots
-    mapped by ``R0`` and built on first use; it gives the baseline's segment,
-    on which ``d`` is the quadratic's root, and the marginal table's.  Over
-    any other baseline ``d`` is the baseline's own inverse and the lookup is
-    in the marginal table's knots.  ``R_m(d)`` is then the marginal's
-    quadratic, and a table's hazard and its slope are its segment's line in
-    ``np.interp``'s arithmetic, so the results are the composition's bits.
-    On these paths a non-finite ``s`` or ``d`` raises
-    :class:`~bisurv.errors.DomainError`.
+    quadratic in ``d`` and each method of an array looks ``s`` up once.  Over
+    a table baseline the lookup is in the merged knots in ``s``, both tables'
+    knots mapped by ``R0`` and built on first use; it gives the baseline's
+    segment, on which ``d`` is the quadratic's root, and the marginal
+    table's.  Over any other baseline ``d`` is the baseline's own inverse and
+    the lookup is in the marginal table's knots.  ``R_m(d)`` is then the
+    marginal's quadratic, and a table's hazard and its slope are its
+    segment's line in ``np.interp``'s arithmetic, so the results are the
+    composition's bits.  Where a table is involved, a non-finite ``s`` or
+    ``d`` raises :class:`~bisurv.errors.DomainError`, on arrays and floats.
 
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
     at or below ``x_L`` (``s = 0``), array survival may take either wedge's
@@ -221,31 +265,22 @@ class WedgeKernel:
                       and marginal.baseline == baseline else None)
         self._m = getattr(marginal, "_table", None)
         self._b = getattr(baseline, "_table", None)
-
-    def _at(self, s):
-        return np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
+        #: ``(theta, s, G, log G)`` of the last :meth:`tail_table`, read-only
+        self._tail_nodes = None
 
     def q(self, s):
-        if self.delta is not None:
-            return self.delta * (s if type(s) is float else np.asarray(s, dtype=float))
         return self._terms(s, True, 0)[0]
 
     def q_prime(self, s):
         return self.slopes(s, second=False)[0]
 
     def slopes(self, s, second: bool = True):
-        """``(Q', Q'')``; ``Q''`` is None when ``second`` is False."""
-        if self.delta is not None:
-            if type(s) is float:
-                return self.delta, 0.0
-            s = np.asarray(s, dtype=float)
-            return np.full_like(s, self.delta), np.zeros_like(s)
+        """``(Q', Q'')``; ``Q''`` is None when ``second`` is False, except
+        that a PH kernel always gives its 0."""
         return self._terms(s, False, 2 if second else 1)[1:]
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
-        if self.delta is not None:
-            return (self.q(s),) + self.slopes(s, second)
         return self._terms(s, True, 2 if second else 1)
 
     @functools.cached_property
@@ -268,11 +303,43 @@ class WedgeKernel:
 
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
-        ``order >= 1`` and ``Q''`` with ``order == 2``, the others None."""
-        s = np.asarray(s, dtype=float)
+        ``order >= 1`` and ``Q''`` with ``order == 2``, the others None (a PH
+        kernel gives ``Q'' = 0`` with ``Q'``)."""
+        if type(s) is not float:
+            return self._array_terms(np.asarray(s, dtype=float), cum, order)
+        if not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s!r}")
+        if self.delta is not None:
+            return (self.delta * s if cum else None, self.delta if order else None,
+                    0.0 if order else None)
+        base, marginal = self.baseline, self.marginal
+        d = base.inverse_cumulative_hazard(s)
+        if (self._m is not None or self._b is not None) and not math.isfinite(d):
+            raise DomainError(f"x must be finite, got {d!r}")
+        q = q1 = q2 = None
+        if cum:
+            q = marginal.cumulative_hazard(d)
+        if order:
+            r, r0 = marginal.hazard(d), base.hazard(d)
+            q1 = _divide(r, r0)
+            if order == 2:
+                rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
+                if rp is not None and r0p is not None:
+                    q2 = _divide(rp * r0 - r * r0p, _cube(r0))
+                else:
+                    h = min(_FD_STEP * max(1.0, s), 0.5 * s)
+                    q2 = _divide(self.q_prime(s + h) - self.q_prime(s - h), 2.0 * h)
+        return q, q1, q2
+
+    def _array_terms(self, s, cum: bool, order: int):
+        """:meth:`_terms` of a float array."""
+        if self.delta is not None:
+            return (self.delta * s if cum else None,
+                    np.full_like(s, self.delta) if order else None,
+                    np.zeros_like(s) if order else None)
         m, b = self._m, self._b
         if b is None:
-            d = self._at(s)
+            d = np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
             if m is not None:
                 _check_finite(d, "x")
                 xa, jm = m._segment(d)
@@ -283,6 +350,7 @@ class WedgeKernel:
             k = np.maximum(np.searchsorted(starts, sa, side="left") - 1, 0)
             jb = jbs[k]
             d = xa = b._inverse_on(sa, jb)
+            _check_finite(d, "x")
             if m is not None:
                 jm = jms[k]
                 while True:  # where d rounds past a marginal knot, that knot's side
@@ -323,7 +391,7 @@ class WedgeKernel:
         noise (mostly of a difference-quotient ``Q''``) and reads as 0.
         """
         q, q1, q2 = self.q_slopes(s)
-        if type(q) is float:  # a PH kernel at a float: the array path's steps
+        if type(q) is float:  # a kernel at a float: the array path's steps
             theta = float(theta)
             a = theta * q1 + q2 - q1 * q1
             if a < 0.0 and -a <= _DENSITY_NOISE * (theta * abs(q1) + abs(q2) + q1 * q1):
@@ -346,8 +414,13 @@ class WedgeKernel:
         """``(s, G(s))`` on the table: ``G(0) = theta - u``, ``G(inf) = 0``.
 
         Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
-        is negative (``Q' > theta``) or rises by more than rounding (``h < 0``).
+        is negative (``Q' > theta``) or rises by more than rounding (``h < 0``),
+        on every call.  A valid table is built once per ``theta``: the kernel
+        keeps the last one, with ``log G`` for the sampler, as read-only arrays.
         """
+        kept = self._tail_nodes
+        if kept is not None and kept[0] == theta:
+            return kept[1], kept[2]
         v = np.linspace(0.0, 1.0, _TAIL_NODES)[:-1]
         s = np.append(v / (1.0 - v), np.inf)
         g = np.concatenate([[theta - self.u], self.tail(s[1:-1], theta)[0], [0.0]])
@@ -363,7 +436,13 @@ class WedgeKernel:
                 f"(G = {g[i]:.6g}); the model is not a valid distribution",
                 witness=float(s[i]), value=float(g[i]))
         # the running minimum keeps the bracket search monotone through rounding
-        return s, np.minimum.accumulate(g)
+        g = np.minimum.accumulate(g)
+        with np.errstate(divide="ignore"):  # G(inf) = 0
+            log_g = np.log(g)
+        for a in (s, g, log_g):
+            a.flags.writeable = False
+        self._tail_nodes = (theta, s, g, log_g)
+        return s, g
 
     @functools.cached_property
     def u(self) -> float:

@@ -432,7 +432,11 @@ def point_log_survival(model, x1, x2):
         r1 = float(base.cumulative_hazard(max(float(x1), xl)))
         r2 = float(base.cumulative_hazard(max(float(x2), xl)))
         kernel = model.kernels[0 if x1 >= x2 else 1]
-        return -(float(kernel.q(abs(r1 - r2))) + model.theta * min(r1, r2))
+        # s as a 0-d array: a kernel refuses a non-finite float s, and its
+        # array path passes one through, as the float path did then
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = float(kernel.q(np.float64(abs(r1 - r2))))
+        return -(q + model.theta * min(r1, r2))
     x1a = np.asarray(x1, dtype=float)
     x2a = np.asarray(x2, dtype=float)
     if (x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size) > 2 * _BLOCK:

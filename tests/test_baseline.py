@@ -360,3 +360,37 @@ def test_every_wedge_kernel_reads_exactly_zero_at_zero(name):
     kernel = _CONTRACT_KERNELS[name]
     values = [float(kernel.q(0.0))] + kernel.q(np.zeros(3)).tolist()
     assert all(v == 0.0 and not math.copysign(1.0, v) < 0 for v in values), values
+
+
+#: maps that answer a Python float in float arithmetic
+_FLOAT_MAP_MODELS = {
+    "exponential": Exponential(),
+    "lfr": LinearFailureRate(0.3),
+    "ph-exponential": ProportionalHazard(Exponential(), 2.5),
+    "ph-table": ProportionalHazard(CustomHazard.from_table([0.0, 1.0, 3.0], [0.0, 2.0, 0.5]), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_MAP_MODELS))
+def test_float_maps_are_the_array_element_bit_for_bit(name):
+    # -0.0 maps as np.maximum maps it (to 0.0, where max(-0.0, 0.0) is
+    # -0.0), NaN stays NaN, and overflow reads inf without an error
+    model = _FLOAT_MAP_MODELS[name]
+    maps = ["cumulative_hazard", "hazard", "hazard_derivative"]
+    if hasattr(model, "inverse_cumulative_hazard"):
+        maps.append("inverse_cumulative_hazard")
+    xs = [-0.0, 0.0, -1.0, 5e-324, 0.7, 1.0, 3.0, 1e154, 1e308, 1.7e308, -math.inf, math.inf,
+          math.nan]
+    for name in maps:
+        fn = getattr(model, name)
+        for x in xs:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = np.asarray(fn(np.array([x])), dtype=float)[0]
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn(x)
+                continue
+            got = fn(x)
+            assert type(got) is float, (name, x)
+            assert np.float64(got).tobytes() == want.tobytes(), (name, x, got, want)

@@ -93,9 +93,10 @@ def test_general_fd_density_matches_ph_closed_form():
 
 def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
     # a valid general model with different kernels on the two wedges; every
-    # scalar survival, density and gradient maps its point through one
-    # baseline call and runs only its own wedge's kernel; density and
-    # gradient take both baseline hazards from one more call, survival none
+    # scalar survival, density and gradient maps its point through one float
+    # call per coordinate and runs only its own wedge's kernel; density and
+    # gradient take both baseline hazards from one more float call each,
+    # survival none, and the LFR kernel (x1 > x2) takes r0 at its d once more
     model = GeneralBivariateModel(E, LinearFailureRate(0.5), ProportionalHazard(E, 2.0), 3.0)
     pts = [(2.5, 0.9), (0.4, 1.3), (1.7, 1.2), (0.6, 2.4)]
     xs1, xs2 = np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
@@ -122,9 +123,8 @@ def test_scalar_ac_density_runs_one_wedge_kernel(monkeypatch):
             hazards.clear()
             kernels.clear()
             got = view(x1, x2)
-            assert maps == [(2,)]
-            # a non-PH kernel takes r0 at its own wedge difference, one value
-            assert hazards.count((2,)) == (0 if name == "survival" else 1)
+            assert maps == [(), ()]
+            assert hazards == ([] if name == "survival" else [(), ()] + [()] * (x1 > x2))
             assert kernels and set(kernels) == {model.kernels[0 if x1 > x2 else 1]}
             assert np.array(got).tobytes() == np.array(want).tobytes()  # bit for bit
 
@@ -585,6 +585,102 @@ def test_point_views_past_the_float_range_match_their_oracles(name):
     for kind in _KINDS:
         _check_point(_POINT_MODELS[name], 1.0, 1e308, kind)
         _check_point(_POINT_MODELS[name], 1e308, 1.0, kind)
+
+
+# -- the kernels' float route -------------------------------------------------------
+
+#: every kernel of the point models; tables with zero-hazard rows: a zero
+#: first and inner row of a marginal (r = 0), of a baseline (r0 = 0, so Q' is
+#: r / 0) with a last row of 0 (a bounded total hazard), and a table over one;
+#: and tables where d = R0^{-1}(s) passes the float range for s near 1e308
+_ZERO_ROWS = ([0.0, 1.0, 2.0, 3.5], [0.0, 1.2, 0.0, 2.0])
+_ZERO_BASE = CustomHazard.from_table([0.0, 1.0, 2.0, 3.0], [0.0, 1.5, 0.0, 0.0])
+_FLOAT_KERNELS = {
+    **{f"{name}:{i}": kernel for name, model in _POINT_MODELS.items()
+       for i, kernel in enumerate(model.kernels, 1)},
+    "zero-rows-exponential": WedgeKernel(FromHazard.from_table(*_ZERO_ROWS), E),
+    "zero-rows-weibull2": WedgeKernel(FromHazard.from_table(*_ZERO_ROWS), W2),
+    "lfr-zero-base": WedgeKernel(LinearFailureRate(0.5), _ZERO_BASE),
+    "zero-rows-zero-base": WedgeKernel(FromHazard.from_table(*_ZERO_ROWS), _ZERO_BASE),
+    "table-weibull0.5": WedgeKernel(TABLE_MARGINAL, W05),
+    "lfr-thin-tail-base": WedgeKernel(LinearFailureRate(0.5),
+                                      CustomHazard.from_table([0.0, 1.0], [1.0, 1e-3])),
+}
+
+
+def _kernel_views(kernel, theta=2.5):
+    return {"q": kernel.q, "q_prime": lambda s: kernel.slopes(s, second=False),
+            "slopes": kernel.slopes, "q_slopes": kernel.q_slopes,
+            "tail": lambda s: kernel.tail(s, theta)}
+
+
+def _s_knots(kernel):
+    """``s`` at the kernel's table knots: ``R0`` of its tables' segment starts."""
+    knots = [t._knots for t in (kernel._m, kernel._b) if t is not None]
+    if not knots:
+        return [1.0]
+    return np.asarray(kernel.baseline.cumulative_hazard(np.concatenate(knots))).tolist()
+
+
+def _kernel_outcome(fn, s):
+    """Per value of ``fn(s)`` its type and bytes (an array's only element,
+    read as a float), or the type of the error it raised."""
+    try:
+        if type(s) is float:
+            value = fn(s)
+        else:  # as the models call the array path: overflow is theirs to mask
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = fn(s)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc)
+    values = value if isinstance(value, tuple) else (value,)
+    return tuple(None if v is None else
+                 (type(v) if type(s) is float else float, np.asarray(v, dtype=float).tobytes())
+                 for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(_FLOAT_KERNELS)), data=st.data())
+def test_a_float_s_gives_the_array_element_bit_for_bit(name, data):
+    kernel = _FLOAT_KERNELS[name]
+    knot = data.draw(st.sampled_from(_s_knots(kernel)))
+    s = data.draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(0.0, 12.0),
+        st.floats(1e154, 1e308),
+        st.sampled_from([knot, math.nextafter(knot, -math.inf), math.nextafter(knot, math.inf)])
+        .map(lambda v: max(v, 0.0))))
+    for view, fn in _kernel_views(kernel).items():
+        assert _kernel_outcome(fn, s) == _kernel_outcome(fn, np.array([s])), (view, s)
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_KERNELS))
+def test_every_kernel_refuses_a_non_finite_float_s(name):
+    # an array passes one through unless a table kernel runs: the models zero
+    # any overflow before a kernel runs
+    kernel = _FLOAT_KERNELS[name]
+    tables = kernel.delta is None and (kernel._m is not None or kernel._b is not None)
+    for view, fn in _kernel_views(kernel).items():
+        for s in (math.nan, math.inf, -math.inf):
+            assert _kernel_outcome(fn, s) is DomainError, (view, s)
+        for s in (math.nan, math.inf):
+            assert (_kernel_outcome(fn, np.array([s])) is DomainError) == tables, (view, s)
+
+
+def test_a_float_route_over_the_exponential_builds_no_array(monkeypatch):
+    # LFR, a table and PH over a table, each over the exponential: every map
+    # answers the float in float arithmetic, and r0 = 1 needs no np.power
+    kernels = [_FLOAT_KERNELS["lfr-exponential:1"], _FLOAT_KERNELS["table-exponential:1"],
+               WedgeKernel(ProportionalHazard(TABLE_BASE, 1.5), E)]
+    for name in ("asarray", "array", "power", "divide", "maximum", "interp", "searchsorted"):
+        monkeypatch.setattr(np, name, _refuse)
+    for kernel in kernels:
+        for s in (0.0, 0.7, 2.0, 40.0):
+            kernel.q_slopes(s)
+            kernel.tail(s, 3.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an array was built")
 
 
 @pytest.mark.parametrize("base", [E, PAR], ids=["exponential", "pareto"])

@@ -11,6 +11,7 @@ import pytest
 import bisurv
 from bisurv.baseline import PiecewiseLinearHazard
 from bisurv.cli import main
+from bisurv.marginals import WedgeKernel
 
 MO_CONFIG = '{"baseline": "exponential", "theta123": [1, 1, 1]}\n'
 LFR_CONFIG = ('{"baseline": "exponential", "theta": 3.0, '
@@ -115,7 +116,8 @@ def test_rect_where_both_cumulative_hazards_overflow(capsys, tmp_path):
 
 
 def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
-    # density and gradient share the hazard pair of their one point
+    # density and gradient share the hazard pair of their one point, which
+    # the exponential maps one float coordinate at a time
     calls = []
     hazard = bisurv.Exponential.hazard
 
@@ -126,7 +128,7 @@ def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
     monkeypatch.setattr(bisurv.Exponential, "hazard", counting)
     code, out, _ = run(capsys, "eval", "--config", mo_config, "1", "2")
     assert code == 0 and "hazard_gradient = (1, 2)" in out
-    assert calls == [(2,)]
+    assert calls == [(), ()]
 
 
 def test_eval_maps_a_table_baseline_in_floats(capsys, tmp_path, monkeypatch):
@@ -154,6 +156,41 @@ def test_eval_maps_a_table_baseline_in_floats(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "eval", "--config", str(cfg_path), "1", "2")
     assert code == 0 and "hazard_gradient" in out
     assert calls == {"cumulative_hazard": [float, float], "hazard": [float, float]}
+
+
+def test_eval_maps_an_lfr_point_in_floats(capsys, tmp_path, monkeypatch):
+    # LFR over the exponential answers the point in float arithmetic: every
+    # map of the baseline and the marginals sees only floats, and no kernel
+    # takes its array path
+    cfg_path = tmp_path / "lfr.json"
+    cfg_path.write_text('{"baseline": "exponential", "theta": 2.0, '
+                        '"marginals": ["lfr:0.2", "lfr:0.2"]}')
+    # built and decomposed before the guards go up: the diagonal limit
+    # samples Q' on an array
+    cfg = bisurv.config.load_model_config(str(cfg_path))
+    cfg.model.decompose()
+    monkeypatch.setattr(bisurv.cli, "load_model_config", lambda *args, **kwargs: cfg)
+    seen = []
+    maps = ("cumulative_hazard", "inverse_cumulative_hazard", "hazard", "hazard_derivative")
+    for cls in (bisurv.Exponential, bisurv.LinearFailureRate):
+        for name in maps:
+            if hasattr(cls, name):
+                def counting(self, x, _method=getattr(cls, name)):
+                    seen.append(type(x))
+                    return _method(self, x)
+                monkeypatch.setattr(cls, name, counting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the array path was entered")
+
+    monkeypatch.setattr(WedgeKernel, "_array_terms", refuse)
+    for x1, x2 in (("1", "2"), ("2", "1")):
+        seen.clear()
+        code, out, _ = run(capsys, "eval", "--config", str(cfg_path), x1, x2)
+        assert code == 0 and "hazard_gradient" in out
+        # the point's two R0 and two r0; then survival's d and R, the
+        # density's d, R, r, r0, r' and r0', and the gradient's d, r and r0
+        assert seen == [float] * 15
 
 
 def test_validate_exit_codes(capsys, mo_config, lfr_config, tmp_path):

@@ -149,6 +149,26 @@ def test_inverse_of_a_tiny_target_above_a_zero_row():
     assert q == pytest.approx(math.sqrt(2.0 * 5e-324 / 0.01), rel=1e-12)
 
 
+def test_inverse_where_the_hazard_squared_underflows():
+    # rows below 1.5e-154: h^2 underflows to 0, and the quadratic's root read
+    # dr / (h / 2) = 2 dr / h on a flat row.  R = 1e-170 x on [0, 2] (flat),
+    # and R = 1e-170 (x + x^2 / 2) on [0, 1] (slope 1e-170)
+    flat = PiecewiseLinearHazard([0.0, 1.0, 2.0], [1e-170] * 3)
+    assert flat.inverse(1e-171) == pytest.approx(0.1, rel=1e-15)
+    assert flat.cumulative(flat.inverse(1e-171)) == pytest.approx(1e-171, rel=1e-15)
+    sloped = PiecewiseLinearHazard([0.0, 1.0, 2.0], [1e-170, 2e-170, 2e-170])
+    for r, x in ((0.5e-170, math.sqrt(2.0) - 1.0), (1.5e-170, 1.0), (1e-300, 1e-130)):
+        assert sloped.inverse(r) == pytest.approx(x, rel=1e-15)
+    assert sloped.inverse(np.array([0.5e-170, 1e-300])).tolist() == \
+        [sloped.inverse(0.5e-170), sloped.inverse(1e-300)]
+    # through a wedge kernel, on a float and an array: LFR(1) over the flat
+    # table has Q(s) = d + d^2 at d = R0^{-1}(s)
+    kernel = WedgeKernel(LinearFailureRate(1.0), CustomHazard.from_table([0.0, 1.0, 2.0],
+                                                                         [1e-170] * 3))
+    for s in (1e-171, np.array([1e-171])):
+        assert np.asarray(kernel.q(s)).item() == pytest.approx(0.11, rel=1e-15)
+
+
 def test_sine_table_is_exact_where_quadrature_drifted():
     # 1 + 0.5x + 0.3 sin 5x on 200 rows: adaptive quad over np.interp was
     # off by up to 1e-4 here despite its stated 1e-10 absolute tolerance
