@@ -291,6 +291,7 @@ class Pareto(BaselineModel):
     def hazard(self, x):
         return _ret(1.0 / np.asarray(x, dtype=float), x)
 
+    @np.errstate(over="ignore")
     def hazard_derivative(self, x):
         return _ret(-1.0 / np.square(np.asarray(x, dtype=float)), x)
 
@@ -546,7 +547,7 @@ class PiecewiseLinearHazard:
     def derivative(self, x):
         """Right derivative of the hazard: the slope of x's segment, 0 on the flat ends."""
         if type(x) is float and math.isfinite(x):
-            knots, slopes = self._segments[0], self._segments[5]
+            knots, *_, slopes = self._segments
             return slopes[bisect.bisect_right(knots, max(x, self.x_L)) - 1]
         _check_finite(x, "x")
         return _ret(self._slope[self._segment(x)[1]], x)

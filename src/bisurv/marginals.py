@@ -210,8 +210,6 @@ def _cube(r0: float) -> float:
     in the last bit, and raises where the cube overflows."""
     if r0 == 1.0:  # exact in every pow
         return 1.0
-    if abs(r0) < 1e100:
-        return float(np.power(r0, 3))
     with np.errstate(over="ignore"):
         return float(np.power(r0, 3))
 
