@@ -266,7 +266,12 @@ class WedgeKernel:
         #: ``(theta, s, G, log G)`` of the last :meth:`tail_table`, read-only
         self._tail_nodes = None
 
+    # a PH kernel answers a finite float first: a scalar point's every view
+    # calls one of these, and each step more is paid in full on a cold cache
+
     def q(self, s):
+        if self.delta is not None and type(s) is float and math.isfinite(s):
+            return self.delta * s
         return self._terms(s, True, 0)[0]
 
     def q_prime(self, s):
@@ -275,10 +280,14 @@ class WedgeKernel:
     def slopes(self, s, second: bool = True):
         """``(Q', Q'')``; ``Q''`` is None when ``second`` is False, except
         that a PH kernel always gives its 0."""
+        if self.delta is not None and type(s) is float and math.isfinite(s):
+            return self.delta, 0.0
         return self._terms(s, False, 2 if second else 1)[1:]
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
+        if self.delta is not None and type(s) is float and math.isfinite(s):
+            return self.delta * s, self.delta, 0.0
         return self._terms(s, True, 2 if second else 1)
 
     @functools.cached_property
@@ -302,14 +311,12 @@ class WedgeKernel:
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
         ``order >= 1`` and ``Q''`` with ``order == 2``, the others None (a PH
-        kernel gives ``Q'' = 0`` with ``Q'``)."""
+        kernel gives ``Q'' = 0`` with ``Q'``).  A float ``s`` of a PH kernel
+        comes here only to be refused."""
         if type(s) is not float:
             return self._array_terms(np.asarray(s, dtype=float), cum, order)
         if not math.isfinite(s):
             raise DomainError(f"s must be finite, got {s!r}")
-        if self.delta is not None:
-            return (self.delta * s if cum else None, self.delta if order else None,
-                    0.0 if order else None)
         base, marginal = self.baseline, self.marginal
         d = base.inverse_cumulative_hazard(s)
         if (self._m is not None or self._b is not None) and not math.isfinite(d):
