@@ -37,12 +37,13 @@ picks the kernel of its wedge, and survival, density and gradient are views
 of that point.  The exponential and a table answer each float in float
 arithmetic, bit for bit as its array element (a callable one element at a
 time); Weibull and Pareto map the pair in one numpy call.  The kernel
-answers the float ``s`` likewise.  The views return floats equal bit for bit
-to the array path's element, and raise the same errors.  An off-diagonal point also carries
-``(r0(x1), r0(x2))`` from the same pair map, for density and gradient, as
-``_points`` does for arrays.  The singular part's survival ``S0(x)**theta``
-is ``S(x, x)``, and survival and density are 0 where the larger cumulative
-hazard passes the float range (``s`` inf, or NaN from ``inf - inf``).
+answers the float ``s`` likewise.  The views return floats equal bit for
+bit to the array path's element, and raise the same errors.  An
+off-diagonal point also carries ``(r0(x1), r0(x2))`` from the same pair
+map, for density and gradient, as ``_points`` does for arrays.  The
+singular part's survival ``S0(x)**theta`` is ``S(x, x)``, and survival and
+density are 0 where the larger cumulative hazard passes the float range
+(``s`` inf, or NaN from ``inf - inf``).
 """
 
 from __future__ import annotations

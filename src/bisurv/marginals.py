@@ -197,6 +197,13 @@ _TAIL_NODES = 2049
 _RISE_RTOL = 1e-9
 
 
+def _finite(s: float) -> float:
+    """A float ``s``, refused unless finite."""
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    return s
+
+
 def _divide(a: float, b: float) -> float:
     """``a / b`` of floats, with numpy's inf or NaN where Python raises."""
     if b == 0.0:
@@ -233,10 +240,10 @@ class WedgeKernel:
     inverse, and PH over those; one numpy call for Weibull, Pareto and
     callables) and forms ``Q'`` and ``Q''`` in the array path's order, with
     ``np.power(r0, 3)``'s bits and numpy's inf or NaN where Python would
-    raise.  A non-finite float ``s``
-    raises :class:`~bisurv.errors.DomainError`.  An array passes a non-finite
-    ``s`` through on the composition path: the models zero any overflow
-    before a kernel runs, and a check would cost every vectorized call.
+    raise.  A non-finite float ``s`` raises
+    :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
+    through on the composition path: the models zero any overflow before a
+    kernel runs, and a check would cost every vectorized call.
 
     Where the marginal or the baseline is a hazard table
     (:class:`~bisurv.baseline.PiecewiseLinearHazard`), ``Q`` is piecewise
@@ -266,12 +273,9 @@ class WedgeKernel:
         #: ``(theta, s, G, log G)`` of the last :meth:`tail_table`, read-only
         self._tail_nodes = None
 
-    # a PH kernel answers a finite float first: a scalar point's every view
-    # calls one of these, and each step more is paid in full on a cold cache
-
     def q(self, s):
-        if self.delta is not None and type(s) is float and math.isfinite(s):
-            return self.delta * s
+        if self.delta is not None:
+            return self.delta * (_finite(s) if type(s) is float else np.asarray(s, dtype=float))
         return self._terms(s, True, 0)[0]
 
     def q_prime(self, s):
@@ -280,14 +284,20 @@ class WedgeKernel:
     def slopes(self, s, second: bool = True):
         """``(Q', Q'')``; ``Q''`` is None when ``second`` is False, except
         that a PH kernel always gives its 0."""
-        if self.delta is not None and type(s) is float and math.isfinite(s):
-            return self.delta, 0.0
+        if self.delta is not None:
+            if type(s) is float:
+                _finite(s)
+                return self.delta, 0.0
+            s = np.asarray(s, dtype=float)
+            return np.full_like(s, self.delta), np.zeros_like(s)
         return self._terms(s, False, 2 if second else 1)[1:]
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
-        if self.delta is not None and type(s) is float and math.isfinite(s):
-            return self.delta * s, self.delta, 0.0
+        if self.delta is not None:
+            if type(s) is float:
+                return self.delta * _finite(s), self.delta, 0.0
+            return (self.q(s),) + self.slopes(s, second)
         return self._terms(s, True, 2 if second else 1)
 
     @functools.cached_property
@@ -309,39 +319,13 @@ class WedgeKernel:
         return starts, jb, jm
 
     def _terms(self, s, cum: bool, order: int):
-        """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
-        ``order >= 1`` and ``Q''`` with ``order == 2``, the others None (a PH
-        kernel gives ``Q'' = 0`` with ``Q'``).  A float ``s`` of a PH kernel
-        comes here only to be refused."""
-        if type(s) is not float:
-            return self._array_terms(np.asarray(s, dtype=float), cum, order)
-        if not math.isfinite(s):
-            raise DomainError(f"s must be finite, got {s!r}")
-        base, marginal = self.baseline, self.marginal
-        d = base.inverse_cumulative_hazard(s)
-        if (self._m is not None or self._b is not None) and not math.isfinite(d):
-            raise DomainError(f"x must be finite, got {d!r}")
-        q = q1 = q2 = None
-        if cum:
-            q = marginal.cumulative_hazard(d)
-        if order:
-            r, r0 = marginal.hazard(d), base.hazard(d)
-            q1 = _divide(r, r0)
-            if order == 2:
-                rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
-                if rp is not None and r0p is not None:
-                    q2 = _divide(rp * r0 - r * r0p, _cube(r0))
-                else:
-                    h = min(_FD_STEP * max(1.0, s), 0.5 * s)
-                    q2 = _divide(self.q_prime(s + h) - self.q_prime(s - h), 2.0 * h)
-        return q, q1, q2
-
-    def _array_terms(self, s, cum: bool, order: int):
-        """:meth:`_terms` of a float array."""
-        if self.delta is not None:
-            return (self.delta * s if cum else None,
-                    np.full_like(s, self.delta) if order else None,
-                    np.zeros_like(s) if order else None)
+        """``(Q, Q', Q'')`` at ``s`` of a kernel other than PH: ``Q`` only
+        with ``cum``, ``Q'`` with ``order >= 1`` and ``Q''`` with
+        ``order == 2``, the others None.  A float ``s`` takes
+        :meth:`_float_terms`."""
+        if type(s) is float:
+            return self._float_terms(s, cum, order)
+        s = np.asarray(s, dtype=float)
         m, b = self._m, self._b
         if b is None:
             d = np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
@@ -386,6 +370,27 @@ class WedgeKernel:
                     else:
                         h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
                         q2 = (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
+        return q, q1, q2
+
+    def _float_terms(self, s: float, cum: bool, order: int):
+        """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
+        base, marginal = self.baseline, self.marginal
+        d = base.inverse_cumulative_hazard(_finite(s))
+        if (self._m is not None or self._b is not None) and not math.isfinite(d):
+            raise DomainError(f"x must be finite, got {d!r}")
+        q = q1 = q2 = None
+        if cum:
+            q = marginal.cumulative_hazard(d)
+        if order:
+            r, r0 = marginal.hazard(d), base.hazard(d)
+            q1 = _divide(r, r0)
+            if order == 2:
+                rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
+                if rp is not None and r0p is not None:
+                    q2 = _divide(rp * r0 - r * r0p, _cube(r0))
+                else:
+                    h = min(_FD_STEP * max(1.0, s), 0.5 * s)
+                    q2 = _divide(self.q_prime(s + h) - self.q_prime(s - h), 2.0 * h)
         return q, q1, q2
 
     def tail(self, s, theta: float):

@@ -180,10 +180,13 @@ def test_eval_maps_an_lfr_point_in_floats(capsys, tmp_path, monkeypatch):
                     return _method(self, x)
                 monkeypatch.setattr(cls, name, counting)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the array path was entered")
+    terms = WedgeKernel._terms
 
-    monkeypatch.setattr(WedgeKernel, "_array_terms", refuse)
+    def floats_only(self, s, *args):
+        assert type(s) is float, "the array path was entered"
+        return terms(self, s, *args)
+
+    monkeypatch.setattr(WedgeKernel, "_terms", floats_only)
     for x1, x2 in (("1", "2"), ("2", "1")):
         seen.clear()
         code, out, _ = run(capsys, "eval", "--config", str(cfg_path), x1, x2)
