@@ -331,7 +331,10 @@ class WedgeKernel:
             d = np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
             if m is not None:
                 _check_finite(d, "x")
-                xa, jm = m._segment(d)
+                if cum or order == 2:
+                    xa, jm = m._segment(d)
+                else:  # Q' alone: the table's hazard is one np.interp
+                    m = None
         else:
             starts, jbs, jms = self._merged
             sa = np.maximum(s, 0.0)

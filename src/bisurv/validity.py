@@ -523,21 +523,136 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: cap of one slab of the rectangle scan, in floats, on grids of up to 90
-#: knots; larger grids get 4 n^2.  A slab holds the column differences of one
-#: block of columns, and the scan keeps two.  2^15 floats (256 KiB) take all
-#: the columns of a grid of up to 32 knots in one block.
+#: cap of one slab of the blocked rectangle scan, in floats, on grids of up
+#: to 90 knots; larger grids get 4 n^2.  A slab holds the column differences
+#: of one block of columns, and the scan keeps two.  2^15 floats (256 KiB)
+#: take all the columns of a grid of up to 32 knots in one block.
 _SLAB_FLOATS = 2 ** 15
+
+#: grids of at most this many knots skip the cell screen: there the blocked
+#: scan costs no more than the screen's dozen passes over n x n arrays
+_CELL_MIN_KNOTS = 20
+
+#: a cell screen that leaves more candidate cells than this falls back; a
+#: certified survival grid leaves one or two
+_CELL_CANDIDATES = 16
+
+#: unit roundoff of a double, 2^-53
+_UNIT = 2.0 ** -53
 
 
 def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     """Most negative rectangle ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over
     ``i < j`` and ``k < l`` of a square matrix (``n >= 2``), as
-    ``(value, i, j, k, l)``, in O(n^3) time and O(n^2) memory.
+    ``(value, i, j, k, l)``, in O(n^2) memory.
 
     Rectangles are ranked by their separable sum ``c_i - c_j`` with
     ``c = s[:, k] - s[:, l]``, which differs from the direct sum by rounding
-    only.  The columns ``k`` are taken in blocks: one broadcast subtract
+    only: each ``(i, k, l)`` scores ``c_i`` minus the largest ``c_j`` below
+    it, and the smallest key ``(NaN first, value, i, k, l)`` wins.  ``j`` is
+    the first row below ``i`` with the largest ``c_j``, and the value is the
+    direct sum, left to right, on that rectangle: what
+    ``rectangle_probability`` gives there.
+
+    A grid of more than ``_CELL_MIN_KNOTS`` knots goes to :func:`_cell_scan`
+    first, which settles in O(n^2) time a grid whose cells it certifies
+    nonnegative, as a valid model's survival grid is.  Every other grid
+    takes :func:`_blocked_scan`, in O(n^3) time.  Both give the same result
+    bit for bit.
+    """
+    if s.shape[0] > _CELL_MIN_KNOTS:
+        found = _cell_scan(s)  # the screen's arrays are freed on its return
+        if found is not None:
+            return _rectangle(s, *found)
+    return _blocked_scan(s)
+
+
+def _rectangle(s: np.ndarray, i: int, k: int, l: int) -> tuple[float, int, int, int, int]:
+    """The winner ``(i, k, l)`` with its row ``j`` and its direct sum."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
+        value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
+    return (value, i, j, k, l)
+
+
+def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
+    """The winning ``(i, k, l)`` of :func:`_min_rectangle` from the grid's
+    cells, or None where the cells do not settle it.
+
+    The cells are ``dc = c1[:-1] - c1[1:]`` with ``c1 = s[:, :-1] - s[:, 1:]``;
+    exactly, cell ``(i, k)`` is the mass ``s[i,k] - s[i,k+1] - s[i+1,k] +
+    s[i+1,k+1]``.  Let ``A(i, k)`` be the largest ``|s|`` over rows ``>= i``
+    and columns ``>= k`` and ``u = 2^-53``.  Each subtraction rounds by at
+    most ``u`` times its exact result, so each ``c1`` entry of a cell is
+    within ``2uA`` of its exact value and the cell within
+    ``4uA + u(4A + 4uA) <= 8.01uA`` of the exact mass.
+
+    If every ``dc >= 16uA``, every exact cell is ``>= 7.99uA > 0``.  A
+    rectangle with top-left cell ``(i, k)`` then holds at least that cell's
+    mass: exactly ``c_i - c_j >= cell(i, k)``.  Its ``c`` entries are each
+    within ``2uA`` of exact, so the computed ``c_i - max_{j > i} c_j`` is at
+    least ``dc - 12.01uA > 0``, and its rounding takes off at most ``4.01uA``
+    more: every score with top-left cell ``(i, k)`` is at least
+    ``dc - 16.02uA``.  ``LB = dc - 32uA``, rounded, lies below that (its own
+    rounding adds at most ``4.01uA``).  The threshold ``16uA`` is computed
+    with one smallest subnormal added, which covers the product's rounding
+    where ``A`` is so small that it underflows and elsewhere only makes it
+    larger; ``LB`` takes twice that threshold.
+
+    ``U`` is the least score at ``l = k + 1`` (``c = c1``), one running
+    maximum down the rows.  The winner scores at most ``U``, and the cell
+    ``(i, k)`` that attains ``U`` has ``LB <= U``; so only cells with
+    ``LB <= U`` can hold the winner, and every other score is above it.
+    Those few cells are scored over every ``l > k`` and ``j > i`` in the
+    scan's arithmetic and ranked by ``(value, i, k, l)``.
+
+    None, so that :func:`_blocked_scan` decides, where a cell is negative or
+    NaN (checked first, so an invalid grid fails fast), where an entry is
+    not finite or exceeds ``1e300`` in size, where a cell lies below its
+    certificate (ties and zero masses), and where more than
+    ``_CELL_CANDIDATES`` cells remain.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        c1 = s[:, :-1] - s[:, 1:]
+        dc = c1[:-1] - c1[1:]
+        if not dc.min() >= 0.0:
+            return None
+        # suffix maxima down the rows and along the columns: A at [::-1, ::-1]
+        a = np.maximum.accumulate(np.abs(s)[::-1, ::-1], axis=0)
+        np.maximum.accumulate(a, axis=1, out=a)
+        if not a[-1, -1] <= 1e300:  # the largest |s|, NaN if any entry is
+            return None
+        bound = a[:0:-1, :0:-1]  # A(i, k) over the cells' (i, k)
+        bound *= 16.0 * _UNIT
+        bound += 5e-324
+        if (dc < bound).any():
+            return None
+        bound *= 2.0
+        lb = np.subtract(dc, bound, out=dc)
+        del a, bound
+        below = np.maximum.accumulate(c1[:0:-1], axis=0)[::-1]  # max over rows > i
+        first = np.subtract(c1[:-1], below, out=below)
+        cells = np.flatnonzero(lb <= first.min())
+        del c1, lb, below, first
+    if cells.size > _CELL_CANDIDATES:
+        return None
+    n = s.shape[0]
+    best = None
+    for cell in cells.tolist():
+        i, k = divmod(cell, n - 1)
+        c = s[i:, k, None] - s[i:, k + 1:]
+        score = c[0] - c[1:].max(axis=0)
+        m = int(np.argmin(score))
+        key = (float(score[m]), i, k, k + 1 + m)
+        if best is None or key < best:
+            best = key
+    return best[1:]
+
+
+def _blocked_scan(s: np.ndarray) -> tuple[float, int, int, int, int]:
+    """:func:`_min_rectangle` of any matrix, in O(n^3) time and O(n^2) memory.
+
+    The columns ``k`` are taken in blocks: one broadcast subtract
     builds the slab ``c[i, k, l]`` of a block for every ``l`` right of its
     first column, and row ``i`` scores ``c_i`` minus the largest ``c_j``
     below it.  Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per
@@ -554,10 +669,8 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     largest value below (a maximum is exact and passes NaN on, so this is
     the running maximum bit for bit) and scores the block again; later
     blocks go straight to the loop.  The two scores differ at most in the sign
-    of a zero, which no comparison sees.  ``j`` is then the first row below
-    ``i`` with the largest ``c_j``, and the value is the direct sum, left to
-    right, on that rectangle: what ``rectangle_probability`` gives there.
-    A slab holds at most ``max(_SLAB_FLOATS, 4 n^2)`` floats.
+    of a zero, which no comparison sees.  A slab holds at most
+    ``max(_SLAB_FLOATS, 4 n^2)`` floats.
     """
     n = s.shape[0]
     cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
@@ -593,10 +706,8 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
             if best is None or key < best:
                 best = key
             k0 = k1
-        i, k, l = best[2:]
-        j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
-        value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
-    return (value, i, j, k, l)
+    return _rectangle(s, *best[2:])
+
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,

@@ -513,3 +513,28 @@ def _forbidden(model):
     if hasattr(model, "inverse_cumulative_hazard"):
         names.append("inverse_cumulative_hazard")
     return {n: mock.Mock(side_effect=AssertionError(n)) for n in names}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED))
+def test_table_marginal_q_prime_alone_is_one_interp(name):
+    # over a closed-form baseline, Q' alone reads the table's own hazard (one
+    # np.interp, no lookup), bit for bit the segment's line; on 200,000
+    # points and on the images of the table's knots and of x_L
+    base = _CLOSED[name][0]
+    x_L = base.x_L
+    marginal = FromHazard.from_table([x_L + x for x in KINK_X], KINK_H, x_L=x_L)
+    table, kernel = marginal._table, WedgeKernel(marginal, base)
+    knots = np.concatenate([[x_L], table._knots, table._knots_next[:-1]])
+    s = np.concatenate([np.linspace(0.0, 40.0, 200_000),
+                        np.asarray(base.cumulative_hazard(knots), dtype=float)])
+    d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = table._hazard_on(d, table._segment(d)[1]) / np.asarray(base.hazard(d), dtype=float)
+    with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search, \
+            mock.patch.object(np, "interp", wraps=np.interp) as interp:
+        got = kernel.slopes(s, second=False)[0]
+    assert (search.call_count, interp.call_count) == (0, 1)
+    assert got.tobytes() == want.tobytes()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            kernel.slopes(np.array([1.0, bad]), second=False)

@@ -362,18 +362,22 @@ def _dipped_example(n, k):
 def test_blocked_rectangle_scan_is_the_column_scan(s):
     # bit for bit, ties and NaN included, through several blocks of columns,
     # row-monotone or not: at the default slab, and at slabs of 4 n^2 floats
-    # (blocks of about four columns)
+    # (blocks of about four columns); and the whole scan, which may take the
+    # cell screen on grids above its cutoff
     want = rectangle_scan_running_max(s)
     for slab in (validity._SLAB_FLOATS, 1):
         with mock.patch.object(validity, "_SLAB_FLOATS", slab):
-            got = _min_rectangle(s)
+            got = validity._blocked_scan(s)
         assert got[1:] == want[1:]
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    got = _min_rectangle(s)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
 def _scan_branches(s):
     """``(blocks, failed row checks, blocks scored by the row loop)`` of
-    ``_min_rectangle(s)``, from its calls of ``np.subtract`` and
+    the blocked scan of ``s``, from its calls of ``np.subtract`` and
     ``np.maximum``: each block makes one slab (``n`` rows) and one score
     (``n - 1`` rows), a row check that fails one more score, and the row
     loop ``n - 2`` maxima."""
@@ -387,7 +391,7 @@ def _scan_branches(s):
 
     with mock.patch.object(np, "subtract", side_effect=subtract), \
             mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
-        got = _min_rectangle(s)
+        got = validity._blocked_scan(s)
     assert got[1:] == rectangle_scan_running_max(s)[1:]
     blocks = outs.count(n)
     return blocks, len(outs) - 2 * blocks, maximum.call_count // (n - 2)
@@ -412,6 +416,165 @@ def test_rectangle_scan_of_tied_rectangles_is_cubic():
     # would cost n^4 here, one pass over the blocks takes ~0.03 s
     start = time.perf_counter()
     assert _min_rectangle(np.zeros((192, 192))) == (0.0, 0, 1, 0, 1)
+    assert time.perf_counter() - start < 2.0
+
+
+def _positive_mass_survival(rng, n, scale=1.0, dyadic=False):
+    """Survival matrix of positive masses scaled so that ``s[0, 0]`` is
+    about ``scale``: every cell carries mass, as on a valid model's grid.
+    Dyadic masses (multiples of 1/8 in [1, 2)) keep every sum exact."""
+    mass = (rng.integers(8, 16, (n, n)) / 8.0) if dyadic else rng.random((n, n)) + 0.5
+    s = mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1]
+    return s * (scale / s[0, 0])
+
+
+def _certificate_example(scale, side):
+    """A 3 x 3 matrix whose cell (0, 0) is ``s[0, 0]`` itself and lies one
+    float below (``side = -1``), on (0) or one float above (1) the cell
+    screen's certificate ``16 u A + 5e-324``, with ``A = scale`` the largest
+    entry; the other cells are ``scale/4``, ``scale/4`` and ``scale/2``."""
+    cert = scale * (16.0 * 2.0**-53) + 5e-324
+    cell = cert if side == 0 else math.nextafter(cert, side * math.inf)
+    w = scale / 4.0
+    return np.array([[cell, 0.0, 0.0], [0.0, 0.0, w], [0.0, w, scale]])
+
+
+def _tied_cells_example(n, cells, seed=3):
+    """Dyadic positive-mass survival whose cells ``cells`` carry mass 1/2,
+    below every other cell: each scores 1/2 exactly, a tie between
+    candidate cells that the key ``(value, i, k, l)`` breaks."""
+    mass = np.random.default_rng(seed).integers(8, 16, (n, n)) / 8.0
+    for i, k in cells:
+        mass[i, k] = 0.5  # cell (i, k) carries mass[i, k]
+    return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].copy()
+
+
+@st.composite
+def _cell_matrices(draw):
+    """:func:`_survival_matrices`, and matrices at the edges of the cell
+    screen: positive-mass survival scaled to 1e-300 and to subnormals,
+    near-1 survival whose cells are about 1e-17 (far below the
+    certificate), a cell one float either side of the certificate, and two
+    cells with equal lowest scores."""
+    kind = draw(st.sampled_from(["survival", "scaled", "near-one", "certificate", "tied"]))
+    if kind == "survival":
+        return draw(_survival_matrices())
+    n = draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "scaled":
+        scale = draw(st.sampled_from([1e-300, 2.0**-1000, 1e-310, 1e-318, 5e-321]))
+        return _positive_mass_survival(rng, n, scale, dyadic=draw(st.booleans()))
+    if kind == "near-one":
+        s = _positive_mass_survival(rng, n, float(n * n))
+        return 1.0 + 1e-17 * (s - s[0, 0])
+    if kind == "certificate":
+        return _certificate_example(draw(st.sampled_from([1.0, 3.0, 2.0**-1000, 2.0**-1030])),
+                                    draw(st.sampled_from([-1, 0, 1])))
+    cell = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))
+    return _tied_cells_example(n, [draw(cell), draw(cell)], seed=draw(st.integers(0, 99)))
+
+
+_SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_cell_matrices())
+@example(s=_positive_mass_survival(np.random.default_rng(4), 12, 1e-300))
+@example(s=_positive_mass_survival(np.random.default_rng(5), 12, 1e-310))
+@example(s=_positive_mass_survival(np.random.default_rng(6), 9, 5e-321, dyadic=True))
+@example(s=1.0 + 1e-17 * (_positive_mass_survival(np.random.default_rng(7), 10, 100.0) - 100.0))
+@example(s=_certificate_example(1.0, -1))
+@example(s=_certificate_example(3.0, 1))
+@example(s=_certificate_example(2.0**-1030, 0))
+@example(s=_tied_cells_example(12, [(7, 2), (3, 9)]))
+@example(s=_SIGNED_ZEROS)
+def test_cell_screen_is_the_column_scan(s):
+    # with the cutoff at 2 every grid of 3 or more knots tries the screen
+    # first; certified or not, the result is the column scan's bit for bit
+    with mock.patch.object(validity, "_CELL_MIN_KNOTS", 2):
+        got = _min_rectangle(s)
+    want = rectangle_scan_running_max(s)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 2.0**-1000, 2.0**-1030])
+def test_cell_screen_certificate_edge(scale):
+    # a cell one float below its certificate falls back; on or above it, the
+    # screen settles the grid (at 2^-1030 the certificate is one subnormal)
+    assert validity._cell_scan(_certificate_example(scale, -1)) is None
+    for side in (0, 1):
+        s = _certificate_example(scale, side)
+        assert validity._cell_scan(s) is not None
+        assert _min_rectangle(s) == rectangle_scan_running_max(s)
+
+
+def test_cell_screen_breaks_ties_between_candidate_cells():
+    # cells (3, 9) and (7, 2) both score 1/2 at l = k + 1, below every other
+    # rectangle; both are candidates, and the first row wins
+    s = _tied_cells_example(24, [(7, 2), (3, 9)])
+    with mock.patch.object(validity, "_blocked_scan", side_effect=AssertionError):
+        got = _min_rectangle(s)
+    assert got == rectangle_scan_running_max(s) == (0.5, 3, 4, 9, 10)
+
+
+_VALID_BENCH_MODELS = {"ph-exp": MO, "ph-weibull0.5": PHBivariateModel(Weibull(0.5), 1, 0.5, 2),
+                       "ph-pareto": PHBivariateModel(PAR, 2, 1, 1)}
+
+
+@pytest.mark.parametrize("name", [*(n for n in GOLDEN_CONFIGS if n != "lfr-invalid"),
+                                  "gen-weibull2", *_VALID_BENCH_MODELS])
+def test_cell_screen_alone_settles_every_valid_config(name, tmp_path):
+    # the bench's and the goldens' valid models: the screen certifies every
+    # cell, so the blocked scan never runs, and the result is the column scan's
+    model = _VALID_BENCH_MODELS.get(name) or _golden_model(name, tmp_path)
+    for knots in (32, 48, 128):
+        xs = GridSpec.default(knots=knots).axis_points(model.baseline)
+        s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
+        with mock.patch.object(validity, "_blocked_scan", side_effect=AssertionError):
+            got = _min_rectangle(s)
+            assert check_two_increasing(model, GridSpec.default(knots=knots)).verdict == VALID
+        want = rectangle_scan_running_max(s)
+        assert got[1:] == want[1:]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def _fallback_examples():
+    xs = GridSpec.default(knots=48).axis_points(E)
+    valid = MO.survival(xs[:, None], xs[None, :])
+    examples = {f"lfr{a}": lfr_exp_model(a, theta).survival(xs[:, None], xs[None, :])
+                for a, theta in ((1.5, 3.0), (0.2, 2.0))}
+    for bad in (math.nan, math.inf, 1e301):
+        s = valid.copy()
+        s[40, 40] = bad
+        examples[f"valid-with-{bad:g}"] = s
+    examples["zero"] = np.zeros((48, 48))
+    examples["tied"] = _scan_example(49, "tied")
+    examples["empty-row"] = _mass_survival(np.random.default_rng(2), 48, empty_row=5)
+    # every cell is exactly 1, so every cell is a candidate
+    examples["equal-cells"] = np.arange(48.0)[::-1, None] * np.arange(48.0)[None, ::-1]
+    return examples
+
+
+@pytest.mark.parametrize("name", list(_fallback_examples()))
+def test_cell_screen_falls_back(name):
+    # an invalid grid fails on a negative cell; the others on a non-finite or
+    # huge entry, a zero cell below the certificate, or too many candidates
+    s = _fallback_examples()[name]
+    assert validity._cell_scan(s) is None
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = rectangle_scan_running_max(s)
+    got = _min_rectangle(s)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+
+
+def test_rectangle_scan_of_a_valid_1024_knot_grid_is_quadratic():
+    # the blocked scan takes ~4 s on this grid; the cell screen ~0.1 s
+    xs = GridSpec.default(knots=1024).axis_points(E)
+    s = MO.survival(xs[:, None], xs[None, :])
+    start = time.perf_counter()
+    assert _min_rectangle(s) == (1.3003740944421775e-13, 1021, 1022, 1022, 1023)
     assert time.perf_counter() - start < 2.0
 
 
