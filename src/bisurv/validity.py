@@ -15,9 +15,10 @@ such fact is one row of one builder, and each report names the rows it lists:
 * ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
   two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
   ``iii`` (marginal ``ii``'s row) and ``iv`` (marginal ``i``'s row).
-* ``check_two_increasing`` -- one O(n^3) pass ranks the rectangles spanned
-  by grid knots by their separable sum and reports the winner's
-  inclusion-exclusion sum.
+* ``check_two_increasing`` -- ranks the rectangles spanned by grid knots by
+  their separable sum and reports the winner's inclusion-exclusion sum: in
+  O(n^2) time where the grid's cells are certified nonnegative, as on a
+  valid model's grid, and by one O(n^3) pass elsewhere.
 * ``check_functional_equation`` -- residual of the stability identity
   ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)``; every model built here
   satisfies it to rounding error, valid or not.
@@ -531,7 +532,7 @@ _SLAB_FLOATS = 2 ** 15
 
 #: grids of at most this many knots skip the cell screen: there the blocked
 #: scan costs no more than the screen's dozen passes over n x n arrays
-_CELL_MIN_KNOTS = 20
+_CELL_MIN_KNOTS = 16
 
 #: a cell screen that leaves more candidate cells than this falls back; a
 #: certified survival grid leaves one or two
@@ -581,59 +582,57 @@ def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
 
     The cells are ``dc = c1[:-1] - c1[1:]`` with ``c1 = s[:, :-1] - s[:, 1:]``;
     exactly, cell ``(i, k)`` is the mass ``s[i,k] - s[i,k+1] - s[i+1,k] +
-    s[i+1,k+1]``.  Let ``A(i, k)`` be the largest ``|s|`` over rows ``>= i``
-    and columns ``>= k`` and ``u = 2^-53``.  Each subtraction rounds by at
-    most ``u`` times its exact result, so each ``c1`` entry of a cell is
-    within ``2uA`` of its exact value and the cell within
-    ``4uA + u(4A + 4uA) <= 8.01uA`` of the exact mass.
+    s[i+1,k+1]``.  A float difference has the sign of the exact one, so
+    ``dc >= 0`` makes each column of ``c1`` fall down the rows, and then
+    ``c1 >= 0`` once its last row is.  The screen asks for a survival-shaped
+    grid: cells ``>= 0``, entries ``>= 0``, at most ``1e300`` and
+    nonincreasing along both axes.  There the largest ``|s|`` over rows
+    ``>= i`` and columns ``>= k`` is ``A(i, k) = s[i, k]``.
 
-    If every ``dc >= 16uA``, every exact cell is ``>= 7.99uA > 0``.  A
-    rectangle with top-left cell ``(i, k)`` then holds at least that cell's
-    mass: exactly ``c_i - c_j >= cell(i, k)``.  Its ``c`` entries are each
-    within ``2uA`` of exact, so the computed ``c_i - max_{j > i} c_j`` is at
-    least ``dc - 12.01uA > 0``, and its rounding takes off at most ``4.01uA``
-    more: every score with top-left cell ``(i, k)`` is at least
-    ``dc - 16.02uA``.  ``LB = dc - 32uA``, rounded, lies below that (its own
-    rounding adds at most ``4.01uA``).  The threshold ``16uA`` is computed
-    with one smallest subnormal added, which covers the product's rounding
-    where ``A`` is so small that it underflows and elsewhere only makes it
-    larger; ``LB`` takes twice that threshold.
+    Bound (``u = 2^-53``): each subtraction rounds by at most ``u`` times
+    its exact result, so each ``c1`` entry of a cell is within ``2uA`` of
+    its exact value and the cell within ``4uA + u(4A + 4uA) <= 8.01uA`` of
+    the exact mass.  If every ``dc >= 16uA``, every exact cell is
+    ``>= 7.99uA > 0``.  A rectangle with top-left cell ``(i, k)`` then holds
+    at least that cell's mass: exactly ``c_i - c_j >= cell(i, k)``.  Its
+    ``c`` entries are each within ``2uA`` of exact, so the computed
+    ``c_i - max_{j > i} c_j`` is at least ``dc - 12.01uA > 0``, and its
+    rounding takes off at most ``4.01uA`` more: every score with top-left
+    cell ``(i, k)`` is at least ``dc - 16.02uA``.  ``LB = dc - 32uA``,
+    rounded, lies below that (its own rounding adds at most ``4.01uA``).
+    The threshold ``16uA`` is computed with one smallest subnormal added,
+    which covers the product's rounding where ``A`` is so small that it
+    underflows and elsewhere only makes it larger; ``LB`` takes twice that
+    threshold.
 
-    ``U`` is the least score at ``l = k + 1`` (``c = c1``), one running
-    maximum down the rows.  The winner scores at most ``U``, and the cell
-    ``(i, k)`` that attains ``U`` has ``LB <= U``; so only cells with
-    ``LB <= U`` can hold the winner, and every other score is above it.
-    Those few cells are scored over every ``l > k`` and ``j > i`` in the
-    scan's arithmetic and ranked by ``(value, i, k, l)``.
+    Since ``c1`` falls down the rows, the score at ``l = k + 1`` is
+    ``c1[i] - c1[i+1] = dc`` bit for bit, so the least of them is
+    ``U = min(dc)``.  The winner scores at most ``U``, and the cell that
+    attains ``U`` has ``LB <= U``; so only cells with ``LB <= U`` can hold
+    the winner, and every other score is above it.  Those few cells are
+    scored over every ``l > k`` and ``j > i`` in the scan's arithmetic and
+    ranked by ``(value, i, k, l)``.
 
     None, so that :func:`_blocked_scan` decides, where a cell is negative or
-    NaN (checked first, so an invalid grid fails fast), where an entry is
-    not finite or exceeds ``1e300`` in size, where a cell lies below its
-    certificate (ties and zero masses), and where more than
+    NaN (checked first, so an invalid grid fails fast), where the grid is
+    not survival-shaped (an infinite entry included), where a cell lies
+    below its certificate (ties and zero masses), and where more than
     ``_CELL_CANDIDATES`` cells remain.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         c1 = s[:, :-1] - s[:, 1:]
         dc = c1[:-1] - c1[1:]
-        if not dc.min() >= 0.0:
+        least = dc.min()
+        if not (least >= 0.0 and c1[-1].min() >= 0.0 and s[-1, -1] >= 0.0
+                and s[0, 0] <= 1e300 and (s[:-1] >= s[1:]).all()):
             return None
-        # suffix maxima down the rows and along the columns: A at [::-1, ::-1]
-        a = np.maximum.accumulate(np.abs(s)[::-1, ::-1], axis=0)
-        np.maximum.accumulate(a, axis=1, out=a)
-        if not a[-1, -1] <= 1e300:  # the largest |s|, NaN if any entry is
-            return None
-        bound = a[:0:-1, :0:-1]  # A(i, k) over the cells' (i, k)
-        bound *= 16.0 * _UNIT
+        bound = s[:-1, :-1] * (16.0 * _UNIT)  # 16 u A(i, k)
         bound += 5e-324
         if (dc < bound).any():
             return None
         bound *= 2.0
-        lb = np.subtract(dc, bound, out=dc)
-        del a, bound
-        below = np.maximum.accumulate(c1[:0:-1], axis=0)[::-1]  # max over rows > i
-        first = np.subtract(c1[:-1], below, out=below)
-        cells = np.flatnonzero(lb <= first.min())
-        del c1, lb, below, first
+        cells = np.flatnonzero(np.subtract(dc, bound, out=bound) <= least)
+        del c1, dc, bound
     if cells.size > _CELL_CANDIDATES:
         return None
     n = s.shape[0]
@@ -714,12 +713,16 @@ def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
-    Scans all knot pairs per axis in O(n^3) time on ``n`` knots and reports
-    the most negative rectangle.  The scan takes the columns in blocks and
-    holds two slabs of at most ``max(2^15, 4 n^2)`` floats, so its memory is
-    O(n^2): about 10 n^2 floats with the survival matrix on large grids.  A
-    block whose column differences ``S_ik - S_il`` never rise down the rows,
-    as on a grid without negative rectangles, is scored by one subtract of
+    Ranks all knot pairs per axis on ``n`` knots and reports the most
+    negative rectangle, in O(n^2) memory.  Above ``_CELL_MIN_KNOTS`` knots,
+    a grid whose cells ``S_ik - S_i,k+1 - S_i+1,k + S_i+1,k+1`` all clear a
+    rounding certificate, as a valid model's grid does, is settled in O(n^2)
+    time from the few cells that can start the winner.  Any other grid, an
+    invalid model's among them, is scanned in O(n^3) time: the scan takes
+    the columns in blocks and holds two slabs of at most
+    ``max(2^15, 4 n^2)`` floats, about 10 n^2 floats with the survival
+    matrix on large grids.  A block whose column differences
+    ``S_ik - S_il`` never rise down the rows is scored by one subtract of
     neighbouring rows; the others by a running maximum over the rows.
     Rectangles are ranked by their separable sum,
     ``(S_ik - S_il) - (S_jk - S_jl)``, which differs from the

@@ -429,14 +429,21 @@ def _positive_mass_survival(rng, n, scale=1.0, dyadic=False):
 
 
 def _certificate_example(scale, side):
-    """A 3 x 3 matrix whose cell (0, 0) is ``s[0, 0]`` itself and lies one
-    float below (``side = -1``), on (0) or one float above (1) the cell
-    screen's certificate ``16 u A + 5e-324``, with ``A = scale`` the largest
-    entry; the other cells are ``scale/4``, ``scale/4`` and ``scale/2``."""
-    cert = scale * (16.0 * 2.0**-53) + 5e-324
+    """A survival-shaped 3 x 3 matrix whose cell (1, 1) lies one float below
+    (``side = -1``), on (0) or one float above (1) the cell screen's
+    certificate ``16 u s[1, 1] + 5e-324``.  ``scale`` is a power of two at
+    which every subtraction of that cell is exact: 1 and 2^-900, where the
+    certificate is ``1.5 * 2^-49 * scale``, and 2^-1060, where every entry
+    is subnormal and the certificate is one subnormal."""
+    a = 1.5 * scale
+    cert = a * (16.0 * 2.0**-53) + 5e-324
     cell = cert if side == 0 else math.nextafter(cert, side * math.inf)
-    w = scale / 4.0
-    return np.array([[cell, 0.0, 0.0], [0.0, 0.0, w], [0.0, w, scale]])
+    p = 2.0 * cert  # the cell is (a - b) - (c - 0) = p - c
+    s = np.array([[8.0, 4.0, 2.0], [4.0, 1.5, 0.0], [2.0, 0.0, 0.0]]) * scale
+    s[1, 1:] = a, a - p
+    s[2, 1] = p - cell
+    assert (s[1, 1] - s[1, 2]) - (s[2, 1] - s[2, 2]) == cell
+    return s
 
 
 def _tied_cells_example(n, cells, seed=3):
@@ -468,7 +475,7 @@ def _cell_matrices(draw):
         s = _positive_mass_survival(rng, n, float(n * n))
         return 1.0 + 1e-17 * (s - s[0, 0])
     if kind == "certificate":
-        return _certificate_example(draw(st.sampled_from([1.0, 3.0, 2.0**-1000, 2.0**-1030])),
+        return _certificate_example(draw(st.sampled_from([1.0, 2.0**-900, 2.0**-1060])),
                                     draw(st.sampled_from([-1, 0, 1])))
     cell = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))
     return _tied_cells_example(n, [draw(cell), draw(cell)], seed=draw(st.integers(0, 99)))
@@ -484,8 +491,8 @@ _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
 @example(s=_positive_mass_survival(np.random.default_rng(6), 9, 5e-321, dyadic=True))
 @example(s=1.0 + 1e-17 * (_positive_mass_survival(np.random.default_rng(7), 10, 100.0) - 100.0))
 @example(s=_certificate_example(1.0, -1))
-@example(s=_certificate_example(3.0, 1))
-@example(s=_certificate_example(2.0**-1030, 0))
+@example(s=_certificate_example(2.0**-900, 1))
+@example(s=_certificate_example(2.0**-1060, 0))
 @example(s=_tied_cells_example(12, [(7, 2), (3, 9)]))
 @example(s=_SIGNED_ZEROS)
 def test_cell_screen_is_the_column_scan(s):
@@ -498,10 +505,10 @@ def test_cell_screen_is_the_column_scan(s):
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
-@pytest.mark.parametrize("scale", [1.0, 3.0, 2.0**-1000, 2.0**-1030])
+@pytest.mark.parametrize("scale", [1.0, 2.0**-900, 2.0**-1060])
 def test_cell_screen_certificate_edge(scale):
     # a cell one float below its certificate falls back; on or above it, the
-    # screen settles the grid (at 2^-1030 the certificate is one subnormal)
+    # screen settles the grid (at 2^-1060 the certificate is one subnormal)
     assert validity._cell_scan(_certificate_example(scale, -1)) is None
     for side in (0, 1):
         s = _certificate_example(scale, side)
@@ -544,22 +551,27 @@ def _fallback_examples():
     valid = MO.survival(xs[:, None], xs[None, :])
     examples = {f"lfr{a}": lfr_exp_model(a, theta).survival(xs[:, None], xs[None, :])
                 for a, theta in ((1.5, 3.0), (0.2, 2.0))}
-    for bad in (math.nan, math.inf, 1e301):
+    # a NaN spoils its cells; inf and 1e301 at the top left keep the cells
+    # and both axes' order, and only the size check refuses them
+    for bad, at in ((math.nan, (40, 40)), (math.inf, (0, 0)), (1e301, (0, 0))):
         s = valid.copy()
-        s[40, 40] = bad
+        s[at] = bad
         examples[f"valid-with-{bad:g}"] = s
     examples["zero"] = np.zeros((48, 48))
     examples["tied"] = _scan_example(49, "tied")
     examples["empty-row"] = _mass_survival(np.random.default_rng(2), 48, empty_row=5)
     # every cell is exactly 1, so every cell is a candidate
     examples["equal-cells"] = np.arange(48.0)[::-1, None] * np.arange(48.0)[None, ::-1]
+    # positive cells, but the rows rise: not survival-shaped
+    examples["rising-rows"] = valid + np.arange(48.0)[None, :]
     return examples
 
 
 @pytest.mark.parametrize("name", list(_fallback_examples()))
 def test_cell_screen_falls_back(name):
     # an invalid grid fails on a negative cell; the others on a non-finite or
-    # huge entry, a zero cell below the certificate, or too many candidates
+    # huge entry, a rise along a row, a zero cell below the certificate, or
+    # too many candidates
     s = _fallback_examples()[name]
     assert validity._cell_scan(s) is None
     with np.errstate(invalid="ignore", over="ignore"):
