@@ -538,9 +538,6 @@ _CELL_MIN_KNOTS = 16
 #: certified survival grid leaves one or two
 _CELL_CANDIDATES = 16
 
-#: unit roundoff of a double, 2^-53
-_UNIT = 2.0 ** -53
-
 
 def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     """Most negative rectangle ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over
@@ -558,19 +555,13 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     A grid of more than ``_CELL_MIN_KNOTS`` knots goes to :func:`_cell_scan`
     first, which settles in O(n^2) time a grid whose cells it certifies
     nonnegative, as a valid model's survival grid is.  Every other grid
-    takes :func:`_blocked_scan`, in O(n^3) time.  Both give the same result
-    bit for bit.
+    takes :func:`_blocked_scan`, in O(n^3) time.  Both find the same winning
+    ``(i, k, l)``, and run under this function's ``np.errstate``.
     """
-    if s.shape[0] > _CELL_MIN_KNOTS:
-        found = _cell_scan(s)  # the screen's arrays are freed on its return
-        if found is not None:
-            return _rectangle(s, *found)
-    return _blocked_scan(s)
-
-
-def _rectangle(s: np.ndarray, i: int, k: int, l: int) -> tuple[float, int, int, int, int]:
-    """The winner ``(i, k, l)`` with its row ``j`` and its direct sum."""
     with np.errstate(invalid="ignore", over="ignore"):
+        # the screen's arrays are freed on its return
+        found = _cell_scan(s) if s.shape[0] > _CELL_MIN_KNOTS else None
+        i, k, l = found or _blocked_scan(s)
         j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
         value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
     return (value, i, j, k, l)
@@ -610,8 +601,12 @@ def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
     ``U = min(dc)``.  The winner scores at most ``U``, and the cell that
     attains ``U`` has ``LB <= U``; so only cells with ``LB <= U`` can hold
     the winner, and every other score is above it.  Those few cells are
-    scored over every ``l > k`` and ``j > i`` in the scan's arithmetic and
-    ranked by ``(value, i, k, l)``.
+    scored over every ``l > k`` in the scan's arithmetic and ranked by
+    ``(value, i, k, l)``.  Every ``c = s[:, k] - s[:, l]`` falls strictly
+    down the rows here: exactly, by at least one cell, ``7.99uA(j, k)``,
+    against at most ``2uA(j, k)`` of rounding in ``c_j`` and ``c_{j+1}``
+    (``0 <= c_j <= s[j, k]``).  So the largest ``c_j`` below row ``i`` is
+    ``c_{i+1}``, and a cell's scores are those of its own two rows.
 
     None, so that :func:`_blocked_scan` decides, where a cell is negative or
     NaN (checked first, so an invalid grid fails fast), where the grid is
@@ -619,28 +614,25 @@ def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
     below its certificate (ties and zero masses), and where more than
     ``_CELL_CANDIDATES`` cells remain.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        c1 = s[:, :-1] - s[:, 1:]
-        dc = c1[:-1] - c1[1:]
-        least = dc.min()
-        if not (least >= 0.0 and c1[-1].min() >= 0.0 and s[-1, -1] >= 0.0
-                and s[0, 0] <= 1e300 and (s[:-1] >= s[1:]).all()):
-            return None
-        bound = s[:-1, :-1] * (16.0 * _UNIT)  # 16 u A(i, k)
-        bound += 5e-324
-        if (dc < bound).any():
-            return None
-        bound *= 2.0
-        cells = np.flatnonzero(np.subtract(dc, bound, out=bound) <= least)
-        del c1, dc, bound
+    c1 = s[:, :-1] - s[:, 1:]
+    dc = c1[:-1] - c1[1:]
+    least = dc.min()
+    if not (least >= 0.0 and c1[-1].min() >= 0.0 and s[-1, -1] >= 0.0
+            and s[0, 0] <= 1e300 and (s[:-1] >= s[1:]).all()):
+        return None
+    bound = s[:-1, :-1] * 2.0**-49  # 16 u A(i, k)
+    bound += 5e-324
+    if (dc < bound).any():
+        return None
+    bound *= 2.0
+    cells = np.flatnonzero(np.subtract(dc, bound, out=bound) <= least)
     if cells.size > _CELL_CANDIDATES:
         return None
     n = s.shape[0]
     best = None
     for cell in cells.tolist():
         i, k = divmod(cell, n - 1)
-        c = s[i:, k, None] - s[i:, k + 1:]
-        score = c[0] - c[1:].max(axis=0)
+        score = (s[i, k] - s[i, k + 1:]) - (s[i + 1, k] - s[i + 1, k + 1:])
         m = int(np.argmin(score))
         key = (float(score[m]), i, k, k + 1 + m)
         if best is None or key < best:
@@ -648,13 +640,13 @@ def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
     return best[1:]
 
 
-def _blocked_scan(s: np.ndarray) -> tuple[float, int, int, int, int]:
-    """:func:`_min_rectangle` of any matrix, in O(n^3) time and O(n^2) memory.
+def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
+    """The winning ``(i, k, l)`` of :func:`_min_rectangle` for any matrix, in
+    O(n^3) time and O(n^2) memory.
 
-    The columns ``k`` are taken in blocks: one broadcast subtract
-    builds the slab ``c[i, k, l]`` of a block for every ``l`` right of its
-    first column, and row ``i`` scores ``c_i`` minus the largest ``c_j``
-    below it.  Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per
+    The columns ``k`` are taken in blocks: one broadcast subtract builds the
+    slab ``c[i, k, l]`` of a block for every ``l`` right of its first
+    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it.  Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per
     block, in C order over ``(i, k, l)``, and a comparison across blocks
     pick the smallest key ``(NaN first, value, i, k, l)``; a masked pair
     never wins, because the first entry of a block, ``(0, k0, k0 + 1)``, is
@@ -677,36 +669,34 @@ def _blocked_scan(s: np.ndarray) -> tuple[float, int, int, int, int]:
     best = None
     monotone = True  # until a block's rows rise somewhere
     k0 = 0
-    with np.errstate(invalid="ignore", over="ignore"):
-        while k0 < n - 1:
-            width = n - 1 - k0  # columns l = k0 + 1 .. n - 1
-            k1 = min(n - 1, k0 + cap // (n * width))
-            size = (k1 - k0) * width
-            c = c_buf[:n * size].reshape(n, k1 - k0, width)
-            np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
-            d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
-            masked = np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n)  # l <= k
-            if monotone:
-                np.subtract(c[:-1], c[1:], out=d)
-                np.copyto(d, np.inf, where=masked)
-                flat = int(np.argmin(d))  # the first NaN, if there is one
-                monotone = bool(d_buf[flat] >= 0.0)
-            if not monotone:
-                d[-1] = c[-1]
-                for i in range(n - 3, -1, -1):
-                    np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
-                np.subtract(c[:-1], d, out=d)
-                np.copyto(d, np.inf, where=masked)
-                flat = int(np.argmin(d))
-            v = float(d_buf[flat])
-            i, rest = divmod(flat, size)
-            dk, dl = divmod(rest, width)
-            key = (not math.isnan(v), 0.0 if math.isnan(v) else v, i, k0 + dk, k0 + 1 + dl)
-            if best is None or key < best:
-                best = key
-            k0 = k1
-    return _rectangle(s, *best[2:])
-
+    while k0 < n - 1:
+        width = n - 1 - k0  # columns l = k0 + 1 .. n - 1
+        k1 = min(n - 1, k0 + cap // (n * width))
+        size = (k1 - k0) * width
+        c = c_buf[:n * size].reshape(n, k1 - k0, width)
+        np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
+        d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
+        masked = np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n)  # l <= k
+        if monotone:
+            np.subtract(c[:-1], c[1:], out=d)
+            np.copyto(d, np.inf, where=masked)
+            flat = int(np.argmin(d))  # the first NaN, if there is one
+            monotone = bool(d_buf[flat] >= 0.0)
+        if not monotone:
+            d[-1] = c[-1]
+            for i in range(n - 3, -1, -1):
+                np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
+            np.subtract(c[:-1], d, out=d)
+            np.copyto(d, np.inf, where=masked)
+            flat = int(np.argmin(d))
+        v = float(d_buf[flat])
+        i, rest = divmod(flat, size)
+        dk, dl = divmod(rest, width)
+        key = (not math.isnan(v), 0.0 if math.isnan(v) else v, i, k0 + dk, k0 + 1 + dl)
+        if best is None or key < best:
+            best = key
+        k0 = k1
+    return best[2:]
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,

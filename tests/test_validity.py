@@ -350,6 +350,12 @@ def _dipped_example(n, k):
     return s
 
 
+def _screen_off():
+    """The rectangle scan with the cell screen off: every grid takes the
+    blocked scan."""
+    return mock.patch.object(validity, "_cell_scan", return_value=None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(s=_survival_matrices(max_n=80))
 @example(s=_scan_example(49, "tied"))
@@ -361,13 +367,13 @@ def _dipped_example(n, k):
 @example(s=np.where(_mass_survival(np.random.default_rng(2), 49) == 0.0, -0.0, 1.0))
 def test_blocked_rectangle_scan_is_the_column_scan(s):
     # bit for bit, ties and NaN included, through several blocks of columns,
-    # row-monotone or not: at the default slab, and at slabs of 4 n^2 floats
-    # (blocks of about four columns); and the whole scan, which may take the
-    # cell screen on grids above its cutoff
+    # row-monotone or not: with the cell screen off, at the default slab and
+    # at slabs of 4 n^2 floats (blocks of about four columns); and the whole
+    # scan, which may take the screen on grids above its cutoff
     want = rectangle_scan_running_max(s)
     for slab in (validity._SLAB_FLOATS, 1):
-        with mock.patch.object(validity, "_SLAB_FLOATS", slab):
-            got = validity._blocked_scan(s)
+        with mock.patch.object(validity, "_SLAB_FLOATS", slab), _screen_off():
+            got = _min_rectangle(s)
         assert got[1:] == want[1:]
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     got = _min_rectangle(s)
@@ -377,7 +383,7 @@ def test_blocked_rectangle_scan_is_the_column_scan(s):
 
 def _scan_branches(s):
     """``(blocks, failed row checks, blocks scored by the row loop)`` of
-    the blocked scan of ``s``, from its calls of ``np.subtract`` and
+    the blocked scan of ``s`` (the cell screen off), from its calls of ``np.subtract`` and
     ``np.maximum``: each block makes one slab (``n`` rows) and one score
     (``n - 1`` rows), a row check that fails one more score, and the row
     loop ``n - 2`` maxima."""
@@ -390,8 +396,8 @@ def _scan_branches(s):
         return ufunc(a, b, out=out)
 
     with mock.patch.object(np, "subtract", side_effect=subtract), \
-            mock.patch.object(np, "maximum", wraps=np.maximum) as maximum:
-        got = validity._blocked_scan(s)
+            mock.patch.object(np, "maximum", wraps=np.maximum) as maximum, _screen_off():
+        got = _min_rectangle(s)
     assert got[1:] == rectangle_scan_running_max(s)[1:]
     blocks = outs.count(n)
     return blocks, len(outs) - 2 * blocks, maximum.call_count // (n - 2)
@@ -456,14 +462,24 @@ def _tied_cells_example(n, cells, seed=3):
     return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].copy()
 
 
+def _decimal_tie_example():
+    """Survival of decimal masses over 3, whose cells (0, 1) and (1, 1) carry
+    0.1/3 each: the two candidates tie exactly, and their scores round
+    apart, so the winner depends on the order of the scan's subtractions."""
+    mass = np.array([[0.9, 0.1, 0.9], [0.7, 0.1, 0.3], [0.3, 0.9, 0.5]])
+    return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1] / 3.0
+
+
 @st.composite
 def _cell_matrices(draw):
     """:func:`_survival_matrices`, and matrices at the edges of the cell
     screen: positive-mass survival scaled to 1e-300 and to subnormals,
     near-1 survival whose cells are about 1e-17 (far below the
-    certificate), a cell one float either side of the certificate, and two
-    cells with equal lowest scores."""
-    kind = draw(st.sampled_from(["survival", "scaled", "near-one", "certificate", "tied"]))
+    certificate), a cell one float either side of the certificate, two
+    cells with equal lowest scores, and decimal masses whose equal lowest
+    cells round apart."""
+    kind = draw(st.sampled_from(["survival", "scaled", "near-one", "certificate", "tied",
+                                 "decimal"]))
     if kind == "survival":
         return draw(_survival_matrices())
     n = draw(st.integers(3, 20))
@@ -478,7 +494,12 @@ def _cell_matrices(draw):
         return _certificate_example(draw(st.sampled_from([1.0, 2.0**-900, 2.0**-1060])),
                                     draw(st.sampled_from([-1, 0, 1])))
     cell = st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))
-    return _tied_cells_example(n, [draw(cell), draw(cell)], seed=draw(st.integers(0, 99)))
+    if kind == "tied":
+        return _tied_cells_example(n, [draw(cell), draw(cell)], seed=draw(st.integers(0, 99)))
+    mass = rng.integers(3, 10, (n, n)) / 10.0
+    for i, k in (draw(cell), draw(cell)):
+        mass[i, k] = 0.1
+    return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1] / draw(st.sampled_from([1.0, 3.0, 7.0]))
 
 
 _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
@@ -494,6 +515,7 @@ _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
 @example(s=_certificate_example(2.0**-900, 1))
 @example(s=_certificate_example(2.0**-1060, 0))
 @example(s=_tied_cells_example(12, [(7, 2), (3, 9)]))
+@example(s=_decimal_tie_example())
 @example(s=_SIGNED_ZEROS)
 def test_cell_screen_is_the_column_scan(s):
     # with the cutoff at 2 every grid of 3 or more knots tries the screen
@@ -562,16 +584,19 @@ def _fallback_examples():
     examples["empty-row"] = _mass_survival(np.random.default_rng(2), 48, empty_row=5)
     # every cell is exactly 1, so every cell is a candidate
     examples["equal-cells"] = np.arange(48.0)[::-1, None] * np.arange(48.0)[None, ::-1]
-    # positive cells, but the rows rise: not survival-shaped
+    # the same cells, but not survival-shaped: the rows rise, the columns
+    # rise, or the entries go negative
     examples["rising-rows"] = valid + np.arange(48.0)[None, :]
+    examples["rising-columns"] = valid + np.arange(48.0)[:, None]
+    examples["negative"] = valid - 1.0
     return examples
 
 
 @pytest.mark.parametrize("name", list(_fallback_examples()))
 def test_cell_screen_falls_back(name):
     # an invalid grid fails on a negative cell; the others on a non-finite or
-    # huge entry, a rise along a row, a zero cell below the certificate, or
-    # too many candidates
+    # huge entry, a grid that is not survival-shaped, a zero cell below the
+    # certificate, or too many candidates
     s = _fallback_examples()[name]
     assert validity._cell_scan(s) is None
     with np.errstate(invalid="ignore", over="ignore"):
