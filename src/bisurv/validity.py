@@ -646,11 +646,11 @@ def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
 
     The columns ``k`` are taken in blocks: one broadcast subtract builds the
     slab ``c[i, k, l]`` of a block for every ``l`` right of its first
-    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it.  Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per
-    block, in C order over ``(i, k, l)``, and a comparison across blocks
-    pick the smallest key ``(NaN first, value, i, k, l)``; a masked pair
-    never wins, because the first entry of a block, ``(0, k0, k0 + 1)``, is
-    a real pair.
+    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it.
+    Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per block, in C
+    order over ``(i, k, l)``, and a comparison across blocks pick the
+    smallest key ``(NaN first, value, i, k, l)``; a masked pair never wins,
+    because the first entry of a block, ``(0, k0, k0 + 1)``, is a real pair.
 
     A block is first scored by one subtract, ``c_i - c_{i+1}``.  If its
     least score is ``>= 0`` (so no score is NaN), the rows never rise, as
