@@ -536,7 +536,9 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> floa
     :func:`_sequence_limit`.  Returns
     ``math.inf`` when the sequence grows without bound (divergence flag);
     raises :class:`~bisurv.errors.NumericError` carrying the sampled values
-    when the sequence oscillates or fails to settle.
+    when the sequence oscillates or fails to settle.  A limit of ratios of
+    nonnegative hazards is nonnegative, so an extrapolation that lands
+    below zero, as it does by rounding where the limit is 0, returns 0.0.
     """
     if marginal.x_L != baseline.x_L:
         raise DomainError(
@@ -548,4 +550,4 @@ def limit_hazard_ratio(marginal: MarginalModel, baseline: BaselineModel) -> floa
     if math.isnan(u):
         what = "evaluated to NaN" if np.isnan(ratios).any() else "did not converge"
         raise NumericError(f"hazard ratio near the left endpoint {what}", samples=ratios)
-    return u
+    return u if u > 0.0 else 0.0

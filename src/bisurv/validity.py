@@ -16,9 +16,10 @@ such fact is one row of one builder, and each report names the rows it lists:
   two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
   ``iii`` (marginal ``ii``'s row) and ``iv`` (marginal ``i``'s row).
 * ``check_two_increasing`` -- ranks the rectangles spanned by grid knots by
-  their separable sum and reports the winner's inclusion-exclusion sum: in
-  O(n^2) time where the grid's cells are certified nonnegative, as on a
-  valid model's grid, and by one O(n^3) pass elsewhere.
+  their separable sum and reports the winner's inclusion-exclusion sum.
+  One path for every grid: a cell screen settles, in O(n^2) time, a grid
+  whose cells it certifies nonnegative, as a valid model's grid is; a grid
+  it refuses takes one O(n^3) pass.
 * ``check_functional_equation`` -- residual of the stability identity
   ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)``; every model built here
   satisfies it to rounding error, valid or not.
@@ -121,18 +122,18 @@ class GridSpec:
     t_r0_knots: tuple[float, ...] = ()
 
     def __post_init__(self):
-        knots = tuple(float(k) for k in self.r0_knots)
-        t_knots = tuple(float(t) for t in self.t_r0_knots)
-        if len(knots) < 1 or not all(math.isfinite(k) and k > 0 for k in knots):
+        knots = np.asarray(self.r0_knots, dtype=float)
+        t_knots = np.asarray(self.t_r0_knots, dtype=float)
+        if not (knots.ndim == 1 and knots.size and (np.isfinite(knots) & (knots > 0)).all()):
             raise DomainError("grid knots must be finite, positive cumulative-hazard values")
-        if any(b <= a for a, b in zip(knots, knots[1:])):
+        if not (knots[1:] > knots[:-1]).all():
             raise DomainError("grid knots must be strictly increasing")
-        if not all(math.isfinite(t) for t in t_knots):
+        if not (t_knots.ndim == 1 and np.isfinite(t_knots).all()):
             raise DomainError("grid shift knots must be finite")
         if not (math.isfinite(self.wedge_margin) and self.wedge_margin >= 0):
             raise DomainError(f"wedge_margin must be finite and >= 0, got {self.wedge_margin}")
-        object.__setattr__(self, "r0_knots", knots)
-        object.__setattr__(self, "t_r0_knots", t_knots)
+        object.__setattr__(self, "r0_knots", tuple(knots.tolist()))
+        object.__setattr__(self, "t_r0_knots", tuple(t_knots.tolist()))
 
     @classmethod
     def default(cls, *, knots: int = 16, r0_min: float = 0.05, r0_max: float = 8.0,
@@ -530,10 +531,6 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 #: take all the columns of a grid of up to 32 knots in one block.
 _SLAB_FLOATS = 2 ** 15
 
-#: grids of at most this many knots skip the cell screen: there the blocked
-#: scan costs no more than the screen's dozen passes over n x n arrays
-_CELL_MIN_KNOTS = 16
-
 #: a cell screen that leaves more candidate cells than this falls back; a
 #: certified survival grid leaves one or two
 _CELL_CANDIDATES = 16
@@ -552,16 +549,15 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     direct sum, left to right, on that rectangle: what
     ``rectangle_probability`` gives there.
 
-    A grid of more than ``_CELL_MIN_KNOTS`` knots goes to :func:`_cell_scan`
-    first, which settles in O(n^2) time a grid whose cells it certifies
-    nonnegative, as a valid model's survival grid is.  Every other grid
-    takes :func:`_blocked_scan`, in O(n^3) time.  Both find the same winning
-    ``(i, k, l)``, and run under this function's ``np.errstate``.
+    Every grid goes to :func:`_cell_scan` first, which settles in O(n^2)
+    time a grid whose cells it certifies nonnegative, as a valid model's
+    survival grid is.  A grid it refuses takes :func:`_blocked_scan`, in
+    O(n^3) time.  Both find the same winning ``(i, k, l)``, and run under
+    this function's ``np.errstate``.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         # the screen's arrays are freed on its return
-        found = _cell_scan(s) if s.shape[0] > _CELL_MIN_KNOTS else None
-        i, k, l = found or _blocked_scan(s)
+        i, k, l = _cell_scan(s) or _blocked_scan(s)
         j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
         value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
     return (value, i, j, k, l)
@@ -646,28 +642,20 @@ def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
 
     The columns ``k`` are taken in blocks: one broadcast subtract builds the
     slab ``c[i, k, l]`` of a block for every ``l`` right of its first
-    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it.
-    Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per block, in C
-    order over ``(i, k, l)``, and a comparison across blocks pick the
-    smallest key ``(NaN first, value, i, k, l)``; a masked pair never wins,
-    because the first entry of a block, ``(0, k0, k0 + 1)``, is a real pair.
-
-    A block is first scored by one subtract, ``c_i - c_{i+1}``.  If its
-    least score is ``>= 0`` (so no score is NaN), the rows never rise, as
-    on a survival matrix without negative rectangles; the largest ``c_j``
-    below row ``i`` is then ``c_{i+1}``, and the scores stand.  Else a
-    descending loop of ``np.maximum`` over the rows gives every row its
+    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it:
+    a descending loop of ``np.maximum`` over the rows gives every row its
     largest value below (a maximum is exact and passes NaN on, so this is
-    the running maximum bit for bit) and scores the block again; later
-    blocks go straight to the loop.  The two scores differ at most in the sign
-    of a zero, which no comparison sees.  A slab holds at most
+    the running maximum bit for bit).  Pairs with ``l <= k`` score
+    ``+inf``.  One ``argmin`` per block, in C order over ``(i, k, l)``, and
+    a comparison across blocks pick the smallest key ``(NaN first, value,
+    i, k, l)``; a masked pair never wins, because the first entry of a
+    block, ``(0, k0, k0 + 1)``, is a real pair.  A slab holds at most
     ``max(_SLAB_FLOATS, 4 n^2)`` floats.
     """
     n = s.shape[0]
     cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
     c_buf, d_buf = np.empty(cap), np.empty(cap)
     best = None
-    monotone = True  # until a block's rows rise somewhere
     k0 = 0
     while k0 < n - 1:
         width = n - 1 - k0  # columns l = k0 + 1 .. n - 1
@@ -676,19 +664,12 @@ def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
         c = c_buf[:n * size].reshape(n, k1 - k0, width)
         np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
         d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
-        masked = np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n)  # l <= k
-        if monotone:
-            np.subtract(c[:-1], c[1:], out=d)
-            np.copyto(d, np.inf, where=masked)
-            flat = int(np.argmin(d))  # the first NaN, if there is one
-            monotone = bool(d_buf[flat] >= 0.0)
-        if not monotone:
-            d[-1] = c[-1]
-            for i in range(n - 3, -1, -1):
-                np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
-            np.subtract(c[:-1], d, out=d)
-            np.copyto(d, np.inf, where=masked)
-            flat = int(np.argmin(d))
+        d[-1] = c[-1]
+        for i in range(n - 3, -1, -1):
+            np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
+        np.subtract(c[:-1], d, out=d)
+        np.copyto(d, np.inf, where=np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n))  # l <= k
+        flat = int(np.argmin(d))  # the first NaN, if there is one
         v = float(d_buf[flat])
         i, rest = divmod(flat, size)
         dk, dl = divmod(rest, width)
@@ -704,21 +685,18 @@ def check_two_increasing(model, grid: GridSpec | None = None,
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
     Ranks all knot pairs per axis on ``n`` knots and reports the most
-    negative rectangle, in O(n^2) memory.  Above ``_CELL_MIN_KNOTS`` knots,
-    a grid whose cells ``S_ik - S_i,k+1 - S_i+1,k + S_i+1,k+1`` all clear a
-    rounding certificate, as a valid model's grid does, is settled in O(n^2)
-    time from the few cells that can start the winner.  Any other grid, an
+    negative rectangle, in O(n^2) memory.  A grid whose cells
+    ``S_ik - S_i,k+1 - S_i+1,k + S_i+1,k+1`` all clear a rounding
+    certificate, as a valid model's grid does, is settled in O(n^2) time
+    from the few cells that can start the winner.  Any other grid, an
     invalid model's among them, is scanned in O(n^3) time: the scan takes
-    the columns in blocks and holds two slabs of at most
-    ``max(2^15, 4 n^2)`` floats, about 10 n^2 floats with the survival
-    matrix on large grids.  A block whose column differences
-    ``S_ik - S_il`` never rise down the rows is scored by one subtract of
-    neighbouring rows; the others by a running maximum over the rows.
-    Rectangles are ranked by their separable sum,
-    ``(S_ik - S_il) - (S_jk - S_jl)``, which differs from the
-    inclusion-exclusion sum by rounding only (about one eps times the largest
-    survival value, far inside the tolerance); ties go to the first
-    ``(i, k, l)`` in knot order.  The reported probability is the
+    the columns in blocks, holds two slabs of at most ``max(2^15, 4 n^2)``
+    floats, about 10 n^2 floats with the survival matrix on large grids,
+    and scores each block by a running maximum over the rows.  Rectangles
+    are ranked by their separable sum, ``(S_ik - S_il) - (S_jk - S_jl)``,
+    which differs from the inclusion-exclusion sum by rounding only (about
+    one eps times the largest survival value, far inside the tolerance);
+    ties go to the first ``(i, k, l)`` in knot order.  The reported probability is the
     inclusion-exclusion sum on the winning rectangle.  See
     :func:`_min_rectangle`.
     """

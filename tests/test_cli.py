@@ -280,6 +280,20 @@ def test_decompose(capsys, mo_config, lfr_config):
     assert code == 3  # mixture weight 4/3 is out of range
 
 
+def test_decompose_never_prints_a_negative_limit(capsys, tmp_path):
+    # u1 = Q'(0+) is 0 exactly over weibull:0.5, where r0 is infinite at 0;
+    # the extrapolated limit of this table read -8.9e-22
+    (tmp_path / "haz.csv").write_text("x,hazard\n0,0.7\n1,0.8\n2,1.0\n40,1.0\n")
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"baseline": "weibull:0.5", "theta": 3.0,
+                               "marginals": ["hazard:haz.csv", "lfr:0.3"]}))
+    code, out, _ = run(capsys, "decompose", "--config", str(cfg))
+    assert code == 3  # alpha = 2: the mixture weight is out of range
+    assert "\nu1 = 0\n" in out and "u2 = -" not in out
+    code, out, _ = run(capsys, "decompose", "--format", "json", "--config", str(cfg))
+    assert code == 3 and json.loads(out)["u1"] == 0.0
+
+
 def test_check_fe(capsys, tmp_path):
     p = tmp_path / "w.json"
     p.write_text('{"baseline": "weibull:2", "theta123": [1, 1, 1]}')

@@ -82,6 +82,19 @@ def test_limit_ratio_lfr_over_weibull_diverges():
     assert math.isinf(limit_hazard_ratio(LinearFailureRate(1.5), Weibull(2.0)))
 
 
+def test_limit_ratio_is_never_negative():
+    # over Weibull(0.5), r0 is infinite at 0, so u = 0 exactly; the
+    # extrapolation read -1.6e-21 on the bench's marginal table (1 + 0.5 e^-x)
+    # and -8.9e-22 on the short one
+    x = np.linspace(0.0, 10.0, 200)
+    tables = [FromHazard.from_table(x, 1.0 + 0.5 * np.exp(-x), x_L=0)]
+    with pytest.warns(RuntimeWarning, match="does not decay"):
+        tables.append(FromHazard.from_table([0, 1, 2], [0.7, 0.8, 1.0], x_L=0))
+    for table in tables:
+        u = limit_hazard_ratio(table, Weibull(0.5))
+        assert u == 0.0 and math.copysign(1.0, u) == 1.0
+
+
 def test_limit_ratio_oscillation_raises_with_samples():
     base = Exponential()
     osc = FromHazard(lambda u: 1.0 + 0.5 * math.sin(12.0 * math.log(max(u, 1e-300))))

@@ -250,10 +250,10 @@ def _survival_matrices(draw, max_n=20):
     so near-ties split by rounding), all zero, PH-shaped, PH-shaped with one
     entry bumped up, which makes negative rectangles, or random with one
     NaN, infinite or huge entry.  Row-monotone ones, whose column
-    differences never rise down the rows, and near-monotone ones take both
-    branches of the scan: integer-mass survival (:func:`_mass_survival`)
-    with some zeros signed ``-0.0``, or with one column difference one ulp
-    below its tie with the next row, or one NaN or infinite entry."""
+    differences never rise down the rows, and near-monotone ones:
+    integer-mass survival (:func:`_mass_survival`) with some zeros signed
+    ``-0.0``, or with one column difference one ulp below its tie with the
+    next row, or one NaN or infinite entry."""
     n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(["random", "seeded", "tied", "decimal", "zero", "negative",
                                  "nonfinite", "ph", "monotone", "near"]))
@@ -369,7 +369,7 @@ def test_blocked_rectangle_scan_is_the_column_scan(s):
     # bit for bit, ties and NaN included, through several blocks of columns,
     # row-monotone or not: with the cell screen off, at the default slab and
     # at slabs of 4 n^2 floats (blocks of about four columns); and the whole
-    # scan, which may take the screen on grids above its cutoff
+    # scan, screen first
     want = rectangle_scan_running_max(s)
     for slab in (validity._SLAB_FLOATS, 1):
         with mock.patch.object(validity, "_SLAB_FLOATS", slab), _screen_off():
@@ -379,42 +379,6 @@ def test_blocked_rectangle_scan_is_the_column_scan(s):
     got = _min_rectangle(s)
     assert got[1:] == want[1:]
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-
-
-def _scan_branches(s):
-    """``(blocks, failed row checks, blocks scored by the row loop)`` of
-    the blocked scan of ``s`` (the cell screen off), from its calls of
-    ``np.subtract`` and ``np.maximum``: each block makes one slab (``n``
-    rows) and one score (``n - 1`` rows), a row check that fails one more
-    score, and the row loop ``n - 2`` maxima."""
-    n = s.shape[0]
-    outs = []
-    ufunc = np.subtract
-
-    def subtract(a, b, out):
-        outs.append(out.shape[0])
-        return ufunc(a, b, out=out)
-
-    with mock.patch.object(np, "subtract", side_effect=subtract), \
-            mock.patch.object(np, "maximum", wraps=np.maximum) as maximum, _screen_off():
-        got = _min_rectangle(s)
-    assert got[1:] == rectangle_scan_running_max(s)[1:]
-    blocks = outs.count(n)
-    return blocks, len(outs) - 2 * blocks, maximum.call_count // (n - 2)
-
-
-def test_rectangle_scan_loops_over_rows_only_where_they_rise():
-    grid = GridSpec.default(knots=48)
-    xs = grid.axis_points(E)
-    valid = MO.survival(xs[:, None], xs[None, :])
-    invalid = lfr_exp_model().survival(xs[:, None], xs[None, :])
-    # 48 knots take 3 blocks; a valid model's grid never rises, an invalid
-    # one rises in its first block and pays for one failed check
-    assert _scan_branches(valid) == (3, 0, 0)
-    assert _scan_branches(invalid) == (3, 1, 3)
-    # 64 knots take 5 blocks; a one-ulp rise at column 40, in the fourth,
-    # fails its check, and the loop scores it and the last block
-    assert _scan_branches(_dipped_example(64, 40)) == (5, 1, 2)
 
 
 def test_rectangle_scan_of_tied_rectangles_is_cubic():
@@ -519,10 +483,8 @@ _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
 @example(s=_decimal_tie_example())
 @example(s=_SIGNED_ZEROS)
 def test_cell_screen_is_the_column_scan(s):
-    # with the cutoff at 2 every grid of 3 or more knots tries the screen
-    # first; certified or not, the result is the column scan's bit for bit
-    with mock.patch.object(validity, "_CELL_MIN_KNOTS", 2):
-        got = _min_rectangle(s)
+    # certified or not, the result is the column scan's bit for bit
+    got = _min_rectangle(s)
     want = rectangle_scan_running_max(s)
     assert got[1:] == want[1:]
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
@@ -558,7 +520,7 @@ def test_cell_screen_alone_settles_every_valid_config(name, tmp_path):
     # the bench's and the goldens' valid models: the screen certifies every
     # cell, so the blocked scan never runs, and the result is the column scan's
     model = _VALID_BENCH_MODELS.get(name) or _golden_model(name, tmp_path)
-    for knots in (32, 48, 128):
+    for knots in (8, 16, 32, 48, 128):
         xs = GridSpec.default(knots=knots).axis_points(model.baseline)
         s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
         with mock.patch.object(validity, "_blocked_scan", side_effect=AssertionError):
@@ -590,6 +552,10 @@ def _fallback_examples():
     examples["rising-rows"] = valid + np.arange(48.0)[None, :]
     examples["rising-columns"] = valid + np.arange(48.0)[:, None]
     examples["negative"] = valid - 1.0
+    # a valid grid whose survival underflows to 0 far out: its zero cells
+    # lie below the certificate
+    xs = GridSpec.default(knots=48, r0_max=1000.0).axis_points(E)
+    examples["underflow"] = MO.survival(xs[:, None], xs[None, :])
     return examples
 
 
