@@ -470,13 +470,9 @@ class PiecewiseLinearHazard:
     the last row is 0 the total hazard is bounded, and a target beyond it
     raises :class:`~bisurv.errors.NumericError`.
 
-    A table reports its own segments to the wedge kernel
-    (:class:`~bisurv.marginals.WedgeKernel`), which looks a point up once
-    and evaluates ``R``, ``R^{-1}``, the hazard and its slope on the
-    segment it found.  The hazard on a segment is ``np.interp``'s line: the
-    table row at or left of the segment's start, with the table's own
-    slope, so it is ``hazard``'s value bit for bit, also where ``x_L`` lies
-    inside the table and the segment starts between rows.
+    A marginal table reports a point's segment to the wedge kernel
+    (:class:`~bisurv.marginals.WedgeKernel`), which reads ``R`` and the
+    hazard's slope from that one lookup.
 
     ``cumulative``, ``hazard`` and ``derivative`` answer a finite Python
     ``float`` in float arithmetic, on list copies of the tables: the array
@@ -511,18 +507,9 @@ class PiecewiseLinearHazard:
         # segments whose h_j^2 underflows, or None: the inverse's scaled root
         tiny = (h > 0.0) & (h < _SQRT_TINY)
         self._tiny = tiny if tiny.any() else None
-        # np.interp's line on each segment: through the table row at or left
-        # of the segment's start, with np.interp's slope; flat past both ends
-        interp_slope = np.diff(hs) / np.diff(xs)
-        row = np.searchsorted(xs, knots, side="right") - 1
-        inner = (row >= 0) & (row < xs.size - 1)
-        row = np.clip(row, 0, xs.size - 2)
-        self._line_x = np.where(inner, xs[row], knots)
-        self._line_h = np.where(inner, hs[row], np.where(knots < xs[0], hs[0], hs[-1]))
-        self._line_slope = np.where(inner, interp_slope[row], 0.0)
         # the float path's tables: the table with np.interp's slopes, and the
         # segments with half their slopes, as the array path rounds them
-        self._table = (xs.tolist(), hs.tolist(), interp_slope.tolist())
+        self._table = (xs.tolist(), hs.tolist(), (np.diff(hs) / np.diff(xs)).tolist())
         self._segments = (knots.tolist(), self._R.tolist(), h.tolist(),
                           self._half.tolist(), self._R_next.tolist(), self._slope.tolist())
 
@@ -564,33 +551,12 @@ class PiecewiseLinearHazard:
 
     def inverse(self, r):
         ra = np.maximum(np.asarray(r, dtype=float), 0.0)
-        self._check_target(ra)
-        j = np.maximum(np.searchsorted(self._R, ra, side="left") - 1, 0)
-        return _ret(self._inverse_on(ra, j), r)
-
-    # -- the maps on given segments: the wedge kernel looks a point up once --
-
-    def _cumulative_on(self, xa, j):
-        """``R`` at points ``xa >= x_L`` of segments ``j``."""
-        d = xa - self._knots[j]
-        return np.minimum(self._R[j] + d * (self._h[j] + self._half[j] * d), self._R_next[j])
-
-    def _hazard_on(self, x, j):
-        """The hazard at finite points ``x`` of segments ``j``, in
-        ``np.interp``'s arithmetic: its slope times the offset from its row."""
-        return self._line_slope[j] * (x - self._line_x[j]) + self._line_h[j]
-
-    def _check_target(self, ra) -> None:
-        """Refuse non-finite targets ``ra >= 0`` and, when the total hazard
-        is bounded, targets past it."""
         _check_finite(ra, "target cumulative hazard")
         if self._h[-1] == 0.0 and np.any(ra > self._R[-1]):
             raise NumericError(
                 f"target cumulative hazard exceeds the table's total hazard {self._R[-1]}"
             )
-
-    def _inverse_on(self, ra, j):
-        """``R^{-1}`` of checked targets ``ra >= 0`` on segments ``j``."""
+        j = np.maximum(np.searchsorted(self._R, ra, side="left") - 1, 0)
         dr = ra - self._R[j]
         b, a = self._h[j], self._slope[j]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -605,7 +571,13 @@ class PiecewiseLinearHazard:
                 scaled = u / (0.5 * (1.0 + np.sqrt(np.maximum(1.0 + t, 0.0))))
                 d = np.where(tiny & np.isfinite(t), scaled, d)
         x = np.minimum(self._knots[j] + d, self._knots_next[j])
-        return np.where(ra > 0.0, x, self.x_L)
+        return _ret(np.where(ra > 0.0, x, self.x_L), r)
+
+    def _cumulative_on(self, xa, j):
+        """``R`` at points ``xa >= x_L`` of segments ``j``: the wedge kernel
+        reads ``R`` and the slope of one lookup."""
+        d = xa - self._knots[j]
+        return np.minimum(self._R[j] + d * (self._h[j] + self._half[j] * d), self._R_next[j])
 
 
 class CustomHazard(BaselineModel):

@@ -246,17 +246,12 @@ class WedgeKernel:
     kernel runs, and a check would cost every vectorized call.
 
     Where the marginal or the baseline is a hazard table
-    (:class:`~bisurv.baseline.PiecewiseLinearHazard`), ``Q`` is piecewise
-    quadratic in ``d`` and each method of an array looks ``s`` up once.  Over
-    a table baseline the lookup is in the merged knots in ``s``, both tables'
-    knots mapped by ``R0`` and built on first use; it gives the baseline's
-    segment, on which ``d`` is the quadratic's root, and the marginal
-    table's.  Over any other baseline ``d`` is the baseline's own inverse and
-    the lookup is in the marginal table's knots.  ``R_m(d)`` is then the
-    marginal's quadratic, and a table's hazard and its slope are its
-    segment's line in ``np.interp``'s arithmetic, so the results are the
-    composition's bits.  Where a table is involved, a non-finite ``s`` or
-    ``d`` raises :class:`~bisurv.errors.DomainError`, on arrays and floats.
+    (:class:`~bisurv.baseline.PiecewiseLinearHazard`) the kernel is the same
+    composition: ``d`` is the baseline's inverse and the hazards are the
+    models' own.  A marginal table's ``R_m(d)`` and hazard slope share one
+    lookup of ``d`` in its knots, where both are asked for.  Where a table
+    is involved, a non-finite ``s`` or ``d`` raises
+    :class:`~bisurv.errors.DomainError`, on arrays and floats.
 
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
     at or below ``x_L`` (``s = 0``), array survival may take either wedge's
@@ -270,7 +265,7 @@ class WedgeKernel:
                       and marginal.baseline == baseline else None)
         self._m = getattr(marginal, "_table", None)
         self._b = getattr(baseline, "_table", None)
-        #: ``(theta, s, G, log G)`` of the last :meth:`tail_table`, read-only
+        #: ``(theta, s, G)`` of the last :meth:`tail_table`, read-only
         self._tail_nodes = None
 
     def q(self, s):
@@ -300,24 +295,6 @@ class WedgeKernel:
             return (self.q(s),) + self.slopes(s, second)
         return self._terms(s, True, 2 if second else 1)
 
-    @functools.cached_property
-    def _merged(self):
-        """A table baseline's merged knots in ``s``: the starts of its
-        segments and of the marginal table's, mapped by ``R0`` and sorted;
-        with the baseline's and the marginal's segment on each merged one.
-        A merged segment ``(S[k], S[k+1]]`` is closed on the right, as the
-        baseline's inverse takes its segments, and ``s = 0`` is on the first."""
-        b, m = self._b, self._m
-        starts, jm = b._R, None
-        if m is not None:
-            marginal_starts = b.cumulative(m._knots)
-            starts = np.sort(np.concatenate([starts, marginal_starts]))
-            jm = np.maximum(np.searchsorted(marginal_starts, starts, side="right") - 1, 0)
-            jm[0] = 0
-        jb = np.searchsorted(b._R, starts, side="right") - 1
-        jb[0] = 0
-        return starts, jb, jm
-
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s`` of a kernel other than PH: ``Q`` only
         with ``cum``, ``Q'`` with ``order >= 1`` and ``Q''`` with
@@ -326,46 +303,25 @@ class WedgeKernel:
         if type(s) is float:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)
-        m, b = self._m, self._b
-        if b is None:
-            d = np.asarray(self.baseline.inverse_cumulative_hazard(s), dtype=float)
-            if m is not None:
-                _check_finite(d, "x")
-                if cum or order == 2:
-                    xa, jm = m._segment(d)
-                else:  # Q' alone: the table's hazard is one np.interp
-                    m = None
-        else:
-            starts, jbs, jms = self._merged
-            sa = np.maximum(s, 0.0)
-            b._check_target(sa)
-            k = np.maximum(np.searchsorted(starts, sa, side="left") - 1, 0)
-            jb = jbs[k]
-            d = xa = b._inverse_on(sa, jb)
+        m, marginal, base = self._m, self.marginal, self.baseline
+        d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
+        if m is not None or self._b is not None:
             _check_finite(d, "x")
-            if m is not None:
-                jm = jms[k]
-                while True:  # where d rounds past a marginal knot, that knot's side
-                    up, down = d >= m._knots_next[jm], d < m._knots[jm]
-                    if not (up.any() or down.any()):
-                        break
-                    jm = jm + up - down
+        jm = None
+        if m is not None and (cum or order == 2):  # R and its slope share one lookup
+            xa, jm = m._segment(d)
         q = q1 = q2 = None
         if cum:
-            q = (m._cumulative_on(xa, jm) if m is not None
-                 else np.asarray(self.marginal.cumulative_hazard(d), dtype=float))
+            q = (m._cumulative_on(xa, jm) if jm is not None
+                 else np.asarray(marginal.cumulative_hazard(d), dtype=float))
         if order:
-            if b is not None:  # a root on the segment's end: the next segment's hazards
-                jb = jb + (d == b._knots_next[jb])
-            r = (m._hazard_on(d, jm) if m is not None
-                 else np.asarray(self.marginal.hazard(d), dtype=float))
-            r0 = (b._hazard_on(d, jb) if b is not None
-                  else np.asarray(self.baseline.hazard(d), dtype=float))
+            r = np.asarray(marginal.hazard(d), dtype=float)
+            r0 = np.asarray(base.hazard(d), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 q1 = r / r0
                 if order == 2:
-                    rp = m._slope[jm] if m is not None else self.marginal.hazard_derivative(d)
-                    r0p = b._slope[jb] if b is not None else self.baseline.hazard_derivative(d)
+                    rp = m._slope[jm] if jm is not None else marginal.hazard_derivative(d)
+                    r0p = base.hazard_derivative(d)
                     if rp is not None and r0p is not None:
                         # np.power, not **: a numpy scalar's ** is not the array loop's
                         q2 = (np.asarray(rp, dtype=float) * r0
@@ -429,7 +385,7 @@ class WedgeKernel:
         Raises :class:`~bisurv.errors.InvalidModelError` at the first node where ``G``
         is negative (``Q' > theta``) or rises by more than rounding (``h < 0``),
         on every call.  A valid table is built once per ``theta``: the kernel
-        keeps the last one, with ``log G`` for the sampler, as read-only arrays.
+        keeps the last one as read-only arrays.
         """
         kept = self._tail_nodes
         if kept is not None and kept[0] == theta:
@@ -450,11 +406,9 @@ class WedgeKernel:
                 witness=float(s[i]), value=float(g[i]))
         # the running minimum keeps the bracket search monotone through rounding
         g = np.minimum.accumulate(g)
-        with np.errstate(divide="ignore"):  # G(inf) = 0
-            log_g = np.log(g)
-        for a in (s, g, log_g):
+        for a in (s, g):
             a.flags.writeable = False
-        self._tail_nodes = (theta, s, g, log_g)
+        self._tail_nodes = (theta, s, g)
         return s, g
 
     @functools.cached_property

@@ -502,7 +502,6 @@ def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
     evaluations raises :class:`~bisurv.errors.SamplerError`.
     """
     s_nodes, g_nodes = table
-    kept = kernel._tail_nodes  # the kernel's own table carries its log
     t = g_nodes[0] * tail
     out = np.zeros(t.size)
     # the first node with G <= t, searched for in key order
@@ -513,7 +512,7 @@ def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
     hi, t = hi[idx], t[idx]
     lo_s, hi_s = s_nodes[hi - 1], s_nodes[hi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = kept[3] if kept is not None and kept[2] is g_nodes else np.log(g_nodes)
+        log_g = np.log(g_nodes)  # G(inf) = 0
         frac = (log_g[hi - 1] - np.log(t)) / (log_g[hi - 1] - log_g[hi])
         s = np.where(frac > 0.0, lo_s + frac * (hi_s - lo_s), lo_s)
     for _ in range(_MAX_STEPS):

@@ -1,9 +1,10 @@
 """Golden CLI output: exact stdout and exit code of every subcommand.
 
-Five configs cover the model shapes the CLI handles: a proportional-hazards
+Six configs cover the model shapes the CLI handles: a proportional-hazards
 model over a closed-form baseline, a general model with PH marginals, an
-invalid linear-failure-rate model, a table-defined baseline and a
-table-defined marginal.  On each, ``validate`` (JSON at 8 and 16 knots, and
+invalid linear-failure-rate model, a table-defined baseline, a
+table-defined marginal and two table-defined marginals over a table-defined
+baseline.  On each, ``validate`` (JSON at 8 and 16 knots, and
 as a table), ``eval --format json`` at two points, ``decompose``,
 ``check-fe``, ``rect`` and ``sample --n 50`` are run through
 ``bisurv.cli.main``; ``counterexample`` runs once.  Stdout and exit code must
@@ -36,6 +37,12 @@ TABLE_X = [10.0 * i / 199 for i in range(200)]
 BASELINE_TABLE = [1.0 + 0.5 * x + 0.3 * math.sin(5.0 * x) for x in TABLE_X]
 #: marginal hazard 1 + 0.5 e^{-x}, decreasing from 1.5 to 1
 MARGINAL_TABLE = [1.0 + 0.5 * math.exp(-x) for x in TABLE_X]
+#: linear hazards whose ratios are not constant: no kernel of the model is PH
+KERNEL_TABLES = {
+    "kernel_baseline.csv": [1.0 + 0.1 * x for x in TABLE_X],
+    "kernel_marginal_1.csv": [1.2 + 0.16 * x for x in TABLE_X],
+    "kernel_marginal_2.csv": [0.9 + 0.06 * x for x in TABLE_X],
+}
 
 #: name -> (config, hazard tables it reads, two eval points, one rectangle)
 CONFIGS = {
@@ -56,6 +63,11 @@ CONFIGS = {
         {"baseline": "exponential", "theta": 3.0,
          "marginals": ["hazard:marginal_table.csv", "ph:2"]},
         {"marginal_table.csv": MARGINAL_TABLE},
+        [("1.7", "1.2"), ("0.6", "2.4")], ("0.3", "1.1", "0.2", "2.5")),
+    "table-kernels": (
+        {"baseline": "custom:kernel_baseline.csv", "theta": 2.0,
+         "marginals": ["hazard:kernel_marginal_1.csv", "hazard:kernel_marginal_2.csv"]},
+        KERNEL_TABLES,
         [("1.7", "1.2"), ("0.6", "2.4")], ("0.3", "1.1", "0.2", "2.5")),
 }
 

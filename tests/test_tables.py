@@ -1,6 +1,5 @@
 """Hazard tables: exact piecewise-quadratic maps against independent oracles."""
 
-import contextlib
 import math
 import warnings
 from unittest import mock
@@ -487,39 +486,25 @@ def test_table_baseline_kernels_are_the_composition_bit_for_bit(table, marginal)
 
 
 def test_table_kernels_look_each_point_up_once():
-    base = CustomHazard.from_table(KINK_X, KINK_H, x_L=0.0)
     marginal = FromHazard.from_table(KINK_X, [1.0 + h for h in KINK_H], x_L=0.0)
+    kernel = WedgeKernel(marginal, Exponential())
     s = np.linspace(0.0, 9.0, 28)
-    # over a closed-form baseline d is the baseline's own inverse, and r0,
-    # r0' its own hazards; every map of a table model is answered from the
-    # table's segments
-    cases = [(WedgeKernel(marginal, Exponential()), [marginal]),
-             (WedgeKernel(LinearFailureRate(0.5), base), [base]),
-             (WedgeKernel(marginal, base), [marginal, base])]
-    for kernel, tables in cases:
-        kernel.q_slopes(s)  # the merged knots are built once, on first use
-        for method in (kernel.q, kernel.slopes, kernel.q_slopes):
-            with contextlib.ExitStack() as stack:
-                search = stack.enter_context(
-                    mock.patch.object(np, "searchsorted", wraps=np.searchsorted))
-                for model in tables:
-                    stack.enter_context(mock.patch.multiple(model, **_forbidden(model)))
-                method(s)
-            assert search.call_count == 1, (kernel, method)
-
-
-def _forbidden(model):
-    names = ["cumulative_hazard", "hazard", "hazard_derivative"]
-    if hasattr(model, "inverse_cumulative_hazard"):
-        names.append("inverse_cumulative_hazard")
-    return {n: mock.Mock(side_effect=AssertionError(n)) for n in names}
+    # a table marginal over the exponential: R and its slope are answered
+    # from the one segment lookup, the hazard is the table's own np.interp
+    forbidden = {n: mock.Mock(side_effect=AssertionError(n))
+                 for n in ("cumulative_hazard", "hazard_derivative")}
+    for method in (kernel.q, kernel.slopes, kernel.q_slopes):
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search, \
+                mock.patch.multiple(marginal, **forbidden):
+            method(s)
+        assert search.call_count == 1, method
 
 
 @pytest.mark.parametrize("name", sorted(_CLOSED))
 def test_table_marginal_q_prime_alone_is_one_interp(name):
     # over a closed-form baseline, Q' alone reads the table's own hazard (one
-    # np.interp, no lookup), bit for bit the segment's line; on 200,000
-    # points and on the images of the table's knots and of x_L
+    # np.interp, no lookup); on 200,000 points and on the images of the
+    # table's knots and of x_L
     base = _CLOSED[name][0]
     x_L = base.x_L
     marginal = FromHazard.from_table([x_L + x for x in KINK_X], KINK_H, x_L=x_L)
@@ -529,7 +514,7 @@ def test_table_marginal_q_prime_alone_is_one_interp(name):
                         np.asarray(base.cumulative_hazard(knots), dtype=float)])
     d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        want = table._hazard_on(d, table._segment(d)[1]) / np.asarray(base.hazard(d), dtype=float)
+        want = table.hazard(d) / np.asarray(base.hazard(d), dtype=float)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search, \
             mock.patch.object(np, "interp", wraps=np.interp) as interp:
         got = kernel.slopes(s, second=False)[0]
