@@ -79,7 +79,7 @@ class HazardModel:
 
     x_L: float = 0.0
     #: the :class:`PiecewiseLinearHazard` behind a model built from a hazard
-    #: table: the wedge kernel answers from its segments
+    #: table: the wedge kernel reads a marginal table's segments
     _table: "PiecewiseLinearHazard | None" = None
 
     def cumulative_hazard(self, x):
