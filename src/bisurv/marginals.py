@@ -314,8 +314,9 @@ class WedgeKernel:
         if cum:
             q = (m._cumulative_on(xa, jm) if jm is not None
                  else np.asarray(marginal.cumulative_hazard(d), dtype=float))
-        if order:
-            r = np.asarray(marginal.hazard(d), dtype=float)
+        if order:  # a table's d was checked finite: its hazard is the bare interp
+            r = (np.interp(d, m._xs, m._hs) if m is not None
+                 else np.asarray(marginal.hazard(d), dtype=float))
             r0 = np.asarray(base.hazard(d), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 q1 = r / r0

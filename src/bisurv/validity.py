@@ -4,22 +4,19 @@ A model built by the general construction need not be a probability
 distribution.  The paper characterises validity through the marginals and
 through the hazard rates; off the diagonal both reduce to facts about the
 kernels ``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
-at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  Each
-such fact is one row of one builder, and each report names the rows it lists:
+at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  One
+grid pass maps the knots once and calls each kernel's ``q_slopes`` once, on
+every knot pair; each report reads it and names the rows it lists:
 
 * ``combined_validation`` -- the ``validate`` report, each condition once:
   ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
   ``marginal-ii`` (density sign ``h >= 0``), ``hazard-i`` (``G >= 0``),
-  ``hazard-ii`` (divergence of the total hazard) and ``two-increasing``
-  (the definition).
+  ``hazard-ii`` (divergence of the total hazard) and ``two-increasing``.
 * ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
   two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
   ``iii`` (marginal ``ii``'s row) and ``iv`` (marginal ``i``'s row).
-* ``check_two_increasing`` -- ranks the rectangles spanned by grid knots by
-  their separable sum and reports the winner's inclusion-exclusion sum.
-  One path for every grid: a cell screen settles, in O(n^2) time, a grid
-  whose cells it certifies nonnegative, as a valid model's grid is; a grid
-  it refuses takes one O(n^3) pass.
+* ``check_two_increasing`` -- the most negative rectangle spanned by grid
+  knots, on the survival grid assembled from the pass's ``Q``.
 * ``check_functional_equation`` -- residual of the stability identity
   ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)``; every model built here
   satisfies it to rounding error, valid or not.
@@ -40,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import BaselineModel
-from .bivariate import GeneralBivariateModel, _validate_theta
+from .bivariate import GeneralBivariateModel, _nan_check, _validate_theta
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel
 
@@ -81,15 +78,12 @@ def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
 
 @np.errstate(invalid="ignore")  # a bound of the wrong sign or not finite: refused later
 def _geomspace(start, stop, num: int) -> tuple[float, ...]:
-    """``tuple(np.geomspace(start, stop, num))`` for real bounds, as floats.
-
-    The same steps as numpy's: the ends turned positive by the sign of
-    ``start``, ``10 ** (arange(num) * step + log10(start))`` with the step
-    of ``np.linspace``, then the exact ends.  (``np.linspace`` divides
-    before it multiplies only where the step underflows to 0, which a
-    difference of two ``log10`` values that is not 0 never does.)  Where
-    numpy raises ``ValueError`` for a zero bound, this raises
-    :class:`~bisurv.errors.DomainError`, also when ``num`` is 0 or 1.
+    """``tuple(np.geomspace(start, stop, num))`` for real bounds, by numpy's
+    steps: the ends made positive by the sign of ``start``, ``10 **
+    (arange(num) * step + log10(start))`` with ``np.linspace``'s step (it
+    divides first only where the step underflows to 0, which a nonzero
+    difference of two ``log10`` never does), then the exact ends.  A zero
+    bound raises :class:`~bisurv.errors.DomainError`, also for ``num < 2``.
     """
     start, stop = float(start), float(stop)
     if start == 0.0 or stop == 0.0:
@@ -109,12 +103,10 @@ def _geomspace(start, stop, num: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid in cumulative-hazard coordinates.
-
-    ``r0_knots`` are the axis knots (log-spaced by default); a pair of knots
-    is treated as off-diagonal only when the knots differ by at least
-    ``wedge_margin`` (in R0 units).  ``t_r0_knots`` are the shift amounts
-    used by the functional-equation and gradient-identity checks.
+    """Evaluation grid in cumulative-hazard coordinates: axis knots
+    ``r0_knots`` (log-spaced by default; a pair of knots counts as off the
+    diagonal when they differ by at least ``wedge_margin`` in R0) and the
+    shifts ``t_r0_knots`` of the functional-equation and gradient checks.
     """
 
     r0_knots: tuple[float, ...]
@@ -139,18 +131,13 @@ class GridSpec:
     def default(cls, *, knots: int = 16, r0_min: float = 0.05, r0_max: float = 8.0,
                 wedge_margin: float = 0.02, t_knots: int = 8,
                 t_min: float = 0.1, t_max: float = 4.0) -> "GridSpec":
-        """Standard grid: log-spaced knots covering bulk and tail.
+        """Standard grid: log-spaced knots covering bulk and tail, at least 8
+        per axis (smaller grids can still be built directly).
 
         The knots are ``np.geomspace(r0_min, r0_max, knots)`` and
-        ``np.geomspace(t_min, t_max, t_knots)`` bit for bit, built by
-        :func:`_geomspace` at a fraction of their cost.  A bound of zero
-        raises :class:`~bisurv.errors.DomainError` at every knot count, as
-        a negative axis bound does; a count that is not an integer raises
-        ``TypeError``.
-
-        Meaningful qualification checks need at least 8 knots per axis; the
-        factory enforces that (degenerate grids can still be constructed
-        directly, e.g. for vacuous two-increasing checks).
+        ``np.geomspace(t_min, t_max, t_knots)`` bit for bit (:func:`_geomspace`).
+        A zero or negative axis bound raises :class:`~bisurv.errors.DomainError`,
+        a count that is not an integer ``TypeError``.
         """
         if knots < 8:
             raise DomainError("default grids need at least 8 knots per axis")
@@ -177,16 +164,17 @@ class GridSpec:
             baseline.inverse_cumulative_hazard(np.asarray(self.t_r0_knots)), dtype=float
         )
 
-    def _pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Knot indices ``(j, k)``, ``j > k``, of the pairs clear of the
-        diagonal margin, in row order: ``k`` ascending within each ``j``."""
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks over ``(j, k)`` of the knot pairs ``j > k`` and of those
+        clear of the diagonal margin."""
         knots = np.asarray(self.r0_knots)
         gap = np.subtract.outer(knots, knots)  # knots increase: gap > 0 iff j > k
-        return np.nonzero(gap >= self.wedge_margin if self.wedge_margin > 0 else gap > 0)
+        low = gap > 0
+        return low, gap >= self.wedge_margin if self.wedge_margin > 0 else low
 
     def wedge_pairs(self, baseline: BaselineModel) -> tuple[np.ndarray, np.ndarray]:
         """All ordered knot pairs (hi, lo) clear of the diagonal margin."""
-        j, k = self._pair_indices()
+        j, k = np.nonzero(self._pairs()[1])
         xs = self.axis_points(baseline)
         return xs[j], xs[k]
 
@@ -201,12 +189,9 @@ class GridSpec:
 
 @dataclass
 class ConditionResult:
-    """Outcome of one checkable condition.
-
-    ``passed`` is True/False for a decided condition and None when the
-    condition could not be decided (failed limit, skipped grid, heuristic).
-    ``margin`` is the worst signed slack (negative = violated) and
-    ``witness`` the point where it occurred.
+    """Outcome of one checkable condition: ``passed`` is None when it could
+    not be decided (failed limit, skipped grid, heuristic), ``margin`` the
+    worst signed slack (negative = violated), ``witness`` where it occurred.
     """
 
     cid: str
@@ -296,13 +281,10 @@ def _combine_verdict(conditions: list[ConditionResult]) -> str:
 def _weight_condition(cid: str, kernels, theta: float, floor: float,
                       names=("u1", "u2")):
     """Mixture-weight bounds ``theta <= u1 + u2 <= 2*theta`` on the kernels'
-    diagonal limits ``u_i = Q_i'(0+)``.
-
-    Each ``u_i`` is one limit of a function of ``s`` alone, so it is the same
-    from every point of the diagonal and is taken once.  Returns the
-    condition, the limits (None where a limit failed; its error becomes the
-    note) and the weight ``alpha = 2 - (u1 + u2)/theta``, or None unless both
-    limits are finite.
+    diagonal limits ``u_i = Q_i'(0+)``, each taken once (a function of ``s``
+    alone).  Returns the condition, the limits (None where a limit failed;
+    its error becomes the note) and ``alpha = 2 - (u1 + u2)/theta``, or
+    None unless both limits are finite.
     """
     label = "mixture-weight-bounds"
     us: list[float | None] = []
@@ -331,25 +313,60 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
 # ---------------------------------------------------------------------------
 
 
-def _grid_slopes(kernels, grid: GridSpec):
-    """The off-diagonal grid pairs ``(hi, lo)``, ``r0(lo)`` and ``(Q', Q'')``
-    of each kernel at the pairs' wedge coordinate ``s``.  The baseline maps
-    each of the n knots once; the pairs take ``R0`` and ``r0`` from those n
-    values by index."""
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf where two knots overflow
+def _grid_pass(kernels, grid: GridSpec, facts=()):
+    """``(xs, R0(xs), r0(xs), low, wide, terms)``: the n knots mapped once;
+    ``s = |R0(x_j) - R0(x_k)|`` of the pairs ``j > k`` (``low``; ``wide``
+    those the rows read: :meth:`GridSpec._pairs`) in row order, then
+    ``_DIVERGENCE_PROBES`` if ``facts`` (:func:`_rows`) name ``divergence``;
+    and each kernel's ``(Q, Q', Q'')`` there from one call, ``Q''`` only for
+    ``density`` and ``Q`` unless the marginal theorem's rows alone read it.
+    A non-finite ``s`` goes to the kernels as it is where the rows read it,
+    as always, else as 0, which :func:`_survival_grid` masks.
+    """
     base = kernels[0].baseline
     xs = grid.axis_points(base)
     r0_cum = np.asarray(base.cumulative_hazard(xs), dtype=float)
     r0 = np.asarray(base.hazard(xs), dtype=float)
-    j, k = grid._pair_indices()
-    s = np.abs(r0_cum[j] - r0_cum[k])
-    return xs[j], xs[k], r0[k], [kernel.slopes(s) for kernel in kernels]
+    low, wide = grid._pairs()
+    s = np.abs(np.subtract.outer(r0_cum, r0_cum)[low])
+    rows = "density" in facts
+    if not np.isfinite(r0_cum).all():
+        s[~np.isfinite(s) & ~(wide[low] & rows)] = 0.0
+    if "divergence" in facts:
+        s = np.concatenate([s, _DIVERGENCE_PROBES])
+    if rows and "divergence" not in facts:  # the marginal theorem reads no Q
+        return xs, r0_cum, r0, low, wide, [(None, *kernel.slopes(s)) for kernel in kernels]
+    return xs, r0_cum, r0, low, wide, [kernel.q_slopes(s, rows) for kernel in kernels]
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _survival_grid(ev, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(xs, S)``, ``S = model.survival(xs[:, None], xs[None, :])`` bit for
+    bit, from the pass ``ev`` by ``_log_survival_array``'s steps and its
+    overflow rule: ``w * -theta - Q_i(s)``, ``w = R0(min)``, kernel 1 where
+    ``x1 >= x2``, ``q(0) = 0`` on the diagonal, and ``S = 0`` in the row and
+    column of a knot whose ``x`` or ``R0`` is infinite (``s`` inf or NaN)."""
+    xs, r0_cum, _, low, _, terms = ev
+    q1, q2 = (q[:np.count_nonzero(low)] for q, _, _ in terms)
+    ge = np.greater_equal.outer(xs, xs)
+    q = np.zeros(ge.shape)
+    q[low] = np.where(ge[low], q1, q2)
+    q.T[low] = np.where(ge.T[low], q1, q2)
+    log_s = np.minimum.outer(r0_cum, r0_cum)
+    log_s *= -theta
+    log_s -= q
+    if not np.isfinite(xs + r0_cum).all():
+        _nan_check(xs[:, None])
+        dead = np.isinf(xs) | ~np.isfinite(r0_cum)
+        log_s[dead] = log_s[:, dead] = -np.inf
+    return xs, np.exp(log_s, out=log_s)
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
                           *, lower_zero: bool = False,
                           floor: float = 1e-8) -> ConditionResult:
     """Check ``lhs <= rhs`` (optionally also ``lhs >= 0``) over grid points.
-
     ``lhs_by_marg`` holds one array per marginal over the pairs ``(hi, lo)``;
     marginal 1 sits on the wedge ``x1 >= x2``, so its witnesses are
     ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.  A point whose
@@ -384,15 +401,14 @@ def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
                            margin=worst, note=note)
 
 
-def _divergence_condition(cid: str, kernels) -> ConditionResult:
-    """The total hazard diverges: each ``Q`` grows past 30 over far probes.
-    A heuristic, so a hazard that decays too fast is undecided, never passed."""
+def _divergence_condition(cid: str, tails) -> ConditionResult:
+    """The total hazard diverges: each ``Q`` at the far probes (``tails``) grows
+    past 30.  A heuristic, so a hazard that decays too fast is undecided."""
     passed: bool | None = True
     worst_tail = math.inf
-    for k in kernels:
-        ri = k.q(np.asarray(_DIVERGENCE_PROBES))
-        growing = bool(np.all(np.diff(ri) > 0))
-        worst_tail = min(worst_tail, float(ri[-1]))
+    for ri in (tail.tolist() for tail in tails):
+        growing = all(a < b for a, b in zip(ri, ri[1:]))
+        worst_tail = min(worst_tail, ri[-1])
         if not (growing and ri[-1] > _DIVERGENCE_TARGET):
             passed = None
     return ConditionResult(
@@ -406,16 +422,19 @@ def _divergence_condition(cid: str, kernels) -> ConditionResult:
 
 def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1", "u2")):
     """The kernel rows that ``ids`` (fact -> the report's id) names, in its
-    order, from one grid pass, with the limits and ``alpha`` of
-    :func:`_weight_condition`.  ``weights`` and ``density`` are always named;
-    ``density`` is the sign ``h >= 0`` as the bound ``r0(lo) * (Q' - Q''/Q')
-    <= theta * r0(lo)``, skipping points with ``Q' = 0``.  ``gradient``
-    (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence`` of the total
-    hazard are built only when named."""
+    order, with the limits and ``alpha`` of :func:`_weight_condition` and
+    the :func:`_grid_pass` they read.  ``weights`` and ``density`` are
+    always named; ``density`` is the sign ``h >= 0`` as the bound ``r0(lo) *
+    (Q' - Q''/Q') <= theta * r0(lo)``, skipping points with ``Q' = 0``.
+    ``gradient`` (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence``
+    of the total hazard are built only when named."""
     rows = {}
     rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
                                                    floor, names)
-    hi, lo, r0_lo, slopes = _grid_slopes(kernels, grid)
+    xs, _, r0, low, wide, terms = ev = _grid_pass(kernels, grid, ids)
+    keep, (j, k) = wide[low], np.nonzero(wide)  # the rows' pairs, among all and by index
+    hi, lo, r0_lo, m = xs[j], xs[k], r0[k], keep.size
+    slopes = [(q1[:m][keep], q2[:m][keep]) for _, q1, q2 in terms]
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
@@ -428,8 +447,9 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
             ids["gradient"], "gradient-nonnegativity-bound", gradient, bound, hi, lo,
             lower_zero=True, floor=floor)
     if "divergence" in ids:
-        rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
-    return [rows[fact] for fact in ids], us, alpha
+        rows["divergence"] = _divergence_condition(ids["divergence"],
+                                                   [q[m:] for q, _, _ in terms])
+    return [rows[fact] for fact in ids], us, alpha, ev
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +461,16 @@ def check_marginal_conditions(model: GeneralBivariateModel,
                               grid: GridSpec | None = None,
                               tol: float | None = None) -> ValidationReport:
     """Do the model's marginals qualify for a valid bivariate distribution?
-
-    Condition (i): ``theta <= u1 + u2 <= 2*theta`` for the diagonal
-    hazard-ratio limits.  Condition (ii): at every off-diagonal grid point
-    the cross log-derivative of the wedge survival factor,
-    ``r0(lo) * (Q' - Q''/Q')``, must not exceed ``theta * r0(lo)``.
+    (i): ``theta <= u1 + u2 <= 2*theta`` for the diagonal hazard-ratio
+    limits.  (ii): at every off-diagonal grid point the cross log-derivative
+    of the wedge survival factor, ``r0(lo) * (Q' - Q''/Q')``, is at most
+    ``theta * r0(lo)``.
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     theta = model.theta
-    conditions, us, alpha = _rows(model.kernels, theta, grid, floor,
-                                  {"weights": "i", "density": "ii"})
+    conditions, us, alpha, _ = _rows(model.kernels, theta, grid, floor,
+                                     {"weights": "i", "density": "ii"})
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -479,26 +498,22 @@ def check_hazard_rate_conditions(r1, r2, baseline: BaselineModel, theta: float,
     """Do two hazard functions qualify as marginal hazards of a valid model?
 
     ``r1``/``r2`` may be callables, :class:`MarginalModel` instances or
-    :class:`~bisurv.marginals.WedgeKernel` instances over ``baseline``; a
-    kernel brings its already-taken diagonal limit ``u`` along.  Conditions:
-    ``0 <= Q' <= theta`` (i), divergence of the total hazard by an explicit
-    heuristic, never reported Valid when undecided (ii), nonnegativity of
-    the implied joint density (iii) and the weight bounds on ``v1 + v2`` (iv).
-
-    (iv) is the marginal theorem's (i), and (iii) its (ii): the rows of
-    :func:`check_marginal_conditions` under these ids.  The density sign
-    ``theta Q' + Q'' - Q'^2 >= 0`` is the cross-derivative bound wherever
+    :class:`~bisurv.marginals.WedgeKernel` instances over ``baseline`` (a
+    kernel brings its diagonal limit ``u``).  Conditions: ``0 <= Q' <=
+    theta`` (i), divergence of the total hazard by a heuristic, never Valid
+    when undecided (ii), and :func:`check_marginal_conditions`' rows (ii),
+    the density sign, as (iii) and (i), the weight bounds on ``v1 + v2``, as
+    (iv).  The sign ``theta Q' + Q'' - Q'^2 >= 0`` is the bound wherever
     ``Q' > 0``; where ``Q' < 0`` (i) fails, and where ``Q' = 0`` it reads
-    ``Q'' = r_m'/r0^2 >= 0``, true of any nonnegative hazard at a zero.  So
-    the bound, which skips the points with ``Q' = 0``, decides the sign.
+    ``Q'' = r_m'/r0^2 >= 0``, true of a nonnegative hazard at a zero.
     """
     theta = _validate_theta(theta)
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
     kernels = [_as_kernel(r, baseline) for r in (r1, r2)]
-    conditions, vs, alpha = _rows(kernels, theta, grid, floor,
-                                  {"gradient": "i", "divergence": "ii", "density": "iii",
-                                   "weights": "iv"}, names=("v1", "v2"))
+    conditions, vs, alpha, _ = _rows(kernels, theta, grid, floor,
+                                     {"gradient": "i", "divergence": "ii", "density": "iii",
+                                      "weights": "iv"}, names=("v1", "v2"))
     diagnostics = {"v1": vs[0], "v2": vs[1], "theta": theta, "alpha": alpha,
                    "grid": grid.describe(),
                    "divergence_heuristic": f"cumulative hazard > {_DIVERGENCE_TARGET} at "
@@ -541,19 +556,13 @@ def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
     ``i < j`` and ``k < l`` of a square matrix (``n >= 2``), as
     ``(value, i, j, k, l)``, in O(n^2) memory.
 
-    Rectangles are ranked by their separable sum ``c_i - c_j`` with
-    ``c = s[:, k] - s[:, l]``, which differs from the direct sum by rounding
-    only: each ``(i, k, l)`` scores ``c_i`` minus the largest ``c_j`` below
-    it, and the smallest key ``(NaN first, value, i, k, l)`` wins.  ``j`` is
-    the first row below ``i`` with the largest ``c_j``, and the value is the
-    direct sum, left to right, on that rectangle: what
-    ``rectangle_probability`` gives there.
-
-    Every grid goes to :func:`_cell_scan` first, which settles in O(n^2)
-    time a grid whose cells it certifies nonnegative, as a valid model's
-    survival grid is.  A grid it refuses takes :func:`_blocked_scan`, in
-    O(n^3) time.  Both find the same winning ``(i, k, l)``, and run under
-    this function's ``np.errstate``.
+    Each ``(i, k, l)`` scores ``c_i`` minus the largest ``c_j`` below it,
+    ``c = s[:, k] - s[:, l]`` (the separable sum, the direct one to
+    rounding), and the smallest key ``(NaN first, value, i, k, l)`` wins;
+    ``j`` is the first row with that ``c_j``, and the value is the direct
+    sum, left to right: what ``rectangle_probability`` gives there.
+    :func:`_cell_scan` settles a grid whose cells it certifies, in O(n^2)
+    time; any other takes :func:`_blocked_scan`, in O(n^3).
     """
     with np.errstate(invalid="ignore", over="ignore"):
         # the screen's arrays are freed on its return
@@ -605,10 +614,9 @@ def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
     ``c_{i+1}``, and a cell's scores are those of its own two rows.
 
     None, so that :func:`_blocked_scan` decides, where a cell is negative or
-    NaN (checked first, so an invalid grid fails fast), where the grid is
-    not survival-shaped (an infinite entry included), where a cell lies
-    below its certificate (ties and zero masses), and where more than
-    ``_CELL_CANDIDATES`` cells remain.
+    NaN (checked first: an invalid grid fails fast), the grid is not
+    survival-shaped (inf included), a cell lies below its certificate (ties,
+    zero masses) or more than ``_CELL_CANDIDATES`` cells remain.
     """
     c1 = s[:, :-1] - s[:, 1:]
     dc = c1[:-1] - c1[1:]
@@ -640,17 +648,14 @@ def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
     """The winning ``(i, k, l)`` of :func:`_min_rectangle` for any matrix, in
     O(n^3) time and O(n^2) memory.
 
-    The columns ``k`` are taken in blocks: one broadcast subtract builds the
-    slab ``c[i, k, l]`` of a block for every ``l`` right of its first
-    column, and row ``i`` scores ``c_i`` minus the largest ``c_j`` below it:
-    a descending loop of ``np.maximum`` over the rows gives every row its
-    largest value below (a maximum is exact and passes NaN on, so this is
-    the running maximum bit for bit).  Pairs with ``l <= k`` score
-    ``+inf``.  One ``argmin`` per block, in C order over ``(i, k, l)``, and
-    a comparison across blocks pick the smallest key ``(NaN first, value,
-    i, k, l)``; a masked pair never wins, because the first entry of a
-    block, ``(0, k0, k0 + 1)``, is a real pair.  A slab holds at most
-    ``max(_SLAB_FLOATS, 4 n^2)`` floats.
+    Columns ``k`` go in blocks: one broadcast subtract builds a block's slab
+    ``c[i, k, l]`` for every ``l`` right of its first column, and a
+    descending loop of ``np.maximum`` gives each row the largest ``c_j``
+    below it (exact, NaN passed on: the running maximum bit for bit).
+    Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per block, in C
+    order, and a comparison across blocks pick the smallest key (a masked
+    pair never wins: a block starts at the real pair ``(0, k0, k0 + 1)``).
+    A slab holds at most ``max(_SLAB_FLOATS, 4 n^2)`` floats.
     """
     n = s.shape[0]
     cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
@@ -684,31 +689,26 @@ def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
     """Every rectangle spanned by grid knots carries probability >= -1e-9.
 
-    Ranks all knot pairs per axis on ``n`` knots and reports the most
-    negative rectangle, in O(n^2) memory.  A grid whose cells
-    ``S_ik - S_i,k+1 - S_i+1,k + S_i+1,k+1`` all clear a rounding
-    certificate, as a valid model's grid does, is settled in O(n^2) time
-    from the few cells that can start the winner.  Any other grid, an
-    invalid model's among them, is scanned in O(n^3) time: the scan takes
-    the columns in blocks, holds two slabs of at most ``max(2^15, 4 n^2)``
-    floats, about 10 n^2 floats with the survival matrix on large grids,
-    and scores each block by a running maximum over the rows.  Rectangles
-    are ranked by their separable sum, ``(S_ik - S_il) - (S_jk - S_jl)``,
-    which differs from the inclusion-exclusion sum by rounding only (about
-    one eps times the largest survival value, far inside the tolerance);
-    ties go to the first ``(i, k, l)`` in knot order.  The reported probability is the
-    inclusion-exclusion sum on the winning rectangle.  See
-    :func:`_min_rectangle`.
+    Reports the most negative rectangle over all knot pairs per axis, in
+    O(n^2) memory (see :func:`_min_rectangle`): O(n^2) time where the cell
+    screen certifies the grid, as on a valid model's, O(n^3) elsewhere.
+    Rectangles are ranked by their separable sum, which differs from the
+    inclusion-exclusion sum by rounding only; ties go to the first
+    ``(i, k, l)`` in knot order, and the reported probability is the
+    inclusion-exclusion sum on the winner.
     """
     grid = grid or GridSpec.default()
+    xs, s = _survival_grid(_grid_pass(model.kernels, grid), model.theta)
+    return _rectangle_report(xs, s, grid, tol)
+
+
+def _rectangle_report(xs, s, grid: GridSpec, tol) -> ValidationReport:
+    """:func:`check_two_increasing`'s report on the survival grid ``s`` at ``xs``."""
     rect_tol = _RECT_TOL if tol is None else float(tol)
-    xs = grid.axis_points(model.baseline)
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
                                note="degenerate grid; vacuously satisfied")
         return ValidationReport(VALID, [cond], {"grid": grid.describe()})
-    s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
     # P(i,j,k,l) = P(xs[i] < X1 <= xs[j], xs[k] < X2 <= xs[l])
     worst, i, j, k, l = _min_rectangle(s)
     rect = (float(xs[i]), float(xs[j]), float(xs[k]), float(xs[l]))
@@ -878,21 +878,20 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
 
 def combined_validation(model, grid: GridSpec | None = None,
                         tol: float | None = None) -> ValidationReport:
-    """Each of the paper's conditions once, from one evaluation of the grid.
-
-    Rows: ``marginal-i`` the weight bounds ``theta <= u1 + u2 <= 2*theta``;
-    ``marginal-ii`` the density sign ``h >= 0``; ``hazard-i`` ``G >= 0``,
-    i.e. ``0 <= Q' <= theta``; ``hazard-ii`` divergence of the total hazard
-    (heuristic); ``two-increasing`` the definition, no grid rectangle of
-    negative probability.  Hazard-rate (iii) and (iv) are ``marginal-ii``
-    and ``marginal-i`` again (see :func:`check_hazard_rate_conditions`).
+    """Each of the paper's conditions once, from one grid pass: ``marginal-i``
+    (weight bounds), ``marginal-ii`` (density sign), ``hazard-i`` (``0 <= Q'
+    <= theta``), ``hazard-ii`` (divergence, a heuristic) and ``two-increasing``
+    (no grid rectangle of negative probability).  Hazard-rate (iii) and (iv)
+    are ``marginal-ii`` and ``marginal-i`` (:func:`check_hazard_rate_conditions`).
     """
     grid = grid or GridSpec.default()
     floor = 1e-8 if tol is None else float(tol)
-    rows, us, alpha = _rows(model.kernels, model.theta, grid, floor,
-                            {"weights": "marginal-i", "density": "marginal-ii",
-                             "gradient": "hazard-i", "divergence": "hazard-ii"})
-    rectangles = check_two_increasing(model, grid, tol)
+    rows, us, alpha, ev = _rows(model.kernels, model.theta, grid, floor,
+                                {"weights": "marginal-i", "density": "marginal-ii",
+                                 "gradient": "hazard-i", "divergence": "hazard-ii"})
+    xs, s = _survival_grid(ev, model.theta)
+    del ev  # the pass's pair arrays go before the scan's slabs come
+    rectangles = _rectangle_report(xs, s, grid, tol)
     conditions = [*rows, *rectangles.conditions]
     worst = rectangles.diagnostics.get("min_rectangle_probability")
     diagnostics = {key: value for key, value in (

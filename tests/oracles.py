@@ -707,8 +707,8 @@ def gradient_identity(model, grid=None):
 # the baseline mapped every grid pair, with the three reports built on them
 # and ``check_two_increasing`` on the column scan above.  Kept verbatim
 # (``self`` is ``grid``) as the reference the reports must match byte for
-# byte; the weight and divergence rows, which did not change, are the
-# library's.
+# byte, with the divergence row as it was when it called each kernel on the
+# probes itself; the weight row, which did not change, is the library's.
 
 
 def wedge_pairs(grid, baseline):
@@ -757,8 +757,29 @@ def grid_bound_condition(cid, label, lhs_by_marg, rhs, hi, lo, *, lower_zero=Fal
                            margin=worst, note=note)
 
 
+def divergence_condition(cid, kernels):
+    from bisurv.validity import (_DIVERGENCE_PROBES, _DIVERGENCE_TARGET,
+                                 ConditionResult)
+
+    passed = True
+    worst_tail = math.inf
+    for k in kernels:
+        ri = k.q(np.asarray(_DIVERGENCE_PROBES))
+        growing = bool(np.all(np.diff(ri) > 0))
+        worst_tail = min(worst_tail, float(ri[-1]))
+        if not (growing and ri[-1] > _DIVERGENCE_TARGET):
+            passed = None
+    return ConditionResult(
+        cid, "total-hazard-divergence", passed,
+        margin=worst_tail - _DIVERGENCE_TARGET,
+        note=("heuristic: cumulative hazard %.4g at the farthest probe, "
+              "target > %g with monotone growth; divergence cannot be proven "
+              "from finite samples" % (worst_tail, _DIVERGENCE_TARGET)),
+    )
+
+
 def grid_rows(kernels, theta, grid, floor, ids, names=("u1", "u2")):
-    from bisurv.validity import _divergence_condition, _weight_condition
+    from bisurv.validity import _weight_condition
 
     rows = {}
     rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
@@ -776,7 +797,7 @@ def grid_rows(kernels, theta, grid, floor, ids, names=("u1", "u2")):
             ids["gradient"], "gradient-nonnegativity-bound", gradient, bound, hi, lo,
             lower_zero=True, floor=floor)
     if "divergence" in ids:
-        rows["divergence"] = _divergence_condition(ids["divergence"], kernels)
+        rows["divergence"] = divergence_condition(ids["divergence"], kernels)
     return [rows[fact] for fact in ids], us, alpha
 
 

@@ -1,10 +1,11 @@
 """Golden CLI output: exact stdout and exit code of every subcommand.
 
-Six configs cover the model shapes the CLI handles: a proportional-hazards
+Seven configs cover the model shapes the CLI handles: a proportional-hazards
 model over a closed-form baseline, a general model with PH marginals, an
 invalid linear-failure-rate model, a table-defined baseline, a
-table-defined marginal and two table-defined marginals over a table-defined
-baseline.  On each, ``validate`` (JSON at 8 and 16 knots, and
+table-defined marginal, two table-defined marginals over a table-defined
+baseline, and a Pareto grid whose top knots map past the float range
+(``R0^{-1}(s) = e^s - 1`` is inf from ``s = 710``).  On each, ``validate`` (JSON at 8 and 16 knots, and
 as a table), ``eval --format json`` at two points, ``decompose``,
 ``check-fe``, ``rect`` and ``sample --n 50`` are run through
 ``bisurv.cli.main``; ``counterexample`` runs once.  Stdout and exit code must
@@ -69,6 +70,9 @@ CONFIGS = {
          "marginals": ["hazard:kernel_marginal_1.csv", "hazard:kernel_marginal_2.csv"]},
         KERNEL_TABLES,
         [("1.7", "1.2"), ("0.6", "2.4")], ("0.3", "1.1", "0.2", "2.5")),
+    "pareto-overflow": (
+        {"baseline": "pareto", "theta123": [1, 1, 1], "grid": {"r0_max": 1000, "knots": 16}},
+        {}, [("2.5", "1.5"), ("1.2", "3")], ("1.1", "2", "1.5", "4")),
 }
 
 

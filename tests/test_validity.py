@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -853,25 +854,31 @@ def test_combined_validation_takes_each_diagonal_limit_once(monkeypatch):
 
 
 def test_combined_validation_evaluates_the_grid_once(monkeypatch):
+    # one q_slopes call per kernel serves the rows, the divergence probes and
+    # the survival grid; the rectangles never go back through log_survival
     calls = []
-    original = validity._grid_slopes
+    original = WedgeKernel.q_slopes
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(validity, "_grid_slopes", counting)
-    for model in (lfr_exp_model(0.2, 2.0), MOW):
+    def refused(*args):
+        raise AssertionError("log_survival called")
+
+    monkeypatch.setattr(WedgeKernel, "q_slopes", counting)
+    for cls in (GeneralBivariateModel, PHBivariateModel):
+        monkeypatch.setattr(cls, "log_survival", refused)
+    for model in (lfr_exp_model(0.2, 2.0), MOW, lfr_exp_model()):
         calls.clear()
         combined_validation(model)
-        assert len(calls) == 1
+        assert calls == list(model.kernels)
 
 
 def test_combined_validation_maps_each_knot_once(monkeypatch):
     # the baseline maps the n axis knots, not the n(n-1)/2 pairs: R0^{-1},
-    # R0 and r0 once each for the rows, R0^{-1} again for the rectangle scan,
-    # and R0 by rows and by columns of the survival matrix; PH kernels over
-    # their own baseline map nothing else
+    # R0 and r0 once each, for the rows and the survival grid alike; PH
+    # kernels over their own baseline map nothing else
     sizes = []
     for name in ("cumulative_hazard", "hazard", "inverse_cumulative_hazard"):
         def counting(self, x, original=getattr(Weibull, name)):
@@ -884,7 +891,50 @@ def test_combined_validation_maps_each_knot_once(monkeypatch):
                                              ProportionalHazard(W2, 2.5), 3.0)):
         sizes.clear()
         combined_validation(model, grid)
-        assert sum(sizes) <= 6 * n + 2 * len(validity._DIVERGENCE_PROBES)
+        assert sum(sizes) == 3 * n
+
+
+def test_grid_pass_is_quiet_where_the_knots_overflow():
+    # Pareto's R0^{-1}(s) = e^s is inf from s = 710: s = |inf - inf| is NaN
+    # there, which the pass must not report on stderr
+    grid = GridSpec.default(knots=8, r0_max=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = combined_validation(MOP, grid)
+    assert rep.verdict == VALID
+
+
+def _survival_grid_models(tmp_path):
+    """Every bench and golden config, and LFR over a table baseline and over
+    Weibull(0.5), a table over Weibull(2) and PH over Pareto."""
+    table = FromHazard.from_table(np.linspace(0.0, 10.0, 41),
+                                  1.0 + 0.5 * np.exp(-np.linspace(0.0, 10.0, 41)))
+    table_base = CustomHazard.from_table([0.0, 1.0, 2.5, 6.0], [1.0, 1.6, 1.1, 1.4])
+    lfr = LinearFailureRate(0.3), LinearFailureRate(0.5)
+    models = {**_VALID_BENCH_MODELS, "lfr0.2": lfr_exp_model(0.2, 2.0),
+              "lfr1.5": lfr_exp_model(), "pareto111": MOP,
+              "lfr-table-base": GeneralBivariateModel(table_base, *lfr, 2.5),
+              "lfr-weibull0.5": GeneralBivariateModel(Weibull(0.5), *lfr, 2.0),
+              "table-weibull2": GeneralBivariateModel(W2, table, ProportionalHazard(W2, 2.0),
+                                                      3.0)}
+    for name in (*GOLDEN_CONFIGS, "gen-weibull2"):
+        models[name] = _golden_model(name, tmp_path)
+    return models
+
+
+@pytest.mark.parametrize("facts", [(), ("density", "gradient", "divergence")],
+                         ids=["rectangles", "combined"])
+def test_survival_grid_is_model_survival_bit_for_bit(facts, tmp_path):
+    # S assembled from the pass's wedge values against the model's own array
+    # survival, on grids whose top knots map to x = inf or R0 = inf as well
+    for name, model in _survival_grid_models(tmp_path).items():
+        for knots in (2, 3, 5, 8, 16, 17, 48, 128):
+            for r0_max in (8.0, 1000.0, 1e300):
+                grid = GridSpec(r0_knots=tuple(np.geomspace(0.05, r0_max, knots)))
+                ev = validity._grid_pass(model.kernels, grid, facts)
+                xs, got = validity._survival_grid(ev, model.theta)
+                want = model.survival(xs[:, None], xs[None, :])
+                assert got.tobytes() == want.tobytes(), (name, knots, r0_max)
 
 
 _REPORT_BASELINES = {
