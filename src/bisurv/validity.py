@@ -353,8 +353,7 @@ def _survival_grid(ev, theta: float) -> tuple[np.ndarray, np.ndarray]:
     q = np.zeros(ge.shape)
     q[low] = np.where(ge[low], q1, q2)
     q.T[low] = np.where(ge.T[low], q1, q2)
-    log_s = np.minimum.outer(r0_cum, r0_cum)
-    log_s *= -theta
+    log_s = np.minimum.outer(r0_cum, r0_cum) * -theta
     log_s -= q
     if not np.isfinite(xs + r0_cum).all():
         _nan_check(xs[:, None])
@@ -435,6 +434,7 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
     keep, (j, k) = wide[low], np.nonzero(wide)  # the rows' pairs, among all and by index
     hi, lo, r0_lo, m = xs[j], xs[k], r0[k], keep.size
     slopes = [(q1[:m][keep], q2[:m][keep]) for _, q1, q2 in terms]
+    terms[:] = [(q, None, None) for q, _, _ in terms]  # the survival grid reads Q alone
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
