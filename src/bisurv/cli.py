@@ -25,8 +25,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .baseline import Exponential
 from .bivariate import GeneralBivariateModel, PHBivariateModel
 from .config import ModelConfig, load_model_config
@@ -49,6 +47,7 @@ from .validity import (
     VALID,
     check_functional_equation,
     combined_validation,
+    hazard_gradient,
     lfr_exponential_cross_bound,
 )
 
@@ -124,26 +123,22 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     model = cfg.model
     x1, x2 = float(args.x1), float(args.x2)
-    if x1 == x2 or math.isnan(x1) or math.isnan(x2):
-        # only survival is defined on the diagonal, and it refuses NaN
-        point, surv = None, model.survival(x1, x2)
-    else:  # one map of the point for all three values
-        point = model._point(x1, x2, "density")
-        surv = float(np.exp(model._log_survival_at(point)))
+    surv = model.survival(x1, x2)
     payload: dict = {"x1": x1, "x2": x2, "survival": surv}
     lines = [f"survival = {_fmt(surv)}"]
-    if point is None:
+    if x1 == x2 or math.isnan(x1) or math.isnan(x2):
+        # only survival is defined on the diagonal, and it refuses NaN
         payload["note"] = "diagonal"
         lines.append("point lies on the diagonal; density and gradient undefined")
     else:
         try:
-            dens = model._ac_density_at(point)
+            dens = model.ac_density(x1, x2)
             payload["ac_density"] = dens
             lines.append(f"ac_density = {_fmt(dens)}")
         except UndefinedComponentError:
             payload["ac_density"] = None
             lines.append("ac_density = undefined (purely singular model)")
-        g1, g2 = model._gradient_at(point)
+        g1, g2 = hazard_gradient(model, x1, x2)
         payload["hazard_gradient"] = [g1, g2]
         lines.append(f"hazard_gradient = ({_fmt(g1)}, {_fmt(g2)})")
     _emit(args, payload, lines)

@@ -269,40 +269,31 @@ class WedgeKernel:
         self._tail_nodes = None
 
     def q(self, s):
-        if self.delta is not None:
-            return self.delta * (_finite(s) if type(s) is float else np.asarray(s, dtype=float))
         return self._terms(s, True, 0)[0]
 
     def q_prime(self, s):
-        return self.slopes(s, second=False)[0]
+        return self._terms(s, False, 1)[1]
 
     def slopes(self, s, second: bool = True):
         """``(Q', Q'')``; ``Q''`` is None when ``second`` is False, except
         that a PH kernel always gives its 0."""
-        if self.delta is not None:
-            if type(s) is float:
-                _finite(s)
-                return self.delta, 0.0
-            s = np.asarray(s, dtype=float)
-            return np.full_like(s, self.delta), np.zeros_like(s)
         return self._terms(s, False, 2 if second else 1)[1:]
 
     def q_slopes(self, s, second: bool = True):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
-        if self.delta is not None:
-            if type(s) is float:
-                return self.delta * _finite(s), self.delta, 0.0
-            return (self.q(s),) + self.slopes(s, second)
         return self._terms(s, True, 2 if second else 1)
 
     def _terms(self, s, cum: bool, order: int):
-        """``(Q, Q', Q'')`` at ``s`` of a kernel other than PH: ``Q`` only
-        with ``cum``, ``Q'`` with ``order >= 1`` and ``Q''`` with
-        ``order == 2``, the others None.  A float ``s`` takes
+        """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
+        ``order >= 1`` and ``Q''`` with ``order == 2`` (a PH kernel's 0 with
+        any ``order >= 1``), the others None.  A float ``s`` takes
         :meth:`_float_terms`."""
         if type(s) is float:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)
+        if self.delta is not None:
+            q = self.delta * s if cum else None
+            return (q, np.full_like(s, self.delta), np.zeros_like(s)) if order else (q, None, None)
         m, marginal, base = self._m, self.marginal, self.baseline
         d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
         if m is not None or self._b is not None:
@@ -333,9 +324,14 @@ class WedgeKernel:
         return q, q1, q2
 
     def _float_terms(self, s: float, cum: bool, order: int):
-        """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
+        """:meth:`_terms` of a float ``s``, from the maps' own float answers;
+        a difference-quotient ``Q''`` is the array path's element."""
+        _finite(s)
+        if self.delta is not None:
+            q = self.delta * s if cum else None
+            return (q, self.delta, 0.0) if order else (q, None, None)
         base, marginal = self.baseline, self.marginal
-        d = base.inverse_cumulative_hazard(_finite(s))
+        d = base.inverse_cumulative_hazard(s)
         if (self._m is not None or self._b is not None) and not math.isfinite(d):
             raise DomainError(f"x must be finite, got {d!r}")
         q = q1 = q2 = None
@@ -346,11 +342,8 @@ class WedgeKernel:
             q1 = _divide(r, r0)
             if order == 2:
                 rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
-                if rp is not None and r0p is not None:
-                    q2 = _divide(rp * r0 - r * r0p, _cube(r0))
-                else:
-                    h = min(_FD_STEP * max(1.0, s), 0.5 * s)
-                    q2 = _divide(self.q_prime(s + h) - self.q_prime(s - h), 2.0 * h)
+                q2 = (_divide(rp * r0 - r * r0p, _cube(r0)) if rp is not None and r0p is not None
+                      else float(self._terms(np.array([s]), False, 2)[2][0]))
         return q, q1, q2
 
     def tail(self, s, theta: float):

@@ -802,8 +802,8 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
 
     Checks ``sum_i grad_i(x1 (+) t, x2 (+) t) * r0(t)/r0(x_i (+) t)`` against
     ``theta * r0(t)`` over off-diagonal grid pairs and shift knots
-    (``DomainError`` without a shift knot).  The divisors ``r0(x_i (+) t)``
-    are the hazards the model mapped for the gradient.
+    (``DomainError`` without a shift knot).  The gradient is
+    :func:`hazard_gradient`'s, and the divisors are the baseline's hazards.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
@@ -811,12 +811,10 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     hi, lo = grid.wedge_pairs(base)
 
     def residual(t, y1, y2):
-        points = model._points(y1, y2, "hazard gradient")
-        g1, g2 = model._gradient_array(points)
-        r0_1, r0_2 = points[-1]
+        g1, g2 = hazard_gradient(model, y1, y2)
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lhs = g1 * r0t / r0_1 + g2 * r0t / r0_2
+            lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
         return np.abs(lhs - theta * r0t) / (theta * r0t)
 
     return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
@@ -854,10 +852,10 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
         err_budget += err
 
     def g1(u):
-        return model._gradient_at(model._wedge_point(u, xl, hazards=True))[0]
+        return hazard_gradient(model, u, xl)[0]
 
     def g2(u):
-        return model._gradient_at(model._wedge_point(x1, u, hazards=True))[1]
+        return hazard_gradient(model, x1, u)[1]
 
     add_piece(g1, xl, x1)
     add_piece(g2, xl, min(x1, x2))

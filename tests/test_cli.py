@@ -116,8 +116,8 @@ def test_rect_where_both_cumulative_hazards_overflow(capsys, tmp_path):
 
 
 def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
-    # density and gradient share the hazard pair of their one point, which
-    # the exponential maps one float coordinate at a time
+    # survival maps no hazard; density and gradient each map the hazard pair
+    # of their point once, one float coordinate at a time
     calls = []
     hazard = bisurv.Exponential.hazard
 
@@ -128,13 +128,14 @@ def test_eval_maps_the_baseline_hazard_once(capsys, mo_config, monkeypatch):
     monkeypatch.setattr(bisurv.Exponential, "hazard", counting)
     code, out, _ = run(capsys, "eval", "--config", mo_config, "1", "2")
     assert code == 0 and "hazard_gradient = (1, 2)" in out
-    assert calls == [(), ()]
+    assert calls == [(), (), (), ()]
 
 
 def test_eval_maps_a_table_baseline_in_floats(capsys, tmp_path, monkeypatch):
     # a table baseline answers each coordinate of the point in float
-    # arithmetic: two float calls of each map, shared by density and
-    # gradient, and no segment lookup or np.interp of the array path
+    # arithmetic: survival, density and gradient each map the point's two
+    # R0, the last two also its two r0, and no segment lookup or np.interp
+    # of the array path runs
     (tmp_path / "base.csv").write_text("x,hazard\n0,1\n1,1.6\n2.5,1.1\n6,1.4\n")
     cfg_path = tmp_path / "table.json"
     cfg_path.write_text('{"baseline": "custom:base.csv", "theta123": [1, 1, 1]}')
@@ -155,7 +156,7 @@ def test_eval_maps_a_table_baseline_in_floats(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(np, "interp", refuse)
     code, out, _ = run(capsys, "eval", "--config", str(cfg_path), "1", "2")
     assert code == 0 and "hazard_gradient" in out
-    assert calls == {"cumulative_hazard": [float, float], "hazard": [float, float]}
+    assert calls == {"cumulative_hazard": [float] * 6, "hazard": [float] * 4}
 
 
 def test_eval_maps_an_lfr_point_in_floats(capsys, tmp_path, monkeypatch):
@@ -191,9 +192,10 @@ def test_eval_maps_an_lfr_point_in_floats(capsys, tmp_path, monkeypatch):
         seen.clear()
         code, out, _ = run(capsys, "eval", "--config", str(cfg_path), x1, x2)
         assert code == 0 and "hazard_gradient" in out
-        # the point's two R0 and two r0; then survival's d and R, the
-        # density's d, R, r, r0, r' and r0', and the gradient's d, r and r0
-        assert seen == [float] * 15
+        # survival's two R0, then its d and R; the density's two R0 and two
+        # r0, then its d, R, r, r0, r' and r0'; the gradient's two R0 and two
+        # r0, then its d, r and r0
+        assert seen == [float] * 21
 
 
 def test_validate_exit_codes(capsys, mo_config, lfr_config, tmp_path):

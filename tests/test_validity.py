@@ -655,8 +655,8 @@ def test_gradient_identity_refuses_a_grid_without_off_diagonal_pairs(knots):
 
 
 def test_gradient_identity_maps_each_shifted_pair_once(monkeypatch):
-    # per shift: r0(t) once, and the hazards of both coordinates in the
-    # model's one map, which the residual's divisors reuse
+    # per shift: r0(t) once, the hazards of both coordinates in the
+    # gradient's one map, and both again as the residual's divisors
     sizes = []
     original = Exponential.hazard
 
@@ -666,7 +666,7 @@ def test_gradient_identity_maps_each_shifted_pair_once(monkeypatch):
 
     monkeypatch.setattr(Exponential, "hazard", counting)
     check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1))
-    assert (len(sizes), sum(sizes)) == (24, 3848)
+    assert (len(sizes), sum(sizes)) == (40, 7688)
 
 
 @pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "counterexample"])
