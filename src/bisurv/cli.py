@@ -120,8 +120,7 @@ def _load(args) -> ModelConfig:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load(args)
-    model = cfg.model
+    model = _load(args).model
     x1, x2 = float(args.x1), float(args.x2)
     surv = model.survival(x1, x2)
     payload: dict = {"x1": x1, "x2": x2, "survival": surv}

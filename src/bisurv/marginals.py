@@ -12,9 +12,11 @@ Three kinds are provided:
 
 ``WedgeKernel`` puts a marginal over a baseline into the wedge coordinate
 ``s = R0(max) - R0(min)`` of the bivariate models:
-``Q(s) = R_marginal(R0^{-1}(s))`` with its derivatives ``Q'`` and ``Q''``.
-Every bivariate quantity off the diagonal -- survival, density, validity
-conditions, the sampler's wedge tail ``G`` and its table -- is built from these.
+``Q(s) = R_marginal(R0^{-1}(s))`` with its derivatives ``Q'`` and ``Q''``,
+from one composition routine for arrays and one for floats, with the
+proportional-hazards form as one branch of each.  Every bivariate quantity
+off the diagonal -- survival, density, validity conditions, the sampler's
+wedge tail ``G`` and its table -- is built from these.
 
 ``limit_hazard_ratio`` evaluates the one-sided limit ``u = Q'(0+)``, i.e.
 of ``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
@@ -224,33 +226,33 @@ def _cube(r0: float) -> float:
 class WedgeKernel:
     """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
 
-    With ``d = R0^{-1}(s)``, ``Q'(s) = r_m(d) / r0(d)`` and
-    ``Q''(s) = (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3``.  A marginal that
-    is proportional-hazards over this very baseline is recognised here and
-    nowhere else: then ``Q = delta * s`` exactly, ``Q' = u = delta`` and
-    ``Q'' = 0``.  Otherwise ``Q''`` comes from the analytic hazard
-    derivatives when both exist, and from a central difference of ``Q'`` in
-    ``s`` when not.
+    With ``d = R0^{-1}(s)``, ``Q'(s) = r_m(d) / r0(d)`` and ``Q''(s) =
+    (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3`` from the analytic hazard
+    slopes, or a central difference of ``Q'`` in ``s`` where one is missing.
+    A marginal that is proportional-hazards over this very baseline is
+    recognised here and nowhere else (``delta``): then ``Q = delta * s``
+    exactly, ``Q' = u = delta`` and ``Q'' = 0``.  ``q``, ``q_prime``,
+    ``slopes`` and ``q_slopes`` are views of :meth:`_terms`, which takes an
+    array, and of :meth:`_float_terms`, which takes a Python ``float``; the
+    PH form is one branch of each.
 
-    Methods of ``s`` take arrays of ``s >= 0`` and return arrays, and answer
-    a Python ``float`` ``s`` with floats equal bit for bit to the array
-    path's element.  A PH kernel answers from ``delta``; any other takes
-    ``d``, the hazards and their slopes from the maps' own float answers
-    (float arithmetic for the exponential, LFR, tables but for their
-    inverse, and PH over those; one numpy call for Weibull, Pareto and
-    callables) and forms ``Q'`` and ``Q''`` in the array path's order, with
-    ``np.power(r0, 3)``'s bits and numpy's inf or NaN where Python would
-    raise.  A non-finite float ``s`` raises
+    An array of ``s >= 0`` gives arrays, and a float ``s`` floats equal bit
+    for bit to the array path's element: ``d``, the hazards and their slopes
+    come from the maps' own float answers (float arithmetic for the
+    exponential, LFR, tables but for their inverse, and PH over those; one
+    numpy call for Weibull, Pareto and callables), ``Q'`` and ``Q''`` are
+    formed in the array path's order, with ``np.power(r0, 3)``'s bits and
+    numpy's inf or NaN where Python would raise, and a difference quotient
+    is the array path's own element.  A non-finite float ``s`` raises
     :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
-    through on the composition path: the models zero any overflow before a
-    kernel runs, and a check would cost every vectorized call.
+    through: the models zero any overflow before a kernel runs, and a check
+    would cost every vectorized call.
 
-    Where the marginal or the baseline is a hazard table
-    (:class:`~bisurv.baseline.PiecewiseLinearHazard`) the kernel is the same
-    composition: ``d`` is the baseline's inverse and the hazards are the
-    models' own.  A marginal table's ``R_m(d)`` and hazard slope share one
-    lookup of ``d`` in its knots, where both are asked for.  Where a table
-    is involved, a non-finite ``s`` or ``d`` raises
+    A hazard table (:class:`~bisurv.baseline.PiecewiseLinearHazard`), as
+    marginal or baseline, takes the same composition: ``d`` is the
+    baseline's inverse and the hazards are the models' own, and a marginal
+    table's ``R_m(d)`` and hazard slope share one lookup of ``d`` in its
+    knots.  Where a table is involved, a non-finite ``s`` or ``d`` raises
     :class:`~bisurv.errors.DomainError`, on arrays and floats.
 
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
@@ -286,14 +288,13 @@ class WedgeKernel:
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
         ``order >= 1`` and ``Q''`` with ``order == 2`` (a PH kernel's 0 with
-        any ``order >= 1``), the others None.  A float ``s`` takes
-        :meth:`_float_terms`."""
+        any ``order``), the others None; a float ``s`` takes :meth:`_float_terms`."""
         if type(s) is float:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)
         if self.delta is not None:
-            q = self.delta * s if cum else None
-            return (q, np.full_like(s, self.delta), np.zeros_like(s)) if order else (q, None, None)
+            q12 = (np.full_like(s, self.delta), np.zeros_like(s)) if order else (None, None)
+            return (self.delta * s if cum else None, *q12)
         m, marginal, base = self._m, self.marginal, self.baseline
         d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
         if m is not None or self._b is not None:
@@ -324,12 +325,11 @@ class WedgeKernel:
         return q, q1, q2
 
     def _float_terms(self, s: float, cum: bool, order: int):
-        """:meth:`_terms` of a float ``s``, from the maps' own float answers;
-        a difference-quotient ``Q''`` is the array path's element."""
+        """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
         _finite(s)
         if self.delta is not None:
-            q = self.delta * s if cum else None
-            return (q, self.delta, 0.0) if order else (q, None, None)
+            q12 = (self.delta, 0.0) if order else (None, None)
+            return (self.delta * s if cum else None, *q12)
         base, marginal = self.baseline, self.marginal
         d = base.inverse_cumulative_hazard(s)
         if (self._m is not None or self._b is not None) and not math.isfinite(d):
@@ -342,8 +342,8 @@ class WedgeKernel:
             q1 = _divide(r, r0)
             if order == 2:
                 rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
-                q2 = (_divide(rp * r0 - r * r0p, _cube(r0)) if rp is not None and r0p is not None
-                      else float(self._terms(np.array([s]), False, 2)[2][0]))
+                q2 = (float(self.slopes(np.array([s]))[1][0]) if rp is None or r0p is None
+                      else _divide(rp * r0 - r * r0p, _cube(r0)))
         return q, q1, q2
 
     def tail(self, s, theta: float):

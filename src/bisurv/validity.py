@@ -18,11 +18,11 @@ every knot pair; each report reads it and names the rows it lists:
 * ``check_two_increasing`` -- the most negative rectangle spanned by grid
   knots, on the survival grid assembled from the pass's ``Q``.
 * ``check_functional_equation`` -- residual of the stability identity
-  ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)``; every model built here
-  satisfies it to rounding error, valid or not.
-* ``hazard_gradient`` / ``check_hazard_gradient_identity`` /
-  ``reconstruct_survival_from_gradient`` -- the closed-form hazard gradient,
-  its form of the identity, and survival recovered by integrating it.
+  ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)`` at knots that stay finite
+  when shifted; every model built here satisfies it to rounding, valid or not.
+* ``hazard_gradient`` -- the model's closed-form hazard gradient, which
+  ``check_hazard_gradient_identity`` (the identity's differential form) and
+  ``reconstruct_survival_from_gradient`` (survival by integrating it) read.
 
 Grid checks falsify; they never prove.  A ``Valid`` verdict means "no
 violation found on grid" and the reports say so.
@@ -471,6 +471,7 @@ def check_marginal_conditions(model: GeneralBivariateModel,
     theta = model.theta
     conditions, us, alpha, _ = _rows(model.kernels, theta, grid, floor,
                                      {"weights": "i", "density": "ii"})
+    alpha = None if alpha is None else model.decompose().alpha  # PH: (theta1 + theta2) / theta
     diagnostics = {"u1": us[0], "u2": us[1], "alpha": alpha, "theta": theta,
                    "grid": grid.describe(),
                    "tolerance": f"lhs <= rhs + max({floor:g}, 1e-6*|rhs|)"}
@@ -729,6 +730,15 @@ def _rectangle_report(xs, s, grid: GridSpec, tol) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+def _shiftable(base: BaselineModel, xs, ts) -> np.ndarray:
+    """Mask of the knot images ``xs`` that the shift checks keep: finite, and
+    finite under the largest shift (``combine`` is monotone in ``t``)."""
+    ok = np.isfinite(xs)
+    if len(ts) and ok.any():
+        ok[ok] = np.isfinite(base.combine(xs[ok], float(np.max(ts))))
+    return ok
+
+
 def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
                        *, relative: bool) -> ResidualReport:
     """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the raw shift points
@@ -737,8 +747,8 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
     if len(ts) == 0:
         raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
     if len(x1) == 0:
-        raise DomainError("the shift checks need at least one grid point; the gradient "
-                          "identity takes knot pairs at least wedge_margin apart")
+        raise DomainError("the shift checks need at least one grid point finite under every "
+                          "shift; the gradient identity takes pairs wedge_margin apart")
     worst = -1.0
     witness = (float(x1[0]), float(x2[0]), float(ts[0]))
     total = 0
@@ -763,20 +773,21 @@ def check_functional_equation(model, grid: GridSpec | None = None,
     the residual measures only arithmetic error, whether or not the model is
     a valid distribution.  ``t_knots`` takes explicit shift points in raw
     coordinates; by default the grid's shift knots are used.  Without a
-    shift point there is nothing to check: ``DomainError``.
+    shift point there is nothing to check: ``DomainError``.  Knots whose
+    image under some shift is not finite are left out (:func:`_shiftable`).
     """
     grid = grid or GridSpec.default()
     base = model.baseline
+    ts = grid.t_points(base) if t_knots is None else np.asarray(t_knots, dtype=float)
     xs = grid.axis_points(base)
-    x1 = np.repeat(xs, len(xs))
-    x2 = np.tile(xs, len(xs))
+    xs = xs[_shiftable(base, xs, ts)]
+    x1, x2 = np.repeat(xs, len(xs)), np.tile(xs, len(xs))
     log_s = np.asarray(model.log_survival(x1, x2), dtype=float)
 
     def residual(t, y1, y2):
         shift = model.theta * float(base.cumulative_hazard(t))
         return np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
 
-    ts = grid.t_points(base) if t_knots is None else np.asarray(t_knots, dtype=float)
     return _worst_over_shifts(base, ts, x1, x2, residual, relative=False)
 
 
@@ -801,24 +812,26 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     """Differential form of the stability identity, relative residual.
 
     Checks ``sum_i grad_i(x1 (+) t, x2 (+) t) * r0(t)/r0(x_i (+) t)`` against
-    ``theta * r0(t)`` over off-diagonal grid pairs and shift knots
-    (``DomainError`` without a shift knot).  The gradient is
-    :func:`hazard_gradient`'s, and the divisors are the baseline's hazards.
+    ``theta * r0(t)`` (:func:`hazard_gradient`, the baseline's hazards) over
+    shift knots (``DomainError`` without one) and the off-diagonal pairs of
+    the knots :func:`check_functional_equation` keeps.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
-    theta = model.theta
-    hi, lo = grid.wedge_pairs(base)
+    xs, ts = grid.axis_points(base), grid.t_points(base)
+    ok = _shiftable(base, xs, ts)
+    j, k = np.nonzero(grid._pairs()[1] & ok & ok[:, None])
+    hi, lo = xs[j], xs[k]
 
     def residual(t, y1, y2):
         g1, g2 = hazard_gradient(model, y1, y2)
         r0t = float(base.hazard(t))
         with np.errstate(divide="ignore", invalid="ignore"):
             lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
-        return np.abs(lhs - theta * r0t) / (theta * r0t)
+        return np.abs(lhs - model.theta * r0t) / (model.theta * r0t)
 
-    return _worst_over_shifts(base, grid.t_points(base), np.concatenate([hi, lo]),
-                              np.concatenate([lo, hi]), residual, relative=True)
+    return _worst_over_shifts(base, ts, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
+                              residual, relative=True)
 
 
 #: absolute and relative tolerance of each quadrature along the gradient path
@@ -840,8 +853,7 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
     x1, x2 = float(x1), float(x2)
     if not (math.isfinite(x1) and math.isfinite(x2)) or x1 < xl or x2 < xl:
         raise DomainError(f"coordinates must be finite and >= {xl}")
-    total = 0.0
-    err_budget = 0.0
+    total = err_budget = 0.0
 
     def add_piece(fn, a: float, b: float) -> None:
         nonlocal total, err_budget
@@ -887,6 +899,7 @@ def combined_validation(model, grid: GridSpec | None = None,
     rows, us, alpha, ev = _rows(model.kernels, model.theta, grid, floor,
                                 {"weights": "marginal-i", "density": "marginal-ii",
                                  "gradient": "hazard-i", "divergence": "hazard-ii"})
+    alpha = None if alpha is None else model.decompose().alpha  # the model's own, exact for PH
     xs, s = _survival_grid(ev, model.theta)
     del ev  # the pass's pair arrays go before the scan's slabs come
     rectangles = _rectangle_report(xs, s, grid, tol)

@@ -12,6 +12,8 @@ import bisurv
 from bisurv.baseline import PiecewiseLinearHazard
 from bisurv.cli import main
 from bisurv.marginals import WedgeKernel
+from test_cli_golden import CONFIGS as GOLDEN_CONFIGS
+from test_cli_golden import _write_config as write_golden_config
 
 MO_CONFIG = '{"baseline": "exponential", "theta123": [1, 1, 1]}\n'
 LFR_CONFIG = ('{"baseline": "exponential", "theta": 3.0, '
@@ -315,6 +317,51 @@ def test_check_fe_refuses_an_empty_shift_set(capsys, tmp_path):
     # validate evaluates no shifts and still decides the model
     code, out, _ = run(capsys, "validate", "--config", str(p))
     assert code == 3 and out.startswith("verdict: Invalid")
+
+
+@pytest.mark.parametrize("r0_max", [709, 1000, 1e300])
+def test_check_fe_accepts_a_grid_whose_top_knots_overflow(capsys, tmp_path, r0_max):
+    # over Pareto R0^{-1}(s) = e^s: the top knot's image is finite at 709 but
+    # not once shifted by t_max = e^4, and inf itself from s = 710; validate
+    # accepts these grids, and check-fe leaves such knots out
+    p = tmp_path / "pareto.json"
+    p.write_text(json.dumps({"baseline": "pareto", "theta123": [1, 1, 1],
+                             "grid": {"r0_max": r0_max, "knots": 16}}))
+    code, out, err = run(capsys, "check-fe", "--format", "json", "--config", str(p))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["max_residual"] < 1e-12
+    kept = sum(k + 4.0 < math.log(sys.float_info.max) for k in np.geomspace(0.05, r0_max, 16))
+    assert report["n_points"] == 8 * kept * kept
+    assert run(capsys, "validate", "--config", str(p))[0] == 0
+
+
+#: the bench configs no golden config repeats (ph-table is table-baseline,
+#: gen-table is table-marginal and lfr1.5 is lfr-invalid), and a PH model
+#: whose general alpha, 2 - (u1 + u2)/theta, rounds apart from its own
+_ALPHA_SPECS = {
+    "ph-exp": {"baseline": "exponential", "theta123": [1, 1, 1]},
+    "ph-weibull0.5": {"baseline": "weibull:0.5", "theta123": [1, 0.5, 2]},
+    "ph-pareto": {"baseline": "pareto", "theta123": [2, 1, 1]},
+    "gen-weibull2": {"baseline": "weibull:2", "theta": 3.0, "marginals": ["ph:1", "ph:2.5"]},
+    "lfr0.2": {"baseline": "exponential", "theta": 2.0, "marginals": ["lfr:0.2", "lfr:0.2"]},
+    "ph-weibull2-odd": {"baseline": "weibull:2", "theta123": [0.3, 0.7, 0.1]},
+}
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, *_ALPHA_SPECS])
+def test_validate_reports_the_alpha_that_decompose_prints(capsys, tmp_path, name):
+    if name in _ALPHA_SPECS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_ALPHA_SPECS[name]))
+    else:
+        path = write_golden_config(name, tmp_path)
+    _, out, _ = run(capsys, "decompose", "--format", "json", "--config", str(path))
+    alpha = json.loads(out)["alpha"]
+    for knots in ("8", "16"):
+        _, out, _ = run(capsys, "validate", "--format", "json", "--grid-knots", knots,
+                        "--config", str(path))
+        assert json.loads(out)["diagnostics"]["alpha"] == alpha
 
 
 def test_csv_format(capsys, mo_config):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisurv import (
+    CustomHazard,
     DomainError,
     Exponential,
     FromHazard,
@@ -178,6 +181,7 @@ def test_ph_kernel_answers_a_float_with_the_array_bits(base, pair, s):
              *zip(kernel.slopes(s), kernel.slopes(arr)),
              *zip(kernel.slopes(s, second=False), kernel.slopes(arr, second=False)),
              *zip(kernel.q_slopes(s), kernel.q_slopes(arr)),
+             *zip(kernel.q_slopes(s, second=False), kernel.q_slopes(arr, second=False)),
              (kernel.density(s, theta), kernel.density(arr, theta)),
              (kernel.density(s, np.float64(theta)), kernel.density(arr, theta))]
     for got, want in views:
@@ -185,6 +189,40 @@ def test_ph_kernel_answers_a_float_with_the_array_bits(base, pair, s):
         assert np.float64(got).tobytes() == want.tobytes()
     if abs(delta - theta) < 1e-9:
         assert kernel.density(s, theta) == 0.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a PH kernel read a baseline map")
+
+
+_TABLE_BASELINE = CustomHazard.from_table([0.0, 1.0, 2.5], [1.0, 1.6, 1.1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from([*BASELINES, _TABLE_BASELINE]), delta=st.floats(0.1, 5.0),
+       s=st.floats(0.0, 50.0))
+def test_ph_kernel_reads_no_baseline_map(base, delta, s):
+    # Q = delta s, Q' = u = delta and Q'' = 0 come from delta alone, for a
+    # float and an array s, on every view
+    kernel = WedgeKernel(ProportionalHazard(base, delta), base)
+    theta = delta + 1.0
+    maps = ("inverse_cumulative_hazard", "hazard", "hazard_derivative")
+    with contextlib.ExitStack() as stack:
+        for name in maps:
+            stack.enter_context(mock.patch.object(type(base), name, _refuse))
+        for arg in (s, np.array([s, 2.0 * s])):
+            for second in (True, False):
+                q1, q2 = kernel.slopes(arg, second)
+                q, q1_, q2_ = kernel.q_slopes(arg, second)
+                assert np.all(q1 == delta) and np.all(q2 == 0.0)
+                assert np.all(q1_ == delta) and np.all(q2_ == 0.0)
+                assert np.all(q == delta * np.asarray(arg))
+            assert np.all(kernel.q(arg) == delta * np.asarray(arg))
+            assert np.all(kernel.q_prime(arg) == delta)
+            kernel.tail(arg, theta)
+            kernel.density(arg, theta)
+        assert kernel.u == delta
+        assert kernel.tail_table(theta)[1][0] == theta - delta
 
 
 def _invalid(density, x1, x2):

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -652,6 +653,29 @@ def test_gradient_identity_refuses_a_grid_without_off_diagonal_pairs(knots):
     grid = GridSpec(r0_knots=knots, t_r0_knots=(0.5,))
     with pytest.raises(DomainError, match="at least one grid point"):
         check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1), grid)
+
+
+_PARETO_GENERAL = GeneralBivariateModel(PAR, ProportionalHazard(PAR, 1.5),
+                                        FromHazard.from_table([1.0, 2.0, 3.0, 5.0], [0.5, 1.0, 1.5, 2.0]),
+                                        3.0)
+
+
+@pytest.mark.parametrize("r0_max", [709.0, 1000.0, 1e300])
+@pytest.mark.parametrize("model", [PHBivariateModel(PAR, 1, 1, 1), _PARETO_GENERAL],
+                         ids=["ph", "general"])
+def test_shift_checks_leave_out_the_knots_that_overflow(r0_max, model):
+    # over Pareto x (+) t = x t and R0^{-1}(s) = e^s: a knot whose image, or
+    # whose image times t_max = e^4, passes the float range is left out, so
+    # both checks read as they do on the grid of the other knots
+    grid = GridSpec.default(knots=128, r0_max=r0_max)
+    kept = sum(k + 4.0 < math.log(sys.float_info.max) for k in grid.r0_knots)
+    assert 2 <= kept < 128
+    sub = GridSpec(r0_knots=grid.r0_knots[:kept], t_r0_knots=grid.t_r0_knots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (check_functional_equation, check_hazard_gradient_identity):
+            got = check(model, grid)
+            assert got == check(model, sub) and math.isfinite(got.max_residual)
 
 
 def test_gradient_identity_maps_each_shifted_pair_once(monkeypatch):
