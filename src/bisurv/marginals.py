@@ -288,7 +288,7 @@ class WedgeKernel:
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
         ``order >= 1`` and ``Q''`` with ``order == 2`` (a PH kernel's 0 with
-        any ``order``), the others None; a float ``s`` takes :meth:`_float_terms`."""
+        ``order == 1`` too), the others None; a float ``s`` takes :meth:`_float_terms`."""
         if type(s) is float:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)

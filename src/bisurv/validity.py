@@ -733,8 +733,10 @@ def _rectangle_report(xs, s, grid: GridSpec, tol) -> ValidationReport:
 def _shiftable(base: BaselineModel, xs, ts) -> np.ndarray:
     """Mask of the knot images ``xs`` that the shift checks keep: finite, and
     finite under the largest shift (``combine`` is monotone in ``t``)."""
+    if len(ts) == 0:
+        raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
     ok = np.isfinite(xs)
-    if len(ts) and ok.any():
+    if ok.any():
         ok[ok] = np.isfinite(base.combine(xs[ok], float(np.max(ts))))
     return ok
 
@@ -744,8 +746,6 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
     """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the raw shift points
     ``ts``; the witness is the unshifted pair and the shift of the first
     largest residual."""
-    if len(ts) == 0:
-        raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
     if len(x1) == 0:
         raise DomainError("the shift checks need at least one grid point finite under every "
                           "shift; the gradient identity takes pairs wedge_margin apart")
@@ -820,8 +820,7 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
     base = model.baseline
     xs, ts = grid.axis_points(base), grid.t_points(base)
     ok = _shiftable(base, xs, ts)
-    j, k = np.nonzero(grid._pairs()[1] & ok & ok[:, None])
-    hi, lo = xs[j], xs[k]
+    j, k = np.nonzero(grid._pairs()[1] & ok & ok[:, None])  # the pairs (hi, lo)
 
     def residual(t, y1, y2):
         g1, g2 = hazard_gradient(model, y1, y2)
@@ -830,8 +829,8 @@ def check_hazard_gradient_identity(model, grid: GridSpec | None = None) -> Resid
             lhs = g1 * r0t / base.hazard(y1) + g2 * r0t / base.hazard(y2)
         return np.abs(lhs - model.theta * r0t) / (model.theta * r0t)
 
-    return _worst_over_shifts(base, ts, np.concatenate([hi, lo]), np.concatenate([lo, hi]),
-                              residual, relative=True)
+    return _worst_over_shifts(base, ts, xs[np.r_[j, k]], xs[np.r_[k, j]], residual,
+                              relative=True)
 
 
 #: absolute and relative tolerance of each quadrature along the gradient path
@@ -848,8 +847,7 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
     """
     from scipy.integrate import quad  # the only use of scipy in this module
 
-    base = model.baseline
-    xl = base.x_L
+    xl = model.baseline.x_L
     x1, x2 = float(x1), float(x2)
     if not (math.isfinite(x1) and math.isfinite(x2)) or x1 < xl or x2 < xl:
         raise DomainError(f"coordinates must be finite and >= {xl}")
@@ -857,9 +855,12 @@ def reconstruct_survival_from_gradient(model, x1: float, x2: float) -> float:
 
     def add_piece(fn, a: float, b: float) -> None:
         nonlocal total, err_budget
-        if b <= a:
+        lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+        if lo >= b:  # no float strictly inside [a, b]: nothing to add
             return
-        val, err = quad(fn, a, b, epsabs=_PATH_QUAD_TOL, epsrel=_PATH_QUAD_TOL, limit=200)
+        # a node that rounds onto an end, where the gradient is one-sided, is taken just inside
+        val, err = quad(lambda u: fn(min(max(u, lo), hi)), a, b,
+                        epsabs=_PATH_QUAD_TOL, epsrel=_PATH_QUAD_TOL, limit=200)
         total += val
         err_budget += err
 

@@ -751,6 +751,17 @@ def test_reconstruction_matches_direct_survival():
         MOP.survival(3.0, 5.0), rel=1e-6)
 
 
+@pytest.mark.parametrize("model", [MO, MOP, lfr_exp_model(0.2, 2.0)], ids=["mo", "mop", "lfr"])
+def test_reconstruction_where_quadrature_nodes_round_onto_a_piece_end(model):
+    # on a piece a few ulps long, or right of x_L = 0, quad's nodes round
+    # onto the diagonal, where the hazard gradient is refused
+    xl = model.baseline.x_L
+    up = math.nextafter(xl + 1.0, math.inf)
+    for x1, x2 in ((math.nextafter(xl, math.inf), xl + 1.0), (xl + 1.0, up), (up, xl + 3.0)):
+        assert reconstruct_survival_from_gradient(model, x1, x2) == pytest.approx(
+            model.survival(x1, x2), rel=1e-9)
+
+
 # -- hazard-rate qualification ------------------------------------------------
 
 
