@@ -293,8 +293,10 @@ class WedgeKernel:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)
         if self.delta is not None:
-            q12 = (np.full_like(s, self.delta), np.zeros_like(s)) if order else (None, None)
-            return (self.delta * s if cum else None, *q12)
+            q = self.delta * s if cum else None
+            if not order:
+                return q, None, None
+            return q, np.full_like(s, self.delta), np.zeros_like(s)
         m, marginal, base = self._m, self.marginal, self.baseline
         d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
         if m is not None or self._b is not None:
@@ -328,8 +330,8 @@ class WedgeKernel:
         """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
         _finite(s)
         if self.delta is not None:
-            q12 = (self.delta, 0.0) if order else (None, None)
-            return (self.delta * s if cum else None, *q12)
+            q = self.delta * s if cum else None
+            return (q, self.delta, 0.0) if order else (q, None, None)
         base, marginal = self.baseline, self.marginal
         d = base.inverse_cumulative_hazard(s)
         if (self._m is not None or self._b is not None) and not math.isfinite(d):

@@ -731,13 +731,11 @@ def _rectangle_report(xs, s, grid: GridSpec, tol) -> ValidationReport:
 
 
 def _shiftable(base: BaselineModel, xs, ts) -> np.ndarray:
-    """Mask of the knot images ``xs`` that the shift checks keep: finite, and
-    finite under the largest shift (``combine`` is monotone in ``t``)."""
+    """Mask of the knots ``xs`` finite under the largest shift (``combine`` rises in t)."""
     if len(ts) == 0:
         raise DomainError("the shift checks need at least one shift point (t_knots >= 1)")
     ok = np.isfinite(xs)
-    if ok.any():
-        ok[ok] = np.isfinite(base.combine(xs[ok], float(np.max(ts))))
+    ok[ok] = np.isfinite(base.combine(xs[ok], float(np.max(ts))))
     return ok
 
 
