@@ -199,13 +199,6 @@ _TAIL_NODES = 2049
 _RISE_RTOL = 1e-9
 
 
-def _finite(s: float) -> float:
-    """A float ``s``, refused unless finite."""
-    if not math.isfinite(s):
-        raise DomainError(f"s must be finite, got {s!r}")
-    return s
-
-
 def _divide(a: float, b: float) -> float:
     """``a / b`` of floats, with numpy's inf or NaN where Python raises."""
     if b == 0.0:
@@ -328,7 +321,8 @@ class WedgeKernel:
 
     def _float_terms(self, s: float, cum: bool, order: int):
         """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
-        _finite(s)
+        if not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s!r}")
         if self.delta is not None:
             q = self.delta * s if cum else None
             return (q, self.delta, 0.0) if order else (q, None, None)
