@@ -616,7 +616,7 @@ _FLOAT_KERNELS = {
 def _kernel_views(kernel, theta=2.5):
     return {"q": kernel.q, "q_prime": lambda s: kernel.slopes(s, second=False),
             "slopes": kernel.slopes, "q_slopes": kernel.q_slopes,
-            "q_slopes-first": lambda s: kernel.q_slopes(s, second=False),
+            "q_slopes(second=False)": lambda s: kernel.q_slopes(s, second=False),
             "tail": lambda s: kernel.tail(s, theta)}
 
 

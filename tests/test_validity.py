@@ -655,9 +655,9 @@ def test_gradient_identity_refuses_a_grid_without_off_diagonal_pairs(knots):
         check_hazard_gradient_identity(PHBivariateModel(E, 1, 1, 1), grid)
 
 
-_PARETO_GENERAL = GeneralBivariateModel(PAR, ProportionalHazard(PAR, 1.5),
-                                        FromHazard.from_table([1.0, 2.0, 3.0, 5.0], [0.5, 1.0, 1.5, 2.0]),
-                                        3.0)
+_PARETO_GENERAL = GeneralBivariateModel(
+    PAR, ProportionalHazard(PAR, 1.5),
+    FromHazard.from_table([1.0, 2.0, 3.0, 5.0], [0.5, 1.0, 1.5, 2.0]), 3.0)
 
 
 @pytest.mark.parametrize("r0_max", [709.0, 1000.0, 1e300])
