@@ -424,7 +424,7 @@ class GeneralBivariateModel(_BivariateBase):
         """
         x1, x2, upper, s, _, kernel, (r0_1, r0_2) = point
         if s < math.inf:
-            q = float(kernel.slopes(s, second=False)[0])
+            q = float(kernel.q_prime(s))
             larger = q * (r0_1 if upper else r0_2)
         else:
             x, r0 = (x1, r0_1) if upper else (x2, r0_2)

@@ -238,8 +238,8 @@ class WedgeKernel:
     numpy's inf or NaN where Python would raise, and a difference quotient
     is the array path's own element.  A non-finite float ``s`` raises
     :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
-    through: the models zero any overflow before a kernel runs, and a check
-    would cost every vectorized call.
+    through: the models and the validity grid pass keep overflow from the
+    kernels, and a check would cost every vectorized call.
 
     A hazard table (:class:`~bisurv.baseline.PiecewiseLinearHazard`), as
     marginal or baseline, takes the same composition: ``d`` is the
@@ -269,19 +269,18 @@ class WedgeKernel:
     def q_prime(self, s):
         return self._terms(s, False, 1)[1]
 
-    def slopes(self, s, second: bool = True):
-        """``(Q', Q'')``; ``Q''`` is None when ``second`` is False, except
-        that a PH kernel always gives its 0."""
-        return self._terms(s, False, 2 if second else 1)[1:]
+    def slopes(self, s):
+        """``(Q', Q'')``."""
+        return self._terms(s, False, 2)[1:]
 
-    def q_slopes(self, s, second: bool = True):
+    def q_slopes(self, s):
         """``(Q, Q', Q'')`` from one inversion of the baseline at ``s``."""
-        return self._terms(s, True, 2 if second else 1)
+        return self._terms(s, True, 2)
 
     def _terms(self, s, cum: bool, order: int):
-        """``(Q, Q', Q'')`` at ``s``: ``Q`` only with ``cum``, ``Q'`` with
-        ``order >= 1`` and ``Q''`` with ``order == 2`` (a PH kernel's 0 with
-        ``order == 1`` too), the others None; a float ``s`` takes :meth:`_float_terms`."""
+        """``(Q, Q', Q'')`` at ``s``: ``Q`` with ``cum``, ``Q'`` with ``order
+        >= 1`` and ``Q''`` with ``order == 2``, each view reading only what it
+        asks for; a float ``s`` takes :meth:`_float_terms`."""
         if type(s) is float:
             return self._float_terms(s, cum, order)
         s = np.asarray(s, dtype=float)

@@ -5,8 +5,9 @@ distribution.  The paper characterises validity through the marginals and
 through the hazard rates; off the diagonal both reduce to facts about the
 kernels ``Q_i(s) = R_i(R0^{-1}(s))`` of :class:`~bisurv.marginals.WedgeKernel`
 at ``s = R0(hi) - R0(lo)``, with grid pairs ``(hi, lo)`` as witnesses.  One
-grid pass maps the knots once and calls each kernel's ``q_slopes`` once, on
-every knot pair; each report reads it and names the rows it lists:
+grid pass maps the knots once, keeps those whose ``x`` and ``R0`` are finite
+and calls each kernel once, on every pair of them; each report reads it and
+names the rows it lists:
 
 * ``combined_validation`` -- the ``validate`` report, each condition once:
   ``marginal-i`` (weight bounds ``theta <= u1 + u2 <= 2*theta``),
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import BaselineModel
-from .bivariate import GeneralBivariateModel, _nan_check, _validate_theta
+from .bivariate import Decomposition, GeneralBivariateModel, _validate_theta
 from .errors import DomainError, ModelError, NumericError
 from .marginals import FromHazard, MarginalModel, WedgeKernel
 
@@ -69,11 +70,6 @@ _DIVERGENCE_TARGET = 30.0
 
 #: cumulative-hazard levels probed by the divergence heuristic
 _DIVERGENCE_PROBES = (8.0, 16.0, 32.0, 64.0, 128.0)
-
-
-def _ineq_tol(rhs_scale, floor: float = 1e-8) -> np.ndarray:
-    """Slack allowed when testing ``lhs <= rhs``: max(floor, 1e-6 * |rhs|)."""
-    return np.maximum(floor, 1e-6 * np.abs(rhs_scale))
 
 
 @np.errstate(invalid="ignore")  # a bound of the wrong sign or not finite: refused later
@@ -278,13 +274,13 @@ def _combine_verdict(conditions: list[ConditionResult]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _weight_condition(cid: str, kernels, theta: float, floor: float,
-                      names=("u1", "u2")):
+def _weight_condition(cid: str, kernels, theta: float, names=("u1", "u2")):
     """Mixture-weight bounds ``theta <= u1 + u2 <= 2*theta`` on the kernels'
     diagonal limits ``u_i = Q_i'(0+)``, each taken once (a function of ``s``
-    alone).  Returns the condition, the limits (None where a limit failed;
-    its error becomes the note) and ``alpha = 2 - (u1 + u2)/theta``, or
-    None unless both limits are finite.
+    alone), decided by ``Decomposition.weight_in_range`` on ``alpha = 2 -
+    (u1 + u2)/theta``.  Returns the condition, the limits (None where a
+    limit failed; its error becomes the note) and ``alpha``, or None unless
+    both limits are finite.
     """
     label = "mixture-weight-bounds"
     us: list[float | None] = []
@@ -302,10 +298,10 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
         return ConditionResult(cid, label, False, margin=-math.inf,
                                note=f"{names[0]}+{names[1]} diverges"), us, None
     margin = min(total - theta, 2.0 * theta - total)
-    tol = float(_ineq_tol(2.0 * theta, floor))
+    alpha = 2.0 - total / theta
+    passed = Decomposition(alpha, us[0], us[1], 1.0 - alpha).weight_in_range
     note = f"{names[0]}+{names[1]} = {total:.12g}, bounds [{theta:.12g}, {2 * theta:.12g}]"
-    cond = ConditionResult(cid, label, bool(margin >= -tol), margin=float(margin), note=note)
-    return cond, us, 2.0 - total / theta
+    return ConditionResult(cid, label, passed, margin=float(margin), note=note), us, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -313,41 +309,41 @@ def _weight_condition(cid: str, kernels, theta: float, floor: float,
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(invalid="ignore", over="ignore")  # inf - inf where two knots overflow
+@np.errstate(over="ignore")  # Q past the float range, at a finite s: S = 0
 def _grid_pass(kernels, grid: GridSpec, facts=()):
-    """``(xs, R0(xs), r0(xs), low, wide, terms)``: the n knots mapped once;
-    ``s = |R0(x_j) - R0(x_k)|`` of the pairs ``j > k`` (``low``; ``wide``
-    those the rows read: :meth:`GridSpec._pairs`) in row order, then
-    ``_DIVERGENCE_PROBES`` if ``facts`` (:func:`_rows`) name ``divergence``;
-    and each kernel's ``(Q, Q', Q'')`` there from one call, ``Q''`` only for
-    ``density`` and ``Q`` unless the marginal theorem's rows alone read it.
-    A non-finite ``s`` goes to the kernels as it is where the rows read it,
-    as always, else as 0, which :func:`_survival_grid` masks.
-    """
+    """``(xs, R0(xs), r0(xs), low, wide, lost, terms)`` on the knots whose
+    ``x`` and ``R0`` are finite, mapped once: ``s = |R0(x_j) - R0(x_k)|`` of
+    the pairs ``j > k`` (``low``; ``wide`` those the rows read:
+    :meth:`GridSpec._pairs`) in row order, then ``_DIVERGENCE_PROBES`` if
+    ``facts`` (:func:`_rows`) name ``divergence``; each kernel's ``(Q, Q',
+    Q'')`` there from one call (``Q`` alone unless they name ``density``);
+    ``lost``, the requested ``wide`` pairs the other knots take with them."""
     base = kernels[0].baseline
     xs = grid.axis_points(base)
     r0_cum = np.asarray(base.cumulative_hazard(xs), dtype=float)
-    r0 = np.asarray(base.hazard(xs), dtype=float)
     low, wide = grid._pairs()
+    lost = 0
+    keep = np.isfinite(xs) & np.isfinite(r0_cum)
+    if not keep.all():
+        xs, r0_cum, kept = xs[keep], r0_cum[keep], np.ix_(keep, keep)
+        lost = np.count_nonzero(wide) - np.count_nonzero(wide[kept])
+        low, wide = low[kept], wide[kept]
+    r0 = np.asarray(base.hazard(xs), dtype=float)
     s = np.abs(np.subtract.outer(r0_cum, r0_cum)[low])
-    rows = "density" in facts
-    if not np.isfinite(r0_cum).all():
-        s[~np.isfinite(s) & ~(wide[low] & rows)] = 0.0
     if "divergence" in facts:
         s = np.concatenate([s, _DIVERGENCE_PROBES])
-    if rows and "divergence" not in facts:  # the marginal theorem reads no Q
-        return xs, r0_cum, r0, low, wide, [(None, *kernel.slopes(s)) for kernel in kernels]
-    return xs, r0_cum, r0, low, wide, [kernel.q_slopes(s, rows) for kernel in kernels]
+    terms = [kernel.q_slopes(s) if "density" in facts else (kernel.q(s), None, None)
+             for kernel in kernels]
+    return xs, r0_cum, r0, low, wide, lost, terms
 
 
-@np.errstate(invalid="ignore", over="ignore")
+@np.errstate(over="ignore")  # theta * R0 past the float range: S = 0
 def _survival_grid(ev, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """``(xs, S)``, ``S = model.survival(xs[:, None], xs[None, :])`` bit for
-    bit, from the pass ``ev`` by ``_log_survival_array``'s steps and its
-    overflow rule: ``w * -theta - Q_i(s)``, ``w = R0(min)``, kernel 1 where
-    ``x1 >= x2``, ``q(0) = 0`` on the diagonal, and ``S = 0`` in the row and
-    column of a knot whose ``x`` or ``R0`` is infinite (``s`` inf or NaN)."""
-    xs, r0_cum, _, low, _, terms = ev
+    bit on the pass ``ev``'s knots, by ``_log_survival_array``'s steps:
+    ``w * -theta - Q_i(s)``, ``w = R0(min)``, kernel 1 where ``x1 >= x2``
+    and ``q(0) = 0`` on the diagonal."""
+    xs, r0_cum, _, low, _, _, terms = ev
     q1, q2 = (q[:np.count_nonzero(low)] for q, _, _ in terms)
     ge = np.greater_equal.outer(xs, xs)
     q = np.zeros(ge.shape)
@@ -355,25 +351,22 @@ def _survival_grid(ev, theta: float) -> tuple[np.ndarray, np.ndarray]:
     q.T[low] = np.where(ge.T[low], q1, q2)
     log_s = np.minimum.outer(r0_cum, r0_cum) * -theta
     log_s -= q
-    if not np.isfinite(xs + r0_cum).all():
-        _nan_check(xs[:, None])
-        dead = np.isinf(xs) | ~np.isfinite(r0_cum)
-        log_s[dead] = log_s[:, dead] = -np.inf
     return xs, np.exp(log_s, out=log_s)
 
 
 def _grid_bound_condition(cid: str, label: str, lhs_by_marg, rhs, hi, lo,
-                          *, lower_zero: bool = False,
-                          floor: float = 1e-8) -> ConditionResult:
+                          *, lower_zero: bool = False, floor: float = 1e-8,
+                          lost: int = 0) -> ConditionResult:
     """Check ``lhs <= rhs`` (optionally also ``lhs >= 0``) over grid points.
     ``lhs_by_marg`` holds one array per marginal over the pairs ``(hi, lo)``;
     marginal 1 sits on the wedge ``x1 >= x2``, so its witnesses are
     ``(hi, lo)`` and those of marginal 2 are ``(lo, hi)``.  A point whose
-    ``lhs`` is not finite is skipped; when none is, nothing is masked.
+    ``lhs`` is not finite is skipped; when none is, nothing is masked.  The
+    ``lost`` pairs of the requested grid count as skipped on both wedges.
     """
     worst, worst_witness, passed = math.inf, None, True
-    decided = skipped = 0
-    least = -_ineq_tol(rhs, floor)  # the most negative margin that passes
+    decided, skipped = 0, 2 * lost
+    least = -np.maximum(floor, 1e-6 * np.abs(rhs))  # the most negative margin that passes
     for lhs, (x1, x2) in zip(lhs_by_marg, [(hi, lo), (lo, hi)]):
         lhs = np.asarray(lhs, dtype=float)
         bound, low = rhs, least
@@ -428,9 +421,8 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
     ``gradient`` (``G >= 0``, i.e. ``0 <= Q' <= theta``) and ``divergence``
     of the total hazard are built only when named."""
     rows = {}
-    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
-                                                   floor, names)
-    xs, _, r0, low, wide, terms = ev = _grid_pass(kernels, grid, ids)
+    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta, names)
+    xs, _, r0, low, wide, lost, terms = ev = _grid_pass(kernels, grid, ids)
     keep, (j, k) = wide[low], np.nonzero(wide)  # the rows' pairs, among all and by index
     hi, lo, r0_lo, m = xs[j], xs[k], r0[k], keep.size
     slopes = [(q1[:m][keep], q2[:m][keep]) for _, q1, q2 in terms]
@@ -439,13 +431,13 @@ def _rows(kernels, theta: float, grid: GridSpec, floor: float, ids, names=("u1",
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = [r0_lo * (q1 - q2 / q1) for q1, q2 in slopes]
     rows["density"] = _grid_bound_condition(ids["density"], "cross-derivative-bound",
-                                            cross, bound, hi, lo, floor=floor)
+                                            cross, bound, hi, lo, floor=floor, lost=lost)
     if "gradient" in ids:
         with np.errstate(invalid="ignore"):
             gradient = [q1 * r0_lo for q1, _ in slopes]
         rows["gradient"] = _grid_bound_condition(
             ids["gradient"], "gradient-nonnegativity-bound", gradient, bound, hi, lo,
-            lower_zero=True, floor=floor)
+            lower_zero=True, floor=floor, lost=lost)
     if "divergence" in ids:
         rows["divergence"] = _divergence_condition(ids["divergence"],
                                                    [q[m:] for q, _, _ in terms])
@@ -743,7 +735,8 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
                        *, relative: bool) -> ResidualReport:
     """Largest ``residual(t, x1 (+) t, x2 (+) t)`` over the raw shift points
     ``ts``; the witness is the unshifted pair and the shift of the first
-    largest residual."""
+    largest residual.  A point whose residual is NaN, which the residual
+    could not evaluate, is left out and not counted."""
     if len(x1) == 0:
         raise DomainError("the shift checks need at least one grid point finite under every "
                           "shift; the gradient identity takes pairs wedge_margin apart")
@@ -754,8 +747,9 @@ def _worst_over_shifts(base: BaselineModel, ts, x1, x2, residual,
         t = float(t)
         res = residual(t, np.asarray(base.combine(x1, t), dtype=float),
                        np.asarray(base.combine(x2, t), dtype=float))
-        total += res.size
-        i = int(np.argmax(res))
+        ok = ~np.isnan(res)
+        total += int(np.count_nonzero(ok))
+        i = int(np.argmax(np.where(ok, res, -1.0)))
         if res[i] > worst:
             worst = float(res[i])
             witness = (float(x1[i]), float(x2[i]), t)
@@ -772,7 +766,9 @@ def check_functional_equation(model, grid: GridSpec | None = None,
     a valid distribution.  ``t_knots`` takes explicit shift points in raw
     coordinates; by default the grid's shift knots are used.  Without a
     shift point there is nothing to check: ``DomainError``.  Knots whose
-    image under some shift is not finite are left out (:func:`_shiftable`).
+    image under some shift is not finite are left out (:func:`_shiftable`),
+    and so is a point whose ``ln S`` is ``-inf`` or absorbs a nonzero shift
+    ``theta R0(t)``, where the residual would read NaN or the shift itself.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
@@ -784,7 +780,9 @@ def check_functional_equation(model, grid: GridSpec | None = None,
 
     def residual(t, y1, y2):
         shift = model.theta * float(base.cumulative_hazard(t))
-        return np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
+        with np.errstate(invalid="ignore"):  # -inf - -inf, left out below
+            res = np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
+        return np.where(log_s - shift == log_s if shift else log_s == -np.inf, np.nan, res)
 
     return _worst_over_shifts(base, ts, x1, x2, residual, relative=False)
 

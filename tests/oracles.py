@@ -708,7 +708,7 @@ def gradient_identity(model, grid=None):
 # and ``check_two_increasing`` on the column scan above.  Kept verbatim
 # (``self`` is ``grid``) as the reference the reports must match byte for
 # byte, with the divergence row as it was when it called each kernel on the
-# probes itself; the weight row, which did not change, is the library's.
+# probes itself; the weight row is the library's.
 
 
 def wedge_pairs(grid, baseline):
@@ -730,7 +730,7 @@ def grid_slopes(kernels, grid):
 
 def grid_bound_condition(cid, label, lhs_by_marg, rhs, hi, lo, *, lower_zero=False,
                          floor=1e-8):
-    from bisurv.validity import ConditionResult, _ineq_tol
+    from bisurv.validity import ConditionResult
 
     worst, worst_witness, passed = math.inf, None, True
     decided = skipped = 0
@@ -744,7 +744,7 @@ def grid_bound_condition(cid, label, lhs_by_marg, rhs, hi, lo, *, lower_zero=Fal
         margin = rhs[ok] - lhs[ok]
         if lower_zero:
             margin = np.minimum(margin, lhs[ok])
-        passed &= not np.any(margin < -_ineq_tol(rhs[ok], floor))
+        passed &= not np.any(margin < -np.maximum(floor, 1e-6 * np.abs(rhs[ok])))
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
@@ -782,8 +782,7 @@ def grid_rows(kernels, theta, grid, floor, ids, names=("u1", "u2")):
     from bisurv.validity import _weight_condition
 
     rows = {}
-    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta,
-                                                   floor, names)
+    rows["weights"], us, alpha = _weight_condition(ids["weights"], kernels, theta, names)
     hi, lo, r0_lo, slopes = grid_slopes(kernels, grid)
     bound = theta * r0_lo
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -614,9 +614,8 @@ _FLOAT_KERNELS = {
 
 
 def _kernel_views(kernel, theta=2.5):
-    return {"q": kernel.q, "q_prime": lambda s: kernel.slopes(s, second=False),
+    return {"q": kernel.q, "q_prime": kernel.q_prime,
             "slopes": kernel.slopes, "q_slopes": kernel.q_slopes,
-            "q_slopes(second=False)": lambda s: kernel.q_slopes(s, second=False),
             "tail": lambda s: kernel.tail(s, theta)}
 
 

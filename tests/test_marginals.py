@@ -179,9 +179,7 @@ def test_ph_kernel_answers_a_float_with_the_array_bits(base, pair, s):
     arr = np.array([s])
     views = [(kernel.q(s), kernel.q(arr)), (kernel.q_prime(s), kernel.q_prime(arr)),
              *zip(kernel.slopes(s), kernel.slopes(arr)),
-             *zip(kernel.slopes(s, second=False), kernel.slopes(arr, second=False)),
              *zip(kernel.q_slopes(s), kernel.q_slopes(arr)),
-             *zip(kernel.q_slopes(s, second=False), kernel.q_slopes(arr, second=False)),
              (kernel.density(s, theta), kernel.density(arr, theta)),
              (kernel.density(s, np.float64(theta)), kernel.density(arr, theta))]
     for got, want in views:
@@ -211,12 +209,11 @@ def test_ph_kernel_reads_no_baseline_map(base, delta, s):
         for name in maps:
             stack.enter_context(mock.patch.object(type(base), name, _refuse))
         for arg in (s, np.array([s, 2.0 * s])):
-            for second in (True, False):
-                q1, q2 = kernel.slopes(arg, second)
-                q, q1_, q2_ = kernel.q_slopes(arg, second)
-                assert np.all(q1 == delta) and np.all(q2 == 0.0)
-                assert np.all(q1_ == delta) and np.all(q2_ == 0.0)
-                assert np.all(q == delta * np.asarray(arg))
+            q1, q2 = kernel.slopes(arg)
+            q, q1_, q2_ = kernel.q_slopes(arg)
+            assert np.all(q1 == delta) and np.all(q2 == 0.0)
+            assert np.all(q1_ == delta) and np.all(q2_ == 0.0)
+            assert np.all(q == delta * np.asarray(arg))
             assert np.all(kernel.q(arg) == delta * np.asarray(arg))
             assert np.all(kernel.q_prime(arg) == delta)
             kernel.tail(arg, theta)

@@ -368,11 +368,11 @@ def _outcome(fn, s):
 
 
 def _views(kernel, composed: bool):
-    """``q``, both orders of ``slopes``, ``q_slopes`` and ``tail``, of the
+    """``q``, ``q_prime``, ``slopes``, ``q_slopes`` and ``tail``, of the
     kernel or of the composition (the kernel's ``tail`` over composed
     ``(Q, Q', Q'')``)."""
     if not composed:
-        return {"q": kernel.q, "q_prime": lambda s: kernel.slopes(s, second=False),
+        return {"q": kernel.q, "q_prime": kernel.q_prime,
                 "slopes": kernel.slopes, "q_slopes": kernel.q_slopes,
                 "tail": lambda s: kernel.tail(s, _THETA)}
 
@@ -381,7 +381,7 @@ def _views(kernel, composed: bool):
                                side_effect=lambda v: composed_q_slopes(kernel, v)):
             return kernel.tail(s, _THETA)
     return {"q": lambda s: composed_q(kernel, s),
-            "q_prime": lambda s: composed_slopes(kernel, s, False),
+            "q_prime": lambda s: composed_slopes(kernel, s, False)[0],
             "slopes": lambda s: composed_slopes(kernel, s),
             "q_slopes": lambda s: composed_q_slopes(kernel, s),
             "tail": tail}
@@ -517,9 +517,9 @@ def test_table_marginal_q_prime_alone_is_one_interp(name):
         want = table.hazard(d) / np.asarray(base.hazard(d), dtype=float)
     with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search, \
             mock.patch.object(np, "interp", wraps=np.interp) as interp:
-        got = kernel.slopes(s, second=False)[0]
+        got = kernel.q_prime(s)
     assert (search.call_count, interp.call_count) == (0, 1)
     assert got.tobytes() == want.tobytes()
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            kernel.slopes(np.array([1.0, bad]), second=False)
+            kernel.q_prime(np.array([1.0, bad]))

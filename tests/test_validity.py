@@ -930,13 +930,14 @@ def test_combined_validation_maps_each_knot_once(monkeypatch):
 
 
 def test_grid_pass_is_quiet_where_the_knots_overflow():
-    # Pareto's R0^{-1}(s) = e^s is inf from s = 710: s = |inf - inf| is NaN
-    # there, which the pass must not report on stderr
+    # Pareto's R0^{-1}(s) = e^s is inf from s = 710: the pass leaves those
+    # knots out, quietly, and here keeps one knot and no pair to decide
     grid = GridSpec.default(knots=8, r0_max=1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = combined_validation(MOP, grid)
-    assert rep.verdict == VALID
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.conditions[1].note == "all 56 grid points skipped"
 
 
 def _survival_grid_models(tmp_path):
@@ -1102,7 +1103,7 @@ class _FixedLimit:
 def test_weight_condition_undecided_limit_is_inconclusive():
     err = NumericError("limit did not settle")
     cond, us, alpha = validity._weight_condition("i", [_FixedLimit(1.0), _FixedLimit(err)],
-                                                 2.0, 1e-8)
+                                                 2.0)
     assert (cond.cid, cond.passed, cond.margin, cond.witness) == ("i", None, None, None)
     assert cond.note == "limit did not settle"
     assert (us, alpha) == ([1.0, None], None)
@@ -1110,7 +1111,7 @@ def test_weight_condition_undecided_limit_is_inconclusive():
 
 def test_weight_condition_divergent_limit_fails():
     cond, us, alpha = validity._weight_condition(
-        "iv", [_FixedLimit(math.inf), _FixedLimit(1.0)], 2.0, 1e-8, names=("v1", "v2"))
+        "iv", [_FixedLimit(math.inf), _FixedLimit(1.0)], 2.0, names=("v1", "v2"))
     assert (cond.cid, cond.passed, cond.margin) == ("iv", False, -math.inf)
     assert cond.note == "v1+v2 diverges"
     assert (us, alpha) == ([math.inf, 1.0], None)
