@@ -142,7 +142,7 @@ class ModelConfig:
 #: largest ``knots`` or ``t_knots`` a config (or ``--grid-knots``) may ask
 #: for.  The grid checks hold O(knots^2) floats: at 1,024 knots one n x n
 #: float64 array is 8 MiB, and a check keeps about 15 of them alive at once
-#: (~120 MiB); the rectangle scan's time grows as knots^3.
+#: (~120 MiB); each check's time grows as knots^2.
 MAX_KNOTS = 1024
 
 

@@ -155,13 +155,15 @@ class FromHazard(MarginalModel):
         """Piecewise-linear hazard table, ends held flat beyond the range.
 
         ``x_L`` defaults to the first row; a config passes the baseline's.
-        Warns when the implied density does not decay over the table tail,
-        since such a table cannot describe a proper distribution.
+        Warns when the implied density does not decay over the table's last
+        three rows above ``x_L``, since such a table cannot describe a
+        proper distribution.
         """
         table = PiecewiseLinearHazard(xs, hazards, x_L)
         model = cls(table.hazard, table.x_L)
         model._maps = model._table = table
-        tail = np.asarray(xs, dtype=float)[-3:]
+        rows = np.asarray(xs, dtype=float)
+        tail = rows[rows > table.x_L][-3:]  # the density is 0 at x <= x_L
         dens = [model.density(float(v)) for v in tail]
         if len(dens) >= 2 and dens[-1] >= dens[0] and dens[-1] > 0:
             warnings.warn(

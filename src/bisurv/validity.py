@@ -16,8 +16,9 @@ names the rows it lists:
 * ``check_marginal_conditions`` / ``check_hazard_rate_conditions`` -- the
   two theorems as the paper states them: ``i``, ``ii``; and ``i``, ``ii``,
   ``iii`` (marginal ``ii``'s row) and ``iv`` (marginal ``i``'s row).
-* ``check_two_increasing`` -- the most negative rectangle spanned by grid
-  knots, on the survival grid assembled from the pass's ``Q``.
+* ``check_two_increasing`` -- every grid cell, each against its own
+  rounding bound, on the survival grid assembled from the pass's ``Q``:
+  every rectangle spanned by grid knots is a union of cells.
 * ``check_functional_equation`` -- residual of the stability identity
   ``S(x1 (+) t, x2 (+) t) = S(x1, x2) * S(t, t)`` at knots that stay finite
   when shifted; every model built here satisfies it to rounding, valid or not.
@@ -61,9 +62,6 @@ __all__ = [
 VALID = "Valid"
 INVALID = "Invalid"
 INCONCLUSIVE = "Inconclusive"
-
-#: two-increasing rectangles may be this negative before counting as violations
-_RECT_TOL = 1e-9
 
 #: cumulative hazard a marginal must reach for the divergence heuristic
 _DIVERGENCE_TARGET = 30.0
@@ -533,162 +531,59 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-#: cap of one slab of the blocked rectangle scan, in floats, on grids of up
-#: to 90 knots; larger grids get 4 n^2.  A slab holds the column differences
-#: of one block of columns, and the scan keeps two.  2^15 floats (256 KiB)
-#: take all the columns of a grid of up to 32 knots in one block.
-_SLAB_FLOATS = 2 ** 15
+def _cell_rule(s: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
+    """``(value, i, k, passed)`` of the grid cells of a square matrix ``s``
+    (``n >= 2``): cell ``(i, k)`` is the rectangle of rows ``i, i + 1`` and
+    columns ``k, k + 1``, and every grid rectangle is a disjoint union of
+    cells, so it carries probability >= 0 exactly when they all do.
 
-#: a cell screen that leaves more candidate cells than this falls back; a
-#: certified survival grid leaves one or two
-_CELL_CANDIDATES = 16
+    The cells are ``dc = c1[:-1] - c1[1:]`` with ``c1 = s[:, :-1] - s[:, 1:]``.
+    With ``A`` the largest ``|s|`` of a cell's four corners and ``u = 2^-53``,
+    each ``c1`` entry rounds by at most ``2uA`` and their difference by
+    ``u(4A + 4uA)``, so a computed cell is within ``8.01uA`` of the exact
+    inclusion-exclusion of the computed ``s``, which is what
+    ``rectangle_probability`` (``bisurv rect``) sums.  A cell fails where
+    ``dc + 16uA + tol < 0`` or is NaN: below ``-16uA`` its exact mass is
+    negative.  The bound ``16uA`` is ``A * 2^-49`` with one smallest
+    subnormal added, which covers the product's rounding where it
+    underflows; an infinite corner makes it ``inf``, so a ``-inf`` cell
+    fails and a ``+inf`` one passes.
 
-
-def _min_rectangle(s: np.ndarray) -> tuple[float, int, int, int, int]:
-    """Most negative rectangle ``s[i,k] - s[j,k] - s[i,l] + s[j,l]`` over
-    ``i < j`` and ``k < l`` of a square matrix (``n >= 2``), as
-    ``(value, i, j, k, l)``, in O(n^2) memory.
-
-    Each ``(i, k, l)`` scores ``c_i`` minus the largest ``c_j`` below it,
-    ``c = s[:, k] - s[:, l]`` (the separable sum, the direct one to
-    rounding), and the smallest key ``(NaN first, value, i, k, l)`` wins;
-    ``j`` is the first row with that ``c_j``, and the value is the direct
-    sum, left to right: what ``rectangle_probability`` gives there.
-    :func:`_cell_scan` settles a grid whose cells it certifies, in O(n^2)
-    time; any other takes :func:`_blocked_scan`, in O(n^3).
+    The witness is the first ``argmin(dc)`` in C order (the first NaN, if
+    any), unless that cell passes and another fails: then it is the most
+    negative failing cell.  Its value is the direct sum ``s[i,k] - s[i+1,k]
+    - s[i,k+1] + s[i+1,k+1]``, left to right; on entries in ``[0, A]`` it is
+    within ``5.01uA`` of the exact sum, so a failing witness reads negative.
+    O(n^2) time and memory.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        # the screen's arrays are freed on its return
-        i, k, l = _cell_scan(s) or _blocked_scan(s)
-        j = i + 1 + int(np.argmax(s[i + 1:, k] - s[i + 1:, l]))
-        value = float(s[i, k] - s[j, k] - s[i, l] + s[j, l])
-    return (value, i, j, k, l)
-
-
-def _cell_scan(s: np.ndarray) -> tuple[int, int, int] | None:
-    """The winning ``(i, k, l)`` of :func:`_min_rectangle` from the grid's
-    cells, or None where the cells do not settle it.
-
-    The cells are ``dc = c1[:-1] - c1[1:]`` with ``c1 = s[:, :-1] - s[:, 1:]``;
-    exactly, cell ``(i, k)`` is the mass ``s[i,k] - s[i,k+1] - s[i+1,k] +
-    s[i+1,k+1]``.  A float difference has the sign of the exact one, so
-    ``dc >= 0`` makes each column of ``c1`` fall down the rows, and then
-    ``c1 >= 0`` once its last row is.  The screen asks for a survival-shaped
-    grid: cells ``>= 0``, entries ``>= 0``, at most ``1e300`` and
-    nonincreasing along both axes.  There the largest ``|s|`` over rows
-    ``>= i`` and columns ``>= k`` is ``A(i, k) = s[i, k]``.
-
-    Bound (``u = 2^-53``): each subtraction rounds by at most ``u`` times
-    its exact result, so each ``c1`` entry of a cell is within ``2uA`` of
-    its exact value and the cell within ``4uA + u(4A + 4uA) <= 8.01uA`` of
-    the exact mass.  If every ``dc >= 16uA``, every exact cell is
-    ``>= 7.99uA > 0``.  A rectangle with top-left cell ``(i, k)`` then holds
-    at least that cell's mass: exactly ``c_i - c_j >= cell(i, k)``.  Its
-    ``c`` entries are each within ``2uA`` of exact, so the computed
-    ``c_i - max_{j > i} c_j`` is at least ``dc - 12.01uA > 0``, and its
-    rounding takes off at most ``4.01uA`` more: every score with top-left
-    cell ``(i, k)`` is at least ``dc - 16.02uA``.  ``LB = dc - 32uA``,
-    rounded, lies below that (its own rounding adds at most ``4.01uA``).
-    The threshold ``16uA`` is computed with one smallest subnormal added,
-    which covers the product's rounding where ``A`` is so small that it
-    underflows and elsewhere only makes it larger; ``LB`` takes twice that
-    threshold.
-
-    Since ``c1`` falls down the rows, the score at ``l = k + 1`` is
-    ``c1[i] - c1[i+1] = dc`` bit for bit, so the least of them is
-    ``U = min(dc)``.  The winner scores at most ``U``, and the cell that
-    attains ``U`` has ``LB <= U``; so only cells with ``LB <= U`` can hold
-    the winner, and every other score is above it.  Those few cells are
-    scored over every ``l > k`` in the scan's arithmetic and ranked by
-    ``(value, i, k, l)``.  Every ``c = s[:, k] - s[:, l]`` falls strictly
-    down the rows here: exactly, by at least one cell, ``7.99uA(j, k)``,
-    against at most ``2uA(j, k)`` of rounding in ``c_j`` and ``c_{j+1}``
-    (``0 <= c_j <= s[j, k]``).  So the largest ``c_j`` below row ``i`` is
-    ``c_{i+1}``, and a cell's scores are those of its own two rows.
-
-    None, so that :func:`_blocked_scan` decides, where a cell is negative or
-    NaN (checked first: an invalid grid fails fast), the grid is not
-    survival-shaped (inf included), a cell lies below its certificate (ties,
-    zero masses) or more than ``_CELL_CANDIDATES`` cells remain.
-    """
-    c1 = s[:, :-1] - s[:, 1:]
-    dc = c1[:-1] - c1[1:]
-    least = dc.min()
-    if not (least >= 0.0 and c1[-1].min() >= 0.0 and s[-1, -1] >= 0.0
-            and s[0, 0] <= 1e300 and (s[:-1] >= s[1:]).all()):
-        return None
-    bound = s[:-1, :-1] * 2.0**-49  # 16 u A(i, k)
-    bound += 5e-324
-    if (dc < bound).any():
-        return None
-    bound *= 2.0
-    cells = np.flatnonzero(np.subtract(dc, bound, out=bound) <= least)
-    if cells.size > _CELL_CANDIDATES:
-        return None
-    n = s.shape[0]
-    best = None
-    for cell in cells.tolist():
-        i, k = divmod(cell, n - 1)
-        score = (s[i, k] - s[i, k + 1:]) - (s[i + 1, k] - s[i + 1, k + 1:])
-        m = int(np.argmin(score))
-        key = (float(score[m]), i, k, k + 1 + m)
-        if best is None or key < best:
-            best = key
-    return best[1:]
-
-
-def _blocked_scan(s: np.ndarray) -> tuple[int, int, int]:
-    """The winning ``(i, k, l)`` of :func:`_min_rectangle` for any matrix, in
-    O(n^3) time and O(n^2) memory.
-
-    Columns ``k`` go in blocks: one broadcast subtract builds a block's slab
-    ``c[i, k, l]`` for every ``l`` right of its first column, and a
-    descending loop of ``np.maximum`` gives each row the largest ``c_j``
-    below it (exact, NaN passed on: the running maximum bit for bit).
-    Pairs with ``l <= k`` score ``+inf``.  One ``argmin`` per block, in C
-    order, and a comparison across blocks pick the smallest key (a masked
-    pair never wins: a block starts at the real pair ``(0, k0, k0 + 1)``).
-    A slab holds at most ``max(_SLAB_FLOATS, 4 n^2)`` floats.
-    """
-    n = s.shape[0]
-    cap = min(max(_SLAB_FLOATS, 4 * n * n), n * (n - 1) ** 2)  # at most one block
-    c_buf, d_buf = np.empty(cap), np.empty(cap)
-    best = None
-    k0 = 0
-    while k0 < n - 1:
-        width = n - 1 - k0  # columns l = k0 + 1 .. n - 1
-        k1 = min(n - 1, k0 + cap // (n * width))
-        size = (k1 - k0) * width
-        c = c_buf[:n * size].reshape(n, k1 - k0, width)
-        np.subtract(s[:, k0:k1, None], s[:, None, k0 + 1:], out=c)
-        d = d_buf[:(n - 1) * size].reshape(n - 1, k1 - k0, width)
-        d[-1] = c[-1]
-        for i in range(n - 3, -1, -1):
-            np.maximum(d[i + 1], c[i + 1], out=d[i])  # max over rows > i
-        np.subtract(c[:-1], d, out=d)
-        np.copyto(d, np.inf, where=np.arange(k0, k1)[:, None] >= np.arange(k0 + 1, n))  # l <= k
-        flat = int(np.argmin(d))  # the first NaN, if there is one
-        v = float(d_buf[flat])
-        i, rest = divmod(flat, size)
-        dk, dl = divmod(rest, width)
-        key = (not math.isnan(v), 0.0 if math.isnan(v) else v, i, k0 + dk, k0 + 1 + dl)
-        if best is None or key < best:
-            best = key
-        k0 = k1
-    return best[2:]
+        c1 = s[:, :-1] - s[:, 1:]
+        dc = c1[:-1] - c1[1:]
+        a = np.abs(s)
+        np.maximum(a[:-1], a[1:], out=a[:-1])  # numpy buffers the overlap
+        bound = np.maximum(a[:-1, :-1], a[:-1, 1:], out=c1[:-1])  # each cell's A, in c1
+        bound *= 2.0**-49
+        bound += 5e-324 + tol
+        bound += dc
+        ok = bound >= 0.0  # False where NaN
+        cell = int(np.argmin(dc))
+        passed = bool(ok.all())
+        if not passed and ok.flat[cell]:
+            cell = int(np.argmin(np.where(ok, np.inf, dc)))
+        i, k = divmod(cell, s.shape[0] - 1)
+        value = float(s[i, k] - s[i + 1, k] - s[i, k + 1] + s[i + 1, k + 1])
+    return value, i, k, passed
 
 
 def check_two_increasing(model, grid: GridSpec | None = None,
                          tol: float | None = None) -> ValidationReport:
-    """Every rectangle spanned by grid knots carries probability >= -1e-9.
+    """Every rectangle spanned by grid knots carries probability >= 0: no
+    grid cell lies below minus its own rounding bound plus ``tol``, 0 by
+    default (:func:`_cell_rule`), in O(n^2) time and memory.
 
-    Reports the most negative rectangle over all knot pairs per axis, in
-    O(n^2) memory (see :func:`_min_rectangle`): O(n^2) time where the cell
-    screen certifies the grid, as on a valid model's, O(n^3) elsewhere.
-    Rectangles are ranked by their separable sum, which differs from the
-    inclusion-exclusion sum by rounding only; ties go to the first
-    ``(i, k, l)`` in knot order, and the reported probability is the
-    inclusion-exclusion sum on the winner.
+    The witness is the most negative cell, or the most negative failing
+    cell where that one passes; the reported probability is its
+    inclusion-exclusion sum, what ``rectangle_probability`` gives there.
     """
     grid = grid or GridSpec.default()
     xs, s = _survival_grid(_grid_pass(model.kernels, grid), model.theta)
@@ -697,23 +592,25 @@ def check_two_increasing(model, grid: GridSpec | None = None,
 
 def _rectangle_report(xs, s, grid: GridSpec, tol) -> ValidationReport:
     """:func:`check_two_increasing`'s report on the survival grid ``s`` at ``xs``."""
-    rect_tol = _RECT_TOL if tol is None else float(tol)
+    tol = 0.0 if tol is None else float(tol)
     if len(xs) < 2:
         cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
                                note="degenerate grid; vacuously satisfied")
         return ValidationReport(VALID, [cond], {"grid": grid.describe()})
-    # P(i,j,k,l) = P(xs[i] < X1 <= xs[j], xs[k] < X2 <= xs[l])
-    worst, i, j, k, l = _min_rectangle(s)
-    rect = (float(xs[i]), float(xs[j]), float(xs[k]), float(xs[l]))
-    passed = worst >= -rect_tol
+    # P(i,k) = P(xs[i] < X1 <= xs[i+1], xs[k] < X2 <= xs[k+1])
+    worst, i, k, passed = _cell_rule(s, tol)
+    rect = (float(xs[i]), float(xs[i + 1]), float(xs[k]), float(xs[k + 1]))
+    where = f"({rect[0]:.6g}, {rect[1]:.6g}) x ({rect[2]:.6g}, {rect[3]:.6g})"
     cond = ConditionResult(
-        "two-increasing", "rectangle-nonnegativity", bool(passed),
+        "two-increasing", "rectangle-nonnegativity", passed,
         witness=(rect[0], rect[2]), margin=worst,
-        note=(f"most negative rectangle ({rect[0]:.6g}, {rect[1]:.6g}) x "
-              f"({rect[2]:.6g}, {rect[3]:.6g}) has probability {worst:.6g}"),
+        note=(f"most negative rectangle {where} has probability {worst:.6g}" if passed else
+              f"negative grid cell {where} has probability {worst:.6g}"),
     )
     diagnostics = {"grid": grid.describe(), "min_rectangle_probability": worst,
-                   "rectangle": list(rect), "tolerance": rect_tol}
+                   "rectangle": list(rect),
+                   "tolerance": f"cell >= -(2^-49*A + 5e-324 + {tol:g}), "
+                                f"A its largest |corner|"}
     return ValidationReport(VALID if passed else INVALID, [cond], diagnostics)
 
 
@@ -898,7 +795,7 @@ def combined_validation(model, grid: GridSpec | None = None,
                                  "gradient": "hazard-i", "divergence": "hazard-ii"})
     alpha = None if alpha is None else model.decompose().alpha  # the model's own, exact for PH
     xs, s = _survival_grid(ev, model.theta)
-    del ev  # the pass's pair arrays go before the scan's slabs come
+    del ev  # the pass's pair arrays go before the cell rule's arrays come
     rectangles = _rectangle_report(xs, s, grid, tol)
     conditions = [*rows, *rectangles.conditions]
     worst = rectangles.diagnostics.get("min_rectangle_probability")

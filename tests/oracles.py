@@ -198,8 +198,8 @@ def rectangle_scan_tensor(s):
     tensor: ``(value, i, j, k, l)`` with ``i < j``, ``k < l`` and
     ``value = s[i,k] - s[j,k] - s[i,l] + s[j,l]``, the first in flat
     (lexicographic) order on ties.  The rectangle scan of
-    ``check_two_increasing`` before it became O(n^2) in memory; the scan
-    now ranks by the separable sum, so it must come within rounding of this
+    ``check_two_increasing`` before it became O(n^2) in memory; the later
+    scans ranked by the separable sum, so they come within rounding of this
     minimum (see :func:`rectangle_scan_separable` for the bit-exact form).
     """
     s = np.asarray(s, dtype=float)
@@ -249,9 +249,9 @@ def rectangle_scan_separable(s):
 
 
 def rectangle_scan_running_max(s):
-    """The rectangle scan one column at a time: the body of
-    ``validity._min_rectangle`` before it took the columns in blocks, kept
-    as the bit-exact reference for the blocked scan.
+    """The most negative grid rectangle, in O(n^3) time, one column at a
+    time: the scan ``check_two_increasing`` ran before it decided from the
+    grid's cells alone, kept as the reference for the cell rule.
 
     For each column ``k``, ``c = s[:, k] - s[:, l]`` over ``l > k`` and a
     running maximum of ``c`` up the rows (``np.maximum.accumulate``) gives
@@ -831,29 +831,59 @@ def hazard_rate_conditions(r1, r2, baseline, theta, grid, tol=None):
     return ValidationReport(_combine_verdict(conditions), conditions, diagnostics)
 
 
-def two_increasing(model, grid, tol=None):
-    from bisurv.validity import (_RECT_TOL, INVALID, VALID, ConditionResult,
-                                 ValidationReport)
+def cell_rule(s, tol=0.0):
+    """``validity._cell_rule`` one cell at a time, in Python floats:
+    ``(value, i, k, passed)``.  Cell ``(i, k)`` is ``(s[i,k] - s[i,k+1]) -
+    (s[i+1,k] - s[i+1,k+1])``; with ``A`` the largest ``|corner|`` (NaN if
+    one is), it fails unless ``(A * 2^-49 + (5e-324 + tol)) + cell >= 0``.
+    The witness is the first NaN cell, else the first smallest, unless that
+    one passes and another fails: then the first smallest failing cell.
+    """
+    n = s.shape[0]
+    cells = []
+    for i in range(n - 1):
+        for k in range(n - 1):
+            corners = [float(v) for v in (s[i, k], s[i, k + 1], s[i + 1, k], s[i + 1, k + 1])]
+            a, c, b, d = corners
+            cell = (a - c) - (b - d)
+            big = math.nan if any(map(math.isnan, corners)) else max(map(abs, corners))
+            cells.append((cell, i, k, not (big * 2.0**-49 + (5e-324 + tol)) + cell >= 0.0))
+    nans = [c for c in cells if math.isnan(c[0])]
+    worst = nans[0] if nans else min(cells, key=lambda c: c[0])
+    failing = [c for c in cells if c[3]]
+    if failing and not worst[3]:
+        worst = min(failing, key=lambda c: c[0])
+    _, i, k, _ = worst
+    with np.errstate(invalid="ignore", over="ignore"):
+        value = float(s[i, k] - s[i + 1, k] - s[i, k + 1] + s[i + 1, k + 1])
+    return value, i, k, not failing
 
-    rect_tol = _RECT_TOL if tol is None else float(tol)
+
+def two_increasing(model, grid, tol=None):
+    """``check_two_increasing`` on ``model.survival`` over the grid's knots,
+    by :func:`cell_rule`."""
+    from bisurv.validity import INVALID, VALID, ConditionResult, ValidationReport
+
+    tol = 0.0 if tol is None else float(tol)
     xs = grid.axis_points(model.baseline)
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         cond = ConditionResult("two-increasing", "rectangle-nonnegativity", True,
                                note="degenerate grid; vacuously satisfied")
         return ValidationReport(VALID, [cond], {"grid": grid.describe()})
     s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
-    worst, i, j, k, l = rectangle_scan_running_max(s)
-    rect = (float(xs[i]), float(xs[j]), float(xs[k]), float(xs[l]))
-    passed = worst >= -rect_tol
+    worst, i, k, passed = cell_rule(s, tol)
+    rect = (float(xs[i]), float(xs[i + 1]), float(xs[k]), float(xs[k + 1]))
+    where = f"({rect[0]:.6g}, {rect[1]:.6g}) x ({rect[2]:.6g}, {rect[3]:.6g})"
     cond = ConditionResult(
-        "two-increasing", "rectangle-nonnegativity", bool(passed),
+        "two-increasing", "rectangle-nonnegativity", passed,
         witness=(rect[0], rect[2]), margin=worst,
-        note=(f"most negative rectangle ({rect[0]:.6g}, {rect[1]:.6g}) x "
-              f"({rect[2]:.6g}, {rect[3]:.6g}) has probability {worst:.6g}"),
+        note=(f"most negative rectangle {where} has probability {worst:.6g}" if passed else
+              f"negative grid cell {where} has probability {worst:.6g}"),
     )
     diagnostics = {"grid": grid.describe(), "min_rectangle_probability": worst,
-                   "rectangle": list(rect), "tolerance": rect_tol}
+                   "rectangle": list(rect),
+                   "tolerance": f"cell >= -(2^-49*A + 5e-324 + {tol:g}), "
+                                f"A its largest |corner|"}
     return ValidationReport(VALID if passed else INVALID, [cond], diagnostics)
 
 

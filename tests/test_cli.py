@@ -392,6 +392,47 @@ def test_grid_checks_leave_out_knots_past_the_float_range(capsys, tmp_path):
                 assert sum(map(int, re.findall(r"\d+", cond["note"]))) == 2 * wide, (case, cond)
 
 
+@pytest.mark.parametrize("base", ["exponential", "pareto"])
+def test_a_decaying_hazard_table_is_quiet_over_any_left_endpoint(capsys, tmp_path, base):
+    # over Pareto (x_L = 1) the table's row at x = 1 has density 0, which
+    # read as a rise to the last row; a table whose density grows still warns
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"baseline": base, "theta": 3.0,
+                               "marginals": ["hazard:table.csv", "ph:1.5"]}))
+    for rows, warned in (("0,0.5\n1,1\n2,1.5\n4,2\n", False),
+                         ("0,0.01\n1,0.01\n2,0.05\n4,1\n", True)):
+        (tmp_path / "table.csv").write_text("x,hazard\n" + rows)
+        for command in ("validate", "decompose", "check-fe"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _, _, err = run(capsys, command, "--config", str(cfg))
+            messages = [str(w.message) for w in caught]  # what a process prints to stderr
+            assert err == "" and len(messages) == warned, (rows, command, err, messages)
+            assert all("does not decay" in m for m in messages)
+
+
+@pytest.mark.parametrize("knots", [8, 16, 32, 48])
+@pytest.mark.parametrize("spec", [["lfr:1.5", 3.0], ["lfr:0.2", 2.0]], ids=["lfr1.5", "lfr0.2"])
+def test_rect_on_a_failing_two_increasing_cell_prints_its_probability(capsys, tmp_path,
+                                                                     spec, knots):
+    # the Invalid models of the goldens (lfr-invalid is lfr1.5) and of the
+    # bench: the witness cell of the failing row, whose upper corners are
+    # the next knots, is negative under rect, which prints the reported value
+    (marginal, theta), cfg = spec, tmp_path / "model.json"
+    cfg.write_text(json.dumps({"baseline": "exponential", "theta": theta,
+                               "marginals": [marginal, marginal]}))
+    code, out, _ = run(capsys, "validate", "--format", "json", "--grid-knots", str(knots),
+                       "--config", str(cfg))
+    row = json.loads(out)["conditions"][-1]
+    assert (code, row["id"], row["pass"]) == (3, "two-increasing", False)
+    xs = bisurv.GridSpec.default(knots=knots).axis_points(bisurv.Exponential()).tolist()
+    a1, a2 = row["witness"]
+    corners = [a1, xs[xs.index(a1) + 1], a2, xs[xs.index(a2) + 1]]
+    code, out, _ = run(capsys, "rect", "--format", "json", "--config", str(cfg),
+                       *map(repr, corners))
+    assert code == 0 and json.loads(out)["probability"] == row["margin"] < 0.0
+
+
 #: the bench configs no golden config repeats (ph-table is table-baseline,
 #: gen-table is table-marginal and lfr1.5 is lfr-invalid), and a PH model
 #: whose general alpha, 2 - (u1 + u2)/theta, rounds apart from its own

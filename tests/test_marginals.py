@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -90,9 +91,8 @@ def test_limit_ratio_is_never_negative():
     # extrapolation read -1.6e-21 on the bench's marginal table (1 + 0.5 e^-x)
     # and -8.9e-22 on the short one
     x = np.linspace(0.0, 10.0, 200)
-    tables = [FromHazard.from_table(x, 1.0 + 0.5 * np.exp(-x), x_L=0)]
-    with pytest.warns(RuntimeWarning, match="does not decay"):
-        tables.append(FromHazard.from_table([0, 1, 2], [0.7, 0.8, 1.0], x_L=0))
+    tables = [FromHazard.from_table(x, 1.0 + 0.5 * np.exp(-x), x_L=0),
+              FromHazard.from_table([0, 1, 2], [0.7, 0.8, 1.0], x_L=0)]
     for table in tables:
         u = limit_hazard_ratio(table, Weibull(0.5))
         assert u == 0.0 and math.copysign(1.0, u) == 1.0
@@ -254,6 +254,12 @@ def test_from_hazard_negative_value_is_model_error():
 def test_from_table_warns_when_density_does_not_decay():
     with pytest.warns(RuntimeWarning):
         FromHazard.from_table([0.0, 1.0, 2.0, 3.0], [0.01, 0.02, 0.05, 0.2])
+    # the density is 0 at x <= x_L; rows there do not count as a rise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x_L in (None, 0.0, 1.0, 2.0):
+            FromHazard.from_table([0.0, 1.0, 2.0, 4.0], [0.5, 1.0, 1.5, 2.0], x_L=x_L)
+        FromHazard.from_table([0, 1, 2], [0.7, 0.8, 1.0])
 
 
 def test_parameter_validation():

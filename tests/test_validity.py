@@ -3,7 +3,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +39,6 @@ from bisurv.validity import (
     INCONCLUSIVE,
     INVALID,
     VALID,
-    _min_rectangle,
     lfr_exponential_cross_bound,
 )
 import oracles
@@ -224,9 +222,12 @@ def test_two_increasing_agrees_with_direct_scan():
                         p = model.rectangle_probability(xs[i], xs[j], xs[k], xs[l])
                         direct_min = min(direct_min, p)
         rep = check_two_increasing(model, grid)
+        worst = rep.diagnostics["min_rectangle_probability"]
         assert (rep.verdict == VALID) == (direct_min >= -1e-9)
-        assert rep.diagnostics["min_rectangle_probability"] == pytest.approx(
-            direct_min, rel=1e-12, abs=1e-15)
+        if rep.verdict == VALID:  # the most negative rectangle is a cell
+            assert worst == pytest.approx(direct_min, rel=1e-12, abs=1e-15)
+        else:  # the failing cell is a negative rectangle
+            assert direct_min <= worst < 0.0
 
 
 def _mass_survival(rng, n, empty_row=None):
@@ -304,9 +305,10 @@ def _survival_matrices(draw, max_n=20):
 # the only rectangle is +inf, and it is reported as (0, 1, 0, 1)
 @example(s=np.array([[math.inf, 0.0], [0.0, 0.0]]))
 def test_rectangle_scan_matches_separable_oracle(s):
+    # the cell rule's O(n^3) reference against the n^4 separable ranking
     with np.errstate(invalid="ignore", over="ignore"):
         ref_value, *ref_witness = rectangle_scan_separable(s)
-        value, *witness = _min_rectangle(s)
+        value, *witness = rectangle_scan_running_max(s)
         assert witness == ref_witness
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
         if np.all(np.isfinite(s)):
@@ -316,28 +318,39 @@ def test_rectangle_scan_matches_separable_oracle(s):
 
 
 def test_rectangle_scan_examples():
-    assert _min_rectangle(np.array([[0.7, 0.6, 0.1], [0.3, 0.1, 0.6], [0.3, 0.2, 0.6]])) == (
-        -0.09999999999999998, 1, 2, 1, 2)
-    assert _min_rectangle(np.array([[math.inf, 0.0], [0.0, 0.0]])) == (math.inf, 0, 1, 0, 1)
-    # inf - inf inside the scan is NaN, and NaN ranks first, without a warning
-    value, *witness = _min_rectangle(np.array([[math.inf, math.inf], [0.0, 0.0]]))
-    assert math.isnan(value) and witness == [0, 1, 0, 1]
+    # the oracle's most negative rectangle, and the cell rule's verdict and cell
+    s = np.array([[0.7, 0.6, 0.1], [0.3, 0.1, 0.6], [0.3, 0.2, 0.6]])
+    assert rectangle_scan_running_max(s) == (-0.09999999999999998, 1, 2, 1, 2)
+    assert validity._cell_rule(s, 0.0) == (-0.09999999999999998, 1, 1, False)
+    s = np.array([[math.inf, 0.0], [0.0, 0.0]])
+    assert rectangle_scan_running_max(s) == (math.inf, 0, 1, 0, 1)
+    assert validity._cell_rule(s, 0.0) == (math.inf, 0, 0, True)
+    # cell (0, 0), -2^-52 at corners of about 1, is the most negative and
+    # passes; cell (1, 1), -1e-20 at corners of at most 1e-20, fails, and
+    # is the witness
+    s = np.array([[1.0, 0.5, 0.0], [0.5 + 2.0**-52, 0.0, 0.0], [0.0, 1e-20, 0.0]])
+    assert validity._cell_rule(s, 0.0) == (-1e-20, 1, 1, False)
+    assert rectangle_scan_running_max(s)[0] == -2.0**-52
+    # inf - inf is NaN, and NaN ranks first and fails, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, *cell = validity._cell_rule(np.array([[math.inf, math.inf], [0.0, 0.0]]), 0.0)
+        assert math.isnan(value) and cell == [0, 0, False]
+        # an infinite corner makes the bound inf: a -inf cell fails
+        assert validity._cell_rule(np.array([[0.0, 0.0], [math.inf, 0.0]]), 0.0) == (
+            -math.inf, 0, 0, False)
 
 
 def _scan_example(n, kind):
-    """A matrix at a block-split size of the rectangle scan: its first block
-    takes 13 columns at 49 knots and 8 at 64; later blocks widen, and the
-    last is ragged."""
+    """A random, tied or infinite matrix of ``n`` rows."""
     rng = np.random.default_rng(0)
     if kind == "tied":
         return rng.choice([0.0, 0.25, 0.5], (n, n))
     s = rng.random((n, n))
     if kind == "inf":
-        # -inf rectangles at column 50 win, in the last block
         s[10, 50] = math.inf
     elif kind == "two-inf":
-        # inf - inf is NaN in the scan at rows 5 and 1 of columns 20 and 50;
-        # the NaN of the later block has the smaller row and wins
+        # inf - inf is NaN at rows 5 and 1 of columns 20 and 50
         s[[5, 30], 20] = math.inf
         s[[1, 2], 50] = math.inf
     return s
@@ -352,45 +365,6 @@ def _dipped_example(n, k):
     return s
 
 
-def _screen_off():
-    """The rectangle scan with the cell screen off: every grid takes the
-    blocked scan."""
-    return mock.patch.object(validity, "_cell_scan", return_value=None)
-
-
-@settings(max_examples=150, deadline=None)
-@given(s=_survival_matrices(max_n=80))
-@example(s=_scan_example(49, "tied"))
-@example(s=_scan_example(49, "random"))
-@example(s=_scan_example(64, "inf"))
-@example(s=_scan_example(64, "two-inf"))
-@example(s=np.zeros((64, 64)))
-@example(s=_dipped_example(64, 40))
-@example(s=np.where(_mass_survival(np.random.default_rng(2), 49) == 0.0, -0.0, 1.0))
-def test_blocked_rectangle_scan_is_the_column_scan(s):
-    # bit for bit, ties and NaN included, through several blocks of columns,
-    # row-monotone or not: with the cell screen off, at the default slab and
-    # at slabs of 4 n^2 floats (blocks of about four columns); and the whole
-    # scan, screen first
-    want = rectangle_scan_running_max(s)
-    for slab in (validity._SLAB_FLOATS, 1):
-        with mock.patch.object(validity, "_SLAB_FLOATS", slab), _screen_off():
-            got = _min_rectangle(s)
-        assert got[1:] == want[1:]
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-    got = _min_rectangle(s)
-    assert got[1:] == want[1:]
-    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-
-
-def test_rectangle_scan_of_tied_rectangles_is_cubic():
-    # every rectangle ties at 0: re-checking tied column pairs exactly
-    # would cost n^4 here, one pass over the blocks takes ~0.03 s
-    start = time.perf_counter()
-    assert _min_rectangle(np.zeros((192, 192))) == (0.0, 0, 1, 0, 1)
-    assert time.perf_counter() - start < 2.0
-
-
 def _positive_mass_survival(rng, n, scale=1.0, dyadic=False):
     """Survival matrix of positive masses scaled so that ``s[0, 0]`` is
     about ``scale``: every cell carries mass, as on a valid model's grid.
@@ -401,27 +375,24 @@ def _positive_mass_survival(rng, n, scale=1.0, dyadic=False):
 
 
 def _certificate_example(scale, side):
-    """A survival-shaped 3 x 3 matrix whose cell (1, 1) lies one float below
-    (``side = -1``), on (0) or one float above (1) the cell screen's
-    certificate ``16 u s[1, 1] + 5e-324``.  ``scale`` is a power of two at
-    which every subtraction of that cell is exact: 1 and 2^-900, where the
-    certificate is ``1.5 * 2^-49 * scale``, and 2^-1060, where every entry
-    is subnormal and the certificate is one subnormal."""
-    a = 1.5 * scale
-    cert = a * (16.0 * 2.0**-53) + 5e-324
-    cell = cert if side == 0 else math.nextafter(cert, side * math.inf)
-    p = 2.0 * cert  # the cell is (a - b) - (c - 0) = p - c
-    s = np.array([[8.0, 4.0, 2.0], [4.0, 1.5, 0.0], [2.0, 0.0, 0.0]]) * scale
-    s[1, 1:] = a, a - p
-    s[2, 1] = p - cell
+    """A 3 x 3 matrix whose cell (1, 1) lies one float below (``side = -1``),
+    on (0) or one float above (1) minus its rounding bound ``2^-49 s[1, 1] +
+    5e-324``, and whose other cells are positive.  ``scale`` is a power of
+    two at which ``s[1, 1]`` is exact: 1 and 2^-900,
+    where the bound is ``1.5 * 2^-49 * scale``, and 2^-1060, where every
+    entry is subnormal and the bound is one subnormal."""
+    bound = 1.5 * scale * 2.0**-49 + 5e-324
+    cell = -bound if side == 0 else math.nextafter(-bound, side * math.inf)
+    # the cell is (s[1, 1] - s[1, 2]) - (s[2, 1] - s[2, 2]) = 0 - s[2, 1]
+    s = np.array([[8.0, 4.0, 2.0], [4.0, 1.5, 1.5], [2.0, 0.0, 0.0]]) * scale
+    s[2, 1] = -cell
     assert (s[1, 1] - s[1, 2]) - (s[2, 1] - s[2, 2]) == cell
     return s
 
 
 def _tied_cells_example(n, cells, seed=3):
     """Dyadic positive-mass survival whose cells ``cells`` carry mass 1/2,
-    below every other cell: each scores 1/2 exactly, a tie between
-    candidate cells that the key ``(value, i, k, l)`` breaks."""
+    below every other cell: a tie that C order breaks."""
     mass = np.random.default_rng(seed).integers(8, 16, (n, n)) / 8.0
     for i, k in cells:
         mass[i, k] = 0.5
@@ -430,8 +401,7 @@ def _tied_cells_example(n, cells, seed=3):
 
 def _decimal_tie_example():
     """Survival of decimal masses over 3, whose cells (0, 1) and (1, 1) carry
-    0.1/3 each: the two candidates tie exactly, and their scores round
-    apart, so the winner depends on the order of the scan's subtractions."""
+    0.1/3 each: the two tie exactly, and their computed cells round apart."""
     mass = np.array([[0.9, 0.1, 0.9], [0.7, 0.1, 0.3], [0.3, 0.9, 0.5]])
     return mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1] / 3.0
 
@@ -439,11 +409,11 @@ def _decimal_tie_example():
 @st.composite
 def _cell_matrices(draw):
     """:func:`_survival_matrices`, and matrices at the edges of the cell
-    screen: positive-mass survival scaled to 1e-300 and to subnormals,
-    near-1 survival whose cells are about 1e-17 (far below the
-    certificate), a cell one float either side of the certificate, two
-    cells with equal lowest scores, and decimal masses whose equal lowest
-    cells round apart."""
+    rule: positive-mass survival scaled to 1e-300 and to subnormals,
+    near-1 survival whose cells are about 1e-17 (far below the rounding
+    bound), a cell one float either side of minus its bound, two cells with
+    equal lowest masses, and decimal masses whose equal lowest cells round
+    apart."""
     kind = draw(st.sampled_from(["survival", "scaled", "near-one", "certificate", "tied",
                                  "decimal"]))
     if kind == "survival":
@@ -472,8 +442,47 @@ def _cell_matrices(draw):
 _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
 
 
+def _oracle_bound(s, i, j, k, l):
+    """Below minus this, the direct sum of the rectangle ``(i, j, k, l)``
+    proves that one of its cells fails the cell rule.  With ``M`` the
+    largest ``|s|`` over its rows and columns and ``m`` its cell count, a
+    cell that passes is exactly at least ``-(16uM + 5e-324) - 8.01uM``
+    (:func:`validity._cell_rule`), the exact rectangle is the sum of its
+    ``m`` exact cells, and a direct sum of four entries of at most ``M``
+    rounds by at most ``9.01uM``: ``(2m + 1) (16uM + 5e-324)`` covers the
+    sum."""
+    big = float(np.abs(s[i:j + 1, k:l + 1]).max())
+    return (2 * (j - i) * (l - k) + 1) * (big * 2.0**-49 + 5e-324)
+
+
+def _check_cell_rule(s):
+    """The cell rule on ``s`` against its loop form (``oracles.cell_rule``),
+    bit for bit, and against the O(n^3) scan: where a cell fails, the most
+    negative rectangle is negative (NaN counts as negative for both), and
+    where that rectangle lies below minus its rounding bound
+    (:func:`_oracle_bound`), a cell fails.  Returns the rule's result."""
+    got = validity._cell_rule(s, 0.0)
+    want = oracles.cell_rule(s)
+    assert got[1:] == want[1:]
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        least, i, j, k, l = rectangle_scan_running_max(s)
+        if not got[3]:
+            assert not least >= 0.0
+        if least < -_oracle_bound(s, i, j, k, l):
+            assert not got[3]
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(s=_cell_matrices())
+@example(s=_scan_example(49, "tied"))
+@example(s=_scan_example(49, "random"))
+@example(s=_scan_example(64, "inf"))
+@example(s=_scan_example(64, "two-inf"))
+@example(s=np.zeros((64, 64)))
+@example(s=_dipped_example(64, 40))
+@example(s=np.where(_mass_survival(np.random.default_rng(2), 49) == 0.0, -0.0, 1.0))
 @example(s=_positive_mass_survival(np.random.default_rng(4), 12, 1e-300))
 @example(s=_positive_mass_survival(np.random.default_rng(5), 12, 1e-310))
 @example(s=_positive_mass_survival(np.random.default_rng(6), 9, 5e-321, dyadic=True))
@@ -484,32 +493,26 @@ _SIGNED_ZEROS = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]
 @example(s=_tied_cells_example(12, [(7, 2), (3, 9)]))
 @example(s=_decimal_tie_example())
 @example(s=_SIGNED_ZEROS)
-def test_cell_screen_is_the_column_scan(s):
-    # certified or not, the result is the column scan's bit for bit
-    got = _min_rectangle(s)
-    want = rectangle_scan_running_max(s)
-    assert got[1:] == want[1:]
-    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+def test_cell_rule_agrees_with_the_rectangle_scan_oracle(s):
+    _check_cell_rule(s)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0**-900, 2.0**-1060])
 def test_cell_screen_certificate_edge(scale):
-    # a cell one float below its certificate falls back; on or above it, the
-    # screen settles the grid (at 2^-1060 the certificate is one subnormal)
-    assert validity._cell_scan(_certificate_example(scale, -1)) is None
+    # a cell one float below minus its rounding bound fails, and reads
+    # negative; on or above it, every cell passes
+    value, i, k, passed = validity._cell_rule(_certificate_example(scale, -1), 0.0)
+    assert (i, k, passed) == (1, 1, False) and value < 0.0
     for side in (0, 1):
-        s = _certificate_example(scale, side)
-        assert validity._cell_scan(s) is not None
-        assert _min_rectangle(s) == rectangle_scan_running_max(s)
+        assert validity._cell_rule(_certificate_example(scale, side), 0.0)[1:] == (1, 1, True)
 
 
 def test_cell_screen_breaks_ties_between_candidate_cells():
-    # cells (3, 9) and (7, 2) both score 1/2 at l = k + 1, below every other
-    # rectangle; both are candidates, and the first row wins
+    # cells (3, 9) and (7, 2) both carry 1/2, below every other cell: the
+    # first in C order wins, as it does in the oracle's key (value, i, k, l)
     s = _tied_cells_example(24, [(7, 2), (3, 9)])
-    with mock.patch.object(validity, "_blocked_scan", side_effect=AssertionError):
-        got = _min_rectangle(s)
-    assert got == rectangle_scan_running_max(s) == (0.5, 3, 4, 9, 10)
+    assert validity._cell_rule(s, 0.0) == (0.5, 3, 9, True)
+    assert rectangle_scan_running_max(s) == (0.5, 3, 4, 9, 10)
 
 
 _VALID_BENCH_MODELS = {"ph-exp": MO, "ph-weibull0.5": PHBivariateModel(Weibull(0.5), 1, 0.5, 2),
@@ -519,18 +522,18 @@ _VALID_BENCH_MODELS = {"ph-exp": MO, "ph-weibull0.5": PHBivariateModel(Weibull(0
 @pytest.mark.parametrize("name", [*(n for n in GOLDEN_CONFIGS if n != "lfr-invalid"),
                                   "gen-weibull2", *_VALID_BENCH_MODELS])
 def test_cell_screen_alone_settles_every_valid_config(name, tmp_path):
-    # the bench's and the goldens' valid models: the screen certifies every
-    # cell, so the blocked scan never runs, and the result is the column scan's
+    # the bench's and the goldens' valid models: every cell passes, and the
+    # witness cell is the oracle's most negative rectangle, bit for bit
     model = _VALID_BENCH_MODELS.get(name) or _golden_model(name, tmp_path)
     for knots in (8, 16, 32, 48, 128):
-        xs = GridSpec.default(knots=knots).axis_points(model.baseline)
+        grid = GridSpec.default(knots=knots)
+        xs = grid.axis_points(model.baseline)
         s = np.asarray(model.survival(xs[:, None], xs[None, :]), dtype=float)
-        with mock.patch.object(validity, "_blocked_scan", side_effect=AssertionError):
-            got = _min_rectangle(s)
-            assert check_two_increasing(model, GridSpec.default(knots=knots)).verdict == VALID
+        value, i, k, passed = validity._cell_rule(s, 0.0)
+        assert passed and check_two_increasing(model, grid).verdict == VALID
         want = rectangle_scan_running_max(s)
-        assert got[1:] == want[1:]
-        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert (i, i + 1, k, k + 1) == want[1:]
+        assert np.float64(value).tobytes() == np.float64(want[0]).tobytes()
 
 
 def _fallback_examples():
@@ -538,8 +541,7 @@ def _fallback_examples():
     valid = MO.survival(xs[:, None], xs[None, :])
     examples = {f"lfr{a}": lfr_exp_model(a, theta).survival(xs[:, None], xs[None, :])
                 for a, theta in ((1.5, 3.0), (0.2, 2.0))}
-    # a NaN spoils its cells; inf and 1e301 at the top left keep the cells
-    # and both axes' order, and only the size check refuses them
+    # a NaN spoils its cells; inf and 1e301 at the top left
     for bad, at in ((math.nan, (40, 40)), (math.inf, (0, 0)), (1e301, (0, 0))):
         s = valid.copy()
         s[at] = bad
@@ -547,41 +549,58 @@ def _fallback_examples():
     examples["zero"] = np.zeros((48, 48))
     examples["tied"] = _scan_example(49, "tied")
     examples["empty-row"] = _mass_survival(np.random.default_rng(2), 48, empty_row=5)
-    # every cell is exactly 1, so every cell is a candidate
+    # every cell is exactly 1
     examples["equal-cells"] = np.arange(48.0)[::-1, None] * np.arange(48.0)[None, ::-1]
     # the same cells, but not survival-shaped: the rows rise, the columns
     # rise, or the entries go negative
     examples["rising-rows"] = valid + np.arange(48.0)[None, :]
     examples["rising-columns"] = valid + np.arange(48.0)[:, None]
     examples["negative"] = valid - 1.0
-    # a valid grid whose survival underflows to 0 far out: its zero cells
-    # lie below the certificate
+    # a valid grid whose survival underflows to 0 far out: zero cells
     xs = GridSpec.default(knots=48, r0_max=1000.0).axis_points(E)
     examples["underflow"] = MO.survival(xs[:, None], xs[None, :])
     return examples
 
 
+#: the grids of :func:`_fallback_examples` on which a cell fails
+_FAILING_EXAMPLES = {"lfr1.5", "lfr0.2", "valid-with-nan", "tied"}
+
+
 @pytest.mark.parametrize("name", list(_fallback_examples()))
 def test_cell_screen_falls_back(name):
-    # an invalid grid fails on a negative cell; the others on a non-finite or
-    # huge entry, a grid that is not survival-shaped, a zero cell below the
-    # certificate, or too many candidates
-    s = _fallback_examples()[name]
-    assert validity._cell_scan(s) is None
-    with np.errstate(invalid="ignore", over="ignore"):
-        want = rectangle_scan_running_max(s)
-    got = _min_rectangle(s)
-    assert got[1:] == want[1:]
-    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    # the grids that the old cell screen could not certify, and left to the
+    # cubic scan: an invalid model's, non-finite or huge entries, zero or
+    # equal cells, grids that are not survival-shaped, and a valid model's
+    # that underflows.  The cell rule decides each alone, as the oracles do
+    assert _check_cell_rule(_fallback_examples()[name])[3] == (name not in _FAILING_EXAMPLES)
 
 
 def test_rectangle_scan_of_a_valid_1024_knot_grid_is_quadratic():
-    # the blocked scan takes ~4 s on this grid, the cell screen ~0.03 s
+    # the cubic scan took ~4 s on each of these grids, the cell rule ~0.03 s:
+    # a valid model's, one whose survival underflows to 0 far out, and one
+    # whose rectangles all tie at 0
     xs = GridSpec.default(knots=1024).axis_points(E)
-    s = MO.survival(xs[:, None], xs[None, :])
+    far = GridSpec.default(knots=1024, r0_max=1000.0).axis_points(E)
     start = time.perf_counter()
-    assert _min_rectangle(s) == (1.3003740944421775e-13, 1021, 1022, 1022, 1023)
+    assert validity._cell_rule(MO.survival(xs[:, None], xs[None, :]), 0.0) == (
+        1.3003740944421775e-13, 1021, 1022, True)
+    assert validity._cell_rule(MO.survival(far[:, None], far[None, :]), 0.0) == (
+        -5e-324, 46, 920, True)
+    assert validity._cell_rule(np.zeros((1024, 1024)), 0.0) == (0.0, 0, 0, True)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("knots", [128, 256])
+def test_two_increasing_decides_an_underflowing_grid_from_its_cells(knots):
+    # PH over the exponential to r0_max 1000: S underflows to 0 far out, and
+    # those zero cells sent the grid to the cubic scan; the cells decide it
+    grid = GridSpec.default(knots=knots, r0_max=1000.0)
+    rep = check_two_increasing(MO, grid)
+    xs = grid.axis_points(E)
+    value, i, j, k, l = rectangle_scan_running_max(MO.survival(xs[:, None], xs[None, :]))
+    assert rep.verdict == VALID
+    assert rep.diagnostics["min_rectangle_probability"] == value == 0.0
+    assert rep.diagnostics["rectangle"] == [xs[i], xs[j], xs[k], xs[l]]
 
 
 @pytest.mark.parametrize("knots", [8, 16, 48])
@@ -591,19 +610,26 @@ def test_rectangle_scan_of_a_valid_1024_knot_grid_is_quadratic():
                                    lfr_exp_model()],
                          ids=["ph-pareto", "ph-weibull2", "lfr0.2", "lfr1.5"])
 def test_two_increasing_reports_rectangle_probability(model, knots):
-    rep = check_two_increasing(model, GridSpec.default(knots=knots))
+    # the witness is a grid cell, rectangle_probability there prints the
+    # reported value, which is negative where the row fails; and the rule
+    # agrees with the oracles on the grid
+    grid = GridSpec.default(knots=knots)
+    rep = check_two_increasing(model, grid)
     a1, b1, a2, b2 = rep.diagnostics["rectangle"]
-    assert a1 < b1 and a2 < b2
+    xs = grid.axis_points(model.baseline).tolist()
+    assert xs.index(b1) == xs.index(a1) + 1 and xs.index(b2) == xs.index(a2) + 1
     p = model.rectangle_probability(a1, b1, a2, b2)
     assert np.float64(rep.diagnostics["min_rectangle_probability"]).tobytes() == \
         np.float64(p).tobytes()
+    assert (rep.verdict == VALID) == (p >= 0.0)
+    s = np.asarray(model.survival(np.asarray(xs)[:, None], np.asarray(xs)[None, :]))
+    assert _check_cell_rule(s)[3] == (rep.verdict == VALID)
 
 
 def test_two_increasing_memory_is_quadratic():
     # the n^4 rectangle tensor took ~90 MB at 48 knots, where n x n arrays are
-    # 18 KiB; the scan keeps two slabs of at most max(2^15, 4 n^2) floats, so
-    # on large grids the peak is the slabs, the survival matrix and its
-    # temporaries: about 10 n^2 floats
+    # 18 KiB; the check keeps the survival grid, the pass's arrays and the
+    # cell rule's few n x n arrays
     for knots in (48, 128, 256):
         grid = GridSpec.default(knots=knots)
         for model in (MO, lfr_exp_model()):
@@ -1080,6 +1106,11 @@ def test_combined_validation_agrees_with_the_public_checks(base):
             assert {**c.to_json_dict(), "id": cid} == rows[name][cid]
         everything = [c for rep in public.values() for c in rep.conditions]
         assert merged.verdict == validity._combine_verdict(everything)
+        # a failing two-increasing row names a cell that rect shows negative
+        cell = public["rectangles"].diagnostics
+        if public["rectangles"].verdict == INVALID:
+            p = model.rectangle_probability(*cell["rectangle"])
+            assert p == cell["min_rectangle_probability"] < 0.0
         # hazard-rate (iii) is marginal (ii)'s row under another id
         assert {**rows["hazard"]["iii"], "id": "ii"} == rows["marginal"]["ii"]
         assert rows["marginal"]["ii"]["pass"] == rows["hazard"]["iii"]["pass"]
