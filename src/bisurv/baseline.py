@@ -46,6 +46,9 @@ __all__ = [
 
 #: the least float whose square is a normal float: ``h^2`` underflows below it
 _SQRT_TINY = 2.0 ** -511
+#: relative step of a callable hazard's central difference: eps**(1/3)
+#: balances truncation against rounding
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _is_scalar(x) -> bool:
@@ -72,9 +75,9 @@ def _check_finite(x, name: str) -> None:
 class HazardModel:
     """A univariate law on ``(x_L, inf)`` given by its hazard.
 
-    Subclasses provide ``cumulative_hazard`` and ``hazard`` (scalars or
-    arrays); ``survival`` and ``density`` follow from them.  Both baselines
-    and marginals are hazard models.
+    Subclasses provide ``cumulative_hazard``, ``hazard`` and its slope
+    ``hazard_derivative`` (scalars or arrays); ``survival`` and ``density``
+    follow from the first two.  Baselines and marginals are hazard models.
     """
 
     x_L: float = 0.0
@@ -89,8 +92,7 @@ class HazardModel:
         raise NotImplementedError
 
     def hazard_derivative(self, x):
-        """Derivative of the hazard, or None when no analytic form exists."""
-        return None
+        raise NotImplementedError
 
     def survival(self, x):
         """Survival probability; 1 at or below the left endpoint."""
@@ -328,8 +330,10 @@ class HazardIntegrator:
     error estimate exceeds ``max(1e-10, 1.49e-8 * |integral|)``, or is NaN,
     raises :class:`~bisurv.errors.NumericError` instead of returning the
     value; so does one that steps to ``x = nan``, as near the float range.
-    ``cumulative``, ``inverse`` and ``hazard`` accept scalars or arrays and
-    evaluate arrays one element at a time.
+    ``derivative`` is the hazard's difference quotient over ``x -+ h`` as
+    rounded, ``h = eps^(1/3) max(1, |x|)`` capped at half the distance above
+    ``x_L``, so NaN at and below ``x_L``.  The maps take scalars or arrays,
+    and arrays one element at a time.
     """
 
     _FIRST_STEP = 0.0625
@@ -357,8 +361,14 @@ class HazardIntegrator:
         return _elementwise(self._inverse_at, r)
 
     def derivative(self, x):
-        """A callable has no analytic hazard derivative: always None."""
-        return None
+        return _elementwise(self._derivative_at, x)
+
+    def _derivative_at(self, x: float) -> float:
+        h = min(_FD_STEP * max(1.0, abs(x)), 0.5 * (x - self.x_L))
+        if not h > 0.0:  # at or below x_L the step vanishes: 0/0
+            return math.nan
+        lo, hi = x - h, x + h
+        return (self._checked_hazard_at(hi) - self._checked_hazard_at(lo)) / (hi - lo)
 
     def _checked_hazard_at(self, x: float) -> float:
         if math.isnan(x):  # as a table: only quad's own steps reach x = nan below

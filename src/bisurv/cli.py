@@ -49,6 +49,7 @@ from .validity import (
     combined_validation,
     hazard_gradient,
     lfr_exponential_cross_bound,
+    rounding_bound,
 )
 
 EXIT_OK = 0
@@ -151,7 +152,8 @@ def cmd_rect(args) -> int:
                "probability": p}
     lines = [f"rectangle ({_fmt(args.a1)}, {_fmt(args.b1)}) x "
              f"({_fmt(args.a2)}, {_fmt(args.b2)}) probability = {_fmt(p)}"]
-    if p < 0:
+    a = max(abs(cfg.model.survival(x, y)) for x in (args.a1, args.b1) for y in (args.a2, args.b2))
+    if p < -rounding_bound(a):  # as validate's cell rule
         lines.append("probability is negative: not a valid bivariate model")
     _emit(args, payload, lines)
     return EXIT_OK

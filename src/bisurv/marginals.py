@@ -60,16 +60,9 @@ __all__ = [
 class MarginalModel(HazardModel):
     """Base class for univariate marginals with left endpoint ``x_L``."""
 
-    kind: str = "abstract"
-
-    def spec_string(self) -> str:
-        return self.kind
-
 
 class ProportionalHazard(MarginalModel):
     """Marginal with survival ``S0(x)**delta`` over a given baseline."""
-
-    kind = "ph"
 
     def __init__(self, baseline: BaselineModel, delta: float):
         if not (np.isfinite(delta) and delta > 0):
@@ -91,18 +84,12 @@ class ProportionalHazard(MarginalModel):
 
     def hazard_derivative(self, x):
         d = self.baseline.hazard_derivative(x)
-        if d is None:
-            return None
         return self.delta * d if type(d) is float else _ret(self.delta * np.asarray(d), x)
-
-    def spec_string(self) -> str:
-        return f"ph:{self.delta:g}"
 
 
 class LinearFailureRate(MarginalModel):
     """Hazard ``1 + 2*a*x`` on ``x > 0``; survival ``exp(-(x + a*x**2))``."""
 
-    kind = "lfr"
     x_L = 0.0
 
     def __init__(self, a: float):
@@ -130,9 +117,6 @@ class LinearFailureRate(MarginalModel):
             return 2.0 * self.a
         return _ret(np.full_like(np.asarray(x, dtype=float), 2.0 * self.a), x)
 
-    def spec_string(self) -> str:
-        return f"lfr:{self.a:g}"
-
 
 class FromHazard(MarginalModel):
     """Marginal defined by a hazard function or a hazard table.
@@ -143,8 +127,6 @@ class FromHazard(MarginalModel):
     (:class:`~bisurv.baseline.PiecewiseLinearHazard`).  Negative hazard
     values raise :class:`~bisurv.errors.ModelError`.
     """
-
-    kind = "from_hazard"
 
     def __init__(self, hazard_fn, x_L: float = 0.0):
         self.x_L = float(x_L)
@@ -188,10 +170,6 @@ class FromHazard(MarginalModel):
 # Wedge kernel
 # ---------------------------------------------------------------------------
 
-#: relative step of the central difference of Q' (when Q'' has no analytic
-#: form): eps**(1/3) balances truncation against rounding
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 #: a negative density factor within this fraction of its terms is rounding noise
 _DENSITY_NOISE = 1e-9
 
@@ -222,8 +200,8 @@ class WedgeKernel:
     """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
 
     With ``d = R0^{-1}(s)``, ``Q'(s) = r_m(d) / r0(d)`` and ``Q''(s) =
-    (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3`` from the analytic hazard
-    slopes, or a central difference of ``Q'`` in ``s`` where one is missing.
+    (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3`` from the models' own hazard
+    slopes (a callable's is :class:`~bisurv.baseline.HazardIntegrator`'s).
     A marginal that is proportional-hazards over this very baseline is
     recognised here and nowhere else (``delta``): then ``Q = delta * s``
     exactly, ``Q' = u = delta`` and ``Q'' = 0``.  ``q``, ``q_prime``,
@@ -234,12 +212,11 @@ class WedgeKernel:
     An array of ``s >= 0`` gives arrays, and a float ``s`` floats equal bit
     for bit to the array path's element: ``d``, the hazards and their slopes
     come from the maps' own float answers (float arithmetic for the
-    exponential, LFR, tables but for their inverse, and PH over those; one
-    numpy call for Weibull, Pareto and callables), ``Q'`` and ``Q''`` are
-    formed in the array path's order, with ``np.power(r0, 3)``'s bits and
-    numpy's inf or NaN where Python would raise, and a difference quotient
-    is the array path's own element.  A non-finite float ``s`` raises
-    :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
+    exponential, LFR, tables but for their inverse, a callable's hazard and
+    slope, and PH over those; one numpy call for Weibull and Pareto), ``Q'``
+    and ``Q''`` are formed in the array path's order, with ``np.power(r0,
+    3)``'s bits and numpy's inf or NaN where Python would raise.  A
+    non-finite float ``s`` raises :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
     through: the models and the validity grid pass keep overflow from the
     kernels, and a check would cost every vectorized call.
 
@@ -310,14 +287,8 @@ class WedgeKernel:
                 q1 = r / r0
                 if order == 2:
                     rp = m._slope[jm] if jm is not None else marginal.hazard_derivative(d)
-                    r0p = base.hazard_derivative(d)
-                    if rp is not None and r0p is not None:
-                        # np.power, not **: a numpy scalar's ** is not the array loop's
-                        q2 = (np.asarray(rp, dtype=float) * r0
-                              - r * np.asarray(r0p, dtype=float)) / np.power(r0, 3)
-                    else:
-                        h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
-                        q2 = (self.q_prime(s + h) - self.q_prime(s - h)) / (2.0 * h)
+                    # np.power, not **: a numpy scalar's ** is not the array loop's
+                    q2 = (rp * r0 - r * base.hazard_derivative(d)) / np.power(r0, 3)
         return q, q1, q2
 
     def _float_terms(self, s: float, cum: bool, order: int):
@@ -339,8 +310,7 @@ class WedgeKernel:
             q1 = _divide(r, r0)
             if order == 2:
                 rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
-                q2 = (float(self.slopes(np.array([s]))[1][0]) if rp is None or r0p is None
-                      else _divide(rp * r0 - r * r0p, _cube(r0)))
+                q2 = _divide(rp * r0 - r * r0p, _cube(r0))
         return q, q1, q2
 
     def tail(self, s, theta: float):
@@ -348,7 +318,7 @@ class WedgeKernel:
         ``G(0+) = theta - u``, and the wedge density
         ``h = -G' = (theta Q' + Q'' - Q'^2) exp(-Q)``.  A negative factor of
         ``h`` no larger than ``1e-9`` times the size of its terms is rounding
-        noise (mostly of a difference-quotient ``Q''``) and reads as 0.
+        noise (of ``Q'`` near ``theta``, or of a callable's slope) and reads as 0.
         """
         q, q1, q2 = self.q_slopes(s)
         if type(q) is float:  # a kernel at a float: the array path's steps

@@ -531,6 +531,13 @@ def lfr_exponential_cross_bound(a: float, x_hi: float, x_lo: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def rounding_bound(a, tol: float = 0.0):
+    """``2^-49 a + 5e-324 + tol``, ``a`` a cell's largest ``|corner|``; in place on arrays."""
+    a *= 2.0**-49
+    a += 5e-324 + tol
+    return a
+
+
 def _cell_rule(s: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
     """``(value, i, k, passed)`` of the grid cells of a square matrix ``s``
     (``n >= 2``): cell ``(i, k)`` is the rectangle of rows ``i, i + 1`` and
@@ -544,10 +551,10 @@ def _cell_rule(s: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
     inclusion-exclusion of the computed ``s``, which is what
     ``rectangle_probability`` (``bisurv rect``) sums.  A cell fails where
     ``dc + 16uA + tol < 0`` or is NaN: below ``-16uA`` its exact mass is
-    negative.  The bound ``16uA`` is ``A * 2^-49`` with one smallest
-    subnormal added, which covers the product's rounding where it
-    underflows; an infinite corner makes it ``inf``, so a ``-inf`` cell
-    fails and a ``+inf`` one passes.
+    negative.  The bound ``16uA`` is ``A * 2^-49`` plus one smallest subnormal
+    (:func:`rounding_bound`, which ``bisurv rect`` reads too): it covers the
+    product's rounding where it underflows, and an infinite corner makes it
+    ``inf``, so a ``-inf`` cell fails and a ``+inf`` one passes.
 
     The witness is the first ``argmin(dc)`` in C order (the first NaN, if
     any), unless that cell passes and another fails: then it is the most
@@ -561,9 +568,7 @@ def _cell_rule(s: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
         dc = c1[:-1] - c1[1:]
         a = np.abs(s)
         np.maximum(a[:-1], a[1:], out=a[:-1])  # numpy buffers the overlap
-        bound = np.maximum(a[:-1, :-1], a[:-1, 1:], out=c1[:-1])  # each cell's A, in c1
-        bound *= 2.0**-49
-        bound += 5e-324 + tol
+        bound = rounding_bound(np.maximum(a[:-1, :-1], a[:-1, 1:], out=c1[:-1]), tol)  # in c1
         bound += dc
         ok = bound >= 0.0  # False where NaN
         cell = int(np.argmin(dc))

@@ -629,8 +629,8 @@ def wedge_density(kernel, s, theta: float):
     """Wedge density ``h(s) = (theta Q' + Q'' - Q'^2) exp(-Q)``.
 
     Its total mass is ``theta - u``.  A negative factor no larger than
-    ``1e-9`` times the size of its terms is rounding noise (mostly of a
-    difference-quotient ``Q''``) and reads as 0.
+    ``1e-9`` times the size of its terms is rounding noise (of ``Q'`` near
+    ``theta``, or of a callable's slope) and reads as 0.
     """
     q, q1, q2 = kernel.q_slopes(s)
     if type(q) is float:  # a PH kernel at a float: the array path's steps
@@ -906,10 +906,6 @@ def validation(model, grid, tol=None):
 
 # -- wedge kernels ------------------------------------------------------------
 
-#: the central-difference step of ``WedgeKernel``'s ``Q''`` fallback
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
 def composed_q(kernel, s):
     """``Q(s)`` by composition: the baseline's inverse, then the marginal's
     cumulative hazard (the kernel's path before merged table segments)."""
@@ -918,21 +914,21 @@ def composed_q(kernel, s):
 
 def composed_slopes(kernel, s, second: bool = True):
     s = np.asarray(s, dtype=float)
-    return _composed_slopes_at(kernel, s, _composed_at(kernel, s), second)
+    return _composed_slopes_at(kernel, _composed_at(kernel, s), second)
 
 
 def composed_q_slopes(kernel, s, second: bool = True):
     s = np.asarray(s, dtype=float)
     d = _composed_at(kernel, s)
     return (np.asarray(kernel.marginal.cumulative_hazard(d), dtype=float),
-            *_composed_slopes_at(kernel, s, d, second))
+            *_composed_slopes_at(kernel, d, second))
 
 
 def _composed_at(kernel, s):
     return np.asarray(kernel.baseline.inverse_cumulative_hazard(s), dtype=float)
 
 
-def _composed_slopes_at(kernel, s, d, second: bool):
+def _composed_slopes_at(kernel, d, second: bool):
     r = np.asarray(kernel.marginal.hazard(d), dtype=float)
     r0 = np.asarray(kernel.baseline.hazard(d), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -941,12 +937,8 @@ def _composed_slopes_at(kernel, s, d, second: bool):
             return q1, None
         rp = kernel.marginal.hazard_derivative(d)
         r0p = kernel.baseline.hazard_derivative(d)
-        if rp is not None and r0p is not None:
-            return q1, (np.asarray(rp, dtype=float) * r0
-                        - r * np.asarray(r0p, dtype=float)) / r0**3
-        h = np.minimum(_FD_STEP * np.maximum(1.0, s), 0.5 * s)
-        return q1, (composed_slopes(kernel, s + h, False)[0]
-                    - composed_slopes(kernel, s - h, False)[0]) / (2.0 * h)
+        return q1, (np.asarray(rp, dtype=float) * r0
+                    - r * np.asarray(r0p, dtype=float)) / r0**3
 
 
 class HazardMaps:

@@ -299,6 +299,28 @@ def test_callable_hazard_at_nan_is_a_domain_error(cls):
     assert handle.hazard(2.0) == pytest.approx(1.4, rel=1e-15)
 
 
+@pytest.mark.parametrize("x_L", [0.0, 1.0, -2.5])
+@pytest.mark.parametrize("cls", [CustomHazard, FromHazard])
+def test_callable_hazard_slope_is_nan_at_the_left_endpoint(cls, x_L):
+    # the difference quotient's step is capped at half the distance above
+    # x_L: it vanishes there (0/0), and no point below x_L is evaluated
+    def hazard(x):
+        if x < x_L:
+            raise AssertionError(f"hazard evaluated below x_L at {x!r}")
+        return 0.5 * (x - x_L)
+
+    model = cls(hazard, x_L)
+    assert math.isnan(model.hazard_derivative(x_L))
+    assert np.isnan(model.hazard_derivative(np.array([x_L, x_L]))).all()
+    above = [float(np.nextafter(x_L, math.inf)), x_L + 1e-9, x_L + 0.25, x_L + 3.0]
+    slopes = model.hazard_derivative(np.array(above))
+    np.testing.assert_array_equal(slopes, [model.hazard_derivative(x) for x in above])
+    if x_L == 0.0:  # half of the least subnormal rounds to 0: the step vanishes
+        assert math.isnan(slopes[0])
+        slopes = slopes[1:]
+    assert slopes == pytest.approx(0.5, rel=1e-9)
+
+
 @pytest.mark.parametrize("x, x_L", [(1.0 - 2.0**-53, -2.0**-54), (2.0**-4 - 2.0**-57, -2.0**-58)],
                          ids=["rung-4", "rung-0"])
 def test_callable_ladder_never_starts_above_the_point(x, x_L):

@@ -677,15 +677,20 @@ def test_every_kernel_refuses_a_non_finite_float_s(name):
 
 def test_a_float_route_over_the_exponential_builds_no_array(monkeypatch):
     # LFR, a table and PH over a table, each over the exponential: every map
-    # answers the float in float arithmetic, and r0 = 1 needs no np.power
+    # answers the float in float arithmetic, and r0 = 1 needs no np.power; a
+    # callable marginal's hazard and its difference quotient do too (its Q
+    # is a quadrature)
     kernels = [_FLOAT_KERNELS["lfr-exponential:1"], _FLOAT_KERNELS["table-exponential:1"],
                WedgeKernel(ProportionalHazard(TABLE_BASE, 1.5), E)]
+    callable_kernel = _FLOAT_KERNELS["callable-exponential"]
     for name in ("asarray", "array", "power", "divide", "maximum", "interp", "searchsorted"):
         monkeypatch.setattr(np, name, _refuse)
-    for kernel in kernels:
-        for s in (0.0, 0.7, 2.0, 40.0):
+    for s in (0.0, 0.7, 2.0, 40.0):
+        for kernel in kernels:
             kernel.q_slopes(s)
             kernel.tail(s, 3.0)
+        callable_kernel.slopes(s)
+        callable_kernel.q_prime(s)
 
 
 def _refuse(*args, **kwargs):

@@ -433,6 +433,18 @@ def test_rect_on_a_failing_two_increasing_cell_prints_its_probability(capsys, tm
     assert code == 0 and json.loads(out)["probability"] == row["margin"] < 0.0
 
 
+def test_rect_reads_a_cell_within_rounding_as_not_negative(capsys, tmp_path):
+    # the Valid witness cell of PH over the exponential on the 1,024-knot grid
+    # up to r0 = 1000: one negative subnormal, inside the cell rule's bound
+    cfg = tmp_path / "model.json"
+    cfg.write_text('{"baseline": "exponential", "theta123": [1, 1, 1]}')
+    corners = ("0.0780493341843143", "0.07880858556441887", "368.9384927308506",
+               "372.5274670982437")
+    code, out, _ = run(capsys, "rect", "--config", str(cfg), *corners)
+    assert code == 0 and "probability = -4.94065645841e-324" in out
+    assert "not a valid" not in out
+
+
 #: the bench configs no golden config repeats (ph-table is table-baseline,
 #: gen-table is table-marginal and lfr1.5 is lfr-invalid), and a PH model
 #: whose general alpha, 2 - (u1 + u2)/theta, rounds apart from its own

@@ -23,6 +23,7 @@ from bisurv import (
     Weibull,
     limit_hazard_ratio,
 )
+from bisurv.baseline import HazardIntegrator
 from bisurv.marginals import WedgeKernel, _sequence_limit
 from oracles import sequence_limit, trapezoid_cumulative_hazard
 
@@ -238,6 +239,29 @@ def test_negative_ph_density_raises_the_array_error_at_a_float(w, s):
     got = _invalid(model.ac_density, x1, x2)
     assert got == _invalid(model.ac_density, np.array([x1]), np.array([x2]))
     assert got[2] < 0.0 and got[1] == (x1, x2)
+
+
+def _lfr_over_a_callable():
+    return WedgeKernel(LinearFailureRate(0.3), CustomHazard(lambda x: 1.0 + 0.2 * x))
+
+
+def test_callable_baseline_second_slope_matches_its_closed_form():
+    # R0 = x + 0.1 x^2 and R_m = x + 0.3 x^2: Q'' = (0.6 r0 - 0.2 r_m) / r0^3
+    # at d = R0^{-1}(s), with the callable's r0' a difference quotient
+    s = np.geomspace(1e-3, 40.0, 300)
+    d = 2.0 * s / (1.0 + np.sqrt(1.0 + 0.4 * s))
+    r0, rm = 1.0 + 0.2 * d, 1.0 + 0.6 * d
+    want = (0.6 * r0 - 0.2 * rm) / r0**3
+    np.testing.assert_allclose(_lfr_over_a_callable().slopes(s)[1], want, rtol=5e-10, atol=0.0)
+
+
+def test_callable_baseline_slopes_invert_each_point_once():
+    kernel = _lfr_over_a_callable()
+    s = np.linspace(0.5, 20.0, 7)
+    with mock.patch.object(HazardIntegrator, "_inverse_at", autospec=True,
+                           side_effect=HazardIntegrator._inverse_at) as inverse:
+        kernel.q_slopes(s)
+    assert inverse.call_count == s.size
 
 
 def test_left_endpoint_mismatch_rejected():
