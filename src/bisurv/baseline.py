@@ -77,13 +77,12 @@ class HazardModel:
 
     Subclasses provide ``cumulative_hazard``, ``hazard`` and its slope
     ``hazard_derivative`` (scalars or arrays); ``survival`` and ``density``
-    follow from the first two.  Baselines and marginals are hazard models.
+    follow from the first two, and ``hazard_terms``, the ``(R, r, r')`` that
+    the wedge kernel composes, from all three.  Baselines and marginals are
+    hazard models.
     """
 
     x_L: float = 0.0
-    #: the :class:`PiecewiseLinearHazard` behind a model built from a hazard
-    #: table: the wedge kernel reads a marginal table's segments
-    _table: "PiecewiseLinearHazard | None" = None
 
     def cumulative_hazard(self, x):
         raise NotImplementedError
@@ -93,6 +92,15 @@ class HazardModel:
 
     def hazard_derivative(self, x):
         raise NotImplementedError
+
+    def hazard_terms(self, x, cum: bool, order: int):
+        """``(R, r, r')`` at ``x``: ``R`` with ``cum``, ``r`` with ``order >=
+        1`` and ``r'`` with ``order == 2``, None for what is not asked.  This
+        default composes the three maps; a hazard table answers from one
+        lookup of ``x`` and refuses a non-finite ``x`` whatever is asked."""
+        return (self.cumulative_hazard(x) if cum else None,
+                self.hazard(x) if order else None,
+                self.hazard_derivative(x) if order == 2 else None)
 
     def survival(self, x):
         """Survival probability; 1 at or below the left endpoint."""
@@ -267,7 +275,8 @@ class Weibull(BaselineModel):
     def hazard(self, x):
         return _ret(self.alpha * np.power(np.asarray(x, dtype=float), self.alpha - 1.0), x)
 
-    @np.errstate(divide="ignore", over="ignore")
+    # at alpha = 1 and x = 0 this is 0 * inf: NaN, as before, without a warning
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def hazard_derivative(self, x):
         a = self.alpha
         return _ret(a * (a - 1.0) * np.power(np.asarray(x, dtype=float), a - 2.0), x)
@@ -332,8 +341,9 @@ class HazardIntegrator:
     value; so does one that steps to ``x = nan``, as near the float range.
     ``derivative`` is the hazard's difference quotient over ``x -+ h`` as
     rounded, ``h = eps^(1/3) max(1, |x|)`` capped at half the distance above
-    ``x_L``, so NaN at and below ``x_L``.  The maps take scalars or arrays,
-    and arrays one element at a time.
+    ``x_L``, so NaN at and below ``x_L``; an infinite ``x`` raises
+    :class:`~bisurv.errors.DomainError`, as ``cumulative`` does.  The maps
+    take scalars or arrays, and arrays one element at a time.
     """
 
     _FIRST_STEP = 0.0625
@@ -363,7 +373,13 @@ class HazardIntegrator:
     def derivative(self, x):
         return _elementwise(self._derivative_at, x)
 
+    def terms(self, x, cum: bool, order: int):  # as HazardModel.hazard_terms
+        return (self.cumulative(x) if cum else None, self.hazard(x) if order else None,
+                self.derivative(x) if order == 2 else None)
+
     def _derivative_at(self, x: float) -> float:
+        if math.isinf(x):  # the step would be inf - inf; NaN keeps the hazard's message
+            raise DomainError(f"x must be finite, got {x}")
         h = min(_FD_STEP * max(1.0, abs(x)), 0.5 * (x - self.x_L))
         if not h > 0.0:  # at or below x_L the step vanishes: 0/0
             return math.nan
@@ -480,10 +496,6 @@ class PiecewiseLinearHazard:
     the last row is 0 the total hazard is bounded, and a target beyond it
     raises :class:`~bisurv.errors.NumericError`.
 
-    A marginal table reports a point's segment to the wedge kernel
-    (:class:`~bisurv.marginals.WedgeKernel`), which reads ``R`` and the
-    hazard's slope from that one lookup.
-
     ``cumulative``, ``hazard`` and ``derivative`` answer a finite Python
     ``float`` in float arithmetic, on list copies of the tables: the array
     path's steps (for ``hazard``, those of ``np.interp``) in the same order,
@@ -549,6 +561,23 @@ class PiecewiseLinearHazard:
         _check_finite(x, "x")
         return _ret(self._slope[self._segment(x)[1]], x)
 
+    def terms(self, x, cum: bool, order: int):
+        """:meth:`HazardModel.hazard_terms`: on an array ``R`` and the slope
+        share one lookup of the segments and the hazard is one ``np.interp``,
+        a float takes the float maps, and a non-finite ``x`` raises
+        :class:`~bisurv.errors.DomainError`, whatever is asked for."""
+        if type(x) is float:
+            if not math.isfinite(x):
+                raise DomainError(f"x must be finite, got {x!r}")
+            return (self.cumulative(x) if cum else None, self.hazard(x) if order else None,
+                    self.derivative(x) if order == 2 else None)
+        _check_finite(x, "x")  # so the hazard is the bare interp
+        if cum or order == 2:
+            xa, j = self._segment(x)
+        return (self._cumulative_on(xa, j) if cum else None,
+                np.interp(x, self._xs, self._hs) if order else None,
+                self._slope[j] if order == 2 else None)
+
     def cumulative(self, x):
         if type(x) is float and math.isfinite(x):
             knots, R, h, half, R_next, _ = self._segments
@@ -584,8 +613,7 @@ class PiecewiseLinearHazard:
         return _ret(np.where(ra > 0.0, x, self.x_L), r)
 
     def _cumulative_on(self, xa, j):
-        """``R`` at points ``xa >= x_L`` of segments ``j``: the wedge kernel
-        reads ``R`` and the slope of one lookup."""
+        """``R`` at points ``xa >= x_L`` of segments ``j``."""
         d = xa - self._knots[j]
         return np.minimum(self._R[j] + d * (self._h[j] + self._half[j] * d), self._R_next[j])
 
@@ -615,9 +643,9 @@ class CustomHazard(BaselineModel):
 
         ``x_L`` defaults to the first row.
         """
-        table = PiecewiseLinearHazard(xs, hazards, x_L)
-        model = cls(table.hazard, table.x_L)
-        model._maps = model._table = table
+        model = cls.__new__(cls)  # the table is the maps: no integrator
+        model._maps = PiecewiseLinearHazard(xs, hazards, x_L)
+        model.x_L = model._maps.x_L
         return model
 
     def cumulative_hazard(self, x):
@@ -631,3 +659,6 @@ class CustomHazard(BaselineModel):
 
     def hazard_derivative(self, x):
         return self._maps.derivative(x)
+
+    def hazard_terms(self, x, cum: bool, order: int):
+        return self._maps.terms(x, cum, order)

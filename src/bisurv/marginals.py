@@ -13,10 +13,9 @@ Three kinds are provided:
 ``WedgeKernel`` puts a marginal over a baseline into the wedge coordinate
 ``s = R0(max) - R0(min)`` of the bivariate models:
 ``Q(s) = R_marginal(R0^{-1}(s))`` with its derivatives ``Q'`` and ``Q''``,
-from one composition routine for arrays and one for floats, with the
-proportional-hazards form as one branch of each.  Every bivariate quantity
-off the diagonal -- survival, density, validity conditions, the sampler's
-wedge tail ``G`` and its table -- is built from these.
+composed in one routine from what the two models answer.  Every bivariate
+quantity off the diagonal -- survival, density, validity conditions, the
+sampler's wedge tail ``G`` and its table -- is built from these.
 
 ``limit_hazard_ratio`` evaluates the one-sided limit ``u = Q'(0+)``, i.e.
 of ``marginal.hazard(y) / baseline.hazard(y)`` as ``y`` approaches the left
@@ -42,7 +41,6 @@ from .baseline import (
     HazardIntegrator,
     HazardModel,
     PiecewiseLinearHazard,
-    _check_finite,
     _ret,
 )
 from .errors import DomainError, InvalidModelError, ModelError, NumericError, SamplerError
@@ -60,6 +58,11 @@ __all__ = [
 class MarginalModel(HazardModel):
     """Base class for univariate marginals with left endpoint ``x_L``."""
 
+    def wedge_rate(self, baseline: BaselineModel) -> float | None:
+        """``delta`` where the wedge kernel over ``baseline`` is exactly
+        ``Q(s) = delta s``, else None: the kernel composes the maps."""
+        return None
+
 
 class ProportionalHazard(MarginalModel):
     """Marginal with survival ``S0(x)**delta`` over a given baseline."""
@@ -70,6 +73,9 @@ class ProportionalHazard(MarginalModel):
         self.baseline = baseline
         self.delta = float(delta)
         self.x_L = baseline.x_L
+
+    def wedge_rate(self, baseline: BaselineModel) -> float | None:
+        return self.delta if self.baseline == baseline else None
 
     # a baseline's float answer is scaled in float arithmetic, the same
     # product as the array path's element
@@ -141,11 +147,11 @@ class FromHazard(MarginalModel):
         three rows above ``x_L``, since such a table cannot describe a
         proper distribution.
         """
-        table = PiecewiseLinearHazard(xs, hazards, x_L)
-        model = cls(table.hazard, table.x_L)
-        model._maps = model._table = table
+        model = cls.__new__(cls)  # the table is the maps: no integrator
+        model._maps = PiecewiseLinearHazard(xs, hazards, x_L)
+        model.x_L = model._maps.x_L
         rows = np.asarray(xs, dtype=float)
-        tail = rows[rows > table.x_L][-3:]  # the density is 0 at x <= x_L
+        tail = rows[rows > model.x_L][-3:]  # the density is 0 at x <= x_L
         dens = [model.density(float(v)) for v in tail]
         if len(dens) >= 2 and dens[-1] >= dens[0] and dens[-1] > 0:
             warnings.warn(
@@ -164,6 +170,9 @@ class FromHazard(MarginalModel):
 
     def hazard_derivative(self, x):
         return self._maps.derivative(x)
+
+    def hazard_terms(self, x, cum: bool, order: int):
+        return self._maps.terms(x, cum, order)
 
 
 # ---------------------------------------------------------------------------
@@ -200,32 +209,24 @@ class WedgeKernel:
     """A marginal in the wedge coordinate of a baseline: ``Q(s) = R_m(R0^{-1}(s))``.
 
     With ``d = R0^{-1}(s)``, ``Q'(s) = r_m(d) / r0(d)`` and ``Q''(s) =
-    (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3`` from the models' own hazard
-    slopes (a callable's is :class:`~bisurv.baseline.HazardIntegrator`'s).
-    A marginal that is proportional-hazards over this very baseline is
-    recognised here and nowhere else (``delta``): then ``Q = delta * s``
-    exactly, ``Q' = u = delta`` and ``Q'' = 0``.  ``q``, ``q_prime``,
-    ``slopes`` and ``q_slopes`` are views of :meth:`_terms`, which takes an
-    array, and of :meth:`_float_terms`, which takes a Python ``float``; the
-    PH form is one branch of each.
+    (r_m'(d) r0(d) - r_m(d) r0'(d)) / r0(d)**3``, where each model answers
+    its own ``(R, r, r')`` at ``d`` (``hazard_terms``).  A marginal whose
+    ``wedge_rate`` over this baseline is ``delta`` (PH over this very
+    baseline) gives ``Q = delta * s`` exactly, ``Q' = u = delta`` and ``Q''
+    = 0``.  ``q``, ``q_prime``, ``slopes`` and ``q_slopes`` are views of one
+    routine, :meth:`_terms`, for floats and arrays alike.
 
     An array of ``s >= 0`` gives arrays, and a float ``s`` floats equal bit
-    for bit to the array path's element: ``d``, the hazards and their slopes
-    come from the maps' own float answers (float arithmetic for the
-    exponential, LFR, tables but for their inverse, a callable's hazard and
-    slope, and PH over those; one numpy call for Weibull and Pareto), ``Q'``
-    and ``Q''`` are formed in the array path's order, with ``np.power(r0,
-    3)``'s bits and numpy's inf or NaN where Python would raise.  A
-    non-finite float ``s`` raises :class:`~bisurv.errors.DomainError`.  An array passes a non-finite ``s``
-    through: the models and the validity grid pass keep overflow from the
-    kernels, and a check would cost every vectorized call.
-
-    A hazard table (:class:`~bisurv.baseline.PiecewiseLinearHazard`), as
-    marginal or baseline, takes the same composition: ``d`` is the
-    baseline's inverse and the hazards are the models' own, and a marginal
-    table's ``R_m(d)`` and hazard slope share one lookup of ``d`` in its
-    knots.  Where a table is involved, a non-finite ``s`` or ``d`` raises
-    :class:`~bisurv.errors.DomainError`, on arrays and floats.
+    for bit to the array path's element: the models answer a float ``d``
+    from their float maps (float arithmetic for the exponential, LFR, tables
+    but for their inverse, a callable's hazard and slope, and PH over those;
+    one numpy call for Weibull and Pareto), and ``Q'`` and ``Q''`` are
+    formed in the array path's order, with ``np.power(r0, 3)``'s bits and
+    numpy's inf or NaN where Python would raise.  A non-finite float ``s``
+    raises :class:`~bisurv.errors.DomainError`.  An array passes a
+    non-finite ``s`` through: the models and the validity grid pass keep
+    overflow from the kernels, and a check would cost every vectorized call.
+    A hazard table, as marginal or baseline, refuses a non-finite ``d``.
 
     ``q(0)`` is exactly ``0.0`` for every kernel: where both coordinates lie
     at or below ``x_L`` (``s = 0``), array survival may take either wedge's
@@ -235,10 +236,7 @@ class WedgeKernel:
     def __init__(self, marginal: MarginalModel, baseline: BaselineModel):
         self.marginal = marginal
         self.baseline = baseline
-        self.delta = (marginal.delta if isinstance(marginal, ProportionalHazard)
-                      and marginal.baseline == baseline else None)
-        self._m = getattr(marginal, "_table", None)
-        self._b = getattr(baseline, "_table", None)
+        self.delta = marginal.wedge_rate(baseline)
         #: ``(theta, s, G)`` of the last :meth:`tail_table`, read-only
         self._tail_nodes = None
 
@@ -259,59 +257,36 @@ class WedgeKernel:
     def _terms(self, s, cum: bool, order: int):
         """``(Q, Q', Q'')`` at ``s``: ``Q`` with ``cum``, ``Q'`` with ``order
         >= 1`` and ``Q''`` with ``order == 2``, each view reading only what it
-        asks for; a float ``s`` takes :meth:`_float_terms`."""
-        if type(s) is float:
-            return self._float_terms(s, cum, order)
-        s = np.asarray(s, dtype=float)
+        asks for.  A float ``s`` and an array differ only in the division."""
+        scalar = type(s) is float
+        if not scalar:
+            s = np.asarray(s, dtype=float)
+        elif not math.isfinite(s):
+            raise DomainError(f"s must be finite, got {s!r}")
         if self.delta is not None:
             q = self.delta * s if cum else None
             if not order:
                 return q, None, None
+            if scalar:
+                return q, self.delta, 0.0
             return q, np.full_like(s, self.delta), np.zeros_like(s)
-        m, marginal, base = self._m, self.marginal, self.baseline
-        d = np.asarray(base.inverse_cumulative_hazard(s), dtype=float)
-        if m is not None or self._b is not None:
-            _check_finite(d, "x")
-        jm = None
-        if m is not None and (cum or order == 2):  # R and its slope share one lookup
-            xa, jm = m._segment(d)
-        q = q1 = q2 = None
-        if cum:
-            q = (m._cumulative_on(xa, jm) if jm is not None
-                 else np.asarray(marginal.cumulative_hazard(d), dtype=float))
-        if order:  # a table's d was checked finite: its hazard is the bare interp
-            r = (np.interp(d, m._xs, m._hs) if m is not None
-                 else np.asarray(marginal.hazard(d), dtype=float))
-            r0 = np.asarray(base.hazard(d), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                q1 = r / r0
-                if order == 2:
-                    rp = m._slope[jm] if jm is not None else marginal.hazard_derivative(d)
-                    # np.power, not **: a numpy scalar's ** is not the array loop's
-                    q2 = (rp * r0 - r * base.hazard_derivative(d)) / np.power(r0, 3)
-        return q, q1, q2
-
-    def _float_terms(self, s: float, cum: bool, order: int):
-        """:meth:`_terms` of a float ``s``, from the maps' own float answers."""
-        if not math.isfinite(s):
-            raise DomainError(f"s must be finite, got {s!r}")
-        if self.delta is not None:
-            q = self.delta * s if cum else None
-            return (q, self.delta, 0.0) if order else (q, None, None)
-        base, marginal = self.baseline, self.marginal
+        base = self.baseline
         d = base.inverse_cumulative_hazard(s)
-        if (self._m is not None or self._b is not None) and not math.isfinite(d):
-            raise DomainError(f"x must be finite, got {d!r}")
-        q = q1 = q2 = None
-        if cum:
-            q = marginal.cumulative_hazard(d)
-        if order:
-            r, r0 = marginal.hazard(d), base.hazard(d)
-            q1 = _divide(r, r0)
-            if order == 2:
-                rp, r0p = marginal.hazard_derivative(d), base.hazard_derivative(d)
-                q2 = _divide(rp * r0 - r * r0p, _cube(r0))
-        return q, q1, q2
+        q, r, rp = self.marginal.hazard_terms(d, cum, order)
+        # asked at every order: a table baseline refuses a non-finite d
+        _, r0, r0p = base.hazard_terms(d, False, order)
+        if cum and not scalar:  # a 0-d s maps to float answers
+            q = np.asarray(q, dtype=float)
+        if not order:
+            return q, None, None
+        if scalar:
+            return q, _divide(r, r0), (_divide(rp * r0 - r * r0p, _cube(r0))
+                                       if order == 2 else None)
+        r, r0 = np.asarray(r, dtype=float), np.asarray(r0, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # np.power, not **: a numpy scalar's ** is not the array loop's
+            return q, r / r0, ((rp * r0 - r * r0p) / np.power(r0, 3)
+                               if order == 2 else None)
 
     def tail(self, s, theta: float):
         """``(G, h)``: the wedge tail ``G(s) = (theta - Q') exp(-Q)``, with

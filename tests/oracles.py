@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
+from bisurv.baseline import PiecewiseLinearHazard
 from bisurv.bivariate import _BLOCK, _WEIGHT_EPS
 from bisurv.errors import (
     DomainError,
@@ -905,6 +906,13 @@ def validation(model, grid, tol=None):
 
 
 # -- wedge kernels ------------------------------------------------------------
+
+def model_tables(kernel):
+    """``(marginal, baseline)``: the hazard table behind each of the kernel's
+    models (the maps of a model built ``from_table``), or None."""
+    return tuple(maps if isinstance(maps := getattr(model, "_maps", None), PiecewiseLinearHazard)
+                 else None for model in (kernel.marginal, kernel.baseline))
+
 
 def composed_q(kernel, s):
     """``Q(s)`` by composition: the baseline's inverse, then the marginal's

@@ -321,6 +321,21 @@ def test_callable_hazard_slope_is_nan_at_the_left_endpoint(cls, x_L):
     assert slopes == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("cls", [CustomHazard, FromHazard])
+def test_callable_hazard_slope_at_infinity_is_a_domain_error(cls):
+    # the caller's inf is named, not the step's inf - inf; a NaN keeps the
+    # hazard's own message, and a table refuses both as well
+    model = cls(lambda x: 1.0 + 0.2 * x)
+    for x in (math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"x must be finite, got {x}"):
+            model.hazard_derivative(x)
+    with pytest.raises(DomainError, match="x must not be NaN, got nan"):
+        model.hazard_derivative(math.nan)
+    kernel = WedgeKernel(FromHazard(lambda x: 1.0 + 0.2 * x), Exponential())
+    with pytest.raises(DomainError, match="x must be finite, got inf"):
+        kernel.slopes(np.array([1.0, np.inf]))
+
+
 @pytest.mark.parametrize("x, x_L", [(1.0 - 2.0**-53, -2.0**-54), (2.0**-4 - 2.0**-57, -2.0**-58)],
                          ids=["rung-4", "rung-0"])
 def test_callable_ladder_never_starts_above_the_point(x, x_L):

@@ -29,6 +29,7 @@ from oracles import (
     gradient_components,
     log_survival_masked,
     mixed_fd,
+    model_tables,
     off_diagonal,
     point_ac_density,
     point_hazard_gradient,
@@ -621,7 +622,7 @@ def _kernel_views(kernel, theta=2.5):
 
 def _s_knots(kernel):
     """``s`` at the kernel's table knots: ``R0`` of its tables' segment starts."""
-    knots = [t._knots for t in (kernel._m, kernel._b) if t is not None]
+    knots = [t._knots for t in model_tables(kernel) if t is not None]
     if not knots:
         return [1.0]
     return np.asarray(kernel.baseline.cumulative_hazard(np.concatenate(knots))).tolist()
@@ -663,7 +664,7 @@ def test_every_kernel_refuses_a_non_finite_float_s(name):
     # a table kernel refuses one in an array too; the composition path passes
     # it through, since the models zero any overflow before a kernel runs
     kernel = _FLOAT_KERNELS[name]
-    tables = kernel.delta is None and (kernel._m is not None or kernel._b is not None)
+    tables = kernel.delta is None and any(t is not None for t in model_tables(kernel))
     for view, fn in _kernel_views(kernel).items():
         for s in (math.nan, math.inf, -math.inf):
             assert _kernel_outcome(fn, s) is DomainError, (view, s)

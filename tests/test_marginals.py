@@ -16,6 +16,7 @@ from bisurv import (
     GeneralBivariateModel,
     InvalidModelError,
     LinearFailureRate,
+    MarginalModel,
     ModelError,
     NumericError,
     Pareto,
@@ -221,6 +222,44 @@ def test_ph_kernel_reads_no_baseline_map(base, delta, s):
             kernel.density(arg, theta)
         assert kernel.u == delta
         assert kernel.tail_table(theta)[1][0] == theta - delta
+
+
+class _UserLFR(MarginalModel):
+    """A user's marginal that defines the three LFR maps and nothing else."""
+
+    x_L = 0.0
+    cumulative_hazard = LinearFailureRate.cumulative_hazard
+    hazard = LinearFailureRate.hazard
+    hazard_derivative = LinearFailureRate.hazard_derivative
+
+    def __init__(self, a):
+        self.a = a
+
+
+@pytest.mark.parametrize("base", [Exponential(), Weibull(2.0)], ids=["exponential", "weibull2"])
+def test_a_marginal_of_three_maps_takes_the_kernel_of_lfr(base):
+    # the default hazard_terms composes the maps: the kernel needs nothing
+    # else from a model, and gives LFR's own bytes on floats and arrays
+    user, lfr = WedgeKernel(_UserLFR(0.3), base), WedgeKernel(LinearFailureRate(0.3), base)
+    s = np.concatenate([[0.0, 5e-324], np.linspace(1e-3, 20.0, 97)])
+    for arg in (s, *s.tolist()):
+        for view in ("q", "q_slopes", "tail"):
+            got, want = ((getattr(k, view)(arg, 2.5) if view == "tail" else getattr(k, view)(arg))
+                         for k in (user, lfr))
+            got, want = (v if isinstance(v, tuple) else (v,) for v in (got, want))
+            assert [type(v) for v in got] == [type(v) for v in want], (view, arg)
+            assert [np.asarray(v).tobytes() for v in got] == \
+                [np.asarray(v).tobytes() for v in want], (view, arg)
+
+
+def test_a_kernel_over_weibull_one_reads_its_origin_without_a_warning():
+    # r0' = 0 * inf at d = 0 is NaN, as before, on floats and arrays alike;
+    # the kernel no longer masks the baseline's warning, so the model does
+    kernel = WedgeKernel(LinearFailureRate(0.3), Weibull(1.0))
+    got = kernel.q_slopes(0.0)
+    want = kernel.q_slopes(np.array([0.0, 1.0]))
+    assert [np.float64(v).tobytes() for v in got] == [v[:1].tobytes() for v in want]
+    assert math.isnan(got[2])
 
 
 def _invalid(density, x1, x2):

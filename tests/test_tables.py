@@ -21,7 +21,8 @@ from bisurv import (
     ProportionalHazard,
     Weibull,
 )
-from bisurv.baseline import PiecewiseLinearHazard
+from bisurv.baseline import HazardIntegrator, PiecewiseLinearHazard
+from bisurv.config import load_model_config
 from bisurv.marginals import WedgeKernel
 from oracles import (
     HazardMaps,
@@ -31,6 +32,7 @@ from oracles import (
     composed_slopes,
     exact_wedge,
     exponential_wedge_ac_density,
+    model_tables,
 )
 
 # several kinks, a zero-hazard row inside, a zero first row and a last row
@@ -395,7 +397,8 @@ def _within_rounding(kernel, s, x, got, want, marginal, baseline):
     slope to ``eps H / gap``, and ``R`` to ``eps`` per segment.  ``H`` is a
     table's largest row (or the hazard at ``d``), ``gap`` its least segment."""
     e = 2.0 ** -52
-    tables = [t for t in (kernel._m, kernel._b) if t is not None]
+    m, b = model_tables(kernel)
+    tables = [t for t in (m, b) if t is not None]
     d = baseline.inverse(s) if x is None else x
     r, r0 = marginal.r(d), baseline.r(d)
     rp = max(abs(marginal.right(d)), abs(marginal.left(d)))
@@ -404,7 +407,7 @@ def _within_rounding(kernel, s, x, got, want, marginal, baseline):
     def size(t, h):
         return (abs(h), math.inf) if t is None else (
             max(abs(h), float(np.max(t._h))), float(np.min(np.diff(t._knots), initial=math.inf)))
-    (hm, gm), (h0, g0) = size(kernel._m, r), size(kernel._b, r0)
+    (hm, gm), (h0, g0) = size(m, r), size(b, r0)
     q, q1, q2 = got
     Q, Q1, R2, L2 = want
     dd = e * (abs(d) * (1.0 + (h0 / r0) ** 2) + s / r0 + 1.0)
@@ -447,9 +450,10 @@ def _check_kernel(kernel, knots, marginal, baseline):
         for name in ("q", "q_prime", "slopes", "q_slopes", "tail"):
             assert _outcome(new[name], bad) is DomainError
             assert _outcome(new[name], np.array([1.0, bad])) is DomainError
-    if kernel._b is not None and kernel._b._h[-1] == 0.0:  # a bounded total hazard
+    b = model_tables(kernel)[1]
+    if b is not None and b._h[-1] == 0.0:  # a bounded total hazard
         for name in new:
-            assert _outcome(new[name], float(kernel._b._R[-1]) + 1.0) is NumericError
+            assert _outcome(new[name], float(b._R[-1]) + 1.0) is NumericError
     for s, x in ok:
         if s == 0.0:  # checked above: Q(0) = 0, and Q' is the diagonal limit
             continue
@@ -485,6 +489,23 @@ def test_table_baseline_kernels_are_the_composition_bit_for_bit(table, marginal)
     _check_kernel(kernel, knots, maps, base_maps)
 
 
+def test_table_models_build_no_integrator(tmp_path, monkeypatch):
+    # a table is its model's only maps: no quadrature ladder is built and dropped
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HazardIntegrator was built")
+
+    monkeypatch.setattr(HazardIntegrator, "__init__", refuse)
+    CustomHazard.from_table(KINK_X, KINK_H)
+    FromHazard.from_table(KINK_X, [1.0 + h for h in KINK_H])
+    (tmp_path / "base.csv").write_text("x,hazard\n0,1\n1,1.6\n2.5,1.1\n6,1.4\n")
+    (tmp_path / "marginal.csv").write_text("x,hazard\n0,1.2\n2,1.4\n5,1.5\n")
+    path = tmp_path / "tables.json"
+    path.write_text('{"baseline": "custom:base.csv", "theta": 3.0, '
+                    '"marginals": ["hazard:marginal.csv", "ph:2"]}')
+    model = load_model_config(str(path)).model
+    assert model.survival(1.0, 2.0) > 0.0
+
+
 def test_table_kernels_look_each_point_up_once():
     marginal = FromHazard.from_table(KINK_X, [1.0 + h for h in KINK_H], x_L=0.0)
     kernel = WedgeKernel(marginal, Exponential())
@@ -508,7 +529,8 @@ def test_table_marginal_q_prime_alone_is_one_interp(name):
     base = _CLOSED[name][0]
     x_L = base.x_L
     marginal = FromHazard.from_table([x_L + x for x in KINK_X], KINK_H, x_L=x_L)
-    table, kernel = marginal._table, WedgeKernel(marginal, base)
+    kernel = WedgeKernel(marginal, base)
+    table = model_tables(kernel)[0]
     knots = np.concatenate([[x_L], table._knots, table._knots_next[:-1]])
     s = np.concatenate([np.linspace(0.0, 40.0, 200_000),
                         np.asarray(base.cumulative_hazard(knots), dtype=float)])
