@@ -275,11 +275,13 @@ class Weibull(BaselineModel):
     def hazard(self, x):
         return _ret(self.alpha * np.power(np.asarray(x, dtype=float), self.alpha - 1.0), x)
 
-    # at alpha = 1 and x = 0 this is 0 * inf: NaN, as before, without a warning
-    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", over="ignore")
     def hazard_derivative(self, x):
         a = self.alpha
-        return _ret(a * (a - 1.0) * np.power(np.asarray(x, dtype=float), a - 2.0), x)
+        c = a * (a - 1.0)
+        if c == 0.0:  # alpha = 1: a constant hazard, flat even where x**-1 is inf
+            return _ret(np.zeros_like(np.asarray(x, dtype=float)), x)
+        return _ret(c * np.power(np.asarray(x, dtype=float), a - 2.0), x)
 
     def spec_string(self) -> str:
         return f"weibull:{self.alpha:g}"

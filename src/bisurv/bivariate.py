@@ -290,12 +290,22 @@ class GeneralBivariateModel(_BivariateBase):
         """``-(Q_i(s) + theta * w)`` on the wedge of marginal ``i``; scalars or arrays."""
         if _is_scalar(x1) and _is_scalar(x2):
             return self._log_survival_at(self._point(x1, x2))
-        _nan_check(x1, x2)
-        x1a = np.asarray(x1, dtype=float)
-        x2a = np.asarray(x2, dtype=float)
-        if (x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size) > 2 * _BLOCK:
+        try:
+            x1a = np.asarray(x1, dtype=float)
+            x2a = np.asarray(x2, dtype=float)
+            size = x1a.size if x1a.shape == x2a.shape else np.broadcast(x1a, x2a).size
+        except (TypeError, ValueError, OverflowError):  # a NaN is refused before these
+            _nan_check(x1, x2)
+            raise
+        if not size:  # an empty broadcast leaves no x1 - x2 to test
+            _nan_check(x1, x2)
+        elif size > 2 * _BLOCK:
+            # no block is mapped before a NaN is refused; min() propagates
+            # NaN with no n-sized temporary
+            if np.isnan(x1a.min()) or np.isnan(x2a.min()):
+                _nan_check(x1, x2)
             return self._log_survival_blocked(x1a, x2a)
-        return self._log_survival_array(x1a, x2a)
+        return self._log_survival_array(x1a, x2a, (x1, x2))
 
     def _log_survival_at(self, point) -> float:
         """:meth:`log_survival` of one :meth:`_point`; None, ``s`` inf or NaN read ``-inf``."""
@@ -305,17 +315,22 @@ class GeneralBivariateModel(_BivariateBase):
         return -(float(kernel.q(s)) + self.theta * w)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _log_survival_array(self, x1, x2):
-        """The array branch of :meth:`log_survival`, on float arrays free of
-        NaN, in one in-place pass.  A finite block is not clamped: every
-        baseline map reads a point below ``x_L`` as ``R0 = 0``, and where both
-        coordinates do, ``s = 0`` and either kernel's ``q(0)`` is 0.  Only a
-        block with an infinite coordinate is clamped and masked: its infinite
-        points, and points whose ``s`` is inf or NaN (``inf - inf``), give the
-        kernels 0 and read ``-inf``.  ``-theta * w - q`` is ``-(q + theta * w)``
-        bit for bit, since neither ``q`` nor ``w`` is negative or ``-0.0``."""
+    def _log_survival_array(self, x1, x2, given=()):
+        """The array branch of :meth:`log_survival`, on broadcastable float
+        arrays, in one in-place pass.  ``x1 - x2`` is the only admission test:
+        where it is not finite, ``_nan_check`` searches ``given``, the
+        caller's own arguments, for a NaN (the blocked path refused NaN
+        before its first block and gives none).  A finite block is not
+        clamped: every baseline map reads a point below ``x_L`` as ``R0 = 0``,
+        and where both coordinates do, ``s = 0`` and either kernel's ``q(0)``
+        is 0.  Only a block with an infinite coordinate is clamped and masked:
+        its infinite points, and points whose ``s`` is inf or NaN (``inf -
+        inf``), give the kernels 0 and read ``-inf``.  ``-theta * w - q`` is
+        ``-(q + theta * w)`` bit for bit, since neither ``q`` nor ``w`` is
+        negative or ``-0.0``."""
         dead = None
-        if not np.isfinite(x1 - x2).all():  # NaN was refused: an inf, or a rare overflow
+        if not np.isfinite(x1 - x2).all():  # a NaN, an inf, or a rare overflow
+            _nan_check(*given)
             xl = self.baseline.x_L
             x1, x2 = np.maximum(x1, xl), np.maximum(x2, xl)
             dead = np.isinf(np.maximum(x1, x2))  # clamped to x_L: never -inf

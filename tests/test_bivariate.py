@@ -425,9 +425,9 @@ def test_survival_blocks_are_near_equal_and_bounded(monkeypatch):
     sizes = []
     original = GeneralBivariateModel._log_survival_array
 
-    def spy(self, x1, x2):
+    def spy(self, x1, x2, *given):
         sizes.append(np.broadcast(x1, x2).size)
-        return original(self, x1, x2)
+        return original(self, x1, x2, *given)
 
     monkeypatch.setattr(GeneralBivariateModel, "_log_survival_array", spy)
     block = bivariate._BLOCK
@@ -456,6 +456,99 @@ def test_blocked_survival_nan_message_unchanged(monkeypatch):
             model.survival(x1, x2)
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1] == f"coordinates must not be NaN, got {x2!r}"
+
+
+# -- array admission -----------------------------------------------------------
+
+_NAN = math.nan
+#: ``(x1, x2, i)``: a NaN in argument ``i`` (0 or 1), in the first such
+#: argument's own object, which the message shows
+_NAN_INPUTS = [
+    ([1.0, _NAN], [2.0, 3.0], 0),
+    ([1.0, 2.0], np.array([_NAN, 3.0]), 1),
+    (np.array([[1.0], [_NAN]]), np.array([2.0, 3.0]), 0),
+    (np.array(_NAN), np.array([1.0, 2.0]), 0),
+    (np.float64(2.0), [_NAN, 1.0], 1),
+    (np.array([1.0, 2.0]), np.float64(_NAN), 1),
+    # beside infinities, whose clamp comes after the refusal
+    ([_NAN, math.inf], [-math.inf, 1.0], 0),
+    ([math.inf, 1.0], np.array([_NAN, -math.inf]), 1),
+    (np.array([math.inf, math.inf]), [math.inf, _NAN], 1),
+    # shapes that do not broadcast: the NaN is found before numpy's error
+    ([1.0, _NAN, 3.0], [1.0, 2.0], 0),
+    (np.zeros((2, 3)), [_NAN, 1.0], 1),
+    # an empty broadcast leaves no difference to test
+    ([_NAN], np.empty(0), 0),
+]
+
+
+@pytest.mark.parametrize("x1, x2, i", _NAN_INPUTS)
+def test_array_survival_refuses_nan_in_the_callers_own_object(x1, x2, i):
+    for model in _BLOCK_MODELS:
+        for view in (model.survival, model.log_survival):
+            with pytest.raises(DomainError) as excinfo:
+                view(x1, x2)
+            assert str(excinfo.value) == f"coordinates must not be NaN, got {(x1, x2)[i]!r}"
+
+
+def test_array_survival_without_nan_keeps_its_errors():
+    # shapes that do not broadcast raise numpy's error; an argument that is
+    # no float array raises the NaN search's own, before any conversion
+    model = _BLOCK_MODELS[1]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        model.survival([1.0, 2.0, 3.0], [1.0, 2.0])
+    for x1, x2 in ((["a", 1.0], [1.0, 2.0]), ([1.0, 2.0], ["a", 1.0]), (["a", 1.0], [_NAN, 2.0])):
+        with pytest.raises(TypeError, match="isnan"):
+            model.survival(x1, x2)
+
+
+@pytest.mark.parametrize("holder", [0, 1])
+def test_blocked_survival_refuses_a_late_nan_before_any_block(monkeypatch, holder):
+    mapped = []
+    original = GeneralBivariateModel._log_survival_array
+
+    def spy(self, x1, x2, *given):
+        mapped.append(x1.size)
+        return original(self, x1, x2, *given)
+
+    monkeypatch.setattr(GeneralBivariateModel, "_log_survival_array", spy)
+    xs = [np.linspace(0.1, 5.0, 200_003), np.full(200_003, 2.0)]
+    xs[holder][199_999] = _NAN
+    if holder == 0:
+        xs[0] = xs[0].tolist()
+    for model in _BLOCK_MODELS:
+        for view in (model.survival, model.log_survival):
+            with pytest.raises(DomainError) as excinfo:
+                view(*xs)
+            assert str(excinfo.value) == f"coordinates must not be NaN, got {xs[holder]!r}"
+    assert mapped == []
+
+
+def test_finite_array_survival_never_searches_for_nan(monkeypatch):
+    # x1 - x2 is the one admission test; where it is finite, no NaN search
+    # runs, on whole, broadcast and blocked inputs alike
+    rng = np.random.default_rng(11)
+    cases = []
+    for model in _BLOCK_MODELS:
+        xl = model.baseline.x_L
+        for shape1, shape2 in (((40,), (40,)), ((150, 1), (1, 130)), ((200_003,), (200_003,)),
+                               ((20_000, 1), (1,)), ((3,), ())):
+            x1 = xl + rng.exponential(1.5, shape1)
+            x2 = xl + rng.exponential(1.5, shape2)
+            x1.reshape(-1)[5::89] = xl - 0.5  # below x_L
+            if shape1 == shape2:
+                x2[::7] = x1[::7]  # ties
+            cases.append((model, x1, x2))
+    want = [(m.survival(a, b), m.log_survival(a, b)) for m, a, b in cases]
+
+    def refuse(*values):
+        raise AssertionError("NaN search on finite input")
+
+    monkeypatch.setattr(bivariate, "_nan_check", refuse)
+    for (model, x1, x2), expected in zip(cases, want):
+        got = (model.survival(x1, x2), model.log_survival(x1, x2))
+        for g, w in zip(got, expected):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # -- scalar point evaluation -------------------------------------------------------

@@ -253,13 +253,33 @@ def test_a_marginal_of_three_maps_takes_the_kernel_of_lfr(base):
 
 
 def test_a_kernel_over_weibull_one_reads_its_origin_without_a_warning():
-    # r0' = 0 * inf at d = 0 is NaN, as before, on floats and arrays alike;
-    # the kernel no longer masks the baseline's warning, so the model does
-    kernel = WedgeKernel(LinearFailureRate(0.3), Weibull(1.0))
-    got = kernel.q_slopes(0.0)
-    want = kernel.q_slopes(np.array([0.0, 1.0]))
-    assert [np.float64(v).tobytes() for v in got] == [v[:1].tobytes() for v in want]
-    assert math.isnan(got[2])
+    # Weibull(1) is the exponential: its hazard slope is 0 even at x = 0,
+    # where x**-1 is inf, so its kernel is the exponential's bit for bit,
+    # s = 0 included, on floats and arrays
+    lfr = LinearFailureRate(0.3)
+    weibull, exp = WedgeKernel(lfr, Weibull(1.0)), WedgeKernel(lfr, Exponential())
+    assert weibull.q_slopes(0.0) == (0.0, 1.0, 0.6)
+    s = np.concatenate([[0.0, 5e-324], np.linspace(1e-3, 20.0, 97), [1e300]])
+    for arg in (s, *s.tolist()):
+        for view in ("q", "q_prime", "q_slopes", "tail", "density"):
+            got, want = ((getattr(k, view)(arg, 2.5) if view in ("tail", "density")
+                          else getattr(k, view)(arg)) for k in (weibull, exp))
+            got, want = (v if isinstance(v, tuple) else (v,) for v in (got, want))
+            assert [type(v) for v in got] == [type(v) for v in want], (view, arg)
+            assert [np.asarray(v).tobytes() for v in got] == \
+                [np.asarray(v).tobytes() for v in want], (view, arg)
+
+
+def test_weibull_hazard_slope_is_zero_only_for_a_zero_coefficient():
+    x = np.array([0.0, 5e-324, 1e-3, 0.5, 1.0, 7.0, 1e300, math.inf, math.nan])
+    for arg in (x, *x.tolist()):
+        got, want = Weibull(1.0).hazard_derivative(arg), Exponential().hazard_derivative(arg)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # every other shape keeps a (a - 1) x^(a - 2), bit for bit
+    with np.errstate(divide="ignore", over="ignore"):
+        for a in (0.5, 1.5, 2.0, 3.7):
+            assert Weibull(a).hazard_derivative(x).tobytes() == \
+                (a * (a - 1.0) * np.power(x, a - 2.0)).tobytes()
 
 
 def _invalid(density, x1, x2):

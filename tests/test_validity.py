@@ -3,6 +3,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,11 +456,35 @@ def _oracle_bound(s, i, j, k, l):
     return (2 * (j - i) * (l - k) + 1) * (big * 2.0**-49 + 5e-324)
 
 
+def _exact_cell(s, i, k):
+    """Cell ``(i, k)`` of ``s``, its four-corner sum taken exactly."""
+    a, c, b, d = (Fraction(float(v)) for v in (s[i, k], s[i, k + 1], s[i + 1, k], s[i + 1, k + 1]))
+    return a - c - b + d
+
+
+def _rounded_oracle_example():
+    """A 6 x 6 survival matrix whose one negative cell, (4, 4) at about
+    -1.1e-20 with corners near 1e-6, fails the cell rule, while the O(n^3)
+    scan's least rectangle reads positive: its sums round on entries near
+    0.19, where the left columns carry masses of 1e-17."""
+    rng = np.random.default_rng(7)
+    mass = rng.random((6, 6)) * 1e-17
+    mass[:4, 4:] = rng.random((4, 2)) * 0.05
+    mass[4:, 4:] = rng.random((2, 2)) * 4e-7 + 2e-7
+    mass[4, 4] = -1.12e-20
+    s = mass[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1].copy()
+    assert validity._cell_rule(s, 0.0)[1:] == (4, 4, False) and _exact_cell(s, 4, 4) < 0
+    assert rectangle_scan_running_max(s)[0] > 0.0
+    return s
+
+
 def _check_cell_rule(s):
     """The cell rule on ``s`` against its loop form (``oracles.cell_rule``),
-    bit for bit, and against the O(n^3) scan: where a cell fails, the most
-    negative rectangle is negative (NaN counts as negative for both), and
-    where that rectangle lies below minus its rounding bound
+    bit for bit, and against the O(n^3) scan.  Where a cell fails, the
+    witness cell's exact four-corner sum is negative, the rule's own
+    guarantee, when its corners are finite; with a NaN or infinite corner,
+    the most negative rectangle is negative (NaN counts as negative for
+    both).  Where that rectangle lies below minus its rounding bound
     (:func:`_oracle_bound`), a cell fails.  Returns the rule's result."""
     got = validity._cell_rule(s, 0.0)
     want = oracles.cell_rule(s)
@@ -468,7 +493,11 @@ def _check_cell_rule(s):
     with np.errstate(invalid="ignore", over="ignore"):
         least, i, j, k, l = rectangle_scan_running_max(s)
         if not got[3]:
-            assert not least >= 0.0
+            w1, w2 = got[1:3]
+            if np.isfinite(s[w1:w1 + 2, w2:w2 + 2]).all():
+                assert _exact_cell(s, w1, w2) < 0
+            else:
+                assert not least >= 0.0
         if least < -_oracle_bound(s, i, j, k, l):
             assert not got[3]
     return got
@@ -493,6 +522,7 @@ def _check_cell_rule(s):
 @example(s=_tied_cells_example(12, [(7, 2), (3, 9)]))
 @example(s=_decimal_tie_example())
 @example(s=_SIGNED_ZEROS)
+@example(s=_rounded_oracle_example())
 def test_cell_rule_agrees_with_the_rectangle_scan_oracle(s):
     _check_cell_rule(s)
 
