@@ -56,7 +56,10 @@ def _is_scalar(x) -> bool:
         return True
     if isinstance(x, np.ndarray):
         return x.ndim == 0
-    return np.ndim(x) == 0
+    try:
+        return np.ndim(x) == 0
+    except ValueError:  # a ragged sequence, which the array path refuses
+        return False
 
 
 def _ret(value, *refs):

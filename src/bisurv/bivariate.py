@@ -128,9 +128,24 @@ def _zero_overflow(s):
 
 
 def _nan_check(*values) -> None:
+    """Refuse the first of ``values`` that holds a NaN, or that is no real
+    number or array of them."""
     for v in values:
-        if np.isnan(v).any():  # the method: ~2 us less than the np.any wrapper
+        try:
+            nan = np.isnan(v).any()  # the method: ~2 us less than the np.any wrapper
+        except (TypeError, ValueError):  # no float array: read it as the array path does
+            nan = np.isnan(_real(np.asarray, v, dtype=float)).any()
+        if nan:
             raise DomainError(f"coordinates must not be NaN, got {v!r}")
+
+
+def _real(convert, v, **kwargs):
+    """``convert(v, **kwargs)``, or a :class:`DomainError` naming ``v`` where
+    it raises ``TypeError`` or ``ValueError``: no real number."""
+    try:
+        return convert(v, **kwargs)
+    except (TypeError, ValueError):
+        raise DomainError(f"coordinates must be real numbers, got {v!r}") from None
 
 
 def _negative_density(x1, x2, value) -> InvalidModelError:
@@ -174,7 +189,10 @@ class _BivariateBase:
         a NaN coordinate raises, both clamp to ``x_L``, an infinite one
         returns None, and ``r0`` is None.
         """
-        f1, f2 = float(x1), float(x2)
+        try:
+            f1, f2 = float(x1), float(x2)
+        except (TypeError, ValueError):
+            f1, f2 = _real(float, x1), _real(float, x2)
         xl = self.baseline.x_L
         if what is None:
             for f, v in ((f1, x1), (f2, x2)):
@@ -202,8 +220,13 @@ class _BivariateBase:
     def _points(self, x1, x2, what: str):
         """:meth:`_point` of arrays: ``(x1, x2, upper, s, w, r0)`` of broadcast
         float arrays, admitted as :meth:`_point` admits an off-diagonal point."""
-        x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
-                                       np.asarray(x2, dtype=float))
+        try:
+            x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float),
+                                           np.asarray(x2, dtype=float))
+        except (TypeError, ValueError):  # no real number names itself; else numpy's error
+            for v in (x1, x2):
+                _real(np.asarray, v, dtype=float)
+            raise
         if np.any(x1a == x2a):
             raise DomainError(f"{what} undefined on the diagonal")
         xl = self.baseline.x_L
@@ -369,6 +392,13 @@ class GeneralBivariateModel(_BivariateBase):
         alpha = 2.0 - (u1 + u2) / self.theta
         return Decomposition(alpha=alpha, u1=u1, u2=u2, singular_mass=1.0 - alpha)
 
+    def _latent_rates(self) -> tuple[float, float, float] | None:
+        """The latent races' ``(theta1, theta2, theta3)`` if both kernels are linear."""
+        d1, d2 = (k.delta for k in self.kernels)
+        if d1 is None or d2 is None:
+            return None
+        return self.theta - d2, self.theta - d1, d1 + d2 - self.theta
+
     def ac_density(self, x1, x2):
         """Closed-form absolutely continuous density off the diagonal.
 
@@ -517,6 +547,9 @@ class PHBivariateModel(GeneralBivariateModel):
         alpha = (self.theta1 + self.theta2) / self.theta
         return Decomposition(alpha=alpha, u1=self.delta1, u2=self.delta2,
                              singular_mass=self.theta3 / self.theta)
+
+    def _latent_rates(self) -> tuple[float, float, float]:
+        return self.theta1, self.theta2, self.theta3
 
     def as_general(self) -> GeneralBivariateModel:
         """The same distribution expressed through the general construction."""

@@ -26,7 +26,7 @@ import math
 import sys
 
 from .baseline import Exponential
-from .bivariate import GeneralBivariateModel, PHBivariateModel
+from .bivariate import GeneralBivariateModel
 from .config import ModelConfig, load_model_config
 from .errors import (
     BisurvError,
@@ -40,7 +40,7 @@ from .errors import (
     UndefinedComponentError,
 )
 from .marginals import LinearFailureRate
-from .sampling import sample_general, sample_ph
+from .sampling import sample_general
 from .validity import (
     INCONCLUSIVE,
     INVALID,
@@ -199,11 +199,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model = _load(args).model
-    if isinstance(model, PHBivariateModel):
-        batch = sample_ph(model, args.n, args.seed)
-    else:
-        batch = sample_general(model, args.n, args.seed)
+    batch = sample_general(_load(args).model, args.n, args.seed)
     if args.out:
         batch.to_csv(args.out)
         print(f"wrote {batch.n} pairs ({batch.tie_count} tied) to {args.out}")

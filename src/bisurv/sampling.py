@@ -1,23 +1,25 @@
 """Random-vector generation with exact diagonal ties.
 
-``sample_ph`` uses the latent competing-risks construction: three
-independent unit exponentials are scaled into cumulative-hazard arrival
-levels ``E_i / theta_i``, the componentwise minima with the shared third
-level are mapped back through ``R0^{-1}``, and a pair is tied exactly when
-the shared level wins both races.  The construction is validated against
-the closed-form survival in the tests rather than taken on faith.
+``sample_general`` and ``sample_ph`` give one draw of any valid model, and
+the model's wedge kernels choose how.  Where both are linear, ``Q_i =
+delta_i s``, the model is Marshall and Olkin's (JASA, 1967), drawn by its
+latent competing risks: three independent unit exponentials are scaled into
+cumulative-hazard arrival levels ``E_i / theta_i`` at the rates the model
+answers, the componentwise minima with the shared third level are mapped
+back through ``R0^{-1}``, and a pair is tied exactly when the shared level
+wins both races, as the tests check against the closed-form survival.
 
-``sample_general`` draws from the singular/absolutely-continuous mixture of
-any valid model: with probability ``1 - alpha`` a diagonal pair ``(T, T)``
-with ``T = R0^{-1}(E/theta)``, otherwise a wedge draw in the transformed
+Every other model is drawn from its singular/absolutely-continuous mixture:
+with probability ``1 - alpha`` a diagonal pair ``(T, T)`` with
+``T = R0^{-1}(E/theta)``, otherwise a wedge draw in the transformed
 coordinates ``w = R0(min)``, ``s = R0(max) - R0(min)``, where ``w`` is an
 exact exponential with rate ``theta``.  The density of ``s`` is the exact
 derivative ``h = -G'`` of ``G(s) = (theta - Q'(s)) exp(-Q(s))``, so ``s`` is
 drawn by inverting the closed-form CDF ``H(s) = G(0) - G(s)`` (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. 2).  The wedge kernel
 gives ``G``, ``h`` and the table of ``G``, which refuses a model whose
-``G`` goes negative or rises.  Both samplers draw at most
-``MAX_PAIRS`` pairs per call.
+``G`` goes negative or rises, as every model is checked before it is drawn.
+A call draws at most ``MAX_PAIRS`` pairs.
 
 All randomness comes from counter-based (Philox) generators seeded once,
 with independent sub-streams per mixture branch, so batches are
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bivariate import GeneralBivariateModel, PHBivariateModel
+from .bivariate import GeneralBivariateModel
 from .errors import DomainError, InvalidModelError, SamplerError
 from .validity import GridSpec
 
@@ -460,29 +462,28 @@ def _gen(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_ph(model: PHBivariateModel, n: int, seed: int) -> SampleBatch:
-    """Latent competing-risks sampler for the proportional-hazards model.
+def sample_ph(model: GeneralBivariateModel, n: int, seed: int) -> SampleBatch:
+    """:func:`sample_general`'s draw of any model, named for the latent
+    races that draw a proportional-hazards model."""
+    return _sample(model, n, seed)
 
-    Each latent arrival has survival ``S0**theta_i``; the observed pair is
-    the componentwise minimum against the shared arrival, computed on the
-    cumulative-hazard scale so ties are bit-exact.
-    """
-    n, seed = _check_sample_args(n, seed)
+
+def _races(base, rates, n: int, seed: int) -> SampleBatch:
+    """The latent races at ``rates = (theta1, theta2, theta3)``; an arrival
+    whose rate is at or below 0 never comes."""
     gen = _gen(np.random.SeedSequence(seed))
     e = gen.exponential(size=(3, n))
-    v1 = e[0] / model.theta1
-    v2 = e[1] / model.theta2
-    v3 = e[2] / model.theta3
+    v1, v2, v3 = (e_i / rate if rate > 0.0 else np.full(n, np.inf)
+                  for e_i, rate in zip(e, rates))
     w1 = np.minimum(v1, v3)
     w2 = np.minimum(v2, v3)
-    x1 = np.asarray(model.baseline.inverse_cumulative_hazard(w1), dtype=float)
+    x1 = np.asarray(base.inverse_cumulative_hazard(w1), dtype=float)
     # where the shared arrival won both races the pair is tied: reuse the
     # already-inverted value so the tie is the same float by construction
     tie = w1 == w2
     x2 = x1.copy()
     if np.any(~tie):
-        x2[~tie] = np.asarray(
-            model.baseline.inverse_cumulative_hazard(w2[~tie]), dtype=float)
+        x2[~tie] = np.asarray(base.inverse_cumulative_hazard(w2[~tie]), dtype=float)
     return SampleBatch(x1=x1, x2=x2, seed=seed, n=n)
 
 
@@ -537,17 +538,23 @@ def _draw_s(kernel, theta: float, table, tail) -> np.ndarray:
 
 def sample_general(model: GeneralBivariateModel, n: int, seed: int,
                    grid: GridSpec | None = None) -> SampleBatch:
-    """Mixture sampler for any valid model of this class.
+    """``n`` pairs drawn from any valid model of this class.
 
     Raises :class:`~bisurv.errors.InvalidModelError` unless the mixture
     weight lies in [0, 1] and each kernel's wedge tail
     ``G(s) = (theta - Q'(s)) exp(-Q(s))`` is nonnegative and nonincreasing
-    on its table.  The diagonal branch draws ``T = R0^{-1}(E/theta)``, with
-    bit-exact ties; the absolutely continuous branch draws ``w`` as an
-    exponential with rate ``theta`` and ``s`` by inverting the wedge CDF
-    ``H(s) = G(0) - G(s)``.  ``grid`` is accepted for compatibility and does
-    not affect the draw.
+    on its table.  A model whose two kernels are linear, ``Q_i = delta_i s``,
+    takes the latent races at the rates it answers.  Any other model draws a
+    diagonal pair ``T = R0^{-1}(E/theta)``, with bit-exact ties, or a wedge
+    pair: ``w`` exponential with rate ``theta`` and ``s`` by inverting the
+    wedge CDF ``H(s) = G(0) - G(s)``.  ``grid`` is accepted for
+    compatibility and does not affect the draw.
     """
+    return _sample(model, n, seed)
+
+
+def _sample(model: GeneralBivariateModel, n: int, seed: int) -> SampleBatch:
+    """The one draw of :func:`sample_ph` and :func:`sample_general`."""
     n, seed = _check_sample_args(n, seed)
     dec = model.decompose()
     if not dec.weight_in_range:
@@ -556,6 +563,9 @@ def sample_general(model: GeneralBivariateModel, n: int, seed: int,
             "the model is not a valid distribution", value=dec.alpha)
     theta, base = model.theta, model.baseline
     tables = [kernel.tail_table(theta) for kernel in model.kernels]
+    rates = model._latent_rates()
+    if rates is not None:  # refused above as any model is, if invalid
+        return _races(base, rates, n, seed)
     alpha = min(max(dec.alpha, 0.0), 1.0)
 
     pick_seq, diag_seq, ac_seq = np.random.SeedSequence(seed).spawn(3)

@@ -663,14 +663,19 @@ def check_functional_equation(model, grid: GridSpec | None = None,
                               t_knots=None) -> ResidualReport:
     """Max log-space residual of S(x1 (+) t, x2 (+) t) = S(x1,x2) * S(t,t).
 
-    Any model built from the wedge construction satisfies this identically;
-    the residual measures only arithmetic error, whether or not the model is
-    a valid distribution.  ``t_knots`` takes explicit shift points in raw
-    coordinates; by default the grid's shift knots are used.  Without a
-    shift point there is nothing to check: ``DomainError``.  Knots whose
-    image under some shift is not finite are left out (:func:`_shiftable`),
-    and so is a point whose ``ln S`` is ``-inf`` or absorbs a nonzero shift
-    ``theta R0(t)``, where the residual would read NaN or the shift itself.
+    ``model`` needs only a ``baseline``, whose semigroup ``(+)`` and grid
+    maps place the points, and ``log_survival`` on scalars and arrays, so
+    any survival function over a baseline can be checked: the shift is its
+    own diagonal, ``-ln S(t, t)``.  Any model built from the wedge
+    construction satisfies the equation identically, and its residual
+    measures only arithmetic error, whether or not it is a valid
+    distribution; a survival function outside the class reads its own
+    departure.  ``t_knots`` takes explicit shift points in raw coordinates;
+    by default the grid's shift knots are used.  Without a shift point there
+    is nothing to check: ``DomainError``.  Knots whose image under some
+    shift is not finite are left out (:func:`_shiftable`), and so is a point
+    whose ``ln S`` is ``-inf`` or absorbs a nonzero shift, where the
+    residual would read NaN or the shift itself.
     """
     grid = grid or GridSpec.default()
     base = model.baseline
@@ -681,7 +686,7 @@ def check_functional_equation(model, grid: GridSpec | None = None,
     log_s = np.asarray(model.log_survival(x1, x2), dtype=float)
 
     def residual(t, y1, y2):
-        shift = model.theta * float(base.cumulative_hazard(t))
+        shift = -float(model.log_survival(t, t))
         with np.errstate(invalid="ignore"):  # -inf - -inf, left out below
             res = np.abs(np.asarray(model.log_survival(y1, y2), dtype=float) - log_s + shift)
         return np.where(log_s - shift == log_s if shift else log_s == -np.inf, np.nan, res)

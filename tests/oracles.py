@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from bisurv.baseline import PiecewiseLinearHazard
+from bisurv.baseline import Exponential, PiecewiseLinearHazard
 from bisurv.bivariate import _BLOCK, _WEIGHT_EPS
 from bisurv.errors import (
     DomainError,
@@ -288,6 +288,48 @@ def write_csv_rows(batch, fileobj):
     fileobj.write("x1,x2,tied\n")
     for a, b, t in zip(batch.x1, batch.x2, batch.tied):
         fileobj.write(f"{float(a)!r},{float(b)!r},{int(t)}\n")
+
+
+# ---------------------------------------------------------------------------
+# Survival functions outside the class
+# ---------------------------------------------------------------------------
+# Over the exponential baseline ``x (+) t = x + t``.  Each has what
+# ``validity.check_functional_equation`` reads, a ``baseline`` and
+# ``log_survival`` on scalars and arrays, and gives the closed-form residual
+# ``|ln S(x1 + t, x2 + t) - ln S(x1, x2) - ln S(t, t)|``.
+
+
+class GumbelTypeI:
+    """Gumbel's type-I bivariate exponential, ``ln S = -(x1 + x2 + lam x1 x2)``
+    (E. J. Gumbel, "Bivariate exponential distributions", JASA 55, 1960)."""
+
+    def __init__(self, lam: float):
+        self.baseline = Exponential()
+        self.lam = lam
+
+    def log_survival(self, x1, x2):
+        return -(x1 + x2 + self.lam * x1 * x2)
+
+    def residual(self, x1: float, x2: float, t: float) -> float:
+        return self.lam * t * (x1 + x2)
+
+
+class FGMExponential:
+    """The Farlie-Gumbel-Morgenstern copula on unit exponential margins,
+    ``S = e^(-x1 - x2) (1 + a (1 - e^-x1) (1 - e^-x2))``: the exponential
+    parts cancel from the residual, and the copula's factor is left."""
+
+    def __init__(self, a: float):
+        self.baseline = Exponential()
+        self.a = a
+
+    def log_survival(self, x1, x2):
+        return -(x1 + x2) + np.log1p(self.a * np.expm1(-x1) * np.expm1(-x2))
+
+    def residual(self, x1: float, x2: float, t: float) -> float:
+        def factor(y1, y2):
+            return math.log1p(self.a * math.expm1(-y1) * math.expm1(-y2))
+        return abs(factor(x1 + t, x2 + t) - factor(x1, x2) - factor(t, t))
 
 
 # ---------------------------------------------------------------------------

@@ -491,15 +491,44 @@ def test_array_survival_refuses_nan_in_the_callers_own_object(x1, x2, i):
             assert str(excinfo.value) == f"coordinates must not be NaN, got {(x1, x2)[i]!r}"
 
 
+#: ``(x1, x2, i)``: argument ``i`` is the first that is no real number or
+#: array of them, on the scalar path and the array path
+_NOT_REAL_INPUTS = [
+    (["a", 1.0], [1.0, 2.0], 0),
+    ([1.0, 2.0], ["a", 1.0], 1),
+    (["a", 1.0], [_NAN, 2.0], 0),
+    ([[1.0, 2.0], [1.0]], [1.0, 2.0], 0),
+    ([1.0, 2.0], [[1.0], [1.0, 2.0]], 1),
+    ("a", 1.0, 0),
+    (1.0, None, 1),
+    (1j, 2.0, 0),
+]
+
+
 def test_array_survival_without_nan_keeps_its_errors():
     # shapes that do not broadcast raise numpy's error; an argument that is
-    # no float array raises the NaN search's own, before any conversion
+    # no real number or array of them raises a DomainError that names it
     model = _BLOCK_MODELS[1]
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="shape mismatch") as excinfo:
         model.survival([1.0, 2.0, 3.0], [1.0, 2.0])
-    for x1, x2 in ((["a", 1.0], [1.0, 2.0]), ([1.0, 2.0], ["a", 1.0]), (["a", 1.0], [_NAN, 2.0])):
-        with pytest.raises(TypeError, match="isnan"):
-            model.survival(x1, x2)
+    assert not isinstance(excinfo.value, DomainError)
+    for x1, x2, i in _NOT_REAL_INPUTS:
+        for view in (model.survival, model.log_survival):
+            with pytest.raises(DomainError) as excinfo:
+                view(x1, x2)
+            assert str(excinfo.value) == f"coordinates must be real numbers, got {(x1, x2)[i]!r}"
+    # density and gradient, whose array path refuses NaN as not finite
+    for x1, x2, i in _NOT_REAL_INPUTS:
+        for view in (model.ac_density, lambda a, b: hazard_gradient(model, a, b)):
+            with pytest.raises(DomainError) as excinfo:
+                view(x1, x2)
+            assert str(excinfo.value) == f"coordinates must be real numbers, got {(x1, x2)[i]!r}"
+    with pytest.raises(ValueError, match="shape mismatch") as excinfo:
+        model.ac_density([1.0, 2.0, 3.0], [0.5, 1.5])
+    assert not isinstance(excinfo.value, DomainError)
+    # numeric strings read as numpy reads them, where the NaN search runs too
+    assert model.survival(["1.5", 2.0], [math.inf, 1.0]).tolist() == [
+        0.0, model.survival(2.0, 1.0)]
 
 
 @pytest.mark.parametrize("holder", [0, 1])

@@ -134,8 +134,9 @@ def test_cli_stdout_matches_golden(tmp_path, name):
 #: blocks of the vectorized CSV writer, recorded from the per-row ``repr``
 #: writer it replaced (``oracles.write_csv_rows``), so the two are
 #: byte-identical.  Recorded again when the wedge draws became inversions of
-#: the wedge CDF, from the same per-row writer.
-SAMPLE_20000_SHA1 = "9bdf2cbd96dccc4e572e35224d647bcf343a38d6"
+#: the wedge CDF, and again when two linear kernels took the latent races,
+#: each time from the same per-row writer.
+SAMPLE_20000_SHA1 = "d3d2e265477ed2eacbad3fb84b0498a8f32d43f7"
 
 
 def test_cli_sample_above_crossover_matches_recorded_digest(tmp_path):

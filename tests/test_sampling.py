@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -18,6 +19,7 @@ from bisurv import (
     LinearFailureRate,
     PHBivariateModel,
     ProportionalHazard,
+    SamplerError,
     Weibull,
     sample_general,
     sample_ph,
@@ -37,6 +39,10 @@ from test_cli_golden import _write_config
 
 E = Exponential()
 MO = PHBivariateModel(E, 1.0, 1.0, 1.0)
+#: MO's law through composed kernels (a hazard table of constant 2 per
+#: marginal), which the wedge inverter draws rather than the latent races
+TABLE_2 = FromHazard.from_table([0.0, 1.0], [2.0, 2.0])
+MO_INVERTED = GeneralBivariateModel(E, TABLE_2, TABLE_2, 3.0)
 
 
 def three_se(p: float, n: int) -> float:
@@ -47,8 +53,8 @@ def test_determinism():
     a = sample_ph(MO, 5000, 424242)
     b = sample_ph(MO, 5000, 424242)
     assert np.array_equal(a.x1, b.x1) and np.array_equal(a.x2, b.x2)
-    c = sample_general(MO, 5000, 424242)
-    d = sample_general(MO, 5000, 424242)
+    c = sample_general(MO_INVERTED, 5000, 424242)
+    d = sample_general(MO_INVERTED, 5000, 424242)
     assert np.array_equal(c.x1, d.x1) and np.array_equal(c.x2, d.x2)
     # different seeds differ
     assert not np.array_equal(a.x1, sample_ph(MO, 5000, 424243).x1)
@@ -65,14 +71,14 @@ def test_ties_are_bit_exact():
     tied = b.tied
     assert b.tie_count == int(np.sum(tied))
     assert np.all(b.x1[tied] == b.x2[tied])
-    g = sample_general(MO, 20000, 99)
+    g = sample_general(MO_INVERTED, 20000, 99)
     assert np.all(g.x1[g.tied] == g.x2[g.tied])
 
 
 def test_tie_frequency_matches_singular_mass():
     b = sample_ph(MO, 100000, 2023)
     assert b.tie_count / b.n == pytest.approx(1.0 / 3.0, abs=0.01)
-    g = sample_general(MO, 100000, 2024)
+    g = sample_general(MO_INVERTED, 100000, 2024)
     assert g.tie_count / g.n == pytest.approx(1.0 / 3.0,
                                               abs=three_se(1.0 / 3.0, g.n))
 
@@ -91,7 +97,7 @@ def test_marginal_survival_at_probe_points(base):
 
 def test_general_sampler_wedge_masses():
     n = 100000
-    g = sample_general(MO, n, 555)
+    g = sample_general(MO_INVERTED, n, 555)
     below = float(np.mean(g.x1 > g.x2))
     above = float(np.mean(g.x2 > g.x1))
     tied = g.tie_count / n
@@ -102,7 +108,7 @@ def test_general_sampler_wedge_masses():
 def test_general_sampler_agrees_with_latent_sampler():
     n = 100000
     a = sample_ph(MO, n, 1001)
-    g = sample_general(MO, n, 2002)
+    g = sample_general(MO_INVERTED, n, 2002)
     for x1 in (0.5, 1.0, 2.0):
         for x2 in (0.5, 1.0, 2.0):
             pa = float(np.mean((a.x1 > x1) & (a.x2 > x2)))
@@ -113,8 +119,7 @@ def test_general_sampler_agrees_with_latent_sampler():
 
 
 def test_purely_singular_model_emits_only_ties():
-    model = GeneralBivariateModel(
-        E, ProportionalHazard(E, 2.0), ProportionalHazard(E, 2.0), 2.0)
+    model = GeneralBivariateModel(E, TABLE_2, TABLE_2, 2.0)
     g = sample_general(model, 1000, 8)
     assert g.tie_count == g.n
 
@@ -267,6 +272,14 @@ def test_wedge_draws_meet_residual_bound(kernel):
     assert s[-3] == 0.0
 
 
+def test_wedge_draws_that_miss_the_residual_bound_raise(monkeypatch):
+    # one evaluation of G per draw: the interpolated start alone rarely meets
+    # the bound on the table kernel
+    monkeypatch.setattr(sampling, "_MAX_STEPS", 1)
+    with pytest.raises(SamplerError, match="missed the residual bound 1e-10 after 1 "):
+        sample_general(_table_model(), 2000, 4242)
+
+
 def test_wedge_tail_inverts_the_baseline_once_per_point(monkeypatch):
     # on a callable baseline every inverted element is a root solve
     base = Weibull(2.0)
@@ -396,3 +409,91 @@ def test_seeded_draws_are_the_old_sampler_bit_for_bit(name, tmp_path):
         patch.setattr(WedgeKernel, "tail", lambda self, s, theta: wedge_tail(self, theta, s))
         patch.setattr(WedgeKernel, "tail_table", tail_table)
         assert got == [draws(seed) for seed in (7, 11, 2024)]
+
+
+# -- the latent races: every model whose two kernels are linear ------------------
+
+
+@pytest.mark.parametrize("name", ["gen-weibull2", "gen-pareto"])
+def test_two_linear_kernels_take_the_latent_races(name, tmp_path):
+    # rates recomputed from these deltas are exact, so the general model and
+    # its PH twin draw the same bits
+    model = _golden_model(name, tmp_path)
+    twin = PHBivariateModel.from_deltas(model.baseline, *(k.delta for k in model.kernels),
+                                        model.theta)
+    assert model._latent_rates() == twin._latent_rates()
+    for seed in (7, 11):
+        got, want = sample_general(model, 5000, seed), sample_ph(twin, 5000, seed)
+        assert _bits(got.x1) == _bits(want.x1) and _bits(got.x2) == _bits(want.x2)
+
+
+def test_sample_ph_gives_the_general_draw_of_any_model():
+    for model in (MO_INVERTED, _table_model(), MO):
+        a, b = sample_ph(model, 2000, 5), sample_general(model, 2000, 5)
+        assert _bits(a.x1) == _bits(b.x1) and _bits(a.x2) == _bits(b.x2)
+
+
+#: sha1 of the bytes of ``x1`` then ``x2`` of ``sample_ph(PHBivariateModel(base,
+#: *theta123), 5000, 11)``, recorded when ``sample_ph`` had a routine of its own
+PH_DIGESTS = {
+    ("exponential", (0.8, 1.1, 0.6)): "175b16e6a0de0cdd9d7306a75fceaab69b333122",
+    ("exponential", (0.1, 0.2, 0.3)): "493dec11aaf933c31bb7f1506d0e71b6d8b9adb4",
+    ("weibull:2", (0.8, 1.1, 0.6)): "258c1831787cfaf010f10db77f12a6fb9b749aaf",
+    ("weibull:2", (0.1, 0.2, 0.3)): "7e5d0807dff7815d4f7a85959c1be111be3891d9",
+}
+
+
+@pytest.mark.parametrize("base, theta123", sorted(PH_DIGESTS))
+def test_ph_draws_keep_their_recorded_bits(base, theta123):
+    model = PHBivariateModel({"exponential": E, "weibull:2": W2}[base], *theta123)
+    # the rates recomputed from the deltas differ in the last bit, so the
+    # model answers its own
+    assert model._latent_rates() == theta123 != model.as_general()._latent_rates()
+    batch = sample_ph(model, 5000, 11)
+    digest = hashlib.sha1(batch.x1.tobytes() + batch.x2.tobytes()).hexdigest()
+    assert digest == PH_DIGESTS[base, theta123]
+
+
+class _ZerosInEveryRow:
+    """A generator whose exponential draws are 0.0 in row ``j % 3`` of
+    column ``j``, for the first 30 columns."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def exponential(self, size):
+        e = self.gen.exponential(size=size)
+        for j in range(30):
+            e[j % 3, j] = 0.0
+        return e
+
+
+@pytest.mark.parametrize("deltas, theta, ties", [((2.0, 2.0), 2.0, 1000), ((1.0, 2.0), 3.0, 0)])
+def test_a_zero_rate_never_arrives(monkeypatch, deltas, theta, ties):
+    # delta1 = delta2 = theta: both own arrivals have rate 0, every pair is
+    # tied; delta1 + delta2 = theta: the shared one has rate 0, no pair is
+    monkeypatch.setattr(sampling, "_gen", lambda seq: _ZerosInEveryRow(
+        np.random.Generator(np.random.Philox(seq))))
+    model = GeneralBivariateModel(E, *(ProportionalHazard(E, d) for d in deltas), theta)
+    assert 0.0 in model._latent_rates()
+    batch = sample_general(model, 1000, 8)
+    assert not np.isnan(batch.x1).any() and not np.isnan(batch.x2).any()
+    assert np.isfinite(batch.x1).all() and np.isfinite(batch.x2).all()
+    assert batch.tie_count == ties
+
+
+@pytest.mark.parametrize("deltas, theta, message, value", [
+    ((3.5, 1.0), 3.0, "wedge tail G(s) = (theta - Q'(s)) exp(-Q(s)) is negative, so "
+     "Q'(s) > theta at s = 0 (G = -0.5); the model is not a valid distribution", -0.5),
+    ((0.5, 1.0), 3.0, "mixture weight alpha = 1.5 outside [0, 1]; "
+     "the model is not a valid distribution", 1.5),
+    ((2.5, 2.5), 2.0, "mixture weight alpha = -0.5 outside [0, 1]; "
+     "the model is not a valid distribution", -0.5),
+])
+def test_invalid_linear_kernels_are_refused_before_the_races(deltas, theta, message, value):
+    # the texts the wedge inverter's checks gave when such a model went to it
+    model = GeneralBivariateModel(E, *(ProportionalHazard(E, d) for d in deltas), theta)
+    for sampler in (sample_ph, sample_general):
+        with pytest.raises(InvalidModelError) as info:
+            sampler(model, 10, 1)
+        assert str(info.value) == message and info.value.value == value

@@ -686,6 +686,35 @@ def test_functional_equation_residuals():
     assert check_functional_equation(lfr_exp_model()).max_residual < 1e-9
 
 
+@pytest.mark.parametrize("model", [oracles.GumbelTypeI(0.5), oracles.FGMExponential(0.5)],
+                         ids=["gumbel", "fgm"])
+def test_functional_equation_reports_a_non_members_largest_residual(model):
+    # the check reads only baseline and log_survival, and takes the shift
+    # from the model's own diagonal
+    grid = GridSpec.default()
+    xs, ts = grid.axis_points(E), grid.t_points(E)
+    want, where = max((model.residual(a, b, t), (a, b, t)) for t in ts for a in xs for b in xs)
+    got = check_functional_equation(model, grid)
+    assert got.max_residual == pytest.approx(want, rel=1e-12)
+    assert got.witness == tuple(float(v) for v in where)
+    assert got.n_points == xs.size ** 2 * ts.size
+    if isinstance(model, oracles.GumbelTypeI):
+        assert got.witness == (8.0, 8.0, 4.0) and got.max_residual == pytest.approx(32.0)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS) + ["gen-weibull2", "mo-pareto"])
+def test_functional_equation_members_read_rounding(name, tmp_path):
+    # at most 2^-40 of the largest |ln S| the check reads, a few thousand
+    # units in its last place: a kernel that composes R0^{-1}, e^s - 1 over
+    # Pareto, carries that map's rounding into ln S
+    model = MOP if name == "mo-pareto" else _golden_model(name, tmp_path)
+    grid = GridSpec.default()
+    base = model.baseline
+    far = float(base.combine(grid.axis_points(base)[-1], grid.t_points(base)[-1]))
+    assert check_functional_equation(model, grid).max_residual <= (
+        2.0**-40 * abs(model.log_survival(far, far)))
+
+
 def test_functional_equation_identity_shift_is_exact_zero():
     rep = check_functional_equation(MOW, t_knots=[W2.x_L])
     assert rep.max_residual == 0.0
