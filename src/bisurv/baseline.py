@@ -134,7 +134,12 @@ class BaselineModel(HazardModel):
 
     Subclasses provide the coordinate maps ``cumulative_hazard``,
     ``inverse_cumulative_hazard`` and ``hazard``, which accept scalars or
-    numpy arrays.  ``combine`` / ``difference`` are
+    numpy arrays.  A family without float maps (Weibull, Pareto) states
+    each map once, as a bare numpy expression on a float array the caller
+    has already converted and, where the map clamps, clamped:
+    ``_cumulative``, ``_hazard`` and ``_inverse``; its public maps convert,
+    clamp and call them.
+    ``combine`` / ``difference`` are
     ``R0^{-1}(R0(x) +/- R0(t))`` through those maps; a family overrides
     ``_combine`` / ``_difference`` only where a direct form rounds better
     (Pareto's ``x*t`` and ``x/t``).
@@ -156,16 +161,18 @@ class BaselineModel(HazardModel):
         """``((R0(x1), R0(x2)), (r0(x1), r0(x2)) or None)`` of two finite
         floats at or above ``x_L``.  A family with float maps (the
         exponential, a table, a callable) maps each coordinate with its own
-        call; any other takes one ``cumulative_hazard`` call on both and,
-        with ``hazards``, one ``hazard`` call on both, since numpy's SIMD
-        loops and ``math`` differ in the last bit of ``log``, ``exp`` and
-        ``power``."""
+        call; any other maps the pair as one array through its bare maps
+        ``_cumulative`` and ``_hazard``, since numpy's SIMD loops and
+        ``math`` differ in the last bit of ``log``, ``exp`` and ``power``.
+        ``R0`` reads the pair clamped to ``x_L`` as the public map clamps it
+        (``max(x_L, -0.0)`` is ``x_L``, as ``np.maximum`` gives it: a point
+        may carry ``-0.0``), ``r0`` the pair as given."""
         if self._float_maps:
             r = (self.cumulative_hazard(x1), self.cumulative_hazard(x2))
             return r, ((self.hazard(x1), self.hazard(x2)) if hazards else None)
-        xs = np.array((x1, x2))
-        r = self.cumulative_hazard(xs).tolist()
-        return r, (self.hazard(xs).tolist() if hazards else None)
+        xl = self.x_L
+        r = self._cumulative(np.array((max(xl, x1), max(xl, x2)))).tolist()
+        return r, (self._hazard(np.array((x1, x2))).tolist() if hazards else None)
 
     def inverse_survival(self, s):
         """Unique x with survival(x) = s, for s in (0, 1]."""
@@ -265,18 +272,31 @@ class Weibull(BaselineModel):
             raise ModelError(f"Weibull shape must be positive, got {self.alpha}")
 
     # np.errstate as a decorator sets the same error state as a ``with``
-    # block over the whole body, at a fraction of its per-call cost
+    # block over the whole body, at a fraction of its per-call cost.  The
+    # pair map takes the public maps' state: the power overflows, and
+    # divides by zero at 0, on purpose (Pareto's maps never warn)
+    _map_pair = np.errstate(divide="ignore", over="ignore")(BaselineModel._map_pair)
+
+    def _cumulative(self, x):
+        return np.power(x, self.alpha)
+
+    def _hazard(self, x):
+        return self.alpha * np.power(x, self.alpha - 1.0)
+
+    def _inverse(self, r):
+        return np.power(r, 1.0 / self.alpha)
+
     @np.errstate(over="ignore")
     def cumulative_hazard(self, x):
-        return _ret(np.power(np.maximum(np.asarray(x, dtype=float), 0.0), self.alpha), x)
+        return _ret(self._cumulative(np.maximum(np.asarray(x, dtype=float), 0.0)), x)
 
     @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        return _ret(np.power(np.maximum(np.asarray(r, dtype=float), 0.0), 1.0 / self.alpha), r)
+        return _ret(self._inverse(np.maximum(np.asarray(r, dtype=float), 0.0)), r)
 
     @np.errstate(divide="ignore", over="ignore")
     def hazard(self, x):
-        return _ret(self.alpha * np.power(np.asarray(x, dtype=float), self.alpha - 1.0), x)
+        return _ret(self._hazard(np.asarray(x, dtype=float)), x)
 
     @np.errstate(divide="ignore", over="ignore")
     def hazard_derivative(self, x):
@@ -297,15 +317,19 @@ class Pareto(BaselineModel):
     family = "pareto"
     x_L = 1.0
 
+    # the bare maps are the ufuncs themselves, with no Python frame between
+    # (np.reciprocal is the correctly rounded 1.0 / x)
+    _cumulative, _hazard, _inverse = map(staticmethod, (np.log, np.reciprocal, np.exp))
+
     def cumulative_hazard(self, x):
-        return _ret(np.log(np.maximum(np.asarray(x, dtype=float), 1.0)), x)
+        return _ret(self._cumulative(np.maximum(np.asarray(x, dtype=float), 1.0)), x)
 
     @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        return _ret(np.exp(np.asarray(r, dtype=float)), r)
+        return _ret(self._inverse(np.asarray(r, dtype=float)), r)
 
     def hazard(self, x):
-        return _ret(1.0 / np.asarray(x, dtype=float), x)
+        return _ret(self._hazard(np.asarray(x, dtype=float)), x)
 
     @np.errstate(over="ignore")
     def hazard_derivative(self, x):

@@ -36,9 +36,10 @@ it with ``math``, maps both coordinates through the baseline's pair map and
 picks the kernel of its wedge, and survival, density and gradient are views
 of that point.  The exponential and a table answer each float in float
 arithmetic, bit for bit as its array element (a callable one element at a
-time); Weibull and Pareto map the pair in one numpy call.  The kernel
-answers the float ``s`` likewise.  The views return floats equal bit for
-bit to the array path's element, and raise the same errors.  An
+time); Weibull and Pareto map the pair as one array through their bare
+numpy maps, each map once.  The kernel answers the float ``s`` likewise.
+The views return floats equal bit for bit to the array path's element,
+and raise the same errors.  An
 off-diagonal point also carries ``(r0(x1), r0(x2))`` from the same pair
 map, for density and gradient, as ``_points`` does for arrays.  The
 singular part's survival ``S0(x)**theta`` is ``S(x, x)``, and survival and
@@ -398,6 +399,24 @@ class GeneralBivariateModel(_BivariateBase):
         if d1 is None or d2 is None:
             return None
         return self.theta - d2, self.theta - d1, d1 + d2 - self.theta
+
+    def _admission(self):
+        """``(decomposition, tail tables, latent rates)`` of a model the
+        samplers may draw, cached beside the decomposition.  Raises
+        :class:`~bisurv.errors.InvalidModelError` unless the mixture weight
+        lies in [0, 1] and each kernel's ``tail_table`` is valid; a refused
+        model caches nothing, so every call refuses it alike."""
+        cached = getattr(self, "_admitted", None)
+        if cached is None:
+            dec = self.decompose()
+            if not dec.weight_in_range:
+                raise InvalidModelError(
+                    f"mixture weight alpha = {dec.alpha:.6g} outside [0, 1]; "
+                    "the model is not a valid distribution", value=dec.alpha)
+            tables = tuple(kernel.tail_table(self.theta) for kernel in self.kernels)
+            cached = (dec, tables, self._latent_rates())
+            object.__setattr__(self, "_admitted", cached)
+        return cached
 
     def ac_density(self, x1, x2):
         """Closed-form absolutely continuous density off the diagonal.

@@ -21,6 +21,12 @@ gives ``G``, ``h`` and the table of ``G``, which refuses a model whose
 ``G`` goes negative or rises, as every model is checked before it is drawn.
 A call draws at most ``MAX_PAIRS`` pairs.
 
+Each batch inverts its levels in one call of the baseline's inverse: the
+races their first and untied second levels, formed in place in the
+generator's draw, and the wedge branch ``w`` and ``w + s`` (the diagonal
+branch, drawn first, keeps its own call).  The model's admission is cached
+on it once it passes (``_admission``).
+
 All randomness comes from counter-based (Philox) generators seeded once,
 with independent sub-streams per mixture branch, so batches are
 reproducible and adding draws to one branch does not perturb the other.
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bivariate import GeneralBivariateModel
-from .errors import DomainError, InvalidModelError, SamplerError
+from .errors import DomainError, SamplerError
 from .validity import GridSpec
 
 __all__ = ["MAX_PAIRS", "SampleBatch", "sample_ph", "sample_general"]
@@ -472,19 +478,35 @@ def _races(base, rates, n: int, seed: int) -> SampleBatch:
     """The latent races at ``rates = (theta1, theta2, theta3)``; an arrival
     whose rate is at or below 0 never comes."""
     gen = _gen(np.random.SeedSequence(seed))
-    e = gen.exponential(size=(3, n))
-    v1, v2, v3 = (e_i / rate if rate > 0.0 else np.full(n, np.inf)
-                  for e_i, rate in zip(e, rates))
-    w1 = np.minimum(v1, v3)
-    w2 = np.minimum(v2, v3)
-    x1 = np.asarray(base.inverse_cumulative_hazard(w1), dtype=float)
-    # where the shared arrival won both races the pair is tied: reuse the
-    # already-inverted value so the tie is the same float by construction
-    tie = w1 == w2
+    v = gen.exponential(size=(3, n))
+    for v_i, rate in zip(v, rates):  # each arrival's level, in place
+        if rate > 0.0:
+            v_i /= rate
+        else:
+            v_i[:] = np.inf
+    w1 = np.minimum(v[0], v[2], out=v[0])
+    w2 = np.minimum(v[1], v[2], out=v[1])
+    # a second level is inverted only where the shared arrival did not win
+    # both races; a tied pair reuses its first, the same float by construction
+    apart = w1 != w2
+    x1, rest = _invert(base, w1, w2[apart])
     x2 = x1.copy()
-    if np.any(~tie):
-        x2[~tie] = np.asarray(base.inverse_cumulative_hazard(w2[~tie]), dtype=float)
+    x2[apart] = rest
     return SampleBatch(x1=x1, x2=x2, seed=seed, n=n)
+
+
+def _invert(base, first, second):
+    """``R0^{-1}`` of the levels ``first`` and ``second``, in one call of the
+    baseline's inverse.  A refusal that names the levels (a table's
+    non-finite level) names them as two calls in that order would."""
+    try:
+        x = np.asarray(base.inverse_cumulative_hazard(np.concatenate((first, second))),
+                       dtype=float)
+    except DomainError:
+        base.inverse_cumulative_hazard(first)
+        base.inverse_cumulative_hazard(second)
+        raise
+    return x[:first.size], x[first.size:]
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +578,9 @@ def sample_general(model: GeneralBivariateModel, n: int, seed: int,
 def _sample(model: GeneralBivariateModel, n: int, seed: int) -> SampleBatch:
     """The one draw of :func:`sample_ph` and :func:`sample_general`."""
     n, seed = _check_sample_args(n, seed)
-    dec = model.decompose()
-    if not dec.weight_in_range:
-        raise InvalidModelError(
-            f"mixture weight alpha = {dec.alpha:.6g} outside [0, 1]; "
-            "the model is not a valid distribution", value=dec.alpha)
+    dec, tables, rates = model._admission()
     theta, base = model.theta, model.baseline
-    tables = [kernel.tail_table(theta) for kernel in model.kernels]
-    rates = model._latent_rates()
-    if rates is not None:  # refused above as any model is, if invalid
+    if rates is not None:  # refused by the admission as any model is, if invalid
         return _races(base, rates, n, seed)
     alpha = min(max(dec.alpha, 0.0), 1.0)
 
@@ -588,8 +604,7 @@ def _sample(model: GeneralBivariateModel, n: int, seed: int) -> SampleBatch:
         s = np.empty(k)
         for kernel, table, on_wedge in zip(model.kernels, tables, (lower, ~lower)):
             s[on_wedge] = _draw_s(kernel, theta, table, tail[on_wedge])
-        lo = np.asarray(base.inverse_cumulative_hazard(w), dtype=float)
-        hi = np.asarray(base.inverse_cumulative_hazard(w + s), dtype=float)
+        lo, hi = _invert(base, w, w + s)
         x1[~singular] = np.where(lower, hi, lo)
         x2[~singular] = np.where(lower, lo, hi)
 

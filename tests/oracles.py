@@ -20,6 +20,7 @@ from bisurv.errors import (
     SamplerError,
     UndefinedComponentError,
 )
+from bisurv.sampling import SampleBatch, _check_sample_args, _draw_s, _gen
 
 
 def mixed_fd(survival_fn, x1: float, x2: float, rel_step: float = 1e-4):
@@ -337,7 +338,13 @@ class FGMExponential:
 # ---------------------------------------------------------------------------
 # ``marginals._sequence_limit`` with ``_richardson`` and ``_aitken`` as they
 # were when each limit took one sample sequence at a time, kept verbatim as
-# the reference the row-wise limit routine must match bit for bit.
+# the reference the row-wise limit routine must match bit for bit, but for
+# one operation: ``_aitken`` squares ``d1[k + 1]`` as the product ``x * x``,
+# not as ``x ** 2``.  A numpy scalar's ``** 2`` is libm's ``pow``, which is
+# not correctly rounded: on the row pinned in ``tests/test_marginals.py`` it
+# is one unit in the last place off the exact square (checked with
+# ``fractions.Fraction``), which the product, as numpy's array ``** 2`` in
+# the library computes it, rounds correctly.
 
 #: a limit has settled when two accelerated values agree to this tolerance
 _LIMIT_RTOL = 1e-7
@@ -366,7 +373,7 @@ def _aitken(seq: np.ndarray) -> np.ndarray:
         if denom[k] == 0.0:
             out.append(s[k + 2])
         else:
-            out.append(s[k + 2] - d1[k + 1] ** 2 / denom[k])
+            out.append(s[k + 2] - d1[k + 1] * d1[k + 1] / denom[k])
     return np.array(out)
 
 
@@ -419,6 +426,95 @@ def sequence_limit(samples, *, what: str = "sequence") -> float:
         if val is not None:
             return val
     raise NumericError(f"{what} did not converge", samples=ratios)
+
+
+# ---------------------------------------------------------------------------
+# A point's pair map and the samplers' inversions
+# ---------------------------------------------------------------------------
+# ``BaselineModel._map_pair``, ``sampling._races`` and ``sampling._sample`` as
+# they were when a point over Weibull or Pareto reached ``R0`` and ``r0``
+# through the public maps, and a draw inverted its levels in two calls (the
+# races) or three (the mixture), admitting the model on every call.  Kept
+# verbatim (``self`` is the baseline) as the reference the one-pass pair map
+# and the one-call inversions must match bit for bit, error for error.
+
+
+def map_pair(self, x1: float, x2: float, hazards: bool):
+    """``((R0(x1), R0(x2)), (r0(x1), r0(x2)) or None)`` of two finite
+    floats at or above ``x_L``.  A family with float maps (the
+    exponential, a table, a callable) maps each coordinate with its own
+    call; any other takes one ``cumulative_hazard`` call on both and,
+    with ``hazards``, one ``hazard`` call on both, since numpy's SIMD
+    loops and ``math`` differ in the last bit of ``log``, ``exp`` and
+    ``power``."""
+    if self._float_maps:
+        r = (self.cumulative_hazard(x1), self.cumulative_hazard(x2))
+        return r, ((self.hazard(x1), self.hazard(x2)) if hazards else None)
+    xs = np.array((x1, x2))
+    r = self.cumulative_hazard(xs).tolist()
+    return r, (self.hazard(xs).tolist() if hazards else None)
+
+
+def races(base, rates, n: int, seed: int):
+    """The latent races at ``rates = (theta1, theta2, theta3)``; an arrival
+    whose rate is at or below 0 never comes."""
+    gen = _gen(np.random.SeedSequence(seed))
+    e = gen.exponential(size=(3, n))
+    v1, v2, v3 = (e_i / rate if rate > 0.0 else np.full(n, np.inf)
+                  for e_i, rate in zip(e, rates))
+    w1 = np.minimum(v1, v3)
+    w2 = np.minimum(v2, v3)
+    x1 = np.asarray(base.inverse_cumulative_hazard(w1), dtype=float)
+    # where the shared arrival won both races the pair is tied: reuse the
+    # already-inverted value so the tie is the same float by construction
+    tie = w1 == w2
+    x2 = x1.copy()
+    if np.any(~tie):
+        x2[~tie] = np.asarray(base.inverse_cumulative_hazard(w2[~tie]), dtype=float)
+    return SampleBatch(x1=x1, x2=x2, seed=seed, n=n)
+
+
+def sample(model, n: int, seed: int):
+    """The one draw of :func:`sample_ph` and :func:`sample_general`."""
+    n, seed = _check_sample_args(n, seed)
+    dec = model.decompose()
+    if not dec.weight_in_range:
+        raise InvalidModelError(
+            f"mixture weight alpha = {dec.alpha:.6g} outside [0, 1]; "
+            "the model is not a valid distribution", value=dec.alpha)
+    theta, base = model.theta, model.baseline
+    tables = [kernel.tail_table(theta) for kernel in model.kernels]
+    rates = model._latent_rates()
+    if rates is not None:  # refused above as any model is, if invalid
+        return races(base, rates, n, seed)
+    alpha = min(max(dec.alpha, 0.0), 1.0)
+
+    pick_seq, diag_seq, ac_seq = np.random.SeedSequence(seed).spawn(3)
+    singular = _gen(pick_seq).random(n) < (1.0 - alpha)
+
+    x1, x2 = np.empty(n), np.empty(n)
+    m = int(np.sum(singular))
+    if m:
+        x1[singular] = x2[singular] = np.asarray(base.inverse_cumulative_hazard(
+            _gen(diag_seq).exponential(size=m) / theta), dtype=float)
+
+    k = n - m
+    if k:
+        gen_ac = _gen(ac_seq)
+        # wedge x1 > x2 carries AC mass (1 - u1/theta); normalize within AC
+        p_lower = min(max((1.0 - dec.u1 / theta) / alpha, 0.0), 1.0)
+        lower = gen_ac.random(k) < p_lower
+        w = gen_ac.exponential(size=k) / theta
+        tail = 1.0 - gen_ac.random(k)
+        s = np.empty(k)
+        for kernel, table, on_wedge in zip(model.kernels, tables, (lower, ~lower)):
+            s[on_wedge] = _draw_s(kernel, theta, table, tail[on_wedge])
+        lo = np.asarray(base.inverse_cumulative_hazard(w), dtype=float)
+        hi = np.asarray(base.inverse_cumulative_hazard(w + s), dtype=float)
+        x1[~singular] = np.where(lower, hi, lo)
+        x2[~singular] = np.where(lower, lo, hi)
+
+    return SampleBatch(x1=x1, x2=x2, seed=seed, n=n)
 
 
 # ---------------------------------------------------------------------------

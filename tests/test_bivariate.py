@@ -21,13 +21,14 @@ from bisurv import (
     Weibull,
     hazard_gradient,
 )
-from bisurv import CustomHazard, bivariate
+from bisurv import BaselineModel, BisurvError, CustomHazard, bivariate
 from bisurv.marginals import WedgeKernel
 from oracles import (
     diagonal_singular_survival,
     gradient_at,
     gradient_components,
     log_survival_masked,
+    map_pair,
     mixed_fd,
     model_tables,
     off_diagonal,
@@ -1026,3 +1027,44 @@ def test_gradient_and_density_are_the_old_routines_bit_for_bit(name, points):
     assert _outcome(model.ac_density, x1, x2) == _outcome(point_ac_density, model, x1, x2)
     for a, b in pts:
         assert _outcome(hazard_gradient, model, a, b) == _outcome(_old_gradient, model, a, b)
+
+
+#: the families whose pair map is one pass of their bare numpy maps
+_ARRAY_MAP_BASELINES = [Weibull(0.5), Weibull(1.0), Weibull(2.0), Weibull(3.7), PAR]
+_EDGE_COORDS = [-0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0 + 2.0**-52, 2.5, 1e154, 1e300, math.inf]
+
+
+def _point_answers(model):
+    """Each view's bytes, or its error's type and text, at every pair of edge
+    coordinates."""
+    views = (model.survival, model.ac_density, lambda a, b: hazard_gradient(model, a, b))
+    out = []
+    for x1 in _EDGE_COORDS:
+        for x2 in _EDGE_COORDS:
+            for view in views:
+                try:  # a RuntimeWarning fails the test (pyproject's filterwarnings)
+                    out.append(np.asarray(view(x1, x2), dtype=float).tobytes())
+                except BisurvError as exc:
+                    out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("base", _ARRAY_MAP_BASELINES, ids=lambda b: b.spec_string())
+def test_a_point_maps_as_the_public_maps_map_it(base, monkeypatch):
+    # the old pair map, through the public maps, is the reference
+    models = [PHBivariateModel(base, 0.8, 1.1, 0.6),
+              GeneralBivariateModel(base, ProportionalHazard(base, 1.2),
+                                    ProportionalHazard(base, 1.5), 2.0)]
+    if base.x_L == 0.0:  # a composed kernel beside a linear one
+        models.append(GeneralBivariateModel(base, LinearFailureRate(0.3),
+                                            ProportionalHazard(base, 1.2), 2.0))
+    got = [_point_answers(model) for model in models]
+    # the pair map itself, where no view would show a -0.0 it lets through
+    for x1 in _EDGE_COORDS[:-1]:
+        for x2 in _EDGE_COORDS[:-1]:
+            if min(x1, x2) >= base.x_L:
+                for hazards in (False, True):  # a float's repr is its bits, -0.0 too
+                    assert (repr(base._map_pair(x1, x2, hazards))
+                            == repr(map_pair(base, x1, x2, hazards)))
+    monkeypatch.setattr(BaselineModel, "_map_pair", map_pair)
+    assert got == [_point_answers(model) for model in models]

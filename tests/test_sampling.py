@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from bisurv import (
     GeneralBivariateModel,
     InvalidModelError,
     LinearFailureRate,
+    NumericError,
+    Pareto,
     PHBivariateModel,
     ProportionalHazard,
     SamplerError,
@@ -27,6 +30,7 @@ from bisurv import (
 from bisurv import marginals, sampling
 from bisurv.config import load_model_config
 from bisurv.marginals import WedgeKernel
+import oracles
 from oracles import (
     LinearHazardTable,
     exponential_wedge_tail,
@@ -497,3 +501,99 @@ def test_invalid_linear_kernels_are_refused_before_the_races(deltas, theta, mess
         with pytest.raises(InvalidModelError) as info:
             sampler(model, 10, 1)
         assert str(info.value) == message and info.value.value == value
+
+
+# -- one inversion call per batch, against the two or three it replaced --------
+
+W2 = Weibull(2.0)
+#: a table baseline whose hazard runs flat at 0.8 past x = 3
+TABLE_BASE = CustomHazard.from_table([0.0, 1.0, 3.0], [0.5, 2.0, 0.8])
+TABLE_1 = FromHazard.from_table([0.0, 1.0], [1.0, 1.0])
+
+#: every way a draw inverts its levels: the races (with ties, all tied, none
+#: tied) and the mixture (both branches, only ties, no tie), over the
+#: baselines that invert in numpy, in a table and by root finding
+DRAW_MODELS = {
+    "ph-exp": PHBivariateModel(E, 0.8, 1.1, 0.6),
+    "ph-weibull2": PHBivariateModel(W2, 0.5, 1.0, 1.5),
+    "ph-pareto": PHBivariateModel(Pareto(), 2.0, 1.0, 1.0),
+    "ph-table": PHBivariateModel(TABLE_BASE, 1.0, 0.5, 0.7),
+    "gen-weibull2": GeneralBivariateModel(W2, ProportionalHazard(W2, 1.0),
+                                          ProportionalHazard(W2, 2.5), 3.0),
+    "races-all-tied": GeneralBivariateModel(E, *(ProportionalHazard(E, 2.0),) * 2, 2.0),
+    "races-no-tie": GeneralBivariateModel(E, ProportionalHazard(E, 1.0),
+                                          ProportionalHazard(E, 2.0), 3.0),
+    "table-marginal": _table_model(),
+    "mixture-all-tied": GeneralBivariateModel(E, TABLE_2, TABLE_2, 2.0),
+    "mixture-no-tie": GeneralBivariateModel(E, TABLE_1, TABLE_2, 3.0),
+    "callable-ph1.4": GeneralBivariateModel(
+        E, FromHazard(lambda x: 1.0 + 0.5 * (1.0 - math.exp(-x))), ProportionalHazard(E, 1.4),
+        2.0),
+}
+
+
+def _draw(sampler, model, n, seed):
+    batch = sampler(model, n, seed)
+    return _bits(batch.x1), _bits(batch.x2), batch.tie_count
+
+
+@pytest.mark.parametrize("n", [1, 20, 199, 200, 4097, 20000])
+@pytest.mark.parametrize("name", [*sorted(DRAW_MODELS), "table-kernels"])
+def test_one_inversion_call_draws_the_old_bits(name, n, tmp_path):
+    model = DRAW_MODELS[name] if name in DRAW_MODELS else _golden_model(name, tmp_path)
+    for seed in (3, 2024):
+        got = _draw(sample_general, model, n, seed)
+        assert got == _draw(oracles.sample, model, n, seed)
+        assert _draw(sample_ph, model, n, seed) == got  # admitted once, drawn again
+    if name.endswith("all-tied"):
+        assert got[2] == n
+    if name.endswith("no-tie"):
+        assert got[2] == 0
+
+
+def _refusal(sampler, model, n, seed):
+    with pytest.raises(BisurvError) as info:
+        sampler(model, n, seed)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("model", [
+    # the total hazard is bounded: every draw past it is refused
+    PHBivariateModel(CustomHazard.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]), 0.8, 1.1, 0.6),
+    GeneralBivariateModel(CustomHazard.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),
+                          TABLE_1, TABLE_2, 3.0),
+    # theta3 and theta1 round to 0: every first level is inf, which a table
+    # refuses by naming the levels of that coordinate alone
+    GeneralBivariateModel(TABLE_BASE, ProportionalHazard(TABLE_BASE, 1e-20),
+                          ProportionalHazard(TABLE_BASE, 2.0), 2.0),
+], ids=["bounded-races", "bounded-mixture", "inf-levels"])
+def test_an_inversion_refuses_as_the_old_calls(model):
+    for n in (20, 4097):
+        want = _refusal(oracles.sample, model, n, 5)
+        assert _refusal(sample_general, model, n, 5) == want
+        assert want[0] is (DomainError if "finite" in want[1] else NumericError)
+
+
+def test_an_invalid_model_is_refused_on_every_call():
+    # nothing is cached for a refused model: each call asks again
+    for model in (GeneralBivariateModel(E, *(ProportionalHazard(E, 2.5),) * 2, 2.0),
+                  GeneralBivariateModel(E, LinearFailureRate(0.2), LinearFailureRate(0.2), 2.0)):
+        want = _refusal(oracles.sample, model, 10, 1)
+        for sampler in (sample_general, sample_ph, sample_general):
+            assert _refusal(sampler, model, 10, 1) == want
+        assert not hasattr(model, "_admitted")
+
+
+@pytest.mark.parametrize("name", ["ph-exp", "ph-weibull2"])
+def test_the_races_hold_few_arrays_of_n_floats(name):
+    # the levels are formed in place in the generator's draw: with the one
+    # inversion's levels and the two outputs, a draw's peak stays below nine
+    # arrays of n floats (ten to twelve when each level was a new array)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        sample_ph(DRAW_MODELS[name], n, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * n
