@@ -134,11 +134,12 @@ class BaselineModel(HazardModel):
 
     Subclasses provide the coordinate maps ``cumulative_hazard``,
     ``inverse_cumulative_hazard`` and ``hazard``, which accept scalars or
-    numpy arrays.  A family without float maps (Weibull, Pareto) states
-    each map once, as a bare numpy expression on a float array the caller
-    has already converted and, where the map clamps, clamped:
-    ``_cumulative``, ``_hazard`` and ``_inverse``; its public maps convert,
-    clamp and call them.
+    numpy arrays.  The pair map of a point reads ``R0`` and ``r0`` through
+    ``_cumulative`` and ``_hazard``, on a float array the caller has already
+    converted and, for ``R0``, clamped to ``x_L``; by default they are the
+    public maps.  Weibull and Pareto state them as bare numpy expressions,
+    and their public ``cumulative_hazard`` and ``hazard`` convert, clamp and
+    call them.
     ``combine`` / ``difference`` are
     ``R0^{-1}(R0(x) +/- R0(t))`` through those maps; a family overrides
     ``_combine`` / ``_difference`` only where a direct form rounds better
@@ -157,12 +158,19 @@ class BaselineModel(HazardModel):
     def inverse_cumulative_hazard(self, r):
         raise NotImplementedError
 
+    def _cumulative(self, x):
+        return self.cumulative_hazard(x)
+
+    def _hazard(self, x):
+        return self.hazard(x)
+
     def _map_pair(self, x1: float, x2: float, hazards: bool):
         """``((R0(x1), R0(x2)), (r0(x1), r0(x2)) or None)`` of two finite
         floats at or above ``x_L``.  A family with float maps (the
         exponential, a table, a callable) maps each coordinate with its own
-        call; any other maps the pair as one array through its bare maps
-        ``_cumulative`` and ``_hazard``, since numpy's SIMD loops and
+        call; any other maps the pair as one array through ``_cumulative``
+        and ``_hazard`` (Weibull's and Pareto's bare maps, any other
+        family's public ones), since numpy's SIMD loops and
         ``math`` differ in the last bit of ``log``, ``exp`` and ``power``.
         ``R0`` reads the pair clamped to ``x_L`` as the public map clamps it
         (``max(x_L, -0.0)`` is ``x_L``, as ``np.maximum`` gives it: a point
@@ -283,16 +291,13 @@ class Weibull(BaselineModel):
     def _hazard(self, x):
         return self.alpha * np.power(x, self.alpha - 1.0)
 
-    def _inverse(self, r):
-        return np.power(r, 1.0 / self.alpha)
-
     @np.errstate(over="ignore")
     def cumulative_hazard(self, x):
         return _ret(self._cumulative(np.maximum(np.asarray(x, dtype=float), 0.0)), x)
 
     @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        return _ret(self._inverse(np.maximum(np.asarray(r, dtype=float), 0.0)), r)
+        return _ret(np.power(np.maximum(np.asarray(r, dtype=float), 0.0), 1.0 / self.alpha), r)
 
     @np.errstate(divide="ignore", over="ignore")
     def hazard(self, x):
@@ -319,14 +324,14 @@ class Pareto(BaselineModel):
 
     # the bare maps are the ufuncs themselves, with no Python frame between
     # (np.reciprocal is the correctly rounded 1.0 / x)
-    _cumulative, _hazard, _inverse = map(staticmethod, (np.log, np.reciprocal, np.exp))
+    _cumulative, _hazard = map(staticmethod, (np.log, np.reciprocal))
 
     def cumulative_hazard(self, x):
         return _ret(self._cumulative(np.maximum(np.asarray(x, dtype=float), 1.0)), x)
 
     @np.errstate(over="ignore")
     def inverse_cumulative_hazard(self, r):
-        return _ret(self._inverse(np.asarray(r, dtype=float)), r)
+        return _ret(np.exp(np.asarray(r, dtype=float)), r)
 
     def hazard(self, x):
         return _ret(self._hazard(np.asarray(x, dtype=float)), x)

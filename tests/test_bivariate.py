@@ -1066,5 +1066,35 @@ def test_a_point_maps_as_the_public_maps_map_it(base, monkeypatch):
                 for hazards in (False, True):  # a float's repr is its bits, -0.0 too
                     assert (repr(base._map_pair(x1, x2, hazards))
                             == repr(map_pair(base, x1, x2, hazards)))
+    monkeypatch.setattr(type(base), "_map_pair", map_pair)
+    assert got == [_point_answers(model) for model in models]
+
+
+class _Quadratic(BaselineModel):
+    """A baseline written to the documented contract alone, R0(x) = x**2:
+    the public maps and nothing else."""
+
+    family = "quadratic"
+
+    @np.errstate(over="ignore")
+    def cumulative_hazard(self, x):
+        return np.square(np.maximum(np.asarray(x, dtype=float), 0.0))
+
+    def inverse_cumulative_hazard(self, r):
+        return np.sqrt(np.maximum(np.asarray(r, dtype=float), 0.0))
+
+    def hazard(self, x):
+        return 2.0 * np.asarray(x, dtype=float)
+
+    def hazard_derivative(self, x):
+        return np.full_like(np.asarray(x, dtype=float), 2.0)
+
+
+def test_a_family_with_only_public_maps_maps_a_point_through_them(monkeypatch):
+    base = _Quadratic()
+    models = [PHBivariateModel(base, 0.8, 1.1, 0.6),
+              GeneralBivariateModel(base, LinearFailureRate(0.3),
+                                    ProportionalHazard(base, 1.2), 2.0)]
+    got = [_point_answers(model) for model in models]
     monkeypatch.setattr(BaselineModel, "_map_pair", map_pair)
     assert got == [_point_answers(model) for model in models]

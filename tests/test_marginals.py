@@ -1,7 +1,6 @@
 import contextlib
 import math
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -142,12 +141,6 @@ def _sample_row(draw, n):
 _POW_ROW = [-232.32700255851682, -23.284751327273423, -2.32217304208237, -0.2329803307014988,
             -0.02320564953233393, -0.0023317503028048177, -0.00023182076253979169,
             -2.3346044407299947e-05, -2.3147519739720355e-06, -2.338788375455734e-07]
-
-
-def test_the_product_is_the_correctly_rounded_square():
-    d1 = np.diff(_POW_ROW)
-    exact = [float(Fraction(x) ** 2) for x in d1.tolist()]  # int / int rounds correctly
-    assert (d1 * d1).tolist() == (d1 ** 2).tolist() == exact
 
 
 @st.composite

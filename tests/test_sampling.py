@@ -400,19 +400,28 @@ def _golden_model(name, tmp_path):
 @pytest.mark.parametrize("name", [*GOLDEN_CONFIGS, "counterexample", "gen-weibull2"])
 def test_seeded_draws_are_the_old_sampler_bit_for_bit(name, tmp_path):
     # the old sampler: sample_general with the old routines in the kernel's place
-    model = _golden_model(name, tmp_path)
-
-    def draws(seed):
+    def draws(model, seed):
         def pair():
             batch = sample_general(model, 5000, seed)
             return batch.x1, batch.x2
         return _outcome(pair)
 
-    got = [draws(seed) for seed in (7, 11, 2024)]
+    model = _golden_model(name, tmp_path)
+    got = [draws(model, seed) for seed in (7, 11, 2024)]
+    tables = []
+
+    def old_tail_table(kernel, theta):
+        tables.append(kernel)
+        return tail_table(kernel, theta)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(WedgeKernel, "tail", lambda self, s, theta: wedge_tail(self, theta, s))
-        patch.setattr(WedgeKernel, "tail_table", tail_table)
-        assert got == [draws(seed) for seed in (7, 11, 2024)]
+        patch.setattr(WedgeKernel, "tail_table", old_tail_table)
+        # a fresh model: the first one keeps the tables it was admitted with
+        old = _golden_model(name, tmp_path)
+        assert got == [draws(old, seed) for seed in (7, 11, 2024)]
+    # the old tables are read unless the mixture weight refuses the model first
+    assert len(tables) == (2 if old.decompose().weight_in_range else 0)
 
 
 # -- the latent races: every model whose two kernels are linear ------------------
